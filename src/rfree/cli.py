@@ -30,7 +30,7 @@ from .progressions import (
     error_term,
     lemma_bound_probe,
 )
-from .residues import bound_sweep, per_modulus_maxima
+from .residues import per_modulus_maxima
 from .sieve import build_sieve, is_r_free, load_cache, save_cache, trial_factorize
 
 EXIT_OK = 0
@@ -158,13 +158,12 @@ def _cmd_verify_lemmas(args) -> int:
 
 def _cmd_residues(args) -> int:
     print("s,a,count,ratio")
+    best = None
     for row in per_modulus_maxima(args.r, args.s_max):
         print(f"{row.s},{row.a},{row.count},{row.ratio!r}")
-    result = bound_sweep(args.r, args.s_max)
-    print(
-        f"# max ratio {result.max_ratio!r} at a={result.witness_a} "
-        f"s={result.witness_s} (r={result.r})"
-    )
+        if best is None or row.ratio > best.ratio:  # first maximum wins, as in bound_sweep
+            best = row
+    print(f"# max ratio {best.ratio!r} at a={best.a} s={best.s} (r={args.r})")
     return EXIT_OK
 
 

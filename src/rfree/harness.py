@@ -9,10 +9,14 @@ the worst |error term| among residues l whose gcd with k is r-free:
     S(x) = sum_{k <= K(x)} max_l |E(x; k, l)|.
 
 The reported trend statistic is S(x) * (log x)^A / x.  All residue classes
-of one modulus are counted in a single pass over the r-free flag table, so
-a modulus costs O(x + k) rather than O(x) per residue.  Work is split
-across processes by modulus; the fold over k is in fixed ascending order,
-which makes the CSV output byte-identical regardless of worker count.
+of one modulus are counted at once by Mobius inversion over the squarefree
+d <= x^(1/r): whole periods of m*d^r mod k are added per coset, and at most
+one partial period per d is tallied, so a modulus costs about x^(1/r)
+d-terms plus at most one partial period per d, and never reads the r-free
+flag table.  The flag table instead gives the total that the classes of
+every modulus must sum to, an independent check.  Work is split across
+processes by modulus; the fold over k is in fixed ascending order, which
+makes the CSV output byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, SelfCheckError
 from .multiplicative import f_value
-from .progressions import decompose
+from .progressions import _int_rth_root, _main_term_value, decompose
 from .sieve import SieveTable, is_r_free, totient_value, trial_factorize
 
 CSV_HEADER = "x,r,A,K,S,normalized,wall_seconds"
@@ -55,20 +59,50 @@ def modulus_threshold(x: int, r: int, log_power: float) -> int:
 
 
 def class_counts(table: SieveTable, x: int, r: int, k: int) -> np.ndarray:
-    """R(x; k, l) for every l in [0, k) in one pass over the flag table."""
+    """R(x; k, l) for every l in [0, k), by Mobius inversion over d.
+
+    R(x; k, l) = sum_{d <= x^(1/r)} mu(d) * #{m <= x/d^r : m d^r = l (mod k)}.
+    For one d let c = d^r mod k and h = gcd(c, k).  As m runs, m*c mod k
+    has period k/h and hits every multiple of h once per period, so the
+    whole periods add the same amount to each class l = 0 (mod h); the
+    leftover partial period is tallied residue by residue.  Only
+    ``table.mu[1 : d_max + 1]`` is read.
+    """
     if r not in table.mu_r:
         raise ValueError(f"table was not built with r={r}")
     if not 1 <= x <= table.limit:
         raise ValueError(f"x={x} outside sieve range [1, {table.limit}]")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    flags = table.mu_r[r][1 : x + 1]
-    pad = (-x) % k
-    if pad:
-        flags = np.concatenate([flags, np.zeros(pad, dtype=np.uint8)])
-    col = flags.reshape(-1, k).sum(axis=0, dtype=np.int64)
-    counts = np.empty(k, dtype=np.int64)
-    counts[(np.arange(k) + 1) % k] = col  # column j holds n = j+1 (mod k)
+    # int64 throughout: every d^r <= x <= table.limit < 2^32, and m*c < k^2,
+    # so no product or partial sum below can overflow
+    d_max = _int_rth_root(x, r)
+    mu = table.mu[1 : d_max + 1]
+    ds = np.flatnonzero(mu) + 1
+    signs = mu[ds - 1].astype(np.int64)
+    dr = ds**r
+    per_d = x // dr  # m values for each d
+    c = dr % k
+    h = np.gcd(c, k)  # gcd(0, k) = k
+    period = k // h
+    counts = np.zeros(k, dtype=np.int64)
+
+    # whole periods: one strided add per distinct h
+    whole = signs * (per_d // period)
+    for hv in np.unique(h):
+        counts[::hv] += int(whole[h == hv].sum())
+
+    # partial periods: m = 1 .. per_d mod period, residues (m*c) mod k; the
+    # negative-mu terms land in a second block of k bins so one integer
+    # bincount carries both signs
+    left = per_d % period
+    n_left = int(left.sum())
+    if n_left:
+        owner = np.repeat(np.arange(ds.size), left)
+        m = np.arange(n_left) - np.repeat(np.cumsum(left) - left, left) + 1
+        bins = (m * c[owner]) % k + k * (signs[owner] < 0)
+        tally = np.bincount(bins, minlength=2 * k)
+        counts += tally[:k] - tally[k:]
     return counts
 
 
@@ -102,7 +136,7 @@ def max_error_for_modulus(
         if is_r_free(g, r):
             s = k // g
             phi_s = totient_value(trial_factorize(s))
-            mains[g] = (x / k) * (phi_k / (g * phi_s)) * fv.value
+            mains[g] = _main_term_value(x, k, g, s, phi_k, phi_s, fv.value)
     best_l = -1
     best = -1.0
     if residues is None:

@@ -24,13 +24,14 @@ the cross-check oracle for the table.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ConfigError, ResourceLimitError
 
 DEFAULT_SEGMENT_LENGTH = 262_144
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3  # bytes of finished tables
@@ -75,6 +76,10 @@ class SieveTable:
         self.phi = phi
         self.mu_r = mu_r
         for arr in (mu, spf, omega, phi, *mu_r.values()):
+            if arr.shape != (limit + 1,):
+                raise ValueError(
+                    f"table array of shape {arr.shape} does not cover [0, {limit}]"
+                )
             arr.setflags(write=False)
 
     def __repr__(self):
@@ -330,7 +335,8 @@ def mu_r_direct(n: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 # Binary cache: magic "RFSV1", then limit, the r set, and the packed tables,
 # all little-endian.  mu is stored as 2-bit codes (mu + 1), four per byte;
-# each r-free table is stored one bit per n.  Reload is bit-identical.
+# each r-free table is stored one bit per n.  Reload is bit-identical, and a
+# file whose size differs from what its header implies is refused.
 # ---------------------------------------------------------------------------
 
 
@@ -355,19 +361,30 @@ def _unpack_mu(raw: bytes, n: int) -> np.ndarray:
 
 
 def save_cache(table: SieveTable, path) -> None:
-    """Write the table to ``path`` in the packed binary format."""
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(np.array(table.limit, dtype="<u8").tobytes())
-        fh.write(np.array(len(table.rs), dtype="<u4").tobytes())
-        fh.write(np.asarray(table.rs, dtype="<u4").tobytes())
-        fh.write(_pack_mu(table.mu))
-        fh.write(table.spf.astype("<u4").tobytes())
-        fh.write(table.omega.tobytes())
-        fh.write(table.phi.astype("<u4").tobytes())
-        for r in table.rs:
-            fh.write(np.packbits(table.mu_r[r]).tobytes())
-        assert fh.tell() == _cache_size(table.limit, len(table.rs)), "cache layout"
+    """Write the table to ``path`` in the packed binary format.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path`` in one step, so an interrupted save never leaves a
+    torn cache behind.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CACHE_MAGIC)
+            fh.write(np.array(table.limit, dtype="<u8").tobytes())
+            fh.write(np.array(len(table.rs), dtype="<u4").tobytes())
+            fh.write(np.asarray(table.rs, dtype="<u4").tobytes())
+            fh.write(_pack_mu(table.mu))
+            fh.write(table.spf.astype("<u4").tobytes())
+            fh.write(table.omega.tobytes())
+            fh.write(table.phi.astype("<u4").tobytes())
+            for r in table.rs:
+                fh.write(np.packbits(table.mu_r[r]).tobytes())
+            assert fh.tell() == _cache_size(table.limit, len(table.rs)), "cache layout"
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed before the replace
+            os.unlink(tmp)
 
 
 def _cache_size(limit: int, n_rs: int) -> int:
@@ -383,13 +400,28 @@ def _cache_size(limit: int, n_rs: int) -> int:
 
 
 def load_cache(path) -> SieveTable:
-    """Reload a table written by :func:`save_cache` (bit-identical)."""
+    """Reload a table written by :func:`save_cache` (bit-identical).
+
+    Raises ConfigError, before any table is read, unless the file carries
+    the magic and its size is exactly what its header implies.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(5)
+        header = fh.read(17)
+        magic = header[:5]
         if magic != _CACHE_MAGIC:
-            raise ValueError(f"not a sieve cache file: bad magic {magic!r}")
-        limit = int(np.frombuffer(fh.read(8), dtype="<u8")[0])
-        n_rs = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
+            raise ConfigError(f"{path} is not a sieve cache file: bad magic {magic!r}")
+        if len(header) < 17:
+            raise ConfigError(f"sieve cache {path} is cut short inside its header")
+        limit = int(np.frombuffer(header[5:13], dtype="<u8")[0])
+        n_rs = int(np.frombuffer(header[13:17], dtype="<u4")[0])
+        size = os.fstat(fh.fileno()).st_size
+        expected = _cache_size(limit, n_rs)
+        if size != expected:
+            raise ConfigError(
+                f"sieve cache {path} is {size} bytes, but its header "
+                f"(limit={limit}, {n_rs} r values) implies {expected}; "
+                "delete it to rebuild"
+            )
         rset = tuple(int(v) for v in np.frombuffer(fh.read(4 * n_rs), dtype="<u4"))
         n1 = limit + 1
         mu = _unpack_mu(fh.read((n1 + 3) // 4), n1)

@@ -38,6 +38,19 @@ def test_sieve_cache_mismatch_is_config_error(tmp_path, capsys):
     assert "cache" in capsys.readouterr().err
 
 
+def test_error_refuses_short_cache(tmp_path, capsys):
+    cache = tmp_path / "s.rfsv"
+    assert main(["sieve", "--limit", "1e4", "--r", "3", "--cache", str(cache)]) == 0
+    cache.write_bytes(cache.read_bytes()[:-700])
+    capsys.readouterr()
+    code = main(["error", "--x", "1e4", "--r", "3", "--k", "1", "--l", "0",
+                 "--cache", str(cache)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err and "bytes" in captured.err
+
+
 def test_error_csv(capsys):
     assert main(["error", "--x", "100", "--r", "2", "--k", "4", "--l", "2"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

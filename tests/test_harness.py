@@ -45,12 +45,27 @@ def test_threshold_vacuous_config_rejected():
         modulus_threshold(2, 2, 1.0)
 
 
-def test_class_counts_match_strided_scan(table_1e5):
-    x = 54_321
-    for k in (1, 2, 3, 7, 12, 97):
-        counts = class_counts(table_1e5, x, 2, k)
-        for l in range(k):
-            assert int(counts[l]) == count_r_free_in_progression(table_1e5, x, 2, k, l)
+@pytest.mark.parametrize("r", [2, 3])
+def test_class_counts_match_strided_scan(table_1e5, r):
+    # 4, 8, 9, 16, 36, 64 and 178 share primes with some d^r, so their
+    # d-terms fill the cosets l = 0 (mod h) with h > 1; k > x leaves most
+    # classes empty
+    for x in (54_321, 100, 1):
+        for k in (1, 2, 3, 4, 7, 8, 9, 12, 16, 36, 64, 97, 150, 178):
+            counts = class_counts(table_1e5, x, r, k)
+            assert counts.dtype == np.int64
+            for l in range(k):
+                expected = count_r_free_in_progression(table_1e5, x, r, k, l)
+                assert int(counts[l]) == expected, (x, k, l)
+
+
+def test_class_counts_validation(table_1e4):
+    with pytest.raises(ValueError, match="r=4"):
+        class_counts(table_1e4, 100, 4, 3)
+    with pytest.raises(ValueError, match="outside"):
+        class_counts(table_1e4, table_1e4.limit + 1, 2, 3)
+    with pytest.raises(ValueError, match="k must"):
+        class_counts(table_1e4, 100, 2, 0)
 
 
 def test_max_error_modulus_one(table_1e5):

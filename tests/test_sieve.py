@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from rfree import (
+    ConfigError,
     Factorization,
     ResourceLimitError,
+    SieveTable,
     build_sieve,
     factorize,
     is_r_free,
@@ -233,3 +235,59 @@ def test_cache_starts_with_magic(table_1e4, tmp_path):
     path = tmp_path / "sieve.rfsv"
     save_cache(table_1e4, path)
     assert path.read_bytes()[:5] == b"RFSV1"
+
+
+def _saved_bytes(table, tmp_path) -> bytes:
+    path = tmp_path / "good.rfsv"
+    save_cache(table, path)
+    return path.read_bytes()
+
+
+def test_cache_refuses_truncated_file(table_1e4, tmp_path):
+    path = tmp_path / "short.rfsv"
+    path.write_bytes(_saved_bytes(table_1e4, tmp_path)[:-700])
+    with pytest.raises(ConfigError, match="bytes"):
+        load_cache(path)
+
+
+def test_cache_refuses_trailing_junk(table_1e4, tmp_path):
+    path = tmp_path / "long.rfsv"
+    path.write_bytes(_saved_bytes(table_1e4, tmp_path) + b"\x00")
+    with pytest.raises(ConfigError, match="bytes"):
+        load_cache(path)
+
+
+def test_cache_refuses_cut_header(table_1e4, tmp_path):
+    path = tmp_path / "stub.rfsv"
+    path.write_bytes(_saved_bytes(table_1e4, tmp_path)[:10])
+    with pytest.raises(ConfigError, match="header"):
+        load_cache(path)
+
+
+def test_cache_save_replaces_atomically(table_1e4, tmp_path, monkeypatch):
+    small = build_sieve(100, {2})
+    path = tmp_path / "sieve.rfsv"
+    save_cache(small, path)
+    before = path.read_bytes()
+
+    def crash(_):
+        raise OSError("disk full")
+
+    # a save that dies half-way leaves the old file and no temporary behind
+    monkeypatch.setattr(np, "packbits", crash)
+    with pytest.raises(OSError, match="disk full"):
+        save_cache(table_1e4, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sieve.rfsv"]
+
+    save_cache(table_1e4, path)
+    assert load_cache(path).limit == table_1e4.limit
+    assert [p.name for p in tmp_path.iterdir()] == ["sieve.rfsv"]
+
+
+def test_table_rejects_short_arrays():
+    full = np.ones(11, dtype=np.uint8)
+    short = np.ones(10, dtype=np.uint8)
+    with pytest.raises(ValueError, match="does not cover"):
+        SieveTable(10, (2,), full, full, full, full, {2: short})
