@@ -1,25 +1,28 @@
 """Build the arithmetic-function tables and poke at what they hold.
 
-The sieve produces, for every n up to a limit: the Mobius function mu(n),
-the smallest prime factor, the number of distinct prime factors omega(n),
-the Euler totient phi(n), and -- for each requested r -- a 0/1 flag that
-is 1 exactly when no r-th power of a prime divides n.
+``factor_sieve`` produces, for every n up to a limit: the Mobius function
+mu(n), the smallest prime factor, the number of distinct prime factors
+omega(n) and the Euler totient phi(n).  ``build_sieve`` produces, for each
+requested r, a 0/1 flag that is 1 exactly when no r-th power of a prime
+divides n; it keeps the factoring tables only up to sqrt(limit), because
+the progression counts read mu no further.
 """
 
 import numpy as np
 
-from rfree import build_sieve, factorize, mu_r_direct, zeta
+from rfree import build_sieve, factor_sieve, factorize, mu_r_direct, zeta
 
 LIMIT = 1_000_000
 
+factors = factor_sieve(LIMIT)
 table = build_sieve(LIMIT, {2, 3})
-print(f"built tables up to {LIMIT:,} for r in {table.rs}")
+print(f"built tables up to {LIMIT:,}; r-free flags for r in {table.rs}")
 
 print("\nn, mu, spf, omega, phi, squarefree, cubefree for n = 1..20:")
 for n in range(1, 21):
     print(
-        f"  {n:3d}  mu={table.mu[n]:+d}  spf={table.spf[n]:2d}  "
-        f"omega={table.omega[n]}  phi={table.phi[n]:2d}  "
+        f"  {n:3d}  mu={factors.mu[n]:+d}  spf={factors.spf[n]:2d}  "
+        f"omega={factors.omega[n]}  phi={factors.phi[n]:2d}  "
         f"sf={table.mu_r[2][n]}  cf={table.mu_r[3][n]}"
     )
 
@@ -30,7 +33,7 @@ print("\nflag table agrees with the direct Mobius divisor sum on spot checks")
 
 # factorizations come straight off the smallest-prime-factor chain
 for n in (9_699_690 // 11, 2**19, 999_983):
-    fact = factorize(table, n)
+    fact = factorize(factors, n)
     pretty = " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in fact.factors)
     print(f"  {n} = {pretty}")
 

@@ -57,9 +57,11 @@ from .residues import (
     per_modulus_maxima,
 )
 from .sieve import (
+    FactorTable,
     Factorization,
     SieveTable,
     build_sieve,
+    factor_sieve,
     factorize,
     is_r_free,
     load_cache,
@@ -78,6 +80,7 @@ __all__ = [
     "DecompositionReport",
     "ExperimentConfig",
     "FValue",
+    "FactorTable",
     "Factorization",
     "LemmaBoundRatios",
     "ModulusMaximum",
@@ -101,6 +104,7 @@ __all__ = [
     "decompose",
     "error_term",
     "f_value",
+    "factor_sieve",
     "factorize",
     "is_r_free",
     "lemma_bound_probe",

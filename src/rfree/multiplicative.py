@@ -6,9 +6,9 @@
            = zeta(r)^{-1} * prod over p | k of (1 - p^{-r})^{-1},
 
 which depends only on the radical of k.  ``tau_table`` sieves tau_r(n),
-the number of ordered r-tuples of positive integers with product n, via
-repeated divisor convolution; ``tau_value`` gives the same thing from a
-factorization through tau_r(p^e) = C(e + r - 1, r - 1).
+the number of ordered r-tuples of positive integers with product n, over
+prime powers through tau_r(p^e) = C(e + r - 1, r - 1); ``tau_value``
+applies the same formula to one factorization.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .sieve import Factorization, SieveTable
+from .sieve import FactorTable, Factorization, small_primes
 
 _ZETA_TARGET = 1e-13
 _FLOAT_ULP = 2.3e-16
@@ -95,29 +95,69 @@ class TauTable:
 
 
 def tau_table(r: int, limit: int) -> TauTable:
-    """Sieve tau_r over [1, limit] by r-1 divisor-convolution passes.
+    """Sieve tau_r over [1, limit] over prime powers.
 
-    Values are held in 64-bit integers; a pass that could overflow them
-    raises OverflowError up front instead of wrapping.
+    tau_r is multiplicative with tau_r(p^e) = C(e + r - 1, r - 1).  Every
+    multiple of p gets the factor r = tau_r(p); every multiple of p^e,
+    e >= 2, then trades its factor tau_r(p^(e-1)) for tau_r(p^e), by an
+    exact division before the multiplication.  Primes above sqrt(limit)
+    divide each n at most once; their multiples m*p are scaled together,
+    one index array per cofactor m.
+
+    Values are held in 64-bit integers.  Every intermediate value is at
+    most the final tau_r(n), and tau_r(n) = sum over d | n of tau_(r-1)(d)
+    is at most tau(n) * M <= (2 sqrt(limit) + 1) * M, where M is the
+    largest tau_(r-1) below limit.  OverflowError is raised up front
+    unless that bound fits int64.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
+    divisor_bound = 2 * math.isqrt(limit) + 1  # tau_2(n) <= 2*sqrt(n)
+    if r > 1 and _tau_max(r - 1, limit) > (2**63 - 1) // divisor_bound:
+        raise OverflowError(f"tau_{r} would overflow 64-bit integers below {limit}")
     tau = np.ones(limit + 1, dtype=np.int64)
     tau[0] = 0
-    divisor_bound = 2 * math.isqrt(limit) + 1  # tau_2(n) <= 2*sqrt(n)
-    for _ in range(r - 1):
-        headroom = (2**63 - 1) // divisor_bound
-        if int(tau.max()) > headroom:
-            raise OverflowError(
-                f"tau_{r} would overflow 64-bit integers below {limit}"
-            )
-        nxt = np.zeros(limit + 1, dtype=np.int64)
-        for d in range(1, limit + 1):
-            nxt[d::d] += tau[d]
-        tau = nxt
+    primes = small_primes(limit)
+    root = math.isqrt(limit)
+    n_small = int(np.searchsorted(primes, root, side="right"))
+    for p in primes[:n_small].tolist():
+        tau[p::p] *= r
+        q, e = p * p, 2
+        while q <= limit:
+            view = tau[q::q]
+            view //= math.comb(e + r - 2, r - 1)
+            view *= math.comb(e + r - 1, r - 1)
+            q *= p
+            e += 1
+    large = primes[n_small:]
+    for m in range(1, limit // (root + 1) + 1):
+        ps = large[: np.searchsorted(large, limit // m, side="right")]
+        tau[m * ps] *= r
     return TauTable(r=r, limit=limit, tau=tau)
+
+
+def _tau_max(r: int, limit: int) -> int:
+    """max tau_r(n) over n <= limit, exactly.
+
+    Moving the exponents of n, in decreasing order, onto the smallest
+    primes keeps tau_r(n) and does not increase n, so the maximum is
+    attained at some n = 2^e1 * 3^e2 * 5^e3 * ... with e1 >= e2 >= ....
+    """
+    primes = small_primes(100).tolist()  # their product exceeds 2**64
+    best = 1
+    stack = [(0, 1, 1, limit.bit_length())]  # prime index, n, tau_r(n), exponent cap
+    while stack:
+        i, n, value, cap = stack.pop()
+        best = max(best, value)
+        p = primes[i]
+        for e in range(1, cap + 1):
+            n *= p
+            if n > limit:
+                break
+            stack.append((i + 1, n, value * math.comb(e + r - 1, r - 1), e))
+    return best
 
 
 def tau_value(r: int, fact: Factorization) -> int:
@@ -156,10 +196,10 @@ def tau_partial_sum_check(r: int, xs: Sequence[int]) -> list[TauSumRow]:
     return rows
 
 
-def omega_vs_tau_check(r: int, limit: int, table: SieveTable) -> bool:
+def omega_vs_tau_check(r: int, limit: int, table: FactorTable) -> bool:
     """True iff r^omega(k) <= tau_r(k) for every k <= limit."""
-    if limit > table.limit:
-        raise ValueError(f"limit {limit} exceeds sieve limit {table.limit}")
+    if limit >= table.omega.size:
+        raise ValueError(f"limit {limit} exceeds table limit {table.omega.size - 1}")
     taus = tau_table(r, limit).tau[1:]
     om = table.omega[1 : limit + 1].astype(np.int64)
     lhs = np.power(r, om)

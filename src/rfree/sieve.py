@@ -1,30 +1,39 @@
-"""Segmented sieve tables for the arithmetic functions used everywhere else.
+"""Sieve tables: r-free flags over [1, N], factoring tables up to sqrt(N).
 
-A single pass over [1, N] produces, per integer n:
+Every count the package makes reads one of two things: the r-free
+indicator of each n <= N, summed along a progression, or the Mobius
+function up to x^(1/r) <= sqrt(N), in the d-sums of ``class_counts`` and
+``decompose``.  The tables hold exactly that:
 
-* ``mu``    -- the Mobius function, in {-1, 0, +1},
-* ``spf``   -- the smallest prime factor (spf(1) = 1 by convention),
-* ``omega`` -- the number of distinct prime factors,
-* ``phi``   -- the Euler totient,
-* ``mu_r``  -- for each requested r >= 2, the indicator of "r-free":
-  1 iff no prime p has p^r | n (r = 2 gives the squarefree numbers).
+* ``build_sieve(N, rs)`` gives a :class:`SieveTable` holding, for each
+  requested r >= 2, ``mu_r[r]``: one uint8 flag per n in [0, N], 1 iff no
+  prime p has p^r | n (r = 2 gives the squarefree numbers).  Each flag
+  array is cleared by one strided pass per prime power p^r <= N.  The
+  table also holds ``mu``, ``spf``, ``omega`` and ``phi`` over
+  [0, isqrt(N)] only, taken from ``factor_sieve(isqrt(N))``.
+* ``factor_sieve(N)`` gives a :class:`FactorTable` with the Mobius
+  function, smallest prime factor (spf(1) = 1), number of distinct prime
+  factors and Euler totient of every n in [0, N].  Base primes up to
+  sqrt(N) are generated first, then fixed-size windows are fully factored
+  with vectorised strides, so scratch memory per window is bounded by the
+  segment length.  Only ``factorize``, ``omega_vs_tau_check``, the demos
+  and the tests need these tables over a full range.
 
-Construction is segmented: base primes up to sqrt(N) are generated first,
-then fixed-size windows are fully factored with vectorised strides, so that
-scratch memory per window is bounded by the segment length no matter how
-large N is.  The finished table is marked read-only and is safe to share
-between threads or forked worker processes.
+Finished tables are read-only and safe to share between threads or forked
+worker processes.  ``save_cache``/``load_cache`` store only the flags, bit
+packed and checksummed; the sqrt(N) tables are rebuilt on load.
 
 ``mu_r_direct`` recomputes the r-free indicator for a single n as the
 divisor sum of the Mobius function over d with d^r | n, using nothing but
 trial division.  It is deliberately independent of the sieve and serves as
-the cross-check oracle for the table.
+the cross-check oracle for the flags.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -35,8 +44,6 @@ from .errors import ConfigError, ResourceLimitError
 
 DEFAULT_SEGMENT_LENGTH = 262_144
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3  # bytes of finished tables
-
-_CACHE_MAGIC = b"RFSV1"
 
 
 @dataclass(frozen=True)
@@ -58,11 +65,44 @@ class Factorization:
         return len(self.factors)
 
 
-class SieveTable:
-    """Read-only arithmetic-function tables over [1, limit].
+def _freeze(arrays_and_lengths) -> None:
+    """Check that each array is 1-D of its length, then make it read-only."""
+    for arr, length in arrays_and_lengths:
+        if arr.shape != (length,):
+            raise ValueError(
+                f"table array of shape {arr.shape} does not cover [0, {length - 1}]"
+            )
+        arr.setflags(write=False)
 
-    Arrays are indexed directly by n (index 0 is unused filler).  ``mu_r``
-    maps each requested r to a uint8 0/1 array.
+
+class FactorTable:
+    """Read-only mu, spf, omega and phi over [0, limit], indexed by n.
+
+    Index 0 is unused filler.
+    """
+
+    __slots__ = ("limit", "mu", "spf", "omega", "phi")
+
+    def __init__(self, limit, mu, spf, omega, phi):
+        self.limit = limit
+        self.mu = mu
+        self.spf = spf
+        self.omega = omega
+        self.phi = phi
+        _freeze((arr, limit + 1) for arr in (mu, spf, omega, phi))
+
+    def __repr__(self):
+        return f"FactorTable(limit={self.limit})"
+
+
+class SieveTable:
+    """Read-only r-free flags over [0, limit], factoring tables over
+    [0, isqrt(limit)].
+
+    ``mu_r`` maps each requested r to a uint8 0/1 array of length
+    limit + 1.  ``mu``, ``spf``, ``omega`` and ``phi`` have length
+    isqrt(limit) + 1: the Mobius sums need mu(d) only for d^r <= limit.
+    All arrays are indexed directly by n (index 0 is unused filler).
     """
 
     __slots__ = ("limit", "rs", "mu", "spf", "omega", "phi", "mu_r")
@@ -75,20 +115,20 @@ class SieveTable:
         self.omega = omega
         self.phi = phi
         self.mu_r = mu_r
-        for arr in (mu, spf, omega, phi, *mu_r.values()):
-            if arr.shape != (limit + 1,):
-                raise ValueError(
-                    f"table array of shape {arr.shape} does not cover [0, {limit}]"
-                )
-            arr.setflags(write=False)
+        root = math.isqrt(limit) + 1
+        _freeze([
+            *((arr, root) for arr in (mu, spf, omega, phi)),
+            *((flags, limit + 1) for flags in mu_r.values()),
+        ])
 
     def __repr__(self):
         return f"SieveTable(limit={self.limit}, rs={self.rs})"
 
 
 def _estimate_bytes(limit: int, n_rs: int) -> int:
-    # int8 mu + uint32 spf + uint8 omega + uint32 phi + one uint8 flag per r
-    return (limit + 1) * (10 + n_rs)
+    # one uint8 flag per n and r, plus int8 mu + uint32 spf + uint8 omega
+    # + uint32 phi up to isqrt(limit)
+    return (limit + 1) * n_rs + 10 * (math.isqrt(limit) + 1)
 
 
 def small_primes(n: int) -> np.ndarray:
@@ -103,49 +143,30 @@ def small_primes(n: int) -> np.ndarray:
     return np.nonzero(flags)[0].astype(np.int64)
 
 
-def build_sieve(
-    limit: int,
-    rs: Iterable[int],
-    *,
-    segment_length: int = DEFAULT_SEGMENT_LENGTH,
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
-) -> SieveTable:
-    """Build the full table over [1, limit] for the given set of r values.
+def factor_sieve(
+    limit: int, *, segment_length: int = DEFAULT_SEGMENT_LENGTH
+) -> FactorTable:
+    """mu, spf, omega and phi for every n in [1, limit].
 
     Parameters
     ----------
     limit : int
         Inclusive upper bound N >= 1.
-    rs : iterable of int
-        The r values (each >= 2) for which r-free indicator tables are kept.
     segment_length : int
         Window size for the segmented factoring pass.  Different values
         yield bit-identical tables; only peak scratch memory changes.
-    memory_budget_bytes : int
-        Refuse to allocate finished tables larger than this.
 
     Raises
     ------
     ValueError
-        If limit < 1 or some r < 2.
+        If limit < 1 or segment_length < 1.
     ResourceLimitError
-        If the finished tables would exceed ``memory_budget_bytes``, or if
-        limit does not fit the 32-bit value tables.
+        If limit does not fit the 32-bit spf/phi tables.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    rset = tuple(sorted(set(int(r) for r in rs)))
-    for r in rset:
-        if r < 2:
-            raise ValueError(f"every r must be >= 2, got {r}")
     if segment_length < 1:
         raise ValueError("segment_length must be >= 1")
-    need = _estimate_bytes(limit, len(rset))
-    if need > memory_budget_bytes:
-        raise ResourceLimitError(
-            f"tables for limit={limit} need {need} bytes, exceeding the "
-            f"memory budget of {memory_budget_bytes} bytes"
-        )
     if limit >= 2**32:
         raise ResourceLimitError(
             f"limit={limit} does not fit the 32-bit spf/phi tables"
@@ -206,10 +227,56 @@ def build_sieve(
         phi[lo : hi + 1] = phi_s.astype(np.uint32)
 
     spf[1] = 1  # convention: avoids a sentinel branch in factorize
+    return FactorTable(limit, mu, spf, omega, phi)
 
+
+def build_sieve(
+    limit: int,
+    rs: Iterable[int],
+    *,
+    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
+) -> SieveTable:
+    """r-free flags over [1, limit] for the given set of r values.
+
+    Parameters
+    ----------
+    limit : int
+        Inclusive upper bound N >= 1.
+    rs : iterable of int
+        The r values (each >= 2) for which r-free indicator tables are kept.
+    memory_budget_bytes : int
+        Refuse to allocate finished tables larger than this.
+
+    Raises
+    ------
+    ValueError
+        If limit < 1 or some r < 2.
+    ResourceLimitError
+        If the finished tables would exceed ``memory_budget_bytes``, or if
+        limit is not below 2**32.
+    """
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    rset = tuple(sorted(set(int(r) for r in rs)))
+    for r in rset:
+        if r < 2:
+            raise ValueError(f"every r must be >= 2, got {r}")
+    need = _estimate_bytes(limit, len(rset))
+    if need > memory_budget_bytes:
+        raise ResourceLimitError(
+            f"tables for limit={limit} need {need} bytes, exceeding the "
+            f"memory budget of {memory_budget_bytes} bytes"
+        )
+    if limit >= 2**32:
+        raise ResourceLimitError(
+            f"limit={limit} is not below 2**32, the range in which "
+            "class_counts' int64 arithmetic is shown not to overflow"
+        )
+
+    base = small_primes(math.isqrt(limit))
     mu_r: dict[int, np.ndarray] = {}
     for r in rset:
-        flags = np.ones(n1, dtype=np.uint8)
+        flags = np.ones(limit + 1, dtype=np.uint8)
         flags[0] = 0
         for p in base:
             q = int(p) ** r
@@ -217,15 +284,19 @@ def build_sieve(
                 break
             flags[q::q] = 0
         mu_r[r] = flags
+    return _with_root_factors(limit, rset, mu_r)
 
-    return SieveTable(limit, rset, mu, spf, omega, phi, mu_r)
+
+def _with_root_factors(limit: int, rs, mu_r: dict) -> SieveTable:
+    root = factor_sieve(math.isqrt(limit))
+    return SieveTable(limit, rs, root.mu, root.spf, root.omega, root.phi, mu_r)
 
 
-def factorize(table: SieveTable, n: int) -> Factorization:
+def factorize(table: FactorTable, n: int) -> Factorization:
     """Factor n by repeated division by the tabled smallest prime factor."""
-    if not 1 <= n <= table.limit:
-        raise ValueError(f"n={n} outside table range [1, {table.limit}]")
     spf = table.spf
+    if not 1 <= n < spf.size:
+        raise ValueError(f"n={n} outside table range [1, {spf.size - 1}]")
     out = []
     m = n
     while m > 1:
@@ -333,35 +404,28 @@ def mu_r_direct(n: int, r: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Binary cache: magic "RFSV1", then limit, the r set, and the packed tables,
-# all little-endian.  mu is stored as 2-bit codes (mu + 1), four per byte;
-# each r-free table is stored one bit per n.  Reload is bit-identical, and a
-# file whose size differs from what its header implies is refused.
+# Binary cache, little-endian:
+#
+#   "RFSV2" | crc32 (u32) | limit (u64) | #r (u32) | r values (u32 each) | flags
+#
+# The flags of each r, in the order of the r values, are packed one bit per
+# n in [0, limit].  The crc32 covers every byte after itself.  Reload is
+# bit-identical; a file whose size differs from what its header implies, or
+# whose checksum fails, is refused.  The sqrt(limit) tables are not stored,
+# because rebuilding them costs less than reading them.
 # ---------------------------------------------------------------------------
 
-
-def _pack_mu(mu: np.ndarray) -> bytes:
-    codes = (mu.astype(np.int16) + 1).astype(np.uint8)
-    pad = (-codes.size) % 4
-    if pad:
-        codes = np.concatenate([codes, np.zeros(pad, dtype=np.uint8)])
-    q = codes.reshape(-1, 4)
-    packed = q[:, 0] | (q[:, 1] << 2) | (q[:, 2] << 4) | (q[:, 3] << 6)
-    return packed.tobytes()
+_CACHE_MAGIC = b"RFSV2"
+_OLD_MAGIC = b"RFSV1"
+_HEAD = 5 + 4 + 8 + 4  # magic, crc32, limit, #r
 
 
-def _unpack_mu(raw: bytes, n: int) -> np.ndarray:
-    packed = np.frombuffer(raw, dtype=np.uint8)
-    codes = np.empty(packed.size * 4, dtype=np.uint8)
-    codes[0::4] = packed & 3
-    codes[1::4] = (packed >> 2) & 3
-    codes[2::4] = (packed >> 4) & 3
-    codes[3::4] = (packed >> 6) & 3
-    return codes[:n].astype(np.int8) - 1
+def _cache_size(limit: int, n_rs: int) -> int:
+    return _HEAD + 4 * n_rs + n_rs * ((limit + 8) // 8)
 
 
 def save_cache(table: SieveTable, path) -> None:
-    """Write the table to ``path`` in the packed binary format.
+    """Write the table's flags to ``path`` in the packed binary format.
 
     The bytes go to a temporary file in the same directory, which then
     replaces ``path`` in one step, so an interrupted save never leaves a
@@ -370,16 +434,15 @@ def save_cache(table: SieveTable, path) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
+            body = b"".join([
+                np.array(table.limit, dtype="<u8").tobytes(),
+                np.array(len(table.rs), dtype="<u4").tobytes(),
+                np.asarray(table.rs, dtype="<u4").tobytes(),
+                *(np.packbits(table.mu_r[r]).tobytes() for r in table.rs),
+            ])
             fh.write(_CACHE_MAGIC)
-            fh.write(np.array(table.limit, dtype="<u8").tobytes())
-            fh.write(np.array(len(table.rs), dtype="<u4").tobytes())
-            fh.write(np.asarray(table.rs, dtype="<u4").tobytes())
-            fh.write(_pack_mu(table.mu))
-            fh.write(table.spf.astype("<u4").tobytes())
-            fh.write(table.omega.tobytes())
-            fh.write(table.phi.astype("<u4").tobytes())
-            for r in table.rs:
-                fh.write(np.packbits(table.mu_r[r]).tobytes())
+            fh.write(np.array(zlib.crc32(body), dtype="<u4").tobytes())
+            fh.write(body)
             assert fh.tell() == _cache_size(table.limit, len(table.rs)), "cache layout"
         os.replace(tmp, path)
     finally:
@@ -387,33 +450,28 @@ def save_cache(table: SieveTable, path) -> None:
             os.unlink(tmp)
 
 
-def _cache_size(limit: int, n_rs: int) -> int:
-    n1 = limit + 1
-    return (
-        5 + 8 + 4 + 4 * n_rs
-        + (n1 + 3) // 4          # mu, 2 bits each
-        + 4 * n1                 # spf
-        + n1                     # omega
-        + 4 * n1                 # phi
-        + n_rs * ((n1 + 7) // 8)  # r-free flags, 1 bit each
-    )
-
-
 def load_cache(path) -> SieveTable:
     """Reload a table written by :func:`save_cache` (bit-identical).
 
-    Raises ConfigError, before any table is read, unless the file carries
-    the magic and its size is exactly what its header implies.
+    Raises ConfigError unless the file carries the current magic, its
+    size is exactly what its header implies (checked before any table is
+    read) and its checksum matches.
     """
     with open(path, "rb") as fh:
-        header = fh.read(17)
-        magic = header[:5]
+        head = fh.read(_HEAD)
+        magic = head[:5]
+        if magic == _OLD_MAGIC:
+            raise ConfigError(
+                f"{path} is a sieve cache in the older RFSV1 format, "
+                "which this version does not read; delete it and rebuild"
+            )
         if magic != _CACHE_MAGIC:
             raise ConfigError(f"{path} is not a sieve cache file: bad magic {magic!r}")
-        if len(header) < 17:
+        if len(head) < _HEAD:
             raise ConfigError(f"sieve cache {path} is cut short inside its header")
-        limit = int(np.frombuffer(header[5:13], dtype="<u8")[0])
-        n_rs = int(np.frombuffer(header[13:17], dtype="<u4")[0])
+        crc = int(np.frombuffer(head, dtype="<u4", count=1, offset=5)[0])
+        limit = int(np.frombuffer(head, dtype="<u8", count=1, offset=9)[0])
+        n_rs = int(np.frombuffer(head, dtype="<u4", count=1, offset=17)[0])
         size = os.fstat(fh.fileno()).st_size
         expected = _cache_size(limit, n_rs)
         if size != expected:
@@ -422,14 +480,21 @@ def load_cache(path) -> SieveTable:
                 f"(limit={limit}, {n_rs} r values) implies {expected}; "
                 "delete it to rebuild"
             )
-        rset = tuple(int(v) for v in np.frombuffer(fh.read(4 * n_rs), dtype="<u4"))
-        n1 = limit + 1
-        mu = _unpack_mu(fh.read((n1 + 3) // 4), n1)
-        spf = np.frombuffer(fh.read(4 * n1), dtype="<u4").astype(np.uint32)
-        omega = np.frombuffer(fh.read(n1), dtype=np.uint8).copy()
-        phi = np.frombuffer(fh.read(4 * n1), dtype="<u4").astype(np.uint32)
-        mu_r = {}
-        for r in rset:
-            bits = np.frombuffer(fh.read((n1 + 7) // 8), dtype=np.uint8)
-            mu_r[r] = np.unpackbits(bits)[:n1].astype(np.uint8)
-    return SieveTable(limit, rset, mu, spf, omega, phi, mu_r)
+        body = head[9:] + fh.read()  # every byte after the crc32
+    actual = zlib.crc32(body)
+    if actual != crc:
+        raise ConfigError(
+            f"sieve cache {path} fails its checksum (crc32 {actual:#010x}, "
+            f"header says {crc:#010x}); delete it to rebuild"
+        )
+    offset = 12  # past limit and #r
+    rset = tuple(int(v) for v in np.frombuffer(body, dtype="<u4", count=n_rs, offset=offset))
+    offset += 4 * n_rs
+    n1 = limit + 1
+    packed = (n1 + 7) // 8
+    mu_r = {}
+    for r in rset:
+        bits = np.frombuffer(body, dtype=np.uint8, count=packed, offset=offset)
+        mu_r[r] = np.unpackbits(bits, count=n1)
+        offset += packed
+    return _with_root_factors(limit, rset, mu_r)

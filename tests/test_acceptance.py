@@ -133,7 +133,7 @@ def test_criterion_4_residue_count_oracle():
             f"(all s <= 2000, all a, r in 2..4; unit bound 2*r^omega; {elapsed:.1f}s)")
 
 
-def test_criterion_5_divisor_sum_bound(table_1e5):
+def test_criterion_5_divisor_sum_bound(factors_1e5):
     details = []
     for r in (2, 3):
         rows = tau_partial_sum_check(r, [10**4, 10**5, 10**6])
@@ -144,7 +144,7 @@ def test_criterion_5_divisor_sum_bound(table_1e5):
             assert abs(b / a - 1.0) < 0.25, (r, ratios)
         details.append(f"r={r}: " + ",".join(f"{v:.4f}" for v in ratios))
     for r in (2, 3, 4):
-        assert omega_vs_tau_check(r, 100_000, table_1e5), r
+        assert omega_vs_tau_check(r, 100_000, factors_1e5), r
     _report(5, "divisor-sum bound", "(" + " | ".join(details) + "; r^omega <= tau_r exact)")
 
 

@@ -51,6 +51,21 @@ def test_error_refuses_short_cache(tmp_path, capsys):
     assert "config error" in captured.err and "bytes" in captured.err
 
 
+def test_error_refuses_flipped_cache(tmp_path, capsys):
+    cache = tmp_path / "s.rfsv"
+    assert main(["sieve", "--limit", "1e4", "--r", "3", "--cache", str(cache)]) == 0
+    raw = bytearray(cache.read_bytes())
+    raw[-700] ^= 0x01
+    cache.write_bytes(bytes(raw))
+    capsys.readouterr()
+    code = main(["error", "--x", "1e4", "--r", "3", "--k", "1", "--l", "0",
+                 "--cache", str(cache)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err and "checksum" in captured.err
+
+
 def test_error_csv(capsys):
     assert main(["error", "--x", "100", "--r", "2", "--k", "4", "--l", "2"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

@@ -7,8 +7,10 @@ from rfree import (
     ConfigError,
     ExperimentConfig,
     SelfCheckError,
+    build_sieve,
     class_counts,
     count_r_free_in_progression,
+    decompose,
     error_term,
     max_error_for_modulus,
     modulus_threshold,
@@ -66,6 +68,25 @@ def test_class_counts_validation(table_1e4):
         class_counts(table_1e4, table_1e4.limit + 1, 2, 3)
     with pytest.raises(ValueError, match="k must"):
         class_counts(table_1e4, 100, 2, 0)
+
+
+@pytest.mark.parametrize("limit", [10**6, 997**2])
+def test_counts_at_the_table_limit(table_1e6, limit):
+    # at x = limit the d-sums run to isqrt(limit), the last tabled mu index;
+    # mu(997) = -1, so a table one entry short would change the counts
+    table = table_1e6 if limit == table_1e6.limit else build_sieve(limit, {2, 3})
+    assert table.mu.size == math.isqrt(limit) + 1
+    x = limit
+    for r in (2, 3):
+        for k in (1, 4, 36, 178, 997, 1000):
+            counts = class_counts(table, x, r, k)
+            expected = [count_r_free_in_progression(table, x, r, k, l) for l in range(k)]
+            assert counts.tolist() == expected, (r, k)
+        for k, l in ((1, 0), (4, 1), (6, 2), (178, 3), (997, 2)):
+            for z in (1.0, 31.6, 1000.0):
+                rep = decompose(table, x, r, k, l, z)
+                assert rep.count == count_r_free_in_progression(table, x, r, k, l)
+                assert rep.small_sum + rep.large_sum == rep.count, (r, k, l, z)
 
 
 def test_max_error_modulus_one(table_1e5):

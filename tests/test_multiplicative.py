@@ -134,9 +134,30 @@ def test_tau_multiplicative_on_coprime_pairs(r):
         assert int(table[m * n]) == int(table[m]) * int(table[n])
 
 
+def _tau_by_convolution(r, limit):
+    # reference: r - 1 passes of tau_(j+1)(n) = sum over d | n of tau_j(d)
+    tau = np.ones(limit + 1, dtype=np.int64)
+    tau[0] = 0
+    for _ in range(r - 1):
+        nxt = np.zeros(limit + 1, dtype=np.int64)
+        for d in range(1, limit + 1):
+            nxt[d::d] += tau[d]
+        tau = nxt
+    return tau
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 8, 9, 30, 97, 3000])
+def test_tau_table_matches_convolution(limit):
+    for r in (1, 2, 3, 4, 7):
+        assert np.array_equal(tau_table(r, limit).tau, _tau_by_convolution(r, limit)), r
+
+
 def test_tau_overflow_detected():
     with pytest.raises(OverflowError):
         tau_table(150, 8192)
+    # accepted as before: the largest value, 5454680000, is tau_20(8640)
+    table = tau_table(20, 10**4)
+    assert int(table.tau.max()) == 5_454_680_000 == int(table.tau[8640])
 
 
 def test_tau_validation():
@@ -172,26 +193,29 @@ def test_partial_sum_validation():
         tau_partial_sum_check(2, [2])
 
 
-def test_omega_vs_tau_squarefree_equality(table_1e5):
+def test_omega_vs_tau_squarefree_equality(factors_1e5):
     # for squarefree k the two sides agree exactly
     taus = tau_table(3, 1000).tau
     for k in (1, 2, 6, 30, 210, 770):
-        assert 3 ** int(table_1e5.omega[k]) == int(taus[k])
+        assert 3 ** int(factors_1e5.omega[k]) == int(taus[k])
 
 
-def test_omega_vs_tau_small_cases(table_1e5):
-    assert 2 ** int(table_1e5.omega[4]) == 2
+def test_omega_vs_tau_small_cases(factors_1e5):
+    assert 2 ** int(factors_1e5.omega[4]) == 2
     assert tau_value(2, trial_factorize(4)) == 3
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
-def test_omega_vs_tau_check_holds(table_1e5, r):
-    assert omega_vs_tau_check(r, 5000, table_1e5)
+def test_omega_vs_tau_check_holds(factors_1e5, r):
+    assert omega_vs_tau_check(r, 5000, factors_1e5)
 
 
-def test_omega_vs_tau_check_range_guard(table_1e4):
+def test_omega_vs_tau_check_range_guard(factors_1e5, table_1e4):
     with pytest.raises(ValueError):
-        omega_vs_tau_check(2, table_1e4.limit + 1, table_1e4)
+        omega_vs_tau_check(2, factors_1e5.limit + 1, factors_1e5)
+    # a flag table's omega stops at isqrt(limit)
+    with pytest.raises(ValueError):
+        omega_vs_tau_check(2, 101, table_1e4)
 
 
 def test_zeta_three():

@@ -10,6 +10,7 @@ from rfree import (
     ResourceLimitError,
     SieveTable,
     build_sieve,
+    factor_sieve,
     factorize,
     is_r_free,
     load_cache,
@@ -57,31 +58,34 @@ def _mobius(n):
     return -sign if m > 1 else sign
 
 
-def test_factorize_examples(table_1e5):
-    assert factorize(table_1e5, 12).factors == ((2, 2), (3, 1))
-    assert factorize(table_1e5, 1).factors == ()
-    assert factorize(table_1e5, 97).factors == ((97, 1),)
+def test_factorize_examples(factors_1e5):
+    assert factorize(factors_1e5, 12).factors == ((2, 2), (3, 1))
+    assert factorize(factors_1e5, 1).factors == ()
+    assert factorize(factors_1e5, 97).factors == ((97, 1),)
 
 
-def test_factorize_range_error(table_1e5):
+def test_factorize_range_error(factors_1e5, table_1e5):
     with pytest.raises(ValueError):
-        factorize(table_1e5, 0)
+        factorize(factors_1e5, 0)
     with pytest.raises(ValueError):
-        factorize(table_1e5, table_1e5.limit + 1)
+        factorize(factors_1e5, factors_1e5.limit + 1)
+    # a flag table's spf stops at isqrt(limit)
+    with pytest.raises(ValueError):
+        factorize(table_1e5, math.isqrt(table_1e5.limit) + 1)
 
 
-def test_factorization_product_invariant(table_1e5):
+def test_factorization_product_invariant(factors_1e5):
     rng = random.Random(1)
     for _ in range(200):
-        n = rng.randint(1, table_1e5.limit)
-        fact = factorize(table_1e5, n)
+        n = rng.randint(1, factors_1e5.limit)
+        fact = factorize(factors_1e5, n)
         prod = 1
         for p, e in fact.factors:
             prod *= p**e
         assert prod == n
         primes = [p for p, _ in fact.factors]
         assert primes == sorted(primes)
-        assert fact.omega == int(table_1e5.omega[n])
+        assert fact.omega == int(factors_1e5.omega[n])
 
 
 def test_factorization_rejects_wrong_product():
@@ -112,41 +116,60 @@ def test_sieve_matches_direct_sum_sample(table_1e5, r):
         assert int(table_1e5.mu_r[r][n]) == mu_r_direct(n, r), (n, r)
 
 
-def test_mu_zero_iff_not_squarefree(table_1e5):
-    mu = table_1e5.mu[1:]
+def test_mu_zero_iff_not_squarefree(factors_1e5, table_1e5):
+    mu = factors_1e5.mu[1:]
     sf = table_1e5.mu_r[2][1:]
     assert np.array_equal(mu != 0, sf == 1)
 
 
-def test_totient_divisor_sum(table_1e5):
+def test_flags_match_factorizations(factors_1e5, table_1e5):
+    # an independent construction: the flags come from p^r strides, the
+    # exponents from the smallest-prime-factor chain
+    top = np.zeros(factors_1e5.limit + 1, dtype=np.int64)
+    for n in range(1, factors_1e5.limit + 1):
+        top[n] = max((e for _, e in factorize(factors_1e5, n).factors), default=0)
+    for r in (2, 3, 4):
+        assert np.array_equal(table_1e5.mu_r[r][1:] == 1, top[1:] < r), r
+
+
+def test_sieve_factors_are_root_prefix(factors_1e5, table_1e5):
+    root = math.isqrt(table_1e5.limit) + 1
+    assert root == 317
+    for name in ("mu", "spf", "omega", "phi"):
+        arr = getattr(table_1e5, name)
+        assert arr.dtype == getattr(factors_1e5, name).dtype
+        assert np.array_equal(arr, getattr(factors_1e5, name)[:root]), name
+
+
+def test_totient_divisor_sum(factors_1e5):
     # sum of phi over divisors of n equals n
     rng = random.Random(2)
     for n in [1, 2, 12, 360, 99991] + [rng.randint(1, 10**5) for _ in range(50)]:
-        fact = factorize(table_1e5, n)
+        fact = factorize(factors_1e5, n)
         divs = [1]
         for p, e in fact.factors:
             divs = [d * p**j for d in divs for j in range(e + 1)]
-        assert sum(int(table_1e5.phi[d]) for d in divs) == n
+        assert sum(int(factors_1e5.phi[d]) for d in divs) == n
 
 
-def test_phi_against_formula(table_1e5):
+def test_phi_against_formula(factors_1e5):
     rng = random.Random(3)
     for _ in range(100):
-        n = rng.randint(1, table_1e5.limit)
-        assert int(table_1e5.phi[n]) == totient_value(factorize(table_1e5, n))
+        n = rng.randint(1, factors_1e5.limit)
+        assert int(factors_1e5.phi[n]) == totient_value(factorize(factors_1e5, n))
 
 
-def test_mu_prime_values(table_1e5):
+def test_mu_prime_values(factors_1e5):
     for p in (2, 3, 5, 7, 11, 99991):
-        assert table_1e5.mu[p] == -1
-    assert table_1e5.mu[1] == 1
+        assert factors_1e5.mu[p] == -1
+    assert factors_1e5.mu[1] == 1
 
 
-def test_spf_values(table_1e5):
-    assert table_1e5.spf[1] == 1
-    assert table_1e5.spf[2] == 2
-    assert table_1e5.spf[15] == 3
-    assert table_1e5.spf[99991] == 99991  # prime
+def test_spf_values(factors_1e5):
+    assert factors_1e5.spf[1] == 1
+    assert factors_1e5.spf[2] == 2
+    assert factors_1e5.spf[15] == 3
+    assert factors_1e5.spf[99991] == 99991  # prime
 
 
 def test_density_near_zeta_inverse(table_1e5):
@@ -155,15 +178,13 @@ def test_density_near_zeta_inverse(table_1e5):
 
 
 def test_segment_length_invariance():
-    base = build_sieve(50_000, {2, 3})
+    base = factor_sieve(50_000)
     for seg in (777, 4096, 50_000, 10**6):
-        other = build_sieve(50_000, {2, 3}, segment_length=seg)
+        other = factor_sieve(50_000, segment_length=seg)
         assert other.mu.tobytes() == base.mu.tobytes()
         assert other.spf.tobytes() == base.spf.tobytes()
         assert other.omega.tobytes() == base.omega.tobytes()
         assert other.phi.tobytes() == base.phi.tobytes()
-        for r in (2, 3):
-            assert other.mu_r[r].tobytes() == base.mu_r[r].tobytes()
 
 
 def test_build_validation():
@@ -172,7 +193,9 @@ def test_build_validation():
     with pytest.raises(ValueError):
         build_sieve(10, {1})
     with pytest.raises(ValueError):
-        build_sieve(10, {2}, segment_length=0)
+        factor_sieve(0)
+    with pytest.raises(ValueError):
+        factor_sieve(10, segment_length=0)
 
 
 def test_memory_budget_named_in_error():
@@ -181,15 +204,19 @@ def test_memory_budget_named_in_error():
 
 
 def test_limit_beyond_32bit_rejected():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="class_counts"):
         build_sieve(2**32, {2}, memory_budget_bytes=10**18)
+    with pytest.raises(ResourceLimitError, match="spf/phi"):
+        factor_sieve(2**32)
 
 
-def test_tables_are_read_only(table_1e5):
+def test_tables_are_read_only(table_1e5, factors_1e5):
     with pytest.raises(ValueError):
         table_1e5.mu[5] = 0
     with pytest.raises(ValueError):
         table_1e5.mu_r[2][5] = 0
+    with pytest.raises(ValueError):
+        factors_1e5.phi[5] = 0
 
 
 def test_is_r_free_trial():
@@ -199,11 +226,11 @@ def test_is_r_free_trial():
     assert is_r_free(1, 2)
 
 
-def test_trial_factorize_matches_table(table_1e5):
+def test_trial_factorize_matches_table(factors_1e5):
     rng = random.Random(4)
     for _ in range(100):
-        n = rng.randint(1, table_1e5.limit)
-        assert trial_factorize(n).factors == factorize(table_1e5, n).factors
+        n = rng.randint(1, factors_1e5.limit)
+        assert trial_factorize(n).factors == factorize(factors_1e5, n).factors
 
 
 def test_cache_roundtrip_bit_identical(table_1e4, tmp_path):
@@ -234,7 +261,7 @@ def test_cache_rejects_bad_magic(tmp_path):
 def test_cache_starts_with_magic(table_1e4, tmp_path):
     path = tmp_path / "sieve.rfsv"
     save_cache(table_1e4, path)
-    assert path.read_bytes()[:5] == b"RFSV1"
+    assert path.read_bytes()[:5] == b"RFSV2"
 
 
 def _saved_bytes(table, tmp_path) -> bytes:
@@ -287,7 +314,31 @@ def test_cache_save_replaces_atomically(table_1e4, tmp_path, monkeypatch):
 
 
 def test_table_rejects_short_arrays():
-    full = np.ones(11, dtype=np.uint8)
-    short = np.ones(10, dtype=np.uint8)
+    root = np.ones(4, dtype=np.uint8)  # isqrt(10) + 1
+    flags = np.ones(11, dtype=np.uint8)
     with pytest.raises(ValueError, match="does not cover"):
-        SieveTable(10, (2,), full, full, full, full, {2: short})
+        SieveTable(10, (2,), root, root, root, root, {2: flags[:10]})
+    with pytest.raises(ValueError, match="does not cover"):
+        SieveTable(10, (2,), root[:3], root, root, root, {2: flags})
+    with pytest.raises(ValueError, match="does not cover"):
+        SieveTable(10, (2,), flags, root, root, root, {2: flags})
+    SieveTable(10, (2,), root, root, root, root, {2: flags})
+
+
+# offset 21 is the low byte of the first r value: flipping it turns r=2
+# into r=3, same size, so only the checksum can catch it
+@pytest.mark.parametrize("at", [-700, 21])
+def test_cache_refuses_flipped_bit(table_1e4, tmp_path, at):
+    raw = bytearray(_saved_bytes(table_1e4, tmp_path))
+    raw[at] ^= 0x01
+    path = tmp_path / "flipped.rfsv"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ConfigError, match="checksum"):
+        load_cache(path)
+
+
+def test_cache_refuses_old_format(tmp_path):
+    path = tmp_path / "old.rfsv"
+    path.write_bytes(b"RFSV1" + b"\x00" * 64)
+    with pytest.raises(ConfigError, match="RFSV1.*delete it and rebuild"):
+        load_cache(path)
