@@ -30,7 +30,7 @@ print(f"\nexact count is {rep.count}; the identity held at every z")
 
 # the canonical cut x^(1/(r+1)) balances the two tail contributions
 z_star = X ** (1 / (R + 1))
-probe = lemma_bound_probe(table, X, R, K, L, z_star)
+probe = lemma_bound_probe(decompose(table, X, R, K, L, z_star))
 print(
     f"\nat the canonical cut z = x^(1/{R + 1}) = {z_star:.1f}: "
     f"small residual ratio {probe.small_residual:.4f}, "

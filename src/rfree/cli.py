@@ -146,7 +146,7 @@ def _cmd_verify_lemmas(args) -> int:
                 file=sys.stderr,
             )
             continue
-        probe = lemma_bound_probe(table, args.x, args.r, k, l, z)
+        probe = lemma_bound_probe(rep)
         worst_small = max(worst_small, probe.small_residual)
         worst_large = max(worst_large, probe.large_ratio)
     print(

@@ -29,7 +29,14 @@ familiar squarefree form.  The split identity
 
     small_sum + large_sum = R,   for every z >= 1,
 
-holds with no tolerance and is enforced by the acceptance suite.
+holds with no tolerance and is enforced by the acceptance suite; R itself
+comes from the independent strided scan of the flag table.
+
+The d-sum is one vectorised int64 computation over the squarefree
+d <= (x/g)^(1/r) coprime to k, so a call costs about x^(1/r) array
+elements times 2^(number of capped primes), reading only
+``table.mu[1 : d_max + 1]``.  The valuation caps are counted by
+inclusion-exclusion, exact at every size, so there is no scan crossover.
 """
 
 from __future__ import annotations
@@ -42,11 +49,6 @@ import numpy as np
 
 from .multiplicative import FValue, f_value
 from .sieve import SieveTable, is_r_free, totient_value, trial_factorize
-
-# Above this many candidate u-positions, the valuation caps are evaluated
-# by Mobius inclusion-exclusion over the primes of g instead of a scan.
-DEFAULT_SCAN_CROSSOVER = 2048
-
 
 @dataclass(frozen=True)
 class ProgressionReport:
@@ -75,6 +77,10 @@ class DecompositionReport:
     bound probes.
     """
 
+    x: int
+    r: int
+    k: int
+    l: int
     z: float
     small_sum: int
     large_sum: int
@@ -192,64 +198,8 @@ def _int_rth_root(n: int, r: int) -> int:
     return x
 
 
-def _ap_count(limit: int, a: int, m: int) -> int:
-    """#{ u : 1 <= u <= limit, u = a (mod m) } with 0 <= a < m."""
-    if limit < 1:
-        return 0
-    if a == 0:
-        return limit // m
-    return (limit - a) // m + 1 if a <= limit else 0
-
-
-def _inner_count(
-    limit: int, a: int, s: int, caps: tuple[int, ...], crossover: int
-) -> int:
-    """Count u <= limit with u = a (mod s) and q not dividing u for each
-    prime power q in caps (the valuation caps coming from g)."""
-    if limit < 1:
-        return 0
-    if not caps:
-        return _ap_count(limit, a, s)
-    if limit // s + 1 <= crossover:
-        start = a if a >= 1 else s
-        if start > limit:
-            return 0
-        us = np.arange(start, limit + 1, s, dtype=np.int64)
-        keep = np.ones(us.size, dtype=bool)
-        for q in caps:
-            keep &= us % q != 0
-        return int(np.count_nonzero(keep))
-    # inclusion-exclusion over squarefree combinations of the cap primes;
-    # the cap moduli are pairwise coprime and coprime to s
-    total = 0
-    for mask in range(1 << len(caps)):
-        v = 1
-        sign = 1
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                v *= caps[i]
-                sign = -sign
-            m >>= 1
-            i += 1
-        if s > 1:
-            t_res = (a * pow(v % s, -1, s)) % s
-        else:
-            t_res = 0
-        total += sign * _ap_count(limit // v, t_res, s)
-    return total
-
-
 def decompose(
-    table: SieveTable,
-    x: int,
-    r: int,
-    k: int,
-    l: int,
-    z: float,
-    *,
-    scan_crossover: int = DEFAULT_SCAN_CROSSOVER,
+    table: SieveTable, x: int, r: int, k: int, l: int, z: float
 ) -> DecompositionReport:
     """Split R(x; k, l) into the d <= z and d > z double sums, exactly.
 
@@ -264,47 +214,62 @@ def decompose(
     if not is_r_free(g, r):
         raise ValueError(f"gcd(l, k) = {g} is not {r}-free")
     count = count_r_free_in_progression(table, x, r, k, l)
+    fact_k = trial_factorize(k)
 
     # valuation caps: for p | g with p not dividing s, u may carry p up to
-    # exponent r - 1 - v_p(g); equivalently p^(r - v_p(g)) must not divide u
-    caps = tuple(
-        p ** (r - e) for p, e in trial_factorize(g).factors if s % p != 0
-    )
+    # exponent r - 1 - v_p(g); equivalently p^(r - v_p(g)) must not divide u.
+    # N(d) is counted by inclusion-exclusion over products v of caps, each
+    # term an arithmetic-progression count of u' <= u_limit // v.
+    subsets = [(1, 1)]
+    for p, e in trial_factorize(g).factors:
+        if s % p != 0:
+            subsets += [(v * p ** (r - e), -sign) for v, sign in subsets]
 
+    # int64 throughout: every g*d^r <= x <= table.limit < 2^32.  On u <= x a
+    # modulus, residue or cap product above x acts as x + 1 does, so those
+    # are clipped there and a huge k never leaves int64.
     d_max = _int_rth_root(x // g, r)
     z_cut = min(int(math.floor(z)), d_max)
-    mu = table.mu
+    mu = table.mu[1 : d_max + 1]
+    keep = mu != 0
+    for p, _ in fact_k.factors:
+        if p <= d_max:
+            keep[p - 1 :: p] = False  # d must be coprime to k
+    ds = np.flatnonzero(keep) + 1
+    dr = ds**r
+    u_limit = (x // g) // dr
+    s_clip = min(s, x + 1)
 
-    def d_range_sum(d_lo: int, d_hi: int) -> int:
-        total = 0
-        for d in range(d_lo, d_hi + 1):
-            m = int(mu[d])
-            if m == 0 or math.gcd(d, k) != 1:
-                continue
-            dr = d**r
-            u_limit = x // (g * dr)
-            if s > 1:
-                try:
-                    inv = pow(dr % s, -1, s)
-                except ValueError as exc:  # gcd(d, k) = 1 makes this impossible
-                    raise RuntimeError(
-                        f"d^r not invertible mod s for d={d}, s={s}"
-                    ) from exc
-                a = (t * inv) % s
-            else:
-                a = 0
-            total += m * _inner_count(u_limit, a, s, caps, scan_crossover)
-        return total
+    # a = t * (v d^r)^(-1) mod s as its least positive representative, from
+    # one modular inverse per distinct d^r mod s; then
+    # #{1 <= u' <= L : u' = a (mod s)} = (L - a) // s + 1 for a in [1, s]
+    inv_v = [pow(v, -1, s) for v, _ in subsets]
+    residues, which = np.unique(dr % s_clip, return_inverse=True)
+    a = np.array(
+        [
+            [min((t * pow(w, -1, s) * iv - 1) % s + 1, x + 1) for iv in inv_v]
+            for w in residues.tolist()
+        ],
+        dtype=np.int64,
+    ).reshape(residues.size, len(subsets))[which]
+    v_clip = np.array([min(v, x + 1) for v, _ in subsets], dtype=np.int64)
+    signs = np.array([sign for _, sign in subsets], dtype=np.int64)
+    n_d = ((u_limit[:, None] // v_clip - a) // s_clip + 1) @ signs
+    terms = mu[keep].astype(np.int64) * n_d
+    split = int(np.searchsorted(ds, z_cut, side="right"))
+    small = int(terms[:split].sum())
+    large = int(terms[split:].sum())
 
-    small = d_range_sum(1, z_cut)
-    large = d_range_sum(z_cut + 1, d_max)
-
-    fv = f_value(r, k, trial_factorize(k))
-    phi_k = totient_value(trial_factorize(k))
+    fv = f_value(r, k, fact_k)
+    phi_k = totient_value(fact_k)
     phi_s = totient_value(trial_factorize(s))
     small_main = _main_term_value(x, k, g, s, phi_k, phi_s, fv.value)
 
     return DecompositionReport(
+        x=x,
+        r=r,
+        k=k,
+        l=l,
         z=float(z),
         small_sum=small,
         large_sum=large,
@@ -315,18 +280,17 @@ def decompose(
     )
 
 
-def lemma_bound_probe(
-    table: SieveTable, x: int, r: int, k: int, l: int, z: float
-) -> LemmaBoundRatios:
-    """Normalize the two split sums by their closed-form bound shapes.
+def lemma_bound_probe(rep: DecompositionReport) -> LemmaBoundRatios:
+    """Normalize the two split sums of a decomposition by their closed-form
+    bound shapes.
 
     small_residual divides |small_sum - main| by x z^(1-r) / k + 2^omega(g) z;
     large_ratio divides |large_sum| by r^omega(s) (x / (k z^(r-1)) + x / (g z^r)).
     Bounded ratios across sweeps are the empirical stand-in for the
     unspecified constants in the underlying estimates.
     """
-    rep = decompose(table, x, r, k, l, z)
-    g, s, _ = _split_progression(k, l)
+    x, r, k, z = rep.x, rep.r, rep.k, rep.z
+    g, s, _ = _split_progression(k, rep.l)
     omega_g = trial_factorize(g).omega
     omega_s = trial_factorize(s).omega
     small_denom = x * z ** (1 - r) / k + 2**omega_g * z

@@ -157,7 +157,11 @@ def per_modulus_maxima(r: int, s_max: int) -> Iterator[ModulusMaximum]:
     for s in range(1, s_max + 1):
         fact = trial_factorize(s)
         vec = counts_vector(r, s, fact)
-        units = np.nonzero(np.gcd(np.arange(s, dtype=np.int64), s) == 1)[0]
+        idx = np.arange(s, dtype=np.int64)
+        is_unit = np.ones(s, dtype=bool)
+        for p, _ in fact.factors:
+            is_unit &= idx % p != 0
+        units = np.flatnonzero(is_unit)
         unit_counts = vec[units]
         best = int(np.argmax(unit_counts))  # first index wins ties: smallest a
         norm = float(r**fact.omega)

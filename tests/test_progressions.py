@@ -14,6 +14,7 @@ from rfree import (
     trial_factorize,
 )
 from rfree.harness import class_counts
+from rfree.progressions import _int_rth_root
 
 
 def test_count_examples(table_1e5):
@@ -160,6 +161,57 @@ def test_decompose_counts_classes_sharing_primes_with_gcd(table_1e5):
         assert rep.small_sum + rep.large_sum == brute
 
 
+def _ap_count(limit, a, m):
+    """#{ u : 1 <= u <= limit, u = a (mod m) } with 0 <= a < m."""
+    if limit < 1:
+        return 0
+    if a == 0:
+        return limit // m
+    return (limit - a) // m + 1 if a <= limit else 0
+
+
+def _inner_count(limit, a, s, caps, crossover):
+    """Count u <= limit with u = a (mod s) and q not dividing u for each
+    prime power q in caps, by a scan of the candidates when there are at
+    most crossover of them, else by inclusion-exclusion over the caps."""
+    if limit < 1:
+        return 0
+    if not caps:
+        return _ap_count(limit, a, s)
+    if limit // s + 1 <= crossover:
+        start = a if a >= 1 else s
+        return sum(1 for u in range(start, limit + 1, s) if all(u % q for q in caps))
+    total = 0
+    for mask in range(1 << len(caps)):
+        v = 1
+        sign = 1
+        for i, q in enumerate(caps):
+            if mask >> i & 1:
+                v *= q
+                sign = -sign
+        total += sign * _ap_count(limit // v, a * pow(v, -1, s) % s, s)
+    return total
+
+
+def decompose_by_loop(table, x, r, k, l, z, *, scan_crossover=2048):
+    """(small_sum, large_sum) of the split at z, one d at a time: the
+    reference for ``decompose``."""
+    g = math.gcd(l, k)
+    s, t = k // g, l // g
+    caps = tuple(p ** (r - e) for p, e in trial_factorize(g).factors if s % p)
+    d_max = _int_rth_root(x // g, r)
+    z_cut = min(math.floor(z), d_max)
+    sums = [0, 0]
+    for d in range(1, d_max + 1):
+        m = int(table.mu[d])
+        if m == 0 or math.gcd(d, k) != 1:
+            continue
+        dr = d**r
+        a = t * pow(dr, -1, s) % s
+        sums[d > z_cut] += m * _inner_count(x // (g * dr), a, s, caps, scan_crossover)
+    return tuple(sums)
+
+
 def test_decompose_scan_and_inclusion_exclusion_agree(table_1e5):
     rng = random.Random(23)
     for _ in range(40):
@@ -169,22 +221,46 @@ def test_decompose_scan_and_inclusion_exclusion_agree(table_1e5):
         g = math.gcd(l, k) if l else k
         try:
             z = rng.uniform(1.0, max(1.0, (x / g) ** 0.5))
-            via_scan = decompose(table_1e5, x, 2, k, l, z, scan_crossover=10**9)
-            via_ie = decompose(table_1e5, x, 2, k, l, z, scan_crossover=0)
+            rep = decompose(table_1e5, x, 2, k, l, z)
         except ValueError:
             continue
-        assert via_scan.small_sum == via_ie.small_sum
-        assert via_scan.large_sum == via_ie.large_sum
+        via_scan = decompose_by_loop(table_1e5, x, 2, k, l, z, scan_crossover=10**9)
+        via_ie = decompose_by_loop(table_1e5, x, 2, k, l, z, scan_crossover=0)
+        assert via_scan == via_ie == (rep.small_sum, rep.large_sum)
+
+
+@pytest.mark.parametrize(
+    "r, k, l, z, expected",
+    [
+        (2, 2**64, 1, 3.0, (1, 1, 0)),
+        (2, 3 * 2**70, 5, 2.0, (1, 1, 0)),
+        (2, 2**64, 63, 1.0, (0, 1, -1)),
+        (3, 2**64 + 2, 2, 1.0, (1, 1, 0)),
+        (2, 20_000, 7, 1.5, (1, 1, 0)),
+        (2, 20_000, 63, 1.0, (0, 1, -1)),
+        (2, 120_066, 30, 1.0, (1, 1, 0)),
+        (3, 80_044, 28, 1.0, (1, 1, 0)),
+        (2, 10_007, 0, 1.0, (0, 0, 0)),
+    ],
+)
+def test_decompose_huge_moduli(table_1e4, r, k, l, z, expected):
+    # k > x, up to k beyond int64: at most n = l lies in the progression
+    x = 10_000
+    rep = decompose(table_1e4, x, r, k, l, z)
+    assert (rep.count, rep.small_sum, rep.large_sum) == expected
+    assert rep.count == count_r_free_bruteforce(x, r, k, l)
+    assert (rep.small_sum, rep.large_sum) == decompose_by_loop(table_1e4, x, r, k, l, z)
+    assert rep.small_main == main_term(x, r, k, l, f_value(r, k, trial_factorize(k)))
 
 
 def test_lemma_probe_zero_large_part(table_1e4):
-    probe = lemma_bound_probe(table_1e4, 100, 2, 4, 2, 8.0)
+    probe = lemma_bound_probe(decompose(table_1e4, 100, 2, 4, 2, 8.0))
     assert probe.large_ratio == 0.0
     assert probe.small_residual >= 0.0
 
 
 def test_lemma_probe_finite_positive(table_1e4):
-    probe = lemma_bound_probe(table_1e4, 100, 2, 4, 2, 3.0)
+    probe = lemma_bound_probe(decompose(table_1e4, 100, 2, 4, 2, 3.0))
     assert math.isfinite(probe.small_residual) and probe.small_residual >= 0
     assert math.isfinite(probe.large_ratio) and probe.large_ratio >= 0
 
@@ -200,7 +276,7 @@ def test_lemma_probe_sweep_bounded(table_1e6):
             k = rng.randint(1, 50)
             l = rng.randrange(k)
             try:
-                probe = lemma_bound_probe(table_1e6, x, 2, k, l, x ** (1 / 3))
+                probe = lemma_bound_probe(decompose(table_1e6, x, 2, k, l, x ** (1 / 3)))
             except ValueError:
                 continue
             done += 1
@@ -216,8 +292,6 @@ def test_decompose_empty_range(table_1e4):
 
 
 def test_int_rth_root_fuzz():
-    from rfree.progressions import _int_rth_root
-
     rng = random.Random(55)
     for _ in range(500):
         r = rng.choice([2, 3, 4, 5])

@@ -1,11 +1,22 @@
 """Property tests of the exact identities, on random inputs."""
 
+import math
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from rfree import class_counts, count_r_free_in_progression  # noqa: E402
+from rfree import (  # noqa: E402
+    class_counts,
+    count_r_free_bruteforce,
+    count_r_free_in_progression,
+    count_solutions_bruteforce,
+    counts_vector,
+    decompose,
+    is_r_free,
+)
+from test_progressions import decompose_by_loop  # noqa: E402
 
 
 @settings(max_examples=60, deadline=None)
@@ -18,3 +29,34 @@ def test_class_counts_match_strided_scan(table_1e5, x, r, k):
     counts = class_counts(table_1e5, x, r, k)
     expected = [count_r_free_in_progression(table_1e5, x, r, k, l) for l in range(k)]
     assert counts.tolist() == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    x=st.integers(min_value=0, max_value=30_000),
+    r=st.sampled_from([2, 3, 4]),
+    # small moduli, and up to 400 * 2^70 (far past int64) in a form that
+    # trial division factors at once
+    k=st.builds(
+        lambda m, j: m << j,
+        st.integers(min_value=1, max_value=400),
+        st.one_of(st.just(0), st.integers(min_value=0, max_value=70)),
+    ),
+    l_seed=st.integers(min_value=0, max_value=2**80),
+    z_frac=st.floats(min_value=0.0, max_value=1.2),
+)
+def test_split_matches_scalar_loop_and_bruteforce(table_1e5, x, r, k, l_seed, z_frac):
+    l = l_seed % k
+    g = math.gcd(l, k)
+    assume(is_r_free(g, r))
+    z = 1.0 + z_frac * (x / g) ** (1 / r)
+    rep = decompose(table_1e5, x, r, k, l, z)
+    assert (rep.small_sum, rep.large_sum) == decompose_by_loop(table_1e5, x, r, k, l, z)
+    assert rep.small_sum + rep.large_sum == count_r_free_bruteforce(x, r, k, l)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(min_value=2, max_value=6), s=st.integers(min_value=1, max_value=400))
+def test_counts_vector_matches_enumeration(r, s):
+    expected = [count_solutions_bruteforce(r, a, s) for a in range(s)]
+    assert counts_vector(r, s).tolist() == expected
