@@ -1,8 +1,10 @@
 """Exact progression counts against their Euler-product main terms.
 
 For a progression l mod k with g = gcd(l, k) r-free, the expected count of
-r-free n <= x is (x/k) * (phi(k) / (g phi(s))) * f_r(k) with s = k/g.  The
-error term is the exact count minus that expectation.
+r-free n <= x is (x/k) * prod (1 - p^(e-r)) * f_r(k), the product over the
+prime powers p^e exactly dividing k with p^e | l; for r = 2 it equals
+(x/k) * (phi(k) / (g phi(s))) * f_r(k) with s = k/g.  The error term is
+the exact count minus that expectation.
 """
 
 from rfree import build_sieve, error_term

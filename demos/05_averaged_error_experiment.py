@@ -12,7 +12,7 @@ XS = (10**4, 10**5, 10**6)
 R, A = 2, 1.0
 
 table = build_sieve(max(XS), {R})
-config = ExperimentConfig(r=R, log_power=A, xs=XS, threads=2)
+config = ExperimentConfig(r=R, log_power=A, xs=XS)
 rows = run_experiment(config, table)
 
 print(rows_to_csv(rows))

@@ -168,9 +168,11 @@ def _cmd_residues(args) -> int:
 
 
 def _cmd_bv_sum(args) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {args.threads}")
     xs = _parse_int_list(args.x)
     config = ExperimentConfig(
-        r=args.r, log_power=args.A, xs=tuple(xs), threads=args.threads,
+        r=args.r, log_power=args.A, xs=tuple(xs),
         sample_l=args.sample_l, seed=args.seed, timing=args.timing,
     )
     config.validate()
@@ -237,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--A", type=float, required=True)
     p.add_argument("--x", required=True, help="comma-separated x values")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="kept for compatibility; has no effect (must be >= 1)")
     p.add_argument("--csv", default=None)
     p.add_argument("--plot", default=None)
     p.add_argument("--cache", default=None)

@@ -14,15 +14,14 @@ d <= x^(1/r): whole periods of m*d^r mod k are added per coset, and at most
 one partial period per d is tallied, so a modulus costs about x^(1/r)
 d-terms plus at most one partial period per d, and never reads the r-free
 flag table.  The flag table instead gives the total that the classes of
-every modulus must sum to, an independent check.  Work is split across
-processes by modulus; the fold over k is in fixed ascending order, which
-makes the CSV output byte-identical regardless of worker count.
+every modulus must sum to, an independent check.  The moduli are taken in
+ascending order in one process and S(x) is folded in that order, so the
+CSV output is byte-identical for a fixed configuration.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import random
 import time
 from dataclasses import dataclass
@@ -32,8 +31,8 @@ import numpy as np
 
 from .errors import ConfigError, SelfCheckError
 from .multiplicative import f_value
-from .progressions import _int_rth_root, _main_term_value, decompose
-from .sieve import SieveTable, is_r_free, totient_value, trial_factorize
+from .progressions import _int_rth_root, decompose, main_term
+from .sieve import SieveTable, is_r_free, trial_factorize
 
 CSV_HEADER = "x,r,A,K,S,normalized,wall_seconds"
 
@@ -128,15 +127,10 @@ def max_error_for_modulus(
             f"class counts for k={k} sum to {int(counts.sum())}, "
             f"expected {expected_total}"
         )
-    fact_k = trial_factorize(k)
-    fv = f_value(r, k, fact_k)
-    phi_k = totient_value(fact_k)
-    mains: dict[int, float] = {}
-    for g in _divisors(fact_k):
-        if is_r_free(g, r):
-            s = k // g
-            phi_s = totient_value(trial_factorize(s))
-            mains[g] = _main_term_value(x, k, g, s, phi_k, phi_s, fv.value)
+    fv = f_value(r, k, trial_factorize(k))
+    # the main term depends on l only through g = gcd(l, k); None marks a
+    # g that is not r-free
+    mains: dict[int, float | None] = {}
     best_l = -1
     best = -1.0
     if residues is None:
@@ -147,7 +141,9 @@ def max_error_for_modulus(
             raise ValueError(f"residues must lie in [0, {k})")
     for l in ls:
         g = math.gcd(l, k)
-        main = mains.get(g)
+        if g not in mains:
+            mains[g] = main_term(x, r, k, l, fv) if is_r_free(g, r) else None
+        main = mains[g]
         if main is None:
             continue
         err = abs(float(counts[l]) - main)
@@ -159,25 +155,16 @@ def max_error_for_modulus(
     return best_l, best
 
 
-def _divisors(fact) -> list[int]:
-    divs = [1]
-    for p, e in fact.factors:
-        divs = [d * p**j for d in divs for j in range(e + 1)]
-    return sorted(divs)
-
-
 @dataclass
 class ExperimentConfig:
-    """Sweep settings: r, the log-power A, sample sizes, and worker count."""
+    """Sweep settings: r, the log-power A, sample sizes and residue sampling."""
 
     r: int
     log_power: float
     xs: tuple[int, ...]
-    threads: int = 1
     sample_l: int | None = None  # residues per modulus; None = exhaustive
     seed: int = 0
     timing: str = "wall"  # "none" zeroes wall_seconds for reproducible bytes
-    output_path: str | None = None
 
     def __post_init__(self):
         self.xs = tuple(int(x) for x in self.xs)
@@ -191,8 +178,6 @@ class ExperimentConfig:
             raise ConfigError("xs must be nonempty")
         if any(b <= a for a, b in zip(self.xs, self.xs[1:])):
             raise ConfigError(f"xs must be strictly increasing, got {self.xs}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.timing not in ("wall", "none"):
             raise ConfigError(f"timing must be 'wall' or 'none', got {self.timing}")
         if self.sample_l is not None and self.sample_l < 1:
@@ -213,26 +198,6 @@ class BvRow(NamedTuple):
     wall_seconds: float
 
 
-# Worker state is installed before forking; children inherit it read-only.
-_WORKER_STATE: dict = {}
-
-
-def _modulus_task(k: int) -> float:
-    st = _WORKER_STATE
-    if st["sample_l"] is not None and k > st["sample_l"]:
-        rng = random.Random(f"{st['seed']}:{st['x']}:{k}")
-        # 1 mod k (0 for k = 1) is always admissible, so the sampled scan
-        # can never come up empty
-        ls = set(rng.sample(range(k), st["sample_l"])) | {1 % k}
-    else:
-        ls = None
-    _, max_e = max_error_for_modulus(
-        st["table"], st["x"], st["r"], k,
-        residues=ls, expected_total=st["total"],
-    )
-    return max_e
-
-
 def run_experiment(config: ExperimentConfig, table: SieveTable) -> list[BvRow]:
     """Run the sweep; one row per x, deterministic for a fixed config."""
     config.validate()
@@ -247,21 +212,19 @@ def run_experiment(config: ExperimentConfig, table: SieveTable) -> list[BvRow]:
         start = time.perf_counter()
         bound = modulus_threshold(x, config.r, config.log_power)
         total = int(table.mu_r[config.r][1 : x + 1].sum(dtype=np.int64))
-        _WORKER_STATE.update(
-            table=table, x=x, r=config.r, total=total,
-            sample_l=config.sample_l, seed=config.seed,
-        )
-        ks = range(1, bound + 1)
-        if config.threads == 1:
-            maxima = [_modulus_task(k) for k in ks]
-        else:
-            ctx = multiprocessing.get_context("fork")
-            chunk = max(1, bound // (4 * config.threads))
-            with ctx.Pool(config.threads) as pool:
-                maxima = pool.map(_modulus_task, ks, chunksize=chunk)
         error_sum = 0.0
-        for v in maxima:  # fixed ascending-k fold: deterministic float result
-            error_sum += v
+        for k in range(1, bound + 1):  # ascending-k fold: deterministic float sum
+            if config.sample_l is not None and k > config.sample_l:
+                rng = random.Random(f"{config.seed}:{x}:{k}")
+                # 1 mod k (0 for k = 1) is always admissible, so the sampled
+                # scan can never come up empty
+                ls = set(rng.sample(range(k), config.sample_l)) | {1 % k}
+            else:
+                ls = None
+            _, max_e = max_error_for_modulus(
+                table, x, config.r, k, residues=ls, expected_total=total
+            )
+            error_sum += max_e
         normalized = error_sum * math.log(x) ** config.log_power / x
         wall = time.perf_counter() - start if config.timing == "wall" else 0.0
         rows.append(
@@ -271,8 +234,6 @@ def run_experiment(config: ExperimentConfig, table: SieveTable) -> list[BvRow]:
                 normalized=normalized, wall_seconds=wall,
             )
         )
-    if config.output_path:
-        write_csv(rows, config.output_path)
     return rows
 
 

@@ -9,9 +9,10 @@ k = g*s, l = g*t.  The count of interest is
 defined whenever g itself is r-free; if g is not r-free every member of
 the progression is divisible by an r-th power and R = 0.  The main term is
 
-    (x / k) * (phi(k) / (g * phi(s))) * f_r(k),
+    (x / k) * prod_{p^e || k, p^e | l} (1 - p^(e - r)) * f_r(k),
 
-and the error term E(x; k, l) is the exact count minus that main term.
+which is (x / k) * (phi(k) / (g * phi(s))) * f_r(k) when r = 2, and the
+error term E(x; k, l) is the exact count minus that main term.
 
 ``decompose`` rewrites R as a double sum over d (the Mobius variable
 detecting r-th-power divisibility of the cofactor n/g) and u = n/(g d^r),
@@ -48,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .multiplicative import FValue, f_value
-from .sieve import SieveTable, is_r_free, totient_value, trial_factorize
+from .sieve import SieveTable, is_r_free, trial_factorize
 
 @dataclass(frozen=True)
 class ProgressionReport:
@@ -124,14 +125,14 @@ def count_r_free_bruteforce(x: int, r: int, k: int, l: int) -> int:
     return sum(1 for n in range(start, x + 1, k) if is_r_free(n, r))
 
 
-def _main_term_value(
-    x: int, k: int, g: int, s: int, phi_k: int, phi_s: int, f: float
-) -> float:
-    return (x / k) * (phi_k / (g * phi_s)) * f
-
-
 def main_term(x: int, r: int, k: int, l: int, fval: FValue) -> float:
-    """Main term (x/k) * (phi(k)/(g phi(s))) * f_r(k).
+    """Main term (x/k) * prod_p (1 - p^(e - r)) * f_r(k).
+
+    The product runs over the prime powers p^e exactly dividing k with
+    p^e | l.  On such a class n / p^e is equidistributed mod p, so p^r
+    fails to divide n with density 1 - p^(e - r); every other prime of k
+    divides each n to the fixed power v_p(l) < r and contributes 1.  The
+    product is one exact ratio of integers, phi(k) / (g phi(s)) at r = 2.
 
     Defined only when g = gcd(l, k) is r-free; otherwise the progression
     carries no r-free numbers at all and the caller should use the
@@ -143,14 +144,17 @@ def main_term(x: int, r: int, k: int, l: int, fval: FValue) -> float:
         raise ValueError(f"bad progression k={k}, l={l}")
     if fval.r != r or fval.k != k:
         raise ValueError("f-value does not match the requested (r, k)")
-    g, s, _ = _split_progression(k, l)
-    if not is_r_free(g, r):
-        raise ValueError(
-            f"gcd(l, k) = {g} is not {r}-free; the main term is undefined"
-        )
-    phi_k = totient_value(trial_factorize(k))
-    phi_s = totient_value(trial_factorize(s))
-    return _main_term_value(x, k, g, s, phi_k, phi_s, fval.value)
+    num = den = 1
+    for p, e in trial_factorize(k).factors:
+        if e >= r and l % p**r == 0:
+            raise ValueError(
+                f"gcd(l, k) = {math.gcd(l, k)} is not {r}-free; "
+                "the main term is undefined"
+            )
+        if l % p**e == 0:
+            num *= p ** (r - e) - 1
+            den *= p ** (r - e)
+    return (x / k) * (num / den) * fval.value
 
 
 def error_term(table: SieveTable, x: int, r: int, k: int, l: int) -> ProgressionReport:
@@ -260,10 +264,7 @@ def decompose(
     small = int(terms[:split].sum())
     large = int(terms[split:].sum())
 
-    fv = f_value(r, k, fact_k)
-    phi_k = totient_value(fact_k)
-    phi_s = totient_value(trial_factorize(s))
-    small_main = _main_term_value(x, k, g, s, phi_k, phi_s, fv.value)
+    small_main = main_term(x, r, k, l, f_value(r, k, fact_k))
 
     return DecompositionReport(
         x=x,

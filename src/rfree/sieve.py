@@ -19,14 +19,16 @@ function up to x^(1/r) <= sqrt(N), in the d-sums of ``class_counts`` and
   segment length.  Only ``factorize``, ``omega_vs_tau_check``, the demos
   and the tests need these tables over a full range.
 
-Finished tables are read-only and safe to share between threads or forked
-worker processes.  ``save_cache``/``load_cache`` store only the flags, bit
-packed and checksummed; the sqrt(N) tables are rebuilt on load.
+Finished tables are read-only.  ``save_cache``/``load_cache`` store only
+the flags, bit packed and checksummed; the sqrt(N) tables are rebuilt on
+load.
 
 ``mu_r_direct`` recomputes the r-free indicator for a single n as the
 divisor sum of the Mobius function over d with d^r | n, using nothing but
 trial division.  It is deliberately independent of the sieve and serves as
-the cross-check oracle for the flags.
+the cross-check oracle for the flags.  ``trial_factorize`` is the one
+trial-division loop; ``is_r_free`` and the Mobius values of ``mu_r_direct``
+read their answers off its factorization.
 """
 
 from __future__ import annotations
@@ -339,39 +341,17 @@ def totient_value(fact: Factorization) -> int:
 
 @lru_cache(maxsize=65536)
 def _mobius_trial(n: int) -> int:
-    if n == 1:
-        return 1
-    sign = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            sign = -sign
-        p += 1 if p == 2 else 2
-    if m > 1:
-        sign = -sign
-    return sign
+    factors = trial_factorize(n).factors
+    if any(e > 1 for _, e in factors):
+        return 0
+    return -1 if len(factors) % 2 else 1
 
 
 def is_r_free(n: int, r: int) -> bool:
     """True iff no prime r-th power divides n (trial division, no table)."""
     if n < 1 or r < 2:
         raise ValueError("need n >= 1 and r >= 2")
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if e >= r:
-                return False
-        p += 1 if p == 2 else 2
-    return True
+    return all(e < r for _, e in trial_factorize(n).factors)
 
 
 def mu_r_direct(n: int, r: int) -> int:

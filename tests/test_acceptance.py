@@ -172,9 +172,7 @@ def test_criterion_6_known_density(table_1e6):
 
 def test_criterion_7_averaged_error_trend(table_1e7):
     start = time.perf_counter()
-    config = ExperimentConfig(
-        r=2, log_power=1.0, xs=(10**4, 10**5, 10**6, 10**7), threads=4
-    )
+    config = ExperimentConfig(r=2, log_power=1.0, xs=(10**4, 10**5, 10**6, 10**7))
     rows = run_experiment(config, table_1e7)
     normalized = [row.normalized for row in rows]
     assert all(math.isfinite(v) and v >= 0 for v in normalized)
@@ -188,7 +186,7 @@ def test_criterion_7_averaged_error_trend(table_1e7):
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0, f"took {elapsed:.1f}s, budget 600s"
     seq = ",".join(f"{v:.5f}" for v in normalized)
-    _report(7, "averaged-error trend", f"(normalized: {seq}; {elapsed:.1f}s, 4 workers)")
+    _report(7, "averaged-error trend", f"(normalized: {seq}; {elapsed:.1f}s)")
 
 
 def test_criterion_8_determinism_across_workers(tmp_path):
@@ -209,4 +207,4 @@ def test_criterion_8_determinism_across_workers(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
-    _report(8, "determinism", "(bv-sum CSV byte-identical across 1, 2, 8 workers)")
+    _report(8, "determinism", "(bv-sum CSV byte-identical for --threads 1, 2, 8)")

@@ -168,6 +168,14 @@ def test_bv_sum_threads_identical_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_bv_sum_threads_zero_exit_2(capsys):
+    code = main(["bv-sum", "--r", "2", "--A", "1", "--x", "1e4", "--threads", "0"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "threads" in captured.err
+
+
 def test_bv_sum_self_check_failure_exit_3(monkeypatch, capsys):
     from rfree.errors import SelfCheckError
     import rfree.cli as cli

@@ -9,6 +9,7 @@ from rfree import (
     decompose,
     error_term,
     f_value,
+    is_r_free,
     lemma_bound_probe,
     main_term,
     trial_factorize,
@@ -81,6 +82,39 @@ def test_main_term_domain_error():
 def test_main_term_mismatched_fvalue():
     with pytest.raises(ValueError):
         main_term(100, 2, 4, 2, f_value(2, 8, trial_factorize(8)))
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_main_term_tracks_count_for_higher_r(table_1e5, r):
+    # the local factor at p^e || k with p^e | l is 1 - p^(e - r); the r = 2
+    # form phi(k) / (g phi(s)) is off by up to a factor 2 here
+    x = table_1e5.limit
+    for k in range(1, 31):
+        fv = f_value(r, k, trial_factorize(k))
+        for l in range(k):
+            if not is_r_free(math.gcd(l, k), r):
+                continue
+            main = main_term(x, r, k, l, fv)
+            count = count_r_free_in_progression(table_1e5, x, r, k, l)
+            assert abs(count - main) <= 1e-2 * main, (k, l, count, main)
+
+
+@pytest.mark.parametrize(
+    "k, l, ratio, count, main",
+    [
+        (6, 2, (3, 4), 123413, 123414.82999823168),  # 1 - 2^(1-3)
+        (10, 5, (24, 25), 92012, 92008.18867251682),  # 1 - 5^(1-3)
+    ],
+    ids=["6-2", "10-5"],
+)
+def test_main_term_r3_pinned(table_1e6, k, l, ratio, count, main):
+    x, r = 10**6, 3
+    fv = f_value(r, k, trial_factorize(k))
+    value = main_term(x, r, k, l, fv)
+    assert value == (x / k) * (ratio[0] / ratio[1]) * fv.value
+    assert abs(value - main) < 1e-6
+    rep = error_term(table_1e6, x, r, k, l)
+    assert rep.count == count and rep.main_term == value
 
 
 def test_error_term_example(table_1e5):
