@@ -3,9 +3,11 @@
 The fast counter factors s, counts solutions per prime power (by histogram
 below a size threshold, by unit-group structure above it), and multiplies
 the pieces together by the Chinese Remainder Theorem.  An exhaustive loop
-over all d provides the oracle.  For a unit residue a the count never
-exceeds 2 * r^omega(s); the factor 2 comes entirely from the powers of two,
-whose unit group picks up an extra {+-1} component.
+over all d provides the oracle.  For a unit residue a the solutions are a
+coset of the kernel of d -> d^r, or there are none, so the worst unit of
+each modulus is a = 1 and the sweep reads one count per modulus.  That
+count never exceeds 2 * r^omega(s); the factor 2 comes entirely from the
+powers of two, whose unit group picks up an extra {+-1} component.
 """
 
 from rfree import (
@@ -22,7 +24,7 @@ for r, a, s in [(2, 1, 8), (3, 1, 9), (2, 1, 24), (2, 0, 4), (4, 1, 16), (2, 7, 
     marker = "ok" if fast == slow else "MISMATCH"
     print(f"  d^{r} = {a:2d} (mod {s:2d}): crt={fast}  oracle={slow}  {marker}")
 
-print("\nworst count / r^omega(s) over all units, exhaustively:")
+print("\nworst count / r^omega(s) over all units, read off a = 1 per modulus:")
 for r in (2, 3, 4):
     res = bound_sweep(r, 500)
     print(

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: sieve, tau-sum, f, error, verify-lemmas, residues, bv-sum.
-Exit codes: 0 success, 2 configuration error, 3 exact-identity failure.
+Exit codes: 0 success, 2 refused input (message on stderr, nothing on
+stdout), 3 exact-identity failure.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ import math
 import random
 import sys
 import time
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from .errors import ConfigError, SelfCheckError
+from .errors import ConfigError, ResourceLimitError, SelfCheckError
 from .harness import (
     ExperimentConfig,
     modulus_threshold,
@@ -38,13 +40,19 @@ EXIT_CONFIG = 2
 EXIT_IDENTITY = 3
 
 
+def _parse_int(text: str) -> int:
+    """An exact 64-bit integer, written plainly or in float notation (1e7, 1.5e6)."""
+    try:
+        value = Decimal(text.strip())
+        if value.copy_abs() < 2**63 and value == value.to_integral_value():
+            return int(value)
+    except InvalidOperation:
+        pass
+    raise ValueError(f"{text!r} is not an exact 64-bit integer")
+
+
 def _parse_int_list(text: str) -> list[int]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if part:
-            out.append(int(float(part)))
-    return out
+    return [_parse_int(part) for part in text.split(",") if part.strip()]
 
 
 def _sieve_for(limit: int, rs, cache: str | None):
@@ -123,6 +131,8 @@ def _csv_cell(v) -> str:
 
 
 def _cmd_verify_lemmas(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {args.trials}")
     table = _sieve_for(args.x, {args.r}, None)
     rng = random.Random(args.seed)
     failures = 0
@@ -157,9 +167,10 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _cmd_residues(args) -> int:
+    rows = list(per_modulus_maxima(args.r, args.s_max))  # refuses bad input before the header
     print("s,a,count,ratio")
     best = None
-    for row in per_modulus_maxima(args.r, args.s_max):
+    for row in rows:
         print(f"{row.s},{row.a},{row.count},{row.ratio!r}")
         if best is None or row.ratio > best.ratio:  # first maximum wins, as in bound_sweep
             best = row
@@ -196,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sieve", help="build (or load) the flag tables")
-    p.add_argument("--limit", type=lambda s: int(float(s)), required=True)
+    p.add_argument("--limit", type=_parse_int, required=True)
     p.add_argument("--r", required=True, help="comma-separated r values")
     p.add_argument("--cache", default=None)
     p.set_defaults(func=_cmd_sieve)
@@ -212,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_f)
 
     p = sub.add_parser("error", help="one progression report (CSV or JSON)")
-    p.add_argument("--x", type=lambda s: int(float(s)), required=True)
+    p.add_argument("--x", type=_parse_int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
@@ -224,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify-lemmas", help="randomized split-identity and bound sweeps"
     )
-    p.add_argument("--x", type=lambda s: int(float(s)), required=True)
+    p.add_argument("--x", type=_parse_int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -258,12 +269,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except SelfCheckError as exc:
         print(f"exact-identity self-check failed: {exc}", file=sys.stderr)
         return EXIT_IDENTITY
+    except (ValueError, ResourceLimitError, OverflowError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entry() -> None:

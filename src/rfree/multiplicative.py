@@ -6,9 +6,9 @@
            = zeta(r)^{-1} * prod over p | k of (1 - p^{-r})^{-1},
 
 which depends only on the radical of k.  ``tau_table`` sieves tau_r(n),
-the number of ordered r-tuples of positive integers with product n, over
-prime powers through tau_r(p^e) = C(e + r - 1, r - 1); ``tau_value``
-applies the same formula to one factorization.
+the number of ordered r-tuples of positive integers with product n, in
+the prime-power pass ``factor_sieve`` also runs, through tau_r(p^e) =
+C(e + r - 1, r - 1); ``tau_value`` applies the formula to one factorization.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .sieve import FactorTable, Factorization, small_primes
+from .sieve import FactorTable, Factorization, _prime_powers, small_primes
 
 _ZETA_TARGET = 1e-13
 _FLOAT_ULP = 2.3e-16
@@ -97,12 +97,10 @@ class TauTable:
 def tau_table(r: int, limit: int) -> TauTable:
     """Sieve tau_r over [1, limit] over prime powers.
 
-    tau_r is multiplicative with tau_r(p^e) = C(e + r - 1, r - 1).  Every
-    multiple of p gets the factor r = tau_r(p); every multiple of p^e,
-    e >= 2, then trades its factor tau_r(p^(e-1)) for tau_r(p^e), by an
-    exact division before the multiplication.  Primes above sqrt(limit)
-    divide each n at most once; their multiples m*p are scaled together,
-    one index array per cofactor m.
+    tau_r is multiplicative with tau_r(p^e) = C(e + r - 1, r - 1).  Over
+    ``_prime_powers(limit)``, every multiple of p gets the factor r; every
+    multiple of p^e, e >= 2, then trades tau_r(p^(e-1)) for tau_r(p^e) by
+    an exact division before the multiplication.
 
     Values are held in 64-bit integers.  Every intermediate value is at
     most the final tau_r(n), and tau_r(n) = sum over d | n of tau_(r-1)(d)
@@ -119,22 +117,10 @@ def tau_table(r: int, limit: int) -> TauTable:
         raise OverflowError(f"tau_{r} would overflow 64-bit integers below {limit}")
     tau = np.ones(limit + 1, dtype=np.int64)
     tau[0] = 0
-    primes = small_primes(limit)
-    root = math.isqrt(limit)
-    n_small = int(np.searchsorted(primes, root, side="right"))
-    for p in primes[:n_small].tolist():
-        tau[p::p] *= r
-        q, e = p * p, 2
-        while q <= limit:
-            view = tau[q::q]
-            view //= math.comb(e + r - 2, r - 1)
-            view *= math.comb(e + r - 1, r - 1)
-            q *= p
-            e += 1
-    large = primes[n_small:]
-    for m in range(1, limit // (root + 1) + 1):
-        ps = large[: np.searchsorted(large, limit // m, side="right")]
-        tau[m * ps] *= r
+    for _, e, at in _prime_powers(limit):
+        if e >= 2:
+            tau[at] //= math.comb(e + r - 2, r - 1)
+        tau[at] *= math.comb(e + r - 1, r - 1)
     return TauTable(r=r, limit=limit, tau=tau)
 
 

@@ -7,8 +7,9 @@ is a unit: cyclic of order phi(p^e) for odd p, {+-1} x cyclic of order
 2^(e-2) for 2^e with e >= 3.  Non-unit a above the histogram threshold
 falls back to direct enumeration.
 
-For units the count never exceeds 2 * r^omega(s); ``bound_sweep`` measures
-the worst observed ratio against r^omega(s) exhaustively.
+For units the count never exceeds 2 * r^omega(s), and a = 1 attains the
+maximum, which ``per_modulus_maxima`` reads off for each modulus and
+``bound_sweep`` folds.  ``counts_vector`` and the brute force are oracles.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ def _count_prime_power(r: int, a: int, p: int, e: int, threshold: int) -> int:
         n = pe // p * (p - 1)
         gd = math.gcd(r, n)
         return gd if pow(a, n // gd, pe) == 1 else 0
-    # 2^e with e >= 3 here (smaller powers fall under any sane threshold):
-    # units decompose as <-1> x <5>, orders 2 and 2^(e-2)
+    # 2^e: units are <-1> x <5>, orders 2 and 2^(e-2) for e >= 3; the
+    # formulas also hold at e = 2 (m = 0) and e = 1 (m = -1, count 1)
     if r % 2 == 1:
         return 1
     two_adic = (r & -r).bit_length() - 1
@@ -151,25 +152,19 @@ class SweepResult(NamedTuple):
 
 
 def per_modulus_maxima(r: int, s_max: int) -> Iterator[ModulusMaximum]:
-    """For each s <= s_max, the unit residue a maximizing count / r^omega(s)."""
+    """For each s <= s_max, the unit residue a maximizing count / r^omega(s).
+
+    For a unit a the solutions of d^r = a (mod s) are a coset of the
+    kernel of d -> d^r on the units, or there are none.  So the count at
+    a = 1 is the maximum, and 1 % s is the smallest unit attaining it.
+    """
     if s_max < 2:
         raise ValueError(f"s_max must be >= 2, got {s_max}")
     for s in range(1, s_max + 1):
         fact = trial_factorize(s)
-        vec = counts_vector(r, s, fact)
-        idx = np.arange(s, dtype=np.int64)
-        is_unit = np.ones(s, dtype=bool)
-        for p, _ in fact.factors:
-            is_unit &= idx % p != 0
-        units = np.flatnonzero(is_unit)
-        unit_counts = vec[units]
-        best = int(np.argmax(unit_counts))  # first index wins ties: smallest a
-        norm = float(r**fact.omega)
+        rc = count_solutions(r, 1 % s, s, fact, brute_threshold=0)
         yield ModulusMaximum(
-            s=s,
-            a=int(units[best]),
-            count=int(unit_counts[best]),
-            ratio=int(unit_counts[best]) / norm,
+            s=s, a=rc.a, count=rc.count, ratio=rc.count / float(r**fact.omega)
         )
 
 

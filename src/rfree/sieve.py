@@ -13,11 +13,10 @@ function up to x^(1/r) <= sqrt(N), in the d-sums of ``class_counts`` and
   [0, isqrt(N)] only, taken from ``factor_sieve(isqrt(N))``.
 * ``factor_sieve(N)`` gives a :class:`FactorTable` with the Mobius
   function, smallest prime factor (spf(1) = 1), number of distinct prime
-  factors and Euler totient of every n in [0, N].  Base primes up to
-  sqrt(N) are generated first, then fixed-size windows are fully factored
-  with vectorised strides, so scratch memory per window is bounded by the
-  segment length.  Only ``factorize``, ``omega_vs_tau_check``, the demos
-  and the tests need these tables over a full range.
+  factors and Euler totient of every n in [0, N], in one pass over the
+  prime powers of ``_prime_powers``, the loop ``tau_table`` shares.  Only
+  ``factorize``, ``omega_vs_tau_check``, the demos and the tests need
+  these tables over a full range.
 
 Finished tables are read-only.  ``save_cache``/``load_cache`` store only
 the flags, bit packed and checksummed; the sqrt(N) tables are rebuilt on
@@ -44,7 +43,6 @@ import numpy as np
 
 from .errors import ConfigError, ResourceLimitError
 
-DEFAULT_SEGMENT_LENGTH = 262_144
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3  # bytes of finished tables
 
 
@@ -145,88 +143,59 @@ def small_primes(n: int) -> np.ndarray:
     return np.nonzero(flags)[0].astype(np.int64)
 
 
-def factor_sieve(
-    limit: int, *, segment_length: int = DEFAULT_SEGMENT_LENGTH
-) -> FactorTable:
+def _prime_powers(limit: int):
+    """Yield (p, e, at) for every prime power p^e <= limit, p ascending;
+    ``at`` indexes the multiples of p^e (the slice p^e::p^e).
+
+    A prime above isqrt(limit) divides each n <= limit at most once, so
+    those primes come grouped by cofactor m, as (ps, 1, m * ps).
+    """
+    primes = small_primes(limit)
+    root = math.isqrt(limit)
+    n_small = int(np.searchsorted(primes, root, side="right"))
+    for p in primes[:n_small].tolist():
+        q, e = p, 1
+        while q <= limit:
+            yield p, e, slice(q, None, q)
+            q *= p
+            e += 1
+    large = primes[n_small:]
+    for m in range(1, limit // (root + 1) + 1):
+        ps = large[: np.searchsorted(large, limit // m, side="right")]
+        yield ps, 1, m * ps
+
+
+def factor_sieve(limit: int) -> FactorTable:
     """mu, spf, omega and phi for every n in [1, limit].
 
-    Parameters
-    ----------
-    limit : int
-        Inclusive upper bound N >= 1.
-    segment_length : int
-        Window size for the segmented factoring pass.  Different values
-        yield bit-identical tables; only peak scratch memory changes.
-
-    Raises
-    ------
-    ValueError
-        If limit < 1 or segment_length < 1.
-    ResourceLimitError
-        If limit does not fit the 32-bit spf/phi tables.
+    One pass over ``_prime_powers(limit)``: each multiple of p flips mu,
+    counts in omega, takes the factor p - 1 of phi and, unless a smaller
+    prime came first, takes p as spf; each multiple of p^e, e >= 2, gets
+    mu = 0 and one more factor p of phi.  Raises ValueError if limit < 1
+    and ResourceLimitError if limit does not fit the 32-bit spf/phi tables.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    if segment_length < 1:
-        raise ValueError("segment_length must be >= 1")
     if limit >= 2**32:
         raise ResourceLimitError(
             f"limit={limit} does not fit the 32-bit spf/phi tables"
         )
 
-    n1 = limit + 1
-    mu = np.zeros(n1, dtype=np.int8)
-    spf = np.zeros(n1, dtype=np.uint32)
-    omega = np.zeros(n1, dtype=np.uint8)
-    phi = np.zeros(n1, dtype=np.uint32)
-
-    base = small_primes(math.isqrt(limit))
-
-    for lo in range(1, n1, segment_length):
-        hi = min(lo + segment_length - 1, limit)
-        size = hi - lo + 1
-        rem = np.arange(lo, hi + 1, dtype=np.int64)
-        mu_s = np.ones(size, dtype=np.int8)
-        omega_s = np.zeros(size, dtype=np.uint8)
-        phi_s = np.ones(size, dtype=np.int64)
-        spf_s = np.zeros(size, dtype=np.uint32)
-
-        sq = math.isqrt(hi)
-        for p in base:
-            p = int(p)
-            if p > sq:
-                break
-            start = ((lo + p - 1) // p) * p
-            if start > hi:
-                continue
-            sl = slice(start - lo, size, p)
-            view = spf_s[sl]
-            view[view == 0] = p
-            omega_s[sl] += 1
-            mu_s[sl] = -mu_s[sl]
-            phi_s[sl] *= p - 1
-            rem[sl] //= p
-            # exponent >= 2: chain-divide the survivors
-            rel = np.nonzero(rem[sl] % p == 0)[0]
-            if rel.size:
-                cur = (start - lo) + rel * p
-                mu_s[cur] = 0
-                while cur.size:
-                    phi_s[cur] *= p
-                    rem[cur] //= p
-                    cur = cur[rem[cur] % p == 0]
-
-        big = rem > 1  # at most one prime factor > sqrt(hi) can remain
-        mu_s[big] = -mu_s[big]
-        omega_s[big] += 1
-        phi_s[big] *= rem[big] - 1
-        left = big & (spf_s == 0)
-        spf_s[left] = rem[left]  # n itself is prime
-
-        mu[lo : hi + 1] = mu_s
-        spf[lo : hi + 1] = spf_s
-        omega[lo : hi + 1] = omega_s
-        phi[lo : hi + 1] = phi_s.astype(np.uint32)
+    mu = np.ones(limit + 1, dtype=np.int8)
+    spf = np.zeros(limit + 1, dtype=np.uint32)
+    omega = np.zeros(limit + 1, dtype=np.uint8)
+    phi = np.ones(limit + 1, dtype=np.uint32)
+    mu[0] = phi[0] = 0
+    for p, e, at in _prime_powers(limit):
+        if e == 1:
+            mu[at] = -mu[at]
+            omega[at] += 1
+            phi[at] = phi[at] * (p - 1)
+            first = spf[at]
+            spf[at] = np.where(first == 0, p, first)
+        else:
+            mu[at] = 0
+            phi[at] = phi[at] * p
 
     spf[1] = 1  # convention: avoids a sentinel branch in factorize
     return FactorTable(limit, mu, spf, omega, phi)

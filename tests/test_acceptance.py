@@ -23,6 +23,7 @@ from rfree import (
     modulus_threshold,
     mu_r_direct,
     omega_vs_tau_check,
+    per_modulus_maxima,
     run_experiment,
     tau_partial_sum_check,
     trial_factorize,
@@ -103,6 +104,7 @@ def test_criterion_4_residue_count_oracle():
     start = time.perf_counter()
     rng = random.Random(1004)
     for r in (2, 3, 4):
+        maxima = list(per_modulus_maxima(r, 2000))
         for s in range(1, 2001):
             fact = trial_factorize(s)
             crt = counts_vector(r, s, fact)
@@ -118,8 +120,11 @@ def test_criterion_4_residue_count_oracle():
                 exp >>= 1
             brute = np.bincount(acc, minlength=s)
             assert np.array_equal(crt, brute), (r, s)
-            units = np.gcd(d, s) == 1
-            assert int(crt[units].max()) <= 2 * r**fact.omega, (r, s)
+            units = np.flatnonzero(np.gcd(d, s) == 1)
+            best = int(units[np.argmax(crt[units])])  # first maximizing unit
+            assert int(crt[best]) <= 2 * r**fact.omega, (r, s)
+            row = maxima[s - 1]
+            assert (row.s, row.a, row.count) == (s, best, int(crt[best])), (r, s)
     # the scalar operation agrees with the vector path
     for _ in range(2000):
         s = rng.randint(1, 2000)
@@ -130,7 +135,8 @@ def test_criterion_4_residue_count_oracle():
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0, f"took {elapsed:.1f}s, budget 300s"
     _report(4, "residue-count oracle",
-            f"(all s <= 2000, all a, r in 2..4; unit bound 2*r^omega; {elapsed:.1f}s)")
+            f"(all s <= 2000, all a, r in 2..4; unit bound 2*r^omega; "
+            f"per-modulus maxima; {elapsed:.1f}s)")
 
 
 def test_criterion_5_divisor_sum_bound(factors_1e5):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rfree.cli import main
+from rfree.cli import _parse_int, main
 
 
 def test_f_prints_twelve_decimals(capsys):
@@ -197,3 +197,49 @@ def test_bv_sum_sampled_flag(capsys):
     assert code == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[1].startswith("10000,2,1.0,5,")
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [("1e7", 10**7), ("10000000", 10**7), ("1.5e6", 1_500_000), (" 42 ", 42)],
+)
+def test_parse_int_accepts_exact_integers(text, value):
+    assert _parse_int(text) == value
+
+
+@pytest.mark.parametrize(
+    "text", ["1000.7", "1.5", "1e-3", "abc", "", "inf", "nan", "1e999999999"]
+)
+def test_parse_int_refuses_non_integers(text):
+    with pytest.raises(ValueError):
+        _parse_int(text)
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refuses an argument of the wrong type
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    "error --x 1000.7 --r 2 --k 3 --l 1",
+    "tau-sum --r 2 --x 1e3,2.5",
+    "error --x 1e4 --r 2 --k 0 --l 0",
+    "error --x 1e4 --r 2 --l 5 --k 3",
+    "residues --r 2 --s-max 1",
+    "residues --r 1 --s-max 10",
+    "tau-sum --r 2 --x 2",
+    "f --r 2 --k 0",
+    "sieve --limit 100 --r 2,1",
+    "bv-sum --r 2 --A 1 --x 1e5,abc",
+    "sieve --limit 5e9 --r 2",
+    "tau-sum --r 150 --x 8192",
+    "verify-lemmas --x 1e4 --r 2 --trials -1",
+    "verify-lemmas --x 1e4 --r 2 --trials 0",
+])
+def test_refused_input_exit_2(argv, capsys):
+    assert _exit_code(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip()

@@ -72,16 +72,18 @@ def test_scalar_matches_vector():
 
 
 @pytest.mark.parametrize(
-    "pe,p", [(2**5, 2), (2**7, 2), (2**9, 2), (3**5, 3), (5**4, 5), (7**3, 7)]
+    "pe,p",
+    [(2, 2), (2**2, 2), (2**5, 2), (2**7, 2), (2**9, 2),
+     (3, 3), (3**2, 3), (3**5, 3), (5**4, 5), (7**3, 7)],
 )
 @pytest.mark.parametrize("r", [2, 3, 4, 6, 8, 12])
 def test_unit_group_path_matches_bruteforce(pe, p, r):
-    # force the structural path by dropping the histogram threshold
+    # force the structural path, as per_modulus_maxima does
     fact = trial_factorize(pe)
     for a in range(1, min(pe, 80)):
         if a % p == 0:
             continue
-        fast = count_solutions(r, a, pe, fact, brute_threshold=4).count
+        fast = count_solutions(r, a, pe, fact, brute_threshold=0).count
         slow = count_solutions_bruteforce(r, a, pe)
         assert fast == slow, (r, a, pe)
 

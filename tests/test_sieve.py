@@ -177,14 +177,19 @@ def test_density_near_zeta_inverse(table_1e5):
     assert 0.59 < density < 0.62
 
 
-def test_segment_length_invariance():
-    base = factor_sieve(50_000)
-    for seg in (777, 4096, 50_000, 10**6):
-        other = factor_sieve(50_000, segment_length=seg)
-        assert other.mu.tobytes() == base.mu.tobytes()
-        assert other.spf.tobytes() == base.spf.tobytes()
-        assert other.omega.tobytes() == base.omega.tobytes()
-        assert other.phi.tobytes() == base.phi.tobytes()
+def test_factor_tables_match_trial_division():
+    # whole-range oracle: every n <= 2*10^4 against trial division
+    limit = 20_000
+    table = factor_sieve(limit)
+    for n in range(1, limit + 1):
+        fact = trial_factorize(n)
+        factors = fact.factors
+        squarefree = all(e == 1 for _, e in factors)
+        assert table.mu[n] == ((-1) ** len(factors) if squarefree else 0), n
+        assert table.spf[n] == (factors[0][0] if factors else 1), n
+        assert table.omega[n] == len(factors), n
+        assert table.phi[n] == totient_value(fact), n
+    assert (table.mu[0], table.spf[0], table.omega[0], table.phi[0]) == (0, 0, 0, 0)
 
 
 def test_build_validation():
@@ -194,8 +199,6 @@ def test_build_validation():
         build_sieve(10, {1})
     with pytest.raises(ValueError):
         factor_sieve(0)
-    with pytest.raises(ValueError):
-        factor_sieve(10, segment_length=0)
 
 
 def test_memory_budget_named_in_error():
