@@ -183,8 +183,7 @@ def _cmd_bv_sum(args) -> int:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
     xs = _parse_int_list(args.x)
     config = ExperimentConfig(
-        r=args.r, log_power=args.A, xs=tuple(xs),
-        sample_l=args.sample_l, seed=args.seed, timing=args.timing,
+        r=args.r, log_power=args.A, xs=tuple(xs), timing=args.timing
     )
     config.validate()
     table = _sieve_for(max(xs), {args.r}, args.cache)
@@ -256,9 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", default=None)
     p.add_argument("--cache", default=None)
     p.add_argument("--timing", choices=("wall", "none"), default="wall")
-    p.add_argument("--sample-l", dest="sample_l", type=int, default=None,
-                   help="sample this many residues per modulus (non-authoritative)")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bv_sum)
 
     return parser

@@ -14,18 +14,20 @@ d <= x^(1/r): whole periods of m*d^r mod k are added per coset, and at most
 one partial period per d is tallied, so a modulus costs about x^(1/r)
 d-terms plus at most one partial period per d, and never reads the r-free
 flag table.  The flag table instead gives the total that the classes of
-every modulus must sum to, an independent check.  The moduli are taken in
-ascending order in one process and S(x) is folded in that order, so the
-CSV output is byte-identical for a fixed configuration.
+every modulus must sum to, an independent check.  The maximum over l runs
+over every admissible class in one numpy pass, with one main term per
+divisor g = gcd(l, k), so S(x) is the exact sum.
+The moduli are taken in ascending order in one process and S(x) is folded
+in that order, so the CSV output is byte-identical for a fixed
+configuration.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,13 +113,11 @@ def max_error_for_modulus(
     r: int,
     k: int,
     *,
-    residues: Iterable[int] | None = None,
     expected_total: int | None = None,
 ) -> tuple[int, float]:
-    """(l*, max |E(x; k, l)|) over admissible residues of one modulus.
+    """(l*, max |E(x; k, l)|) over every admissible residue of one modulus.
 
     Admissible means gcd(l, k) is r-free.  Ties go to the smallest l.
-    ``residues`` restricts the scan (sampled, non-authoritative mode);
     ``expected_total`` enables the partition self-check: the class counts
     of one modulus must sum to the count for k = 1.
     """
@@ -128,42 +128,28 @@ def max_error_for_modulus(
             f"expected {expected_total}"
         )
     fv = f_value(r, k, trial_factorize(k))
-    # the main term depends on l only through g = gcd(l, k); None marks a
-    # g that is not r-free
-    mains: dict[int, float | None] = {}
-    best_l = -1
-    best = -1.0
-    if residues is None:
-        ls: Iterable[int] = range(k)
-    else:
-        ls = sorted(set(residues))
-        if ls and not 0 <= ls[0] <= ls[-1] < k:
-            raise ValueError(f"residues must lie in [0, {k})")
-    for l in ls:
-        g = math.gcd(l, k)
-        if g not in mains:
-            mains[g] = main_term(x, r, k, l, fv) if is_r_free(g, r) else None
-        main = mains[g]
-        if main is None:
-            continue
-        err = abs(float(counts[l]) - main)
-        if err > best:
-            best = err
-            best_l = l
-    if best_l < 0:
-        raise SelfCheckError(f"no admissible residue for k={k}")  # unreachable
-    return best_l, best
+    # the main term depends on l only through g = gcd(l, k), so it is
+    # evaluated once per divisor g; it is undefined (NaN) where g is not
+    # r-free, and those l are masked below every error (l = 1 mod k, with
+    # g = 1, always survives)
+    g = np.gcd(np.arange(k), k)  # gcd(0, k) = k
+    mains = np.full(k + 1, np.nan)  # indexed by g
+    for d in np.flatnonzero(np.bincount(g)).tolist():
+        if is_r_free(d, r):
+            mains[d] = main_term(x, r, k, d % k, fv)
+    errs = np.abs(counts - mains[g])
+    errs[np.isnan(errs)] = -1.0
+    best_l = int(np.argmax(errs))  # the first maximum
+    return best_l, float(errs[best_l])
 
 
 @dataclass
 class ExperimentConfig:
-    """Sweep settings: r, the log-power A, sample sizes and residue sampling."""
+    """Sweep settings: r, the log-power A, the sample sizes and the timing."""
 
     r: int
     log_power: float
     xs: tuple[int, ...]
-    sample_l: int | None = None  # residues per modulus; None = exhaustive
-    seed: int = 0
     timing: str = "wall"  # "none" zeroes wall_seconds for reproducible bytes
 
     def __post_init__(self):
@@ -180,8 +166,6 @@ class ExperimentConfig:
             raise ConfigError(f"xs must be strictly increasing, got {self.xs}")
         if self.timing not in ("wall", "none"):
             raise ConfigError(f"timing must be 'wall' or 'none', got {self.timing}")
-        if self.sample_l is not None and self.sample_l < 1:
-            raise ConfigError(f"sample_l must be >= 1, got {self.sample_l}")
         for x in self.xs:
             if x < 3:
                 raise ConfigError(f"each x must be >= 3, got {x}")
@@ -214,15 +198,8 @@ def run_experiment(config: ExperimentConfig, table: SieveTable) -> list[BvRow]:
         total = int(table.mu_r[config.r][1 : x + 1].sum(dtype=np.int64))
         error_sum = 0.0
         for k in range(1, bound + 1):  # ascending-k fold: deterministic float sum
-            if config.sample_l is not None and k > config.sample_l:
-                rng = random.Random(f"{config.seed}:{x}:{k}")
-                # 1 mod k (0 for k = 1) is always admissible, so the sampled
-                # scan can never come up empty
-                ls = set(rng.sample(range(k), config.sample_l)) | {1 % k}
-            else:
-                ls = None
             _, max_e = max_error_for_modulus(
-                table, x, config.r, k, residues=ls, expected_total=total
+                table, x, config.r, k, expected_total=total
             )
             error_sum += max_e
         normalized = error_sum * math.log(x) ** config.log_power / x
@@ -253,31 +230,9 @@ def write_csv(rows: Sequence[BvRow], path) -> None:
 
 
 def write_plot(rows: Sequence[BvRow], path) -> None:
-    """Normalized trend against x on a log axis, as an SVG file."""
+    """Normalized trend against x on a log axis, as a hand-built SVG file."""
     xs = [row.x for row in rows]
     ys = [row.normalized for row in rows]
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-
-        fig, ax = plt.subplots(figsize=(7, 4.5))
-        ax.plot(xs, ys, "o-")
-        ax.set_xscale("log")
-        ax.set_xlabel("x")
-        ax.set_ylabel("S(x) * (log x)^A / x")
-        ax.set_title("Averaged progression error, normalized")
-        ax.grid(True, alpha=0.3)
-        fig.tight_layout()
-        fig.savefig(path, format="svg")
-        plt.close(fig)
-    except ImportError:
-        _write_svg_fallback(xs, ys, path)
-
-
-def _write_svg_fallback(xs, ys, path) -> None:
-    # minimal hand-rolled scatter+line on a log-x axis
     w, h, m = 640, 400, 60
     lx = [math.log10(x) for x in xs]
     x0, x1 = min(lx), max(lx) or 1.0

@@ -74,8 +74,7 @@ class DecompositionReport:
     """Exact split of the progression count at a cut z.
 
     small_sum + large_sum = count always; small_main is the closed-form
-    main term the small part tracks, small_err / large_val feed the
-    bound probes.
+    main term the small part tracks, and small_err feeds the bound probes.
     """
 
     x: int
@@ -88,7 +87,6 @@ class DecompositionReport:
     count: int
     small_main: float
     small_err: float
-    large_val: float
 
 
 class LemmaBoundRatios(NamedTuple):
@@ -207,11 +205,11 @@ def decompose(
 ) -> DecompositionReport:
     """Split R(x; k, l) into the d <= z and d > z double sums, exactly.
 
-    Requires z >= 1 and gcd(l, k) r-free.  The two partial sums always
+    Requires a finite z >= 1 and gcd(l, k) r-free.  The two partial sums always
     recombine to the strided-scan count with zero tolerance.
     """
-    if z < 1:
-        raise ValueError(f"z must be >= 1, got {z}")
+    if not (math.isfinite(z) and z >= 1):
+        raise ValueError(f"z must be a finite number >= 1, got {z}")
     if k < 1 or not 0 <= l < k:
         raise ValueError(f"bad progression k={k}, l={l}")
     g, s, t = _split_progression(k, l)
@@ -277,7 +275,6 @@ def decompose(
         count=count,
         small_main=small_main,
         small_err=small - small_main,
-        large_val=float(large),
     )
 
 

@@ -335,20 +335,12 @@ def mu_r_direct(n: int, r: int) -> int:
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
     total = 0
-    if r == 2:
-        d = 1
-        while d * d <= n:
-            if n % (d * d) == 0:
-                total += _mobius_trial(d)
-            d += 1
-    else:
-        d = 1
-        dr = 1
-        while dr <= n:
-            if n % dr == 0:
-                total += _mobius_trial(d)
-            d += 1
-            dr = d**r
+    d = dr = 1
+    while dr <= n:
+        if n % dr == 0:
+            total += _mobius_trial(d)
+        d += 1
+        dr = d**r
     return total
 
 

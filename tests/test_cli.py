@@ -189,14 +189,22 @@ def test_bv_sum_self_check_failure_exit_3(monkeypatch, capsys):
     assert "self-check" in capsys.readouterr().err
 
 
-def test_bv_sum_sampled_flag(capsys):
-    code = main([
-        "bv-sum", "--r", "2", "--A", "1", "--x", "1e4",
-        "--sample-l", "2", "--seed", "3", "--timing", "none",
-    ])
-    assert code == 0
-    lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[1].startswith("10000,2,1.0,5,")
+@pytest.mark.parametrize("argv,expected", [
+    ("--r 2 --A 1 --x 1e4,1e5,1e6",
+     "x,r,A,K,S,normalized,wall_seconds\n"
+     "10000,2,1.0,5,15.216535438120445,0.014014947066732706,0.000000\n"
+     "100000,2,1.0,16,100.90276392912892,0.011616860003255479,0.000000\n"
+     "1000000,2,1.0,52,631.4144140065546,0.00872331250315838,0.000000\n"),
+    ("--r 3 --A 1 --x 1e5,1e6",
+     "x,r,A,K,S,normalized,wall_seconds\n"
+     "100000,3,1.0,3,3.507739280241367,0.0004038434088396718,0.000000\n"
+     "1000000,3,1.0,11,37.05600189125107,0.0005119475853645232,0.000000\n"),
+], ids=["r2", "r3"])
+def test_bv_sum_golden_bytes(argv, expected, capsys):
+    # S(x) is the exact sum over every admissible class; any change to the
+    # counts, the main terms, the maximum or the fold order moves these bytes
+    assert main(["bv-sum", *argv.split(), "--timing", "none"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize(
@@ -237,9 +245,15 @@ def _exit_code(argv):
     "tau-sum --r 150 --x 8192",
     "verify-lemmas --x 1e4 --r 2 --trials -1",
     "verify-lemmas --x 1e4 --r 2 --trials 0",
+    "error --x 1e4 --r 2 --k 3 --l 1 --z nan",
+    "error --x 1e4 --r 2 --k 3 --l 1 --z inf",
+    "bv-sum --r 2 --A 1 --x 1e4 --sample-l 2",
+    "bv-sum --r 2 --A 1 --x 1e4 --seed 3",
 ])
 def test_refused_input_exit_2(argv, capsys):
     assert _exit_code(argv.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip()
+    if "--z" in argv:
+        assert "z must be a finite number >= 1" in captured.err

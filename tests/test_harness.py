@@ -20,7 +20,6 @@ from rfree import (
     z_probe_csv,
     z_sensitivity_probe,
 )
-from rfree.harness import _write_svg_fallback
 
 
 def test_threshold_examples():
@@ -138,8 +137,6 @@ def test_config_validation():
         ExperimentConfig(r=2, log_power=9.0, xs=(10**4,)).validate()  # vacuous
     with pytest.raises(ConfigError):
         ExperimentConfig(r=2, log_power=1.0, xs=(10**4,), timing="cpu").validate()
-    with pytest.raises(ConfigError):
-        ExperimentConfig(r=2, log_power=1.0, xs=(10**4,), sample_l=0).validate()
 
 
 def test_run_experiment_guards(table_1e4):
@@ -178,32 +175,6 @@ def test_monotone_aggregation(table_1e4):
     partial = sum(maxima[:3])
     full = sum(maxima)
     assert partial <= full
-
-
-def test_sampled_residue_mode(table_1e4):
-    # non-authoritative mode: a sampled scan bounds the exhaustive one
-    # from below and stays deterministic for a fixed seed
-    exhaustive = run_experiment(
-        ExperimentConfig(r=2, log_power=1.0, xs=(10**4,), timing="none"),
-        table_1e4,
-    )
-    sampled_cfg = ExperimentConfig(
-        r=2, log_power=1.0, xs=(10**4,), timing="none", sample_l=2, seed=9
-    )
-    sampled = run_experiment(sampled_cfg, table_1e4)
-    assert sampled[0].error_sum <= exhaustive[0].error_sum
-    again = run_experiment(sampled_cfg, table_1e4)
-    assert sampled == again
-
-
-def test_sampled_mode_survives_inadmissible_draws(table_1e4):
-    # even a 1-residue sample per modulus must always find an admissible
-    # class (residue 1 is forced into the sample)
-    config = ExperimentConfig(
-        r=2, log_power=1.0, xs=(10**4,), timing="none", sample_l=1, seed=0
-    )
-    rows = run_experiment(config, table_1e4)
-    assert rows[0].error_sum > 0.0
 
 
 def test_csv_shape(table_1e4):
@@ -259,9 +230,6 @@ def test_plot_writers(table_1e4, tmp_path):
     write_plot(rows, out)
     body = out.read_text()
     assert "<svg" in body
-    fallback = tmp_path / "fallback.svg"
-    _write_svg_fallback([row.x for row in rows], [row.normalized for row in rows], fallback)
-    assert fallback.read_text().startswith("<svg")
 
 
 def test_threshold_r3_values():

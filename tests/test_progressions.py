@@ -145,6 +145,9 @@ def test_error_term_validates_range_even_for_zero_convention(table_1e4):
 def test_decompose_z_validation(table_1e4):
     with pytest.raises(ValueError):
         decompose(table_1e4, 100, 2, 4, 2, 0.5)
+    for z in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="z must be a finite number >= 1"):
+            decompose(table_1e4, 100, 2, 4, 2, z=z)
     with pytest.raises(ValueError):
         decompose(table_1e4, 100, 2, 4, 0, 2.0)  # gcd 4 not squarefree
 
