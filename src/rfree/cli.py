@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: sieve, tau-sum, f, error, verify-lemmas, residues, bv-sum.
-Exit codes: 0 success, 2 refused input (message on stderr, nothing on
-stdout), 3 exact-identity failure.
+Exit codes: 0 success, 2 refused input or an unreadable or unwritable
+file (message on stderr, nothing on stdout), 3 exact-identity failure.
 """
 
 from __future__ import annotations
@@ -49,6 +49,14 @@ def _parse_int(text: str) -> int:
     except InvalidOperation:
         pass
     raise ValueError(f"{text!r} is not an exact 64-bit integer")
+
+
+def _parse_z(text: str) -> float:
+    """The cut of ``decompose``: a finite number >= 1, checked for every class."""
+    z = float(text)
+    if not (math.isfinite(z) and z >= 1):
+        raise argparse.ArgumentTypeError(f"z must be a finite number >= 1, got {z}")
+    return z
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -188,12 +196,12 @@ def _cmd_bv_sum(args) -> int:
     config.validate()
     table = _sieve_for(max(xs), {args.r}, args.cache)
     rows = run_experiment(config, table)
+    if args.plot:  # before any stdout, so an unwritable path leaves none
+        write_plot(rows, args.plot)
     if args.csv:
         write_csv(rows, args.csv)
     else:
         sys.stdout.write(rows_to_csv(rows))
-    if args.plot:
-        write_plot(rows, args.plot)
     return EXIT_OK
 
 
@@ -226,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--z", type=float, default=None)
+    p.add_argument("--z", type=_parse_z, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--cache", default=None)
     p.set_defaults(func=_cmd_error)
@@ -270,6 +278,9 @@ def main(argv=None) -> int:
         return EXIT_IDENTITY
     except (ValueError, ResourceLimitError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -13,13 +13,20 @@ of one modulus are counted at once by Mobius inversion over the squarefree
 d <= x^(1/r): whole periods of m*d^r mod k are added per coset, and at most
 one partial period per d is tallied, so a modulus costs about x^(1/r)
 d-terms plus at most one partial period per d, and never reads the r-free
-flag table.  The flag table instead gives the total that the classes of
-every modulus must sum to, an independent check.  The maximum over l runs
-over every admissible class in one numpy pass, with one main term per
-divisor g = gcd(l, k), so S(x) is the exact sum.
-The moduli are taken in ascending order in one process and S(x) is folded
-in that order, so the CSV output is byte-identical for a fixed
-configuration.
+flag table.  The d-terms (mu(d), d^r and x // d^r) are built once per x
+and shared by every modulus of that x.
+
+Only the moduli in (K/2, K] are counted.  Every k <= K/2 divides
+k' = k * floor(K/k), which lies in that range, and
+R(x; k, l) = sum_j R(x; k', l + j*k) is an exact integer sum, so the
+counts of k are those of k' folded onto k classes.  The flag table gives
+the total that the classes of a modulus must sum to, an independent
+check; it runs on every counted modulus, and a folded modulus sums to its
+k' total by construction.  The maximum over l runs over every admissible
+class in one numpy pass, with one main term per divisor g = gcd(l, k), so
+S(x) is the exact sum.  The maxima are taken for k = 1..K in ascending
+order in one process and S(x) is summed in that order, so the CSV output
+is byte-identical for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,6 +66,42 @@ def modulus_threshold(x: int, r: int, log_power: float) -> int:
     return k
 
 
+def _d_terms(table: SieveTable, x: int, r: int) -> tuple[np.ndarray, ...]:
+    """(mu(d), d^r, x // d^r) over the squarefree d <= x^(1/r), as int64."""
+    # int64 throughout: every d^r <= x <= table.limit < 2^32, and m*c < k^2,
+    # so no product or partial sum in _count_classes can overflow
+    mu = table.mu[1 : _int_rth_root(x, r) + 1]
+    ds = np.flatnonzero(mu) + 1
+    dr = ds**r
+    return mu[ds - 1].astype(np.int64), dr, x // dr
+
+
+def _count_classes(terms: tuple[np.ndarray, ...], k: int) -> np.ndarray:
+    signs, dr, per_d = terms
+    c = dr % k
+    h = np.gcd(c, k)  # gcd(0, k) = k
+    period = k // h
+    counts = np.zeros(k, dtype=np.int64)
+
+    # whole periods: summed per h in one pass, then one strided add per h
+    by_h = np.zeros(k + 1, dtype=np.int64)
+    np.add.at(by_h, h, signs * (per_d // period))
+    for hv in np.flatnonzero(by_h).tolist():
+        counts[::hv] += by_h[hv]
+
+    # partial periods: m = 1 .. per_d mod period, residues (m*c) mod k; the
+    # negative-mu terms land in a second block of k bins so one integer
+    # bincount carries both signs
+    left = per_d % period
+    n_left = int(left.sum())
+    if n_left:
+        m = np.arange(1, n_left + 1) - np.repeat(np.cumsum(left) - left, left)
+        bins = (m * np.repeat(c, left)) % k + np.repeat(k * (signs < 0), left)
+        tally = np.bincount(bins, minlength=2 * k)
+        counts += tally[:k] - tally[k:]
+    return counts
+
+
 def class_counts(table: SieveTable, x: int, r: int, k: int) -> np.ndarray:
     """R(x; k, l) for every l in [0, k), by Mobius inversion over d.
 
@@ -67,7 +110,10 @@ def class_counts(table: SieveTable, x: int, r: int, k: int) -> np.ndarray:
     has period k/h and hits every multiple of h once per period, so the
     whole periods add the same amount to each class l = 0 (mod h); the
     leftover partial period is tallied residue by residue.  Only
-    ``table.mu[1 : d_max + 1]`` is read.
+    ``table.mu[1 : d_max + 1]`` is read.  The sweep shares one set of
+    d-terms across the moduli of an x and folds most moduli down from a
+    multiple; this per-modulus call is the oracle the fold is tested
+    against.
     """
     if r not in table.mu_r:
         raise ValueError(f"table was not built with r={r}")
@@ -75,36 +121,32 @@ def class_counts(table: SieveTable, x: int, r: int, k: int) -> np.ndarray:
         raise ValueError(f"x={x} outside sieve range [1, {table.limit}]")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    # int64 throughout: every d^r <= x <= table.limit < 2^32, and m*c < k^2,
-    # so no product or partial sum below can overflow
-    d_max = _int_rth_root(x, r)
-    mu = table.mu[1 : d_max + 1]
-    ds = np.flatnonzero(mu) + 1
-    signs = mu[ds - 1].astype(np.int64)
-    dr = ds**r
-    per_d = x // dr  # m values for each d
-    c = dr % k
-    h = np.gcd(c, k)  # gcd(0, k) = k
-    period = k // h
-    counts = np.zeros(k, dtype=np.int64)
+    return _count_classes(_d_terms(table, x, r), k)
 
-    # whole periods: one strided add per distinct h
-    whole = signs * (per_d // period)
-    for hv in np.unique(h):
-        counts[::hv] += int(whole[h == hv].sum())
 
-    # partial periods: m = 1 .. per_d mod period, residues (m*c) mod k; the
-    # negative-mu terms land in a second block of k bins so one integer
-    # bincount carries both signs
-    left = per_d % period
-    n_left = int(left.sum())
-    if n_left:
-        owner = np.repeat(np.arange(ds.size), left)
-        m = np.arange(n_left) - np.repeat(np.cumsum(left) - left, left) + 1
-        bins = (m * c[owner]) % k + k * (signs[owner] < 0)
-        tally = np.bincount(bins, minlength=2 * k)
-        counts += tally[:k] - tally[k:]
-    return counts
+def _check_partition(k: int, counts: np.ndarray, expected_total: int) -> None:
+    if int(counts.sum()) != expected_total:
+        raise SelfCheckError(
+            f"class counts for k={k} sum to {int(counts.sum())}, "
+            f"expected {expected_total}"
+        )
+
+
+def _max_error(x: int, r: int, k: int, counts: np.ndarray) -> tuple[int, float]:
+    fv = f_value(r, k, trial_factorize(k))
+    # the main term depends on l only through g = gcd(l, k), so it is
+    # evaluated once per divisor g; it is undefined (NaN) where g is not
+    # r-free, and those l are masked below every error (l = 1 mod k, with
+    # g = 1, always survives)
+    g = np.gcd(np.arange(k), k)  # gcd(0, k) = k
+    mains = np.full(k + 1, np.nan)  # indexed by g
+    for d in np.flatnonzero(np.bincount(g)).tolist():
+        if is_r_free(d, r):
+            mains[d] = main_term(x, r, k, d % k, fv)
+    errs = np.abs(counts - mains[g])
+    errs[np.isnan(errs)] = -1.0
+    best_l = int(np.argmax(errs))  # the first maximum
+    return best_l, float(errs[best_l])
 
 
 def max_error_for_modulus(
@@ -122,25 +164,28 @@ def max_error_for_modulus(
     of one modulus must sum to the count for k = 1.
     """
     counts = class_counts(table, x, r, k)
-    if expected_total is not None and int(counts.sum()) != expected_total:
-        raise SelfCheckError(
-            f"class counts for k={k} sum to {int(counts.sum())}, "
-            f"expected {expected_total}"
-        )
-    fv = f_value(r, k, trial_factorize(k))
-    # the main term depends on l only through g = gcd(l, k), so it is
-    # evaluated once per divisor g; it is undefined (NaN) where g is not
-    # r-free, and those l are masked below every error (l = 1 mod k, with
-    # g = 1, always survives)
-    g = np.gcd(np.arange(k), k)  # gcd(0, k) = k
-    mains = np.full(k + 1, np.nan)  # indexed by g
-    for d in np.flatnonzero(np.bincount(g)).tolist():
-        if is_r_free(d, r):
-            mains[d] = main_term(x, r, k, d % k, fv)
-    errs = np.abs(counts - mains[g])
-    errs[np.isnan(errs)] = -1.0
-    best_l = int(np.argmax(errs))  # the first maximum
-    return best_l, float(errs[best_l])
+    if expected_total is not None:
+        _check_partition(k, counts, expected_total)
+    return _max_error(x, r, k, counts)
+
+
+def _sweep_counts(
+    table: SieveTable, x: int, r: int, bound: int, total: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(k, class counts of k) for k = 1..bound, in ascending order.
+
+    Only the moduli in (bound/2, bound] are counted, each checked against
+    ``total``; every smaller k is folded down from k * floor(bound / k).
+    """
+    terms = _d_terms(table, x, r)
+    counted = {}
+    for k in range(bound // 2 + 1, bound + 1):
+        counts = _count_classes(terms, k)
+        _check_partition(k, counts, total)
+        counted[k] = counts
+    for k in range(1, bound + 1):
+        multiple = k * (bound // k)
+        yield k, counted[multiple].reshape(multiple // k, k).sum(axis=0)
 
 
 @dataclass
@@ -197,11 +242,8 @@ def run_experiment(config: ExperimentConfig, table: SieveTable) -> list[BvRow]:
         bound = modulus_threshold(x, config.r, config.log_power)
         total = int(table.mu_r[config.r][1 : x + 1].sum(dtype=np.int64))
         error_sum = 0.0
-        for k in range(1, bound + 1):  # ascending-k fold: deterministic float sum
-            _, max_e = max_error_for_modulus(
-                table, x, config.r, k, expected_total=total
-            )
-            error_sum += max_e
+        for k, counts in _sweep_counts(table, x, config.r, bound, total):
+            error_sum += _max_error(x, config.r, k, counts)[1]  # ascending k
         normalized = error_sum * math.log(x) ** config.log_power / x
         wall = time.perf_counter() - start if config.timing == "wall" else 0.0
         rows.append(

@@ -199,7 +199,15 @@ def test_bv_sum_self_check_failure_exit_3(monkeypatch, capsys):
      "x,r,A,K,S,normalized,wall_seconds\n"
      "100000,3,1.0,3,3.507739280241367,0.0004038434088396718,0.000000\n"
      "1000000,3,1.0,11,37.05600189125107,0.0005119475853645232,0.000000\n"),
-], ids=["r2", "r3"])
+    ("--r 2 --A 1 --x 1e6,3e6,1e7",
+     "x,r,A,K,S,normalized,wall_seconds\n"
+     "1000000,2,1.0,52,631.4144140065546,0.00872331250315838,0.000000\n"
+     "3000000,2,1.0,93,1508.87440012751,0.007501179387880144,0.000000\n"
+     "10000000,2,1.0,178,3817.350750764039,0.006152842453407233,0.000000\n"),
+    ("--r 3 --A 1 --x 1e7",
+     "x,r,A,K,S,normalized,wall_seconds\n"
+     "10000000,3,1.0,42,268.04238220254774,0.0004320332754851393,0.000000\n"),
+], ids=["r2", "r3", "r2-bench", "r3-1e7"])
 def test_bv_sum_golden_bytes(argv, expected, capsys):
     # S(x) is the exact sum over every admissible class; any change to the
     # counts, the main terms, the maximum or the fold order moves these bytes
@@ -249,6 +257,11 @@ def _exit_code(argv):
     "error --x 1e4 --r 2 --k 3 --l 1 --z inf",
     "bv-sum --r 2 --A 1 --x 1e4 --sample-l 2",
     "bv-sum --r 2 --A 1 --x 1e4 --seed 3",
+    "error --x 1e4 --r 2 --k 4 --l 0 --z nan",
+    "error --x 1e4 --r 2 --k 4 --l 0 --z -5",
+    "bv-sum --r 2 --A 1 --x 1e4 --csv /nonexistent/x.csv",
+    "bv-sum --r 2 --A 1 --x 1e4 --plot /nonexistent/dir/p.svg",
+    "sieve --limit 10 --r 2 --cache /nonexistent/d/c.rfsv",
 ])
 def test_refused_input_exit_2(argv, capsys):
     assert _exit_code(argv.split()) == 2

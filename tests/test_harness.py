@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rfree.harness as harness
 from rfree import (
     ConfigError,
     ExperimentConfig,
@@ -120,6 +121,45 @@ def test_max_error_partition_self_check(table_1e5):
         max_error_for_modulus(table_1e5, 1000, 2, 6, expected_total=-5)
     total = int(table_1e5.mu_r[2][1:1001].sum())
     max_error_for_modulus(table_1e5, 1000, 2, 6, expected_total=total)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_sweep_fold_matches_class_counts(table_1e5, r):
+    # the sweep counts only k in (K/2, K] and folds every smaller k down
+    # from k * floor(K/k); 5 and 31 are odd K, 16 and 40 even
+    for x in (10**4, 99_991, 10**5):
+        total = int(table_1e5.mu_r[r][1 : x + 1].sum())
+        bounds = {modulus_threshold(x, r, 0.5), 5, 16, 31, 40}
+        for bound in sorted(bounds):
+            swept = list(harness._sweep_counts(table_1e5, x, r, bound, total))
+            assert [k for k, _ in swept] == list(range(1, bound + 1))
+            for k, counts in swept:
+                assert counts.dtype == np.int64
+                assert counts.tolist() == class_counts(table_1e5, x, r, k).tolist(), (
+                    x, bound, k)
+                if k <= 30:
+                    expected = [count_r_free_in_progression(table_1e5, x, r, k, l)
+                                for l in range(k)]
+                    assert counts.tolist() == expected, (x, bound, k)
+            half = bound // 2  # the largest folded modulus
+            assert swept[half - 1][0] == half
+
+
+def test_sweep_partition_check_covers_counted_moduli(table_1e4, monkeypatch):
+    config = ExperimentConfig(r=2, log_power=0.5, xs=(10**4,), timing="none")
+    bound = modulus_threshold(10**4, 2, 0.5)
+    kernel = harness._count_classes
+
+    def off_by_one(terms, k):
+        counts = kernel(terms, k)
+        if k == bound:
+            counts[1] += 1
+        return counts
+
+    run_experiment(config, table_1e4)
+    monkeypatch.setattr(harness, "_count_classes", off_by_one)
+    with pytest.raises(SelfCheckError, match=f"k={bound} "):
+        run_experiment(config, table_1e4)
 
 
 def test_config_validation():
