@@ -42,6 +42,7 @@ from .progressions import (
     count_r_free_bruteforce,
     count_r_free_in_progression,
     decompose,
+    decompose_many,
     error_term,
     lemma_bound_probe,
     main_term,
@@ -102,6 +103,7 @@ __all__ = [
     "count_solutions_bruteforce",
     "counts_vector",
     "decompose",
+    "decompose_many",
     "error_term",
     "f_value",
     "factor_sieve",

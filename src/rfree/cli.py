@@ -8,6 +8,7 @@ file (message on stderr, nothing on stdout), 3 exact-identity failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import random
@@ -29,6 +30,7 @@ from .multiplicative import f_value, tau_partial_sum_check
 from .progressions import (
     count_r_free_in_progression,
     decompose,
+    decompose_many,
     error_term,
     lemma_bound_probe,
 )
@@ -38,6 +40,8 @@ from .sieve import build_sieve, is_r_free, load_cache, save_cache, trial_factori
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IDENTITY = 3
+
+_LEMMA_BATCH = 4096  # verify-lemmas trials per decompose_many call
 
 
 def _parse_int(text: str) -> int:
@@ -138,35 +142,40 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _lemma_trials(seed: int, x: int, r: int, n: int):
+    """The n random (k, l, z) of verify-lemmas, each with gcd(l, k) r-free."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        while True:
+            k = rng.randint(1, min(200, x))
+            l = rng.randrange(k)
+            g = math.gcd(l, k) if l else k
+            if is_r_free(g, r):
+                break
+        yield k, l, rng.uniform(1.0, max(1.0, (x / g) ** (1.0 / r)))
+
+
 def _cmd_verify_lemmas(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {args.trials}")
     table = _sieve_for(args.x, {args.r}, None)
-    rng = random.Random(args.seed)
+    trials = _lemma_trials(args.seed, args.x, args.r, args.trials)
     failures = 0
     worst_small = worst_large = 0.0
-    done = 0
-    while done < args.trials:
-        k = rng.randint(1, min(200, args.x))
-        l = rng.randrange(k)
-        g = math.gcd(l, k) if l else k
-        if not is_r_free(g, args.r):
-            continue
-        done += 1
-        z_top = max(1.0, (args.x / g) ** (1.0 / args.r))
-        z = rng.uniform(1.0, z_top)
-        rep = decompose(table, args.x, args.r, k, l, z)
-        if rep.small_sum + rep.large_sum != rep.count:
-            failures += 1
-            print(
-                f"IDENTITY FAILURE at k={k} l={l} z={z!r}: "
-                f"{rep.small_sum}+{rep.large_sum} != {rep.count}",
-                file=sys.stderr,
-            )
-            continue
-        probe = lemma_bound_probe(rep)
-        worst_small = max(worst_small, probe.small_residual)
-        worst_large = max(worst_large, probe.large_ratio)
+    # a few thousand trials per call keep the reports' memory flat in --trials
+    while batch := list(itertools.islice(trials, _LEMMA_BATCH)):
+        for rep in decompose_many(table, args.x, args.r, batch):
+            if rep.small_sum + rep.large_sum != rep.count:
+                failures += 1
+                print(
+                    f"IDENTITY FAILURE at k={rep.k} l={rep.l} z={rep.z!r}: "
+                    f"{rep.small_sum}+{rep.large_sum} != {rep.count}",
+                    file=sys.stderr,
+                )
+                continue
+            probe = lemma_bound_probe(rep)
+            worst_small = max(worst_small, probe.small_residual)
+            worst_large = max(worst_large, probe.large_ratio)
     print(
         f"trials={args.trials} failures={failures} "
         f"max_small_residual={worst_small!r} max_large_ratio={worst_large!r}"

@@ -13,8 +13,9 @@ of one modulus are counted at once by Mobius inversion over the squarefree
 d <= x^(1/r): whole periods of m*d^r mod k are added per coset, and at most
 one partial period per d is tallied, so a modulus costs about x^(1/r)
 d-terms plus at most one partial period per d, and never reads the r-free
-flag table.  The d-terms (mu(d), d^r and x // d^r) are built once per x
-and shared by every modulus of that x.
+flag table.  The d-terms (mu(d), d^r and x // d^r) are built once per x,
+by the builder ``progressions._d_terms`` that the split also uses, and
+shared by every modulus of that x.
 
 Only the moduli in (K/2, K] are counted.  Every k <= K/2 divides
 k' = k * floor(K/k), which lies in that range, and
@@ -40,8 +41,8 @@ import numpy as np
 
 from .errors import ConfigError, SelfCheckError
 from .multiplicative import f_value
-from .progressions import _int_rth_root, decompose, main_term
-from .sieve import SieveTable, is_r_free, trial_factorize
+from .progressions import _d_terms, _main_term, decompose_many
+from .sieve import SieveTable, trial_factorize
 
 CSV_HEADER = "x,r,A,K,S,normalized,wall_seconds"
 
@@ -66,18 +67,10 @@ def modulus_threshold(x: int, r: int, log_power: float) -> int:
     return k
 
 
-def _d_terms(table: SieveTable, x: int, r: int) -> tuple[np.ndarray, ...]:
-    """(mu(d), d^r, x // d^r) over the squarefree d <= x^(1/r), as int64."""
-    # int64 throughout: every d^r <= x <= table.limit < 2^32, and m*c < k^2,
-    # so no product or partial sum in _count_classes can overflow
-    mu = table.mu[1 : _int_rth_root(x, r) + 1]
-    ds = np.flatnonzero(mu) + 1
-    dr = ds**r
-    return mu[ds - 1].astype(np.int64), dr, x // dr
-
-
 def _count_classes(terms: tuple[np.ndarray, ...], k: int) -> np.ndarray:
-    signs, dr, per_d = terms
+    # int64 throughout: every d^r <= x <= table.limit < 2^32, and m*c < k^2,
+    # so no product or partial sum can overflow
+    _, signs, dr, per_d = terms
     c = dr % k
     h = np.gcd(c, k)  # gcd(0, k) = k
     period = k // h
@@ -133,16 +126,18 @@ def _check_partition(k: int, counts: np.ndarray, expected_total: int) -> None:
 
 
 def _max_error(x: int, r: int, k: int, counts: np.ndarray) -> tuple[int, float]:
-    fv = f_value(r, k, trial_factorize(k))
+    fact = trial_factorize(k)
+    fv = f_value(r, k, fact)
     # the main term depends on l only through g = gcd(l, k), so it is
     # evaluated once per divisor g; it is undefined (NaN) where g is not
     # r-free, and those l are masked below every error (l = 1 mod k, with
-    # g = 1, always survives)
+    # g = 1, always survives).  g | k, so only the primes of k can put an
+    # r-th power in g.
     g = np.gcd(np.arange(k), k)  # gcd(0, k) = k
     mains = np.full(k + 1, np.nan)  # indexed by g
     for d in np.flatnonzero(np.bincount(g)).tolist():
-        if is_r_free(d, r):
-            mains[d] = main_term(x, r, k, d % k, fv)
+        if all(d % p**r for p, _ in fact.factors):
+            mains[d] = _main_term(x, r, fact, fv, d % k)
     errs = np.abs(counts - mains[g])
     errs[np.isnan(errs)] = -1.0
     best_l = int(np.argmax(errs))  # the first maximum
@@ -336,29 +331,29 @@ def z_sensitivity_probe(
     """
     reference = x ** (1.0 / (r + 1))
     zs = sorted(set(float(z) for z in z_grid) | {reference})
+    trials = [(k, l, z) for k, l in pairs for z in zs]
     rows = []
-    for k, l in pairs:
-        g = math.gcd(l, k) if l else k
+    for rep in decompose_many(table, x, r, trials):  # all cuts of a pair at once
+        k, l, z = rep.k, rep.l, rep.z
+        if rep.small_sum + rep.large_sum != rep.count:
+            raise SelfCheckError(
+                f"split identity failed at (x={x}, k={k}, l={l}, z={z})"
+            )
+        g = math.gcd(l, k)  # gcd(0, k) = k
         omega_k = trial_factorize(k).omega
-        for z in zs:
-            rep = decompose(table, x, r, k, l, z)
-            if rep.small_sum + rep.large_sum != rep.count:
-                raise SelfCheckError(
-                    f"split identity failed at (x={x}, k={k}, l={l}, z={z})"
-                )
-            shape = 2**omega_k * z + r**omega_k * (
-                x / (k * z ** (r - 1)) + x / (g * z**r)
+        shape = 2**omega_k * z + r**omega_k * (
+            x / (k * z ** (r - 1)) + x / (g * z**r)
+        )
+        rows.append(
+            ZProbeRow(
+                k=k, l=l, z=z,
+                small_sum=rep.small_sum, large_sum=rep.large_sum,
+                small_abs_err=abs(rep.small_err),
+                large_abs=abs(float(rep.large_sum)),
+                bound_shape=shape,
+                is_reference_split=(z == reference),
             )
-            rows.append(
-                ZProbeRow(
-                    k=k, l=l, z=z,
-                    small_sum=rep.small_sum, large_sum=rep.large_sum,
-                    small_abs_err=abs(rep.small_err),
-                    large_abs=abs(float(rep.large_sum)),
-                    bound_shape=shape,
-                    is_reference_split=(z == reference),
-                )
-            )
+        )
     return rows
 
 

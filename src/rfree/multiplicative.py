@@ -46,11 +46,14 @@ def _zeta_cached(r: int, target: float) -> float:
     while float(m) ** (-r) > target:
         m *= 2
     total = 0.0
-    # sum ascending chunks, each reduced small-to-large for accuracy
+    # sum ascending chunks, each reduced small-to-large for accuracy; one
+    # chunk array at a time, raised to -r in place
     chunk = 1 << 20
     for lo in range(1, m + 1, chunk):
         hi = min(lo + chunk - 1, m)
-        total += float(np.sum(np.arange(hi, lo - 1, -1, dtype=np.float64) ** (-r)))
+        terms = np.arange(hi, lo - 1, -1, dtype=np.float64)
+        total += float(np.sum(np.power(terms, -r, out=terms)))
+        del terms
     return total + float(m) ** (1 - r) / (r - 1)
 
 

@@ -33,23 +33,34 @@ familiar squarefree form.  The split identity
 holds with no tolerance and is enforced by the acceptance suite; R itself
 comes from the independent strided scan of the flag table.
 
-The d-sum is one vectorised int64 computation over the squarefree
-d <= (x/g)^(1/r) coprime to k, so a call costs about x^(1/r) array
-elements times 2^(number of capped primes), reading only
-``table.mu[1 : d_max + 1]``.  The valuation caps are counted by
-inclusion-exclusion, exact at every size, so there is no scan crossover.
+``decompose_many`` splits many (k, l, z) at one (table, x, r), and
+``decompose`` is its one-trial call.  The trials are grouped by g, whose
+columns are the d-terms (d, mu(d), d^r, (x/g) // d^r) of the squarefree
+d <= (x/g)^(1/r), built by ``_d_terms``, which the bv-sum sweep shares.
+Each distinct (k, l) is one row: the d not coprime to k are masked out,
+one modular inverse is taken per distinct (s, d^r mod s), and the
+valuation caps are counted by inclusion-exclusion over a block of
+rows x d x 2^(number of primes of g) int64 entries, exact at every size,
+so there is no scan crossover.  Every cut z of a row is read off one
+cumulative sum.  A batch thus costs a few dozen numpy passes per group
+and per block of about ``_BLOCK_ELEMENTS`` entries, not per trial, plus
+one strided scan per (k, l) for the count, reading only
+``table.mu[1 : d_max + 1]`` of the Mobius table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .multiplicative import FValue, f_value
-from .sieve import SieveTable, is_r_free, trial_factorize
+from .sieve import Factorization, SieveTable, is_r_free, trial_factorize
+
+_BLOCK_ELEMENTS = 1 << 15  # int64 entries per (rows x d x caps) block of the split
+
 
 @dataclass(frozen=True)
 class ProgressionReport:
@@ -142,17 +153,22 @@ def main_term(x: int, r: int, k: int, l: int, fval: FValue) -> float:
         raise ValueError(f"bad progression k={k}, l={l}")
     if fval.r != r or fval.k != k:
         raise ValueError("f-value does not match the requested (r, k)")
+    return _main_term(x, r, trial_factorize(k), fval, l)
+
+
+def _main_term(x: int, r: int, fact: Factorization, fval: FValue, l: int) -> float:
+    """``main_term`` of (x, r, fact.n, l), given the factorization of k."""
     num = den = 1
-    for p, e in trial_factorize(k).factors:
+    for p, e in fact.factors:
         if e >= r and l % p**r == 0:
             raise ValueError(
-                f"gcd(l, k) = {math.gcd(l, k)} is not {r}-free; "
+                f"gcd(l, k) = {math.gcd(l, fact.n)} is not {r}-free; "
                 "the main term is undefined"
             )
         if l % p**e == 0:
             num *= p ** (r - e) - 1
             den *= p ** (r - e)
-    return (x / k) * (num / den) * fval.value
+    return (x / fact.n) * (num / den) * fval.value
 
 
 def error_term(table: SieveTable, x: int, r: int, k: int, l: int) -> ProgressionReport:
@@ -200,6 +216,15 @@ def _int_rth_root(n: int, r: int) -> int:
     return x
 
 
+def _d_terms(table: SieveTable, x: int, r: int) -> tuple[np.ndarray, ...]:
+    """(d, mu(d), d^r, x // d^r) over the squarefree d <= x^(1/r), as int64."""
+    # int64 throughout: every d^r <= x <= table.limit < 2^32
+    mu = table.mu[1 : _int_rth_root(x, r) + 1]
+    ds = np.flatnonzero(mu) + 1
+    dr = ds**r
+    return ds, mu[ds - 1].astype(np.int64), dr, x // dr
+
+
 def decompose(
     table: SieveTable, x: int, r: int, k: int, l: int, z: float
 ) -> DecompositionReport:
@@ -208,74 +233,185 @@ def decompose(
     Requires a finite z >= 1 and gcd(l, k) r-free.  The two partial sums always
     recombine to the strided-scan count with zero tolerance.
     """
-    if not (math.isfinite(z) and z >= 1):
-        raise ValueError(f"z must be a finite number >= 1, got {z}")
-    if k < 1 or not 0 <= l < k:
-        raise ValueError(f"bad progression k={k}, l={l}")
-    g, s, t = _split_progression(k, l)
-    if not is_r_free(g, r):
-        raise ValueError(f"gcd(l, k) = {g} is not {r}-free")
-    count = count_r_free_in_progression(table, x, r, k, l)
-    fact_k = trial_factorize(k)
+    return decompose_many(table, x, r, [(k, l, z)])[0]
 
+
+def decompose_many(
+    table: SieveTable, x: int, r: int, trials: Sequence[tuple[int, int, float]]
+) -> list[DecompositionReport]:
+    """``decompose`` for every (k, l, z) of ``trials``, in order.
+
+    Every trial is checked as ``decompose`` checks it before any sum is
+    formed.  A repeated (k, l) is split once, all its cuts read off one
+    cumulative sum, and its count comes from one strided scan.
+    """
+    trials = list(trials)
+    progressions = {}  # (k, l) -> (count, small main term)
+    factored = {}  # k -> (factorization, f-value)
+    for k, l, z in trials:
+        if not (math.isfinite(z) and z >= 1):
+            raise ValueError(f"z must be a finite number >= 1, got {z}")
+        if k < 1 or not 0 <= l < k:
+            raise ValueError(f"bad progression k={k}, l={l}")
+        if (k, l) in progressions:
+            continue
+        g = math.gcd(l, k)
+        if not is_r_free(g, r):
+            raise ValueError(f"gcd(l, k) = {g} is not {r}-free")
+        count = count_r_free_in_progression(table, x, r, k, l)
+        if k not in factored:
+            fact = trial_factorize(k)
+            factored[k] = (fact, f_value(r, k, fact))
+        progressions[k, l] = (count, _main_term(x, r, *factored[k], l))
+    reports = []
+    for (k, l, z), (small, large) in zip(
+        trials, _split_sums(table, x, r, trials, factored)
+    ):
+        count, small_main = progressions[k, l]
+        reports.append(
+            DecompositionReport(
+                x=x, r=r, k=k, l=l, z=float(z),
+                small_sum=small, large_sum=large, count=count,
+                small_main=small_main, small_err=small - small_main,
+            )
+        )
+    return reports
+
+
+class _Modulus(NamedTuple):
+    """What a modulus k gives every row (k, l) of its group g."""
+
+    keep: np.ndarray  # the d coprime to k
+    v: np.ndarray  # cap products, clipped to x + 1, padded with 1
+    signs: np.ndarray  # their inclusion-exclusion signs, padded with 0
+    v_inv: np.ndarray  # v^(-1) mod s, for k <= x
+    dr_inv: np.ndarray  # (d^r)^(-1) mod s for each d, for k <= x
+
+
+def _split_sums(table, x, r, trials, factored) -> list[tuple[int, int]]:
+    """(small_sum, large_sum) of every checked (k, l, z)."""
+    groups = {}  # g -> (k, l) -> indices of its trials
+    for i, (k, l, _) in enumerate(trials):
+        groups.setdefault(math.gcd(l, k), {}).setdefault((k, l), []).append(i)
+    sums = [(0, 0)] * len(trials)
+    inverses = {}  # s -> (d^r)^(-1) mod s over the longest range of d so far
+    for g in sorted(groups):  # the d of a larger g are a prefix of a smaller g's
+        rows = groups[g]
+        d_terms = _d_terms(table, x // g, r)
+        ds = d_terms[0]
+        g_factors = trial_factorize(g).factors
+        width = 1 << len(g_factors)
+        moduli = {
+            k: _modulus(x, r, g, g_factors, d_terms, factored[k][0], inverses)
+            for k in {k for k, _ in rows}
+        }
+        # a block of rows x d x caps int64 entries stays near _BLOCK_ELEMENTS
+        per_block = max(1, _BLOCK_ELEMENTS // max(1, ds.size * width))
+        keys = sorted(rows, key=lambda kl: (kl[0] > x, kl))  # k > x rows last
+        for lo in range(0, len(keys), per_block):
+            block = keys[lo : lo + per_block]
+            terms = _split_terms(x, g, d_terms, block, moduli)
+            cum = np.zeros((len(block), ds.size + 1), dtype=np.int64)
+            np.cumsum(terms, axis=1, out=cum[:, 1:])
+            at = [(row, i) for row, kl in enumerate(block) for i in rows[kl]]
+            row_of = np.array([row for row, _ in at], dtype=np.intp)
+            # d <= z exactly when d <= floor(z), and every d is <= x
+            cuts = [min(math.floor(trials[i][2]), x) for _, i in at]
+            small = cum[row_of, np.searchsorted(ds, cuts, side="right")]
+            whole = cum[row_of, -1]
+            for (_, i), a, b in zip(at, small.tolist(), whole.tolist()):
+                sums[i] = (a, b - a)
+    return sums
+
+
+def _modulus(x, r, g, g_factors, d_terms, fact_k, inverses) -> _Modulus:
+    ds, _, dr, _ = d_terms
+    k = fact_k.n
+    s = k // g
+    keep = np.ones(ds.size, dtype=bool)
+    for p, _ in fact_k.factors:
+        if ds.size and p <= ds[-1]:
+            keep &= ds % p != 0  # d must be coprime to k
     # valuation caps: for p | g with p not dividing s, u may carry p up to
     # exponent r - 1 - v_p(g); equivalently p^(r - v_p(g)) must not divide u.
-    # N(d) is counted by inclusion-exclusion over products v of caps, each
-    # term an arithmetic-progression count of u' <= u_limit // v.
+    # N(d) is counted by inclusion-exclusion over products v of caps.
     subsets = [(1, 1)]
-    for p, e in trial_factorize(g).factors:
+    for p, e in g_factors:
         if s % p != 0:
-            subsets += [(v * p ** (r - e), -sign) for v, sign in subsets]
+            subsets += [(w * p ** (r - e), -sign) for w, sign in subsets]
+    pad = (1 << len(g_factors)) - len(subsets)
+    # on u <= x a cap product above x acts as x + 1 does
+    v = np.array([min(w, x + 1) for w, _ in subsets] + [1] * pad, dtype=np.int64)
+    signs = np.array([sign for _, sign in subsets] + [0] * pad, dtype=np.int64)
+    if k > x:
+        return _Modulus(keep, v, signs, None, None)
+    if s not in inverses or inverses[s].size < dr.size:
+        residues, which = np.unique(dr % s, return_inverse=True)
+        inverses[s] = np.array(
+            [pow(w, -1, s) if math.gcd(w, s) == 1 else 0 for w in residues.tolist()],
+            dtype=np.uint64,
+        )[which]
+    v_inv = [pow(w, -1, s) for w, _ in subsets] + [0] * pad
+    return _Modulus(keep, v, signs, np.array(v_inv, dtype=np.uint64), inverses[s][: dr.size])
 
-    # int64 throughout: every g*d^r <= x <= table.limit < 2^32.  On u <= x a
-    # modulus, residue or cap product above x acts as x + 1 does, so those
-    # are clipped there and a huge k never leaves int64.
-    d_max = _int_rth_root(x // g, r)
-    z_cut = min(int(math.floor(z)), d_max)
-    mu = table.mu[1 : d_max + 1]
-    keep = mu != 0
-    for p, _ in fact_k.factors:
-        if p <= d_max:
-            keep[p - 1 :: p] = False  # d must be coprime to k
-    ds = np.flatnonzero(keep) + 1
-    dr = ds**r
-    u_limit = (x // g) // dr
-    s_clip = min(s, x + 1)
 
-    # a = t * (v d^r)^(-1) mod s as its least positive representative, from
-    # one modular inverse per distinct d^r mod s; then
-    # #{1 <= u' <= L : u' = a (mod s)} = (L - a) // s + 1 for a in [1, s]
-    inv_v = [pow(v, -1, s) for v, _ in subsets]
-    residues, which = np.unique(dr % s_clip, return_inverse=True)
-    a = np.array(
+def _split_terms(x, g, d_terms, block, moduli) -> np.ndarray:
+    """mu(d) N(d) for each (k, l) of ``block`` (rows) and each d (columns).
+
+    All rows share g; rows with k > x come last.  Each term of N(d) counts
+    u' <= u_limit // v in one class mod s.  A row with fewer caps than g
+    has primes is padded with v = 1 and sign 0, so the sign alone cancels a
+    padded term.
+    """
+    ds, mu, dr, u_limit = d_terms
+    parts = [moduli[k] for k, _ in block]
+    keep = np.array([part.keep for part in parts]).reshape(len(block), ds.size)
+    v = np.array([part.v for part in parts])
+    signs = np.array([part.signs for part in parts])
+    s_clip = np.array([min(k // g, x + 1) for k, _ in block], dtype=np.int64)
+    huge = next((row for row, (k, _) in enumerate(block) if k > x), len(block))
+    a = np.concatenate(
         [
-            [min((t * pow(w, -1, s) * iv - 1) % s + 1, x + 1) for iv in inv_v]
-            for w in residues.tolist()
-        ],
-        dtype=np.int64,
-    ).reshape(residues.size, len(subsets))[which]
-    v_clip = np.array([min(v, x + 1) for v, _ in subsets], dtype=np.int64)
-    signs = np.array([sign for _, sign in subsets], dtype=np.int64)
-    n_d = ((u_limit[:, None] // v_clip - a) // s_clip + 1) @ signs
-    terms = mu[keep].astype(np.int64) * n_d
-    split = int(np.searchsorted(ds, z_cut, side="right"))
-    small = int(terms[:split].sum())
-    large = int(terms[split:].sum())
-
-    small_main = main_term(x, r, k, l, f_value(r, k, fact_k))
-
-    return DecompositionReport(
-        x=x,
-        r=r,
-        k=k,
-        l=l,
-        z=float(z),
-        small_sum=small,
-        large_sum=large,
-        count=count,
-        small_main=small_main,
-        small_err=small - small_main,
+            _residues_mod_s(g, dr, block[:huge], parts[:huge], v.shape[1]),
+            _residues_exact(x, g, dr, block[huge:], v[huge:], s_clip[huge:]),
+        ]
     )
+    # #{1 <= u' <= L : u' = a (mod s)} = (L - a) // s + 1 for a in [1, s]; on
+    # u' <= x a modulus or residue above x acts as x + 1 does
+    n_d = (u_limit[None, :, None] // v[:, None, :] - a) // s_clip[:, None, None] + 1
+    n_d = (n_d * signs[:, None, :]).sum(axis=2)
+    return np.where(keep, n_d * mu, 0)
+
+
+def _residues_mod_s(g, dr, block, parts, width) -> np.ndarray:
+    """a = least positive t (v d^r)^(-1) mod s, for rows with k <= x.
+
+    There t, s and every inverse are below x // g + 1 <= 2^32, so each
+    product of two of them fits in uint64.
+    """
+    n = len(block)
+    s = np.array([k // g for k, _ in block], dtype=np.uint64)[:, None]
+    t = np.array([l // g for _, l in block], dtype=np.uint64)[:, None]
+    v_inv = np.array([part.v_inv for part in parts], dtype=np.uint64).reshape(n, width)
+    dr_inv = np.array([part.dr_inv for part in parts], dtype=np.uint64).reshape(n, dr.size)
+    coeffs = t * v_inv % s  # t v^(-1) mod s
+    s = s[:, :, None]
+    product = dr_inv[:, :, None] * coeffs[:, None, :]
+    return ((product + (s - np.uint64(1))) % s + np.uint64(1)).view(np.int64)
+
+
+def _residues_exact(x, g, dr, block, v, s_clip) -> np.ndarray:
+    """a for rows with k > x, where s > x // g.
+
+    Each u' v d^r <= x // g < s, so u' v d^r = t (mod s) is the equality
+    u' = t / (v d^r): a is that quotient where it is an integer, and
+    s_clip, past every u_limit, where it is not.
+    """
+    top = x // g
+    t = np.array([l // g if l // g <= top else 0 for _, l in block], dtype=np.int64)
+    quot, rem = np.divmod(t[:, None], dr)
+    hit = ((rem == 0) & (t[:, None] > 0))[:, :, None] & (quot[:, :, None] % v[:, None, :] == 0)
+    return np.where(hit, quot[:, :, None] // v[:, None, :], s_clip[:, None, None])
 
 
 def lemma_bound_probe(rep: DecompositionReport) -> LemmaBoundRatios:

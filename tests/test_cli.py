@@ -215,6 +215,39 @@ def test_bv_sum_golden_bytes(argv, expected, capsys):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("r,seed,expected", [
+    (2, 1, 'trials=1000 failures=0 max_small_residual=0.3056488400290332 max_large_ratio=0.17362259748141806\n'),
+    (3, 5, 'trials=1000 failures=0 max_small_residual=0.6704838367706755 max_large_ratio=0.08071584059603173\n'),
+], ids=["r2-seed1", "r3-seed5"])
+def test_verify_lemmas_golden_bytes(r, seed, expected, capsys):
+    # the batched split must leave every trial's sums and probe ratios as
+    # they were when each trial was decomposed on its own
+    argv = ["verify-lemmas", "--x", "1e6", "--trials", "1000", "--r", str(r), "--seed", str(seed)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("r,k,l,expected", [
+    (2, 6, 2,
+     '{"x": 100000, "r": 2, "k": 6, "l": 2, "g": 2, "s": 3, "t": 1, "g_is_r_free": true, "R": 7592, "main_term": 7599.0887731751045, "error_term": -7.088773175104507, "z": 7.5, "small_sum": 7830, "large_sum": -238, "split_exact": true}\n'),
+    (2, 10, 5,
+     '{"x": 100000, "r": 2, "k": 10, "l": 5, "g": 5, "s": 2, "t": 1, "g_is_r_free": true, "R": 6755, "main_term": 6754.7455761556475, "error_term": 0.2544238443524591, "z": 7.5, "small_sum": 6948, "large_sum": -193, "split_exact": true}\n'),
+    (2, 178, 89,
+     '{"x": 100000, "r": 2, "k": 178, "l": 89, "g": 89, "s": 2, "t": 1, "g_is_r_free": true, "R": 451, "main_term": 450.3163717437098, "error_term": 0.6836282562902056, "z": 7.5, "small_sum": 462, "large_sum": -11, "split_exact": true}\n'),
+    (3, 6, 2,
+     '{"x": 100000, "r": 3, "k": 6, "l": 2, "g": 2, "s": 3, "t": 1, "g_is_r_free": true, "R": 12341, "main_term": 12341.482999823169, "error_term": -0.48299982316893875, "z": 7.5, "small_sum": 12363, "large_sum": -22, "split_exact": true}\n'),
+    (3, 10, 5,
+     '{"x": 100000, "r": 3, "k": 10, "l": 5, "g": 5, "s": 2, "t": 1, "g_is_r_free": true, "R": 9201, "main_term": 9200.81886725168, "error_term": 0.18113274831921444, "z": 7.5, "small_sum": 9217, "large_sum": -16, "split_exact": true}\n'),
+    (3, 178, 89,
+     '{"x": 100000, "r": 3, "k": 178, "l": 89, "g": 89, "s": 2, "t": 1, "g_is_r_free": true, "R": 535, "main_term": 534.0632596769482, "error_term": 0.9367403230518221, "z": 7.5, "small_sum": 535, "large_sum": 0, "split_exact": true}\n'),
+], ids=[f"r{r}-{k}-{l}" for r in (2, 3) for k, l in ((6, 2), (10, 5), (178, 89))])
+def test_error_split_golden_bytes(r, k, l, expected, capsys):
+    argv = ["error", "--x", "1e5", "--r", str(r), "--k", str(k), "--l", str(l),
+            "--z", "7.5", "--format", "json"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize(
     "text,value",
     [("1e7", 10**7), ("10000000", 10**7), ("1.5e6", 1_500_000), (" 42 ", 42)],

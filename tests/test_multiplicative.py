@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from rfree import (
     trial_factorize,
     zeta,
 )
+from rfree.multiplicative import _zeta_cached
 
 
 def test_zeta_two():
@@ -25,6 +27,31 @@ def test_zeta_four():
 
 def test_zeta_large_r():
     assert abs(zeta(20, 1e-12) - 1.0000009539620338) < 1e-12
+
+
+@pytest.mark.parametrize("r,bits", [
+    (2, "0x1.a51a6625308b4p+0"),
+    (3, "0x1.33ba004f00703p+0"),
+    (4, "0x1.151322ac7d929p+0"),
+    (5, "0x1.097418eca7dabp+0"),
+    (6, "0x1.0470984c09322p+0"),
+])
+def test_zeta_bits_pinned(r, bits):
+    # the chunked sum's order and rounding fix every bit of f_r and so of
+    # every main term
+    assert zeta(r, 1e-13).hex() == bits
+
+
+def test_zeta_peak_memory():
+    # one 2^20-term float64 chunk (8 MiB) alive at a time
+    _zeta_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        zeta(2, 1e-13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20
 
 
 def test_zeta_rejects_divergent_r():

@@ -7,6 +7,7 @@ from rfree import (
     count_r_free_bruteforce,
     count_r_free_in_progression,
     decompose,
+    decompose_many,
     error_term,
     f_value,
     is_r_free,
@@ -288,6 +289,53 @@ def test_decompose_huge_moduli(table_1e4, r, k, l, z, expected):
     assert rep.count == count_r_free_bruteforce(x, r, k, l)
     assert (rep.small_sum, rep.large_sum) == decompose_by_loop(table_1e4, x, r, k, l, z)
     assert rep.small_main == main_term(x, r, k, l, f_value(r, k, trial_factorize(k)))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_decompose_many_mixed_batch(table_1e5, r):
+    x = 10_000
+    trials = [
+        (12, 6, 1.0), (18, 6, 3.5), (7, 3, 2.0), (30, 0, 2.0), (1, 0, 4.0),  # g = 6, 6, 1, 30, 1
+        (12, 6, 1e9),  # the same (k, l) again, cut past (x/g)^(1/r)
+        (12, 4, 2.0), (8, 4, 3.0),  # g = 4, r-free for r >= 3
+        (20_000, 7, 1.5), (120_066, 30, 1.0),  # k > x
+        (3 * 2**70, 3 * 5, 2.0), (400 * 2**70, 25, 1.0),  # past int64; 3 and 5 capped
+    ]
+    trials = [(k, l, z) for k, l, z in trials if is_r_free(math.gcd(l, k), r)]
+    reports = decompose_many(table_1e5, x, r, trials)
+    for (k, l, z), rep in zip(trials, reports, strict=True):
+        assert (rep.k, rep.l, rep.z) == (k, l, z)
+        assert (rep.small_sum, rep.large_sum) == decompose_by_loop(table_1e5, x, r, k, l, z)
+        assert rep.small_sum + rep.large_sum == rep.count == count_r_free_bruteforce(x, r, k, l)
+        assert rep == decompose(table_1e5, x, r, k, l, z)
+
+
+def test_decompose_many_spans_blocks(table_1e5):
+    # every admissible class of every k <= 60: the g = 1 rows alone fill more
+    # than one block of the split
+    x, r = 99_991, 2
+    trials = [
+        (k, l, 1.0 + (7 * k + l) % 320)
+        for k in range(1, 61)
+        for l in range(k)
+        if is_r_free(math.gcd(l, k), r)
+    ]
+    reports = decompose_many(table_1e5, x, r, trials)
+    for (k, l, z), rep in zip(trials, reports, strict=True):
+        assert (rep.small_sum, rep.large_sum) == decompose_by_loop(table_1e5, x, r, k, l, z)
+        assert rep.small_sum + rep.large_sum == rep.count
+
+
+def test_decompose_many_checks_every_trial_first(table_1e4):
+    good = (7, 3, 2.0)
+    for bad, message in [
+        ((7, 3, math.nan), "z must be a finite number >= 1"),
+        ((7, 7, 2.0), "bad progression"),
+        ((8, 4, 2.0), "is not 2-free"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            decompose_many(table_1e4, 1000, 2, [good, bad])
+    assert decompose_many(table_1e4, 1000, 2, []) == []
 
 
 def test_lemma_probe_zero_large_part(table_1e4):

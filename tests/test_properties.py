@@ -14,9 +14,18 @@ from rfree import (  # noqa: E402
     count_solutions_bruteforce,
     counts_vector,
     decompose,
+    decompose_many,
     is_r_free,
 )
 from test_progressions import decompose_by_loop  # noqa: E402
+
+# small moduli, and up to 400 * 2^70 (far past int64) in a form that trial
+# division factors at once
+_moduli = st.builds(
+    lambda m, j: m << j,
+    st.integers(min_value=1, max_value=400),
+    st.one_of(st.just(0), st.integers(min_value=0, max_value=70)),
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -35,13 +44,7 @@ def test_class_counts_match_strided_scan(table_1e5, x, r, k):
 @given(
     x=st.integers(min_value=0, max_value=30_000),
     r=st.sampled_from([2, 3, 4]),
-    # small moduli, and up to 400 * 2^70 (far past int64) in a form that
-    # trial division factors at once
-    k=st.builds(
-        lambda m, j: m << j,
-        st.integers(min_value=1, max_value=400),
-        st.one_of(st.just(0), st.integers(min_value=0, max_value=70)),
-    ),
+    k=_moduli,
     l_seed=st.integers(min_value=0, max_value=2**80),
     z_frac=st.floats(min_value=0.0, max_value=1.2),
 )
@@ -53,6 +56,40 @@ def test_split_matches_scalar_loop_and_bruteforce(table_1e5, x, r, k, l_seed, z_
     rep = decompose(table_1e5, x, r, k, l, z)
     assert (rep.small_sum, rep.large_sum) == decompose_by_loop(table_1e5, x, r, k, l, z)
     assert rep.small_sum + rep.large_sum == count_r_free_bruteforce(x, r, k, l)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.integers(min_value=0, max_value=30_000),
+    r=st.sampled_from([2, 3, 4]),
+    draws=st.lists(
+        st.tuples(
+            _moduli,
+            st.integers(min_value=0, max_value=2**80),
+            # scale l by a few small factors so that one batch mixes g
+            st.sampled_from([1, 2, 3, 4, 6, 12]),
+            st.floats(min_value=0.0, max_value=1.2),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+)
+def test_split_batch_matches_scalar_loop_and_bruteforce(table_1e5, x, r, draws):
+    trials = []
+    for k, l_seed, factor, z_frac in draws:
+        l = l_seed * factor % k
+        g = math.gcd(l, k)
+        if is_r_free(g, r):
+            trials.append((k, l, 1.0 + z_frac * (x / g) ** (1 / r)))
+    assume(trials)
+    k, l, _ = trials[0]
+    trials.append((k, l, 1.0))  # a repeated (k, l), cut at z = 1
+    reports = decompose_many(table_1e5, x, r, trials)
+    assert len(reports) == len(trials)
+    for (k, l, z), rep in zip(trials, reports):
+        assert (rep.k, rep.l, rep.z) == (k, l, z)
+        assert (rep.small_sum, rep.large_sum) == decompose_by_loop(table_1e5, x, r, k, l, z)
+        assert rep.small_sum + rep.large_sum == rep.count == count_r_free_bruteforce(x, r, k, l)
 
 
 @settings(max_examples=60, deadline=None)
