@@ -6,14 +6,13 @@ A bounded, non-increasing normalized sequence is the empirical signature
 of the averaged square-root-cancellation the sweep is probing.
 """
 
-from rfree import ExperimentConfig, build_sieve, rows_to_csv, run_experiment, write_plot
+from rfree import ExperimentConfig, rows_to_csv, run_experiment, write_plot
 
 XS = (10**4, 10**5, 10**6)
 R, A = 2, 1.0
 
-table = build_sieve(max(XS), {R})
 config = ExperimentConfig(r=R, log_power=A, xs=XS)
-rows = run_experiment(config, table)
+rows = run_experiment(config)
 
 print(rows_to_csv(rows))
 print("normalized trend:")

@@ -67,6 +67,7 @@ from .sieve import (
     is_r_free,
     load_cache,
     mu_r_direct,
+    r_free_counts,
     save_cache,
     small_primes,
     totient_value,
@@ -115,6 +116,7 @@ __all__ = [
     "max_error_for_modulus",
     "modulus_threshold",
     "mu_r_direct",
+    "r_free_counts",
     "omega_vs_tau_check",
     "per_modulus_maxima",
     "rows_to_csv",

@@ -202,9 +202,7 @@ def _cmd_bv_sum(args) -> int:
     config = ExperimentConfig(
         r=args.r, log_power=args.A, xs=tuple(xs), timing=args.timing
     )
-    config.validate()
-    table = _sieve_for(max(xs), {args.r}, args.cache)
-    rows = run_experiment(config, table)
+    rows = run_experiment(config)
     if args.plot:  # before any stdout, so an unwritable path leaves none
         write_plot(rows, args.plot)
     if args.csv:
@@ -270,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="kept for compatibility; has no effect (must be >= 1)")
     p.add_argument("--csv", default=None)
     p.add_argument("--plot", default=None)
-    p.add_argument("--cache", default=None)
+    p.add_argument("--cache", default=None,
+                   help="kept for compatibility; has no effect (no file is read or written)")
     p.add_argument("--timing", choices=("wall", "none"), default="wall")
     p.set_defaults(func=_cmd_bv_sum)
 

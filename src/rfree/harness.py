@@ -12,22 +12,25 @@ The reported trend statistic is S(x) * (log x)^A / x.  All residue classes
 of one modulus are counted at once by Mobius inversion over the squarefree
 d <= x^(1/r): whole periods of m*d^r mod k are added per coset, and at most
 one partial period per d is tallied, so a modulus costs about x^(1/r)
-d-terms plus at most one partial period per d, and never reads the r-free
-flag table.  The d-terms (mu(d), d^r and x // d^r) are built once per x,
-by the builder ``progressions._d_terms`` that the split also uses, and
-shared by every modulus of that x.
+d-terms plus at most one partial period per d.  The d-terms (mu(d), d^r
+and x // d^r) are built once per x, by the builder
+``progressions._d_terms`` that the split also uses, and shared by every
+modulus of that x; the sweep sieves mu only up to (max x)^(1/r) and
+holds no table over [1, x].
 
 Only the moduli in (K/2, K] are counted.  Every k <= K/2 divides
 k' = k * floor(K/k), which lies in that range, and
 R(x; k, l) = sum_j R(x; k', l + j*k) is an exact integer sum, so the
-counts of k are those of k' folded onto k classes.  The flag table gives
-the total that the classes of a modulus must sum to, an independent
-check; it runs on every counted modulus, and a folded modulus sums to its
-k' total by construction.  The maximum over l runs over every admissible
-class in one numpy pass, with one main term per divisor g = gcd(l, k), so
-S(x) is the exact sum.  The maxima are taken for k = 1..K in ascending
-order in one process and S(x) is summed in that order, so the CSV output
-is byte-identical for a fixed configuration.
+counts of k are those of k' folded onto k classes.  The total that the
+classes of a modulus must sum to comes from ``sieve.r_free_counts``, a
+segmented sieve of the r-th prime powers that reads no Mobius value, so
+it is an independent check; it runs on every counted modulus, and a
+folded modulus sums to its k' total by construction.  The maximum over l
+runs over every admissible class in one numpy pass, with one main term
+per divisor g = gcd(l, k), so S(x) is the exact sum.  The maxima are
+taken for k = 1..K in ascending order in one process and S(x) is summed
+in that order, so the CSV output is byte-identical for a fixed
+configuration.
 """
 
 from __future__ import annotations
@@ -39,12 +42,13 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SelfCheckError
+from .errors import ConfigError, ResourceLimitError, SelfCheckError
 from .multiplicative import f_value
-from .progressions import _d_terms, _main_term, decompose_many
-from .sieve import SieveTable, trial_factorize
+from .progressions import _d_terms, _int_rth_root, _main_term, decompose_many
+from .sieve import SieveTable, factor_sieve, r_free_counts, trial_factorize
 
 CSV_HEADER = "x,r,A,K,S,normalized,wall_seconds"
+_X_LIMIT = 2**32  # bv-sum refuses x at or above this
 
 
 def modulus_threshold(x: int, r: int, log_power: float) -> int:
@@ -68,8 +72,9 @@ def modulus_threshold(x: int, r: int, log_power: float) -> int:
 
 
 def _count_classes(terms: tuple[np.ndarray, ...], k: int) -> np.ndarray:
-    # int64 throughout: every d^r <= x <= table.limit < 2^32, and m*c < k^2,
-    # so no product or partial sum can overflow
+    # int64 throughout: every d^r <= x < 2^32, each count is at most x, and
+    # m*c < k * min(k, x), below 2^63 for every k the sweep takes
+    # (k <= K(x) < x / log x)
     _, signs, dr, per_d = terms
     c = dr % k
     h = np.gcd(c, k)  # gcd(0, k) = k
@@ -114,7 +119,7 @@ def class_counts(table: SieveTable, x: int, r: int, k: int) -> np.ndarray:
         raise ValueError(f"x={x} outside sieve range [1, {table.limit}]")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _count_classes(_d_terms(table, x, r), k)
+    return _count_classes(_d_terms(table.mu, x, r), k)
 
 
 def _check_partition(k: int, counts: np.ndarray, expected_total: int) -> None:
@@ -165,14 +170,15 @@ def max_error_for_modulus(
 
 
 def _sweep_counts(
-    table: SieveTable, x: int, r: int, bound: int, total: int
+    mu: np.ndarray, x: int, r: int, bound: int, total: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """(k, class counts of k) for k = 1..bound, in ascending order.
 
+    ``mu`` is the Mobius function indexed by n, up to at least x^(1/r).
     Only the moduli in (bound/2, bound] are counted, each checked against
     ``total``; every smaller k is folded down from k * floor(bound / k).
     """
-    terms = _d_terms(table, x, r)
+    terms = _d_terms(mu, x, r)
     counted = {}
     for k in range(bound // 2 + 1, bound + 1):
         counts = _count_classes(terms, k)
@@ -209,6 +215,11 @@ class ExperimentConfig:
         for x in self.xs:
             if x < 3:
                 raise ConfigError(f"each x must be >= 3, got {x}")
+            if x >= _X_LIMIT:
+                raise ResourceLimitError(
+                    f"x={x} is not below 2**32, the largest x the sweep takes "
+                    "(its cost grows as about x^(3/2))"
+                )
             modulus_threshold(x, self.r, self.log_power)  # raises if vacuous
 
 
@@ -222,22 +233,21 @@ class BvRow(NamedTuple):
     wall_seconds: float
 
 
-def run_experiment(config: ExperimentConfig, table: SieveTable) -> list[BvRow]:
-    """Run the sweep; one row per x, deterministic for a fixed config."""
+def run_experiment(config: ExperimentConfig) -> list[BvRow]:
+    """Run the sweep; one row per x, deterministic for a fixed config.
+
+    Memory is O(sqrt(max x)): mu up to (max x)^(1/r), one window of the
+    partition totals' sieve and the class counts of the moduli.
+    """
     config.validate()
-    if config.r not in table.mu_r:
-        raise ConfigError(f"sieve was not built with r={config.r}")
-    if table.limit < max(config.xs):
-        raise ConfigError(
-            f"sieve limit {table.limit} is below max(xs) = {max(config.xs)}"
-        )
+    mu = factor_sieve(_int_rth_root(max(config.xs), config.r)).mu
+    totals = r_free_counts(config.xs, config.r)
     rows = []
-    for x in config.xs:
+    for x, total in zip(config.xs, totals):
         start = time.perf_counter()
         bound = modulus_threshold(x, config.r, config.log_power)
-        total = int(table.mu_r[config.r][1 : x + 1].sum(dtype=np.int64))
         error_sum = 0.0
-        for k, counts in _sweep_counts(table, x, config.r, bound, total):
+        for k, counts in _sweep_counts(mu, x, config.r, bound, total):
             error_sum += _max_error(x, config.r, k, counts)[1]  # ascending k
         normalized = error_sum * math.log(x) ** config.log_power / x
         wall = time.perf_counter() - start if config.timing == "wall" else 0.0

@@ -24,6 +24,7 @@ from .sieve import FactorTable, Factorization, _prime_powers, small_primes
 
 _ZETA_TARGET = 1e-13
 _FLOAT_ULP = 2.3e-16
+_ZETA_PIECE = 1 << 17  # float64 terms per np.sum in zeta: 1 MiB
 
 
 def zeta(r: int, target_rel_error: float = 1e-12) -> float:
@@ -46,15 +47,29 @@ def _zeta_cached(r: int, target: float) -> float:
     while float(m) ** (-r) > target:
         m *= 2
     total = 0.0
-    # sum ascending chunks, each reduced small-to-large for accuracy; one
-    # chunk array at a time, raised to -r in place
+    # sum ascending chunks, each reduced small-to-large for accuracy
     chunk = 1 << 20
     for lo in range(1, m + 1, chunk):
         hi = min(lo + chunk - 1, m)
-        terms = np.arange(hi, lo - 1, -1, dtype=np.float64)
-        total += float(np.sum(np.power(terms, -r, out=terms)))
-        del terms
+        total += _descending_power_sum(hi, hi - lo + 1, r)
     return total + float(m) ** (1 - r) / (r - 1)
+
+
+def _descending_power_sum(hi: int, n: int, r: int) -> float:
+    """Sum of j^(-r) over j = hi, hi - 1, ..., hi - n + 1, bit for bit as
+    ``np.sum`` adds the array of those terms.
+
+    ``np.sum`` (numpy's pairwise summation) adds an array of more than 128
+    terms as the sum of its first n2 = n // 2, rounded down to a multiple
+    of 8, terms plus the sum of the rest.  Taking the same split here until a piece has at most
+    ``_ZETA_PIECE`` terms gives the same bits while only one piece is held.
+    """
+    if n <= _ZETA_PIECE:
+        terms = np.arange(hi, hi - n, -1, dtype=np.float64)
+        return float(np.sum(np.power(terms, -r, out=terms)))
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _descending_power_sum(hi, n2, r) + _descending_power_sum(hi - n2, n - n2, r)
 
 
 @dataclass(frozen=True)

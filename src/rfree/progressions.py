@@ -125,7 +125,7 @@ def count_r_free_in_progression(
     start = l if l >= 1 else k
     if start > x:
         return 0
-    return int(table.mu_r[r][start : x + 1 : k].sum(dtype=np.int64))
+    return int(np.count_nonzero(table.mu_r[r][start : x + 1 : k]))
 
 
 def count_r_free_bruteforce(x: int, r: int, k: int, l: int) -> int:
@@ -216,10 +216,17 @@ def _int_rth_root(n: int, r: int) -> int:
     return x
 
 
-def _d_terms(table: SieveTable, x: int, r: int) -> tuple[np.ndarray, ...]:
-    """(d, mu(d), d^r, x // d^r) over the squarefree d <= x^(1/r), as int64."""
-    # int64 throughout: every d^r <= x <= table.limit < 2^32
-    mu = table.mu[1 : _int_rth_root(x, r) + 1]
+def _d_terms(mu: np.ndarray, x: int, r: int) -> tuple[np.ndarray, ...]:
+    """(d, mu(d), d^r, x // d^r) over the squarefree d <= x^(1/r), as int64.
+
+    ``mu`` is the Mobius function indexed by n, up to at least x^(1/r).
+    """
+    # int64 throughout: every d^r <= x, and every caller has x < 2^32
+    # (build_sieve and ExperimentConfig.validate refuse larger x)
+    d_max = _int_rth_root(x, r)
+    if mu.size <= d_max:
+        raise ValueError(f"mu covers [0, {mu.size - 1}], below x^(1/r) = {d_max}")
+    mu = mu[1 : d_max + 1]
     ds = np.flatnonzero(mu) + 1
     dr = ds**r
     return ds, mu[ds - 1].astype(np.int64), dr, x // dr
@@ -297,7 +304,7 @@ def _split_sums(table, x, r, trials, factored) -> list[tuple[int, int]]:
     inverses = {}  # s -> (d^r)^(-1) mod s over the longest range of d so far
     for g in sorted(groups):  # the d of a larger g are a prefix of a smaller g's
         rows = groups[g]
-        d_terms = _d_terms(table, x // g, r)
+        d_terms = _d_terms(table.mu, x // g, r)
         ds = d_terms[0]
         g_factors = trial_factorize(g).factors
         width = 1 << len(g_factors)

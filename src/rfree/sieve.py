@@ -3,7 +3,9 @@
 Every count the package makes reads one of two things: the r-free
 indicator of each n <= N, summed along a progression, or the Mobius
 function up to x^(1/r) <= sqrt(N), in the d-sums of ``class_counts`` and
-``decompose``.  The tables hold exactly that:
+``decompose``.  The tables hold exactly that.  The bv-sum sweep reads no
+flags: it takes mu from ``factor_sieve`` and the totals of its partition
+check from ``r_free_counts``.
 
 * ``build_sieve(N, rs)`` gives a :class:`SieveTable` holding, for each
   requested r >= 2, ``mu_r[r]``: one uint8 flag per n in [0, N], 1 iff no
@@ -17,6 +19,9 @@ function up to x^(1/r) <= sqrt(N), in the d-sums of ``class_counts`` and
   prime powers of ``_prime_powers``, the loop ``tau_table`` shares.  Only
   ``factorize``, ``omega_vs_tau_check``, the demos and the tests need
   these tables over a full range.
+* ``r_free_counts(xs, r)`` counts the r-free n <= x for each x by a
+  segmented sieve in windows of ``_COUNT_WINDOW`` flags, holding no
+  table over [1, x] and reading no Mobius value.
 
 Finished tables are read-only.  ``save_cache``/``load_cache`` store only
 the flags, bit packed and checksummed; the sqrt(N) tables are rebuilt on
@@ -44,6 +49,7 @@ import numpy as np
 from .errors import ConfigError, ResourceLimitError
 
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3  # bytes of finished tables
+_COUNT_WINDOW = 1 << 20  # uint8 flags per window of r_free_counts: 1 MiB
 
 
 @dataclass(frozen=True)
@@ -258,6 +264,51 @@ def build_sieve(
     return _with_root_factors(limit, rset, mu_r)
 
 
+def r_free_counts(xs: Iterable[int], r: int) -> list[int]:
+    """#{1 <= n <= x : n r-free} for each x of ``xs``, in the order given.
+
+    A segmented sieve over [0, max(xs)] in windows of ``_COUNT_WINDOW``
+    flags: each window is set to 1 and cleared at the multiples of every
+    prime power p^r <= max(xs), by one strided pass per p^r shorter than
+    the window and one fancy-indexed pass for all the longer ones, which
+    hit a window at most once each.  One pass serves every x, the memory
+    is one window plus the primes up to sqrt(max(xs)), and neither the
+    Mobius function nor a flag table is read, so the count is independent
+    of the Mobius sums it checks.
+    """
+    if r < 2:
+        raise ValueError(f"r must be >= 2, got {r}")
+    xs = [int(x) for x in xs]
+    if any(x < 0 for x in xs):
+        raise ValueError(f"every x must be >= 0, got {min(xs)}")
+    top = max(xs, default=0)
+    powers = []
+    for p in small_primes(math.isqrt(top)).tolist():
+        if p**r > top:
+            break
+        powers.append(p**r)
+    dense = [q for q in powers if q < _COUNT_WINDOW]
+    sparse = np.array(powers[len(dense) :], dtype=np.int64)
+    pending = sorted(range(len(xs)), key=xs.__getitem__, reverse=True)
+    counts = [0] * len(xs)
+    flags = np.empty(_COUNT_WINDOW, dtype=np.uint8)
+    below = 0  # r-free n in [1, lo)
+    for lo in range(0, top + 1, _COUNT_WINDOW):
+        window = flags[: min(_COUNT_WINDOW, top + 1 - lo)]  # n = lo + index
+        window.fill(1)
+        if lo == 0:
+            window[0] = 0  # n = 0 is not counted
+        for q in dense:
+            window[-lo % q :: q] = 0
+        hits = -lo % sparse
+        window[hits[hits < window.size]] = 0
+        while pending and xs[pending[-1]] < lo + window.size:
+            i = pending.pop()
+            counts[i] = below + int(np.count_nonzero(window[: xs[i] - lo + 1]))
+        below += int(np.count_nonzero(window))
+    return counts
+
+
 def _with_root_factors(limit: int, rs, mu_r: dict) -> SieveTable:
     root = factor_sieve(math.isqrt(limit))
     return SieveTable(limit, rs, root.mu, root.spf, root.omega, root.phi, mu_r)
@@ -280,8 +331,13 @@ def factorize(table: FactorTable, n: int) -> Factorization:
     return Factorization(n, tuple(out))
 
 
+@lru_cache(maxsize=1024)
 def trial_factorize(n: int) -> Factorization:
-    """Factor n by trial division; independent of any sieve table."""
+    """Factor n by trial division; independent of any sieve table.
+
+    Memoised: a split factors the same small moduli and gcds many times,
+    and a :class:`Factorization` is immutable, so it is safe to share.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     out = []

@@ -14,7 +14,6 @@ import pytest
 
 from rfree import (
     ExperimentConfig,
-    build_sieve,
     count_r_free_in_progression,
     count_solutions,
     counts_vector,
@@ -32,11 +31,6 @@ from rfree import (
 
 def _report(num: int, name: str, detail: str = "") -> None:
     print(f"\nACCEPTANCE {num} ({name}): PASS {detail}".rstrip())
-
-
-@pytest.fixture(scope="module")
-def table_1e7():
-    return build_sieve(10_000_000, {2})
 
 
 def test_criterion_1_sieve_matches_direct_mobius_sum(table_1e5):
@@ -176,10 +170,10 @@ def test_criterion_6_known_density(table_1e6):
     _report(6, "known density", "(squarefree count at 1e6 = 607926, exact)")
 
 
-def test_criterion_7_averaged_error_trend(table_1e7):
+def test_criterion_7_averaged_error_trend():
     start = time.perf_counter()
     config = ExperimentConfig(r=2, log_power=1.0, xs=(10**4, 10**5, 10**6, 10**7))
-    rows = run_experiment(config, table_1e7)
+    rows = run_experiment(config)
     normalized = [row.normalized for row in rows]
     assert all(math.isfinite(v) and v >= 0 for v in normalized)
     for prev, cur in zip(normalized, normalized[1:]):

@@ -144,8 +144,9 @@ def test_bv_sum_csv_plot_cache(tmp_path, capsys):
     assert code == 0
     assert csv_path.read_text().startswith("x,r,A,K,S,normalized,wall_seconds")
     assert "<svg" in plot_path.read_text()
-    assert cache.exists()
-    # second run loads the cache and reproduces the CSV exactly
+    # --cache has no effect on bv-sum: no file is written, and a second
+    # run reproduces the CSV exactly
+    assert not cache.exists()
     first = csv_path.read_text()
     code = main([
         "bv-sum", "--r", "2", "--A", "1", "--x", "1e4,2e4",
@@ -180,7 +181,7 @@ def test_bv_sum_self_check_failure_exit_3(monkeypatch, capsys):
     from rfree.errors import SelfCheckError
     import rfree.cli as cli
 
-    def boom(config, table):
+    def boom(config):
         raise SelfCheckError("forced for the exit-code contract")
 
     monkeypatch.setattr(cli, "run_experiment", boom)
@@ -282,6 +283,7 @@ def _exit_code(argv):
     "f --r 2 --k 0",
     "sieve --limit 100 --r 2,1",
     "bv-sum --r 2 --A 1 --x 1e5,abc",
+    "bv-sum --r 2 --A 1 --x 5e9",
     "sieve --limit 5e9 --r 2",
     "tau-sum --r 150 --x 8192",
     "verify-lemmas --x 1e4 --r 2 --trials -1",

@@ -7,6 +7,7 @@ import rfree.harness as harness
 from rfree import (
     ConfigError,
     ExperimentConfig,
+    ResourceLimitError,
     SelfCheckError,
     build_sieve,
     class_counts,
@@ -131,7 +132,7 @@ def test_sweep_fold_matches_class_counts(table_1e5, r):
         total = int(table_1e5.mu_r[r][1 : x + 1].sum())
         bounds = {modulus_threshold(x, r, 0.5), 5, 16, 31, 40}
         for bound in sorted(bounds):
-            swept = list(harness._sweep_counts(table_1e5, x, r, bound, total))
+            swept = list(harness._sweep_counts(table_1e5.mu, x, r, bound, total))
             assert [k for k, _ in swept] == list(range(1, bound + 1))
             for k, counts in swept:
                 assert counts.dtype == np.int64
@@ -145,7 +146,7 @@ def test_sweep_fold_matches_class_counts(table_1e5, r):
             assert swept[half - 1][0] == half
 
 
-def test_sweep_partition_check_covers_counted_moduli(table_1e4, monkeypatch):
+def test_sweep_partition_check_covers_counted_moduli(monkeypatch):
     config = ExperimentConfig(r=2, log_power=0.5, xs=(10**4,), timing="none")
     bound = modulus_threshold(10**4, 2, 0.5)
     kernel = harness._count_classes
@@ -156,10 +157,10 @@ def test_sweep_partition_check_covers_counted_moduli(table_1e4, monkeypatch):
             counts[1] += 1
         return counts
 
-    run_experiment(config, table_1e4)
+    run_experiment(config)
     monkeypatch.setattr(harness, "_count_classes", off_by_one)
     with pytest.raises(SelfCheckError, match=f"k={bound} "):
-        run_experiment(config, table_1e4)
+        run_experiment(config)
 
 
 def test_config_validation():
@@ -179,18 +180,17 @@ def test_config_validation():
         ExperimentConfig(r=2, log_power=1.0, xs=(10**4,), timing="cpu").validate()
 
 
-def test_run_experiment_guards(table_1e4):
-    config = ExperimentConfig(r=2, log_power=1.0, xs=(10**5,))
-    with pytest.raises(ConfigError, match="below max"):
-        run_experiment(config, table_1e4)
-    config4 = ExperimentConfig(r=4, log_power=1.0, xs=(10**4,))
-    with pytest.raises(ConfigError, match="r=4"):
-        run_experiment(config4, table_1e4)
+def test_run_experiment_guards():
+    # x at or above 2^32 is refused before any work; 2^32 - 1 passes
+    config = ExperimentConfig(r=2, log_power=1.0, xs=(10**4, 2**32))
+    with pytest.raises(ResourceLimitError, match="2\\*\\*32"):
+        run_experiment(config)
+    ExperimentConfig(r=2, log_power=1.0, xs=(2**32 - 1,)).validate()
 
 
 def test_run_experiment_small(table_1e4):
     config = ExperimentConfig(r=2, log_power=1.0, xs=(10**4,), timing="none")
-    rows = run_experiment(config, table_1e4)
+    rows = run_experiment(config)
     assert len(rows) == 1
     row = rows[0]
     assert row.modulus_bound == 5
@@ -217,9 +217,9 @@ def test_monotone_aggregation(table_1e4):
     assert partial <= full
 
 
-def test_csv_shape(table_1e4):
+def test_csv_shape():
     config = ExperimentConfig(r=2, log_power=1.0, xs=(10**4,), timing="none")
-    text = rows_to_csv(run_experiment(config, table_1e4))
+    text = rows_to_csv(run_experiment(config))
     lines = text.strip().split("\n")
     assert lines[0] == "x,r,A,K,S,normalized,wall_seconds"
     cells = lines[1].split(",")
@@ -290,9 +290,9 @@ def test_z_probe_csv_golden_bytes(table_1e5):
     )
 
 
-def test_plot_writers(table_1e4, tmp_path):
+def test_plot_writers(tmp_path):
     config = ExperimentConfig(r=2, log_power=1.0, xs=(10**4,), timing="none")
-    rows = run_experiment(config, table_1e4)
+    rows = run_experiment(config)
     out = tmp_path / "trend.svg"
     write_plot(rows, out)
     body = out.read_text()

@@ -14,7 +14,7 @@ from rfree import (
     trial_factorize,
     zeta,
 )
-from rfree.multiplicative import _zeta_cached
+from rfree.multiplicative import _descending_power_sum, _zeta_cached
 
 
 def test_zeta_two():
@@ -35,6 +35,7 @@ def test_zeta_large_r():
     (4, "0x1.151322ac7d929p+0"),
     (5, "0x1.097418eca7dabp+0"),
     (6, "0x1.0470984c09322p+0"),
+    (7, "0x1.02232da14d015p+0"),
 ])
 def test_zeta_bits_pinned(r, bits):
     # the chunked sum's order and rounding fix every bit of f_r and so of
@@ -42,8 +43,27 @@ def test_zeta_bits_pinned(r, bits):
     assert zeta(r, 1e-13).hex() == bits
 
 
+@pytest.mark.parametrize("r,bits", [
+    (2, "0x1.a51a66253109ep+0"),
+    (3, "0x1.33ba004f00eecp+0"),
+    (4, "0x1.151322ac7e114p+0"),
+    (5, "0x1.097418eca856fp+0"),
+    (6, "0x1.0470984c09afap+0"),
+    (7, "0x1.02232da14d795p+0"),
+])
+def test_zeta_bits_pinned_coarse_target(r, bits):
+    # the bits a whole-chunk np.sum gave; the split sum must keep them
+    assert _zeta_cached(r, 1e-12).hex() == bits
+
+
+@pytest.mark.parametrize("n", [1, 129, 2**17, 2**17 + 8, 777_777, 2**20 - 1, 2**20])
+def test_zeta_split_sum_matches_np_sum(n):
+    terms = np.arange(n + 5, 5, -1, dtype=np.float64) ** -2
+    assert _descending_power_sum(n + 5, n, 2) == float(np.sum(terms))
+
+
 def test_zeta_peak_memory():
-    # one 2^20-term float64 chunk (8 MiB) alive at a time
+    # one 2^17-term float64 piece (1 MiB) alive at a time
     _zeta_cached.cache_clear()
     tracemalloc.start()
     try:
@@ -51,7 +71,7 @@ def test_zeta_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9 * 2**20
+    assert peak < 2**20 + 2**16
 
 
 def test_zeta_rejects_divergent_r():

@@ -4,17 +4,20 @@ import random
 import numpy as np
 import pytest
 
+import rfree.sieve as sieve
 from rfree import (
     ConfigError,
     Factorization,
     ResourceLimitError,
     SieveTable,
     build_sieve,
+    count_r_free_bruteforce,
     factor_sieve,
     factorize,
     is_r_free,
     load_cache,
     mu_r_direct,
+    r_free_counts,
     save_cache,
     totient_value,
     trial_factorize,
@@ -41,6 +44,35 @@ def test_cubefree_count_to_hundred():
     expected = sum(_mobius(d) * (100 // d**3) for d in range(1, 5))
     assert expected == 85
     assert int(table.mu_r[3][1:].sum()) == 85
+
+
+@pytest.fixture(scope="module")
+def table_windows():
+    return build_sieve(3 * sieve._COUNT_WINDOW + 5, {2, 3, 4})
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_r_free_counts_match_flags_across_windows(table_windows, r):
+    # x at the last n of a window, the first of the next, one past it and
+    # inside the fourth window, asked for out of order in one pass
+    w = sieve._COUNT_WINDOW
+    xs = [3 * w + 5, w - 1, w + 1, w]
+    expected = [int(table_windows.mu_r[r][1 : x + 1].sum()) for x in xs]
+    assert r_free_counts(xs, r) == expected
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_r_free_counts_match_bruteforce(r):
+    xs = list(range(201))
+    assert r_free_counts(xs, r) == [count_r_free_bruteforce(x, r, 1, 0) for x in xs]
+
+
+def test_r_free_counts_validation():
+    assert r_free_counts([], 2) == []
+    with pytest.raises(ValueError):
+        r_free_counts([10], 1)
+    with pytest.raises(ValueError):
+        r_free_counts([10, -1], 2)
 
 
 def _mobius(n):
