@@ -83,12 +83,14 @@ def _sieve_for(limit: int, rs, cache: str | None):
 
 
 def _cmd_sieve(args) -> int:
-    rs = _parse_int_list(args.r)
+    rs = sorted(set(_parse_int_list(args.r)))
+    if not rs:
+        raise ConfigError("--r must name at least one r value")
     start = time.perf_counter()
     table = _sieve_for(args.limit, rs, args.cache)
     elapsed = time.perf_counter() - start
-    for r in sorted(rs):
-        total = int(table.mu_r[r][1 : args.limit + 1].sum(dtype="int64"))
+    for r in rs:
+        total = count_r_free_in_progression(table, args.limit, r, 1, 0)
         print(f"r={r}: {total} r-free integers <= {args.limit}")
     print(f"built/loaded in {elapsed:.3f}s (limit {table.limit}, rs {table.rs})")
     return EXIT_OK
@@ -186,11 +188,9 @@ def _cmd_verify_lemmas(args) -> int:
 def _cmd_residues(args) -> int:
     rows = list(per_modulus_maxima(args.r, args.s_max))  # refuses bad input before the header
     print("s,a,count,ratio")
-    best = None
     for row in rows:
         print(f"{row.s},{row.a},{row.count},{row.ratio!r}")
-        if best is None or row.ratio > best.ratio:  # first maximum wins, as in bound_sweep
-            best = row
+    best = max(rows, key=lambda row: row.ratio)  # the first maximum, as in bound_sweep
     print(f"# max ratio {best.ratio!r} at a={best.a} s={best.s} (r={args.r})")
     return EXIT_OK
 

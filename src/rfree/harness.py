@@ -45,10 +45,9 @@ import numpy as np
 from .errors import ConfigError, ResourceLimitError, SelfCheckError
 from .multiplicative import f_value
 from .progressions import _d_terms, _int_rth_root, _main_term, decompose_many
-from .sieve import SieveTable, factor_sieve, r_free_counts, trial_factorize
+from .sieve import _LIMIT_CEILING, SieveTable, factor_sieve, r_free_counts, trial_factorize
 
 CSV_HEADER = "x,r,A,K,S,normalized,wall_seconds"
-_X_LIMIT = 2**32  # bv-sum refuses x at or above this
 
 
 def modulus_threshold(x: int, r: int, log_power: float) -> int:
@@ -113,10 +112,7 @@ def class_counts(table: SieveTable, x: int, r: int, k: int) -> np.ndarray:
     multiple; this per-modulus call is the oracle the fold is tested
     against.
     """
-    if r not in table.mu_r:
-        raise ValueError(f"table was not built with r={r}")
-    if not 1 <= x <= table.limit:
-        raise ValueError(f"x={x} outside sieve range [1, {table.limit}]")
+    table.check_covers(x, r)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return _count_classes(_d_terms(table.mu, x, r), k)
@@ -215,7 +211,7 @@ class ExperimentConfig:
         for x in self.xs:
             if x < 3:
                 raise ConfigError(f"each x must be >= 3, got {x}")
-            if x >= _X_LIMIT:
+            if x >= _LIMIT_CEILING:
                 raise ResourceLimitError(
                     f"x={x} is not below 2**32, the largest x the sweep takes "
                     "(its cost grows as about x^(3/2))"

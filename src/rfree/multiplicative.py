@@ -187,6 +187,8 @@ def tau_partial_sum_check(r: int, xs: Sequence[int]) -> list[TauSumRow]:
     checks pin that down numerically.
     """
     xs = [int(x) for x in xs]
+    if not xs:
+        raise ValueError("xs must be nonempty")
     for x in xs:
         if x < 3:
             raise ValueError(f"each x must be >= 3, got {x}")

@@ -114,10 +114,7 @@ def count_r_free_in_progression(
     table: SieveTable, x: int, r: int, k: int, l: int
 ) -> int:
     """Exact R(x; k, l) by a strided scan of the r-free flag table."""
-    if r not in table.mu_r:
-        raise ValueError(f"table was not built with r={r}")
-    if not 0 <= x <= table.limit:
-        raise ValueError(f"x={x} outside sieve range [0, {table.limit}]")
+    table.check_covers(x, r)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0 <= l < k:
@@ -177,10 +174,7 @@ def error_term(table: SieveTable, x: int, r: int, k: int, l: int) -> Progression
     A progression whose gcd is not r-free gets the all-zero convention
     with g_is_r_free = False (its exact count is genuinely zero).
     """
-    if r not in table.mu_r:
-        raise ValueError(f"table was not built with r={r}")
-    if not 0 <= x <= table.limit:
-        raise ValueError(f"x={x} outside sieve range [0, {table.limit}]")
+    table.check_covers(x, r)
     if k < 1 or not 0 <= l < k:
         raise ValueError(f"bad progression k={k}, l={l}")
     g, s, t = _split_progression(k, l)

@@ -170,13 +170,8 @@ def per_modulus_maxima(r: int, s_max: int) -> Iterator[ModulusMaximum]:
 
 def bound_sweep(r: int, s_max: int) -> SweepResult:
     """Worst observed count / r^omega(s) over all s <= s_max and unit a."""
-    best_ratio = -1.0
-    witness_a = witness_s = 0
-    for row in per_modulus_maxima(r, s_max):
-        if row.ratio > best_ratio:
-            best_ratio = row.ratio
-            witness_a, witness_s = row.a, row.s
+    # max keeps the first maximal row: the smallest s attaining the ratio
+    best = max(per_modulus_maxima(r, s_max), key=lambda row: row.ratio)
     return SweepResult(
-        r=r, s_max=s_max, max_ratio=best_ratio,
-        witness_a=witness_a, witness_s=witness_s,
+        r=r, s_max=s_max, max_ratio=best.ratio, witness_a=best.a, witness_s=best.s
     )

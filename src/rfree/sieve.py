@@ -5,23 +5,23 @@ indicator of each n <= N, summed along a progression, or the Mobius
 function up to x^(1/r) <= sqrt(N), in the d-sums of ``class_counts`` and
 ``decompose``.  The tables hold exactly that.  The bv-sum sweep reads no
 flags: it takes mu from ``factor_sieve`` and the totals of its partition
-check from ``r_free_counts``.
+check from ``r_free_counts``.  One windowed kernel, ``_sieve_window``,
+computes the r-free flags for both.
 
 * ``build_sieve(N, rs)`` gives a :class:`SieveTable` holding, for each
   requested r >= 2, ``mu_r[r]``: one uint8 flag per n in [0, N], 1 iff no
-  prime p has p^r | n (r = 2 gives the squarefree numbers).  Each flag
-  array is cleared by one strided pass per prime power p^r <= N.  The
-  table also holds ``mu``, ``spf``, ``omega`` and ``phi`` over
-  [0, isqrt(N)] only, taken from ``factor_sieve(isqrt(N))``.
+  prime p has p^r | n (r = 2 gives the squarefree numbers), written by the
+  kernel window by window into the table.  The table also holds ``mu``,
+  ``spf``, ``omega`` and ``phi`` over [0, isqrt(N)] only, taken from
+  ``factor_sieve(isqrt(N))``.  N < 2**32, and the tables fit in 2 GiB.
 * ``factor_sieve(N)`` gives a :class:`FactorTable` with the Mobius
   function, smallest prime factor (spf(1) = 1), number of distinct prime
   factors and Euler totient of every n in [0, N], in one pass over the
   prime powers of ``_prime_powers``, the loop ``tau_table`` shares.  Only
   ``factorize``, ``omega_vs_tau_check``, the demos and the tests need
   these tables over a full range.
-* ``r_free_counts(xs, r)`` counts the r-free n <= x for each x by a
-  segmented sieve in windows of ``_COUNT_WINDOW`` flags, holding no
-  table over [1, x] and reading no Mobius value.
+* ``r_free_counts(xs, r)`` counts the r-free n <= x for each x by running
+  the kernel over one scratch window, reading no table and no Mobius value.
 
 Finished tables are read-only.  ``save_cache``/``load_cache`` store only
 the flags, bit packed and checksummed; the sqrt(N) tables are rebuilt on
@@ -37,6 +37,7 @@ read their answers off its factorization.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import zlib
@@ -48,8 +49,11 @@ import numpy as np
 
 from .errors import ConfigError, ResourceLimitError
 
-DEFAULT_MEMORY_BUDGET = 2 * 1024**3  # bytes of finished tables
-_COUNT_WINDOW = 1 << 20  # uint8 flags per window of r_free_counts: 1 MiB
+_MEMORY_BUDGET = 2 * 1024**3  # bytes of finished tables
+# every table limit and every x lies below this: the uint32 spf/phi tables
+# and the int64 arithmetic of the Mobius sums are shown exact there
+_LIMIT_CEILING = 2**32
+_COUNT_WINDOW = 1 << 20  # uint8 flags per window of the r-free kernel: 1 MiB
 
 
 @dataclass(frozen=True)
@@ -130,11 +134,12 @@ class SieveTable:
     def __repr__(self):
         return f"SieveTable(limit={self.limit}, rs={self.rs})"
 
-
-def _estimate_bytes(limit: int, n_rs: int) -> int:
-    # one uint8 flag per n and r, plus int8 mu + uint32 spf + uint8 omega
-    # + uint32 phi up to isqrt(limit)
-    return (limit + 1) * n_rs + 10 * (math.isqrt(limit) + 1)
+    def check_covers(self, x: int, r: int) -> None:
+        """Raise ValueError unless the table holds the flags of r over [0, x]."""
+        if r not in self.mu_r:
+            raise ValueError(f"table was not built with r={r}")
+        if not 0 <= x <= self.limit:
+            raise ValueError(f"x={x} outside sieve range [0, {self.limit}]")
 
 
 def small_primes(n: int) -> np.ndarray:
@@ -182,7 +187,7 @@ def factor_sieve(limit: int) -> FactorTable:
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    if limit >= 2**32:
+    if limit >= _LIMIT_CEILING:
         raise ResourceLimitError(
             f"limit={limit} does not fit the 32-bit spf/phi tables"
         )
@@ -207,30 +212,11 @@ def factor_sieve(limit: int) -> FactorTable:
     return FactorTable(limit, mu, spf, omega, phi)
 
 
-def build_sieve(
-    limit: int,
-    rs: Iterable[int],
-    *,
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
-) -> SieveTable:
-    """r-free flags over [1, limit] for the given set of r values.
+def build_sieve(limit: int, rs: Iterable[int]) -> SieveTable:
+    """r-free flags over [1, limit] for each r (>= 2) of ``rs``.
 
-    Parameters
-    ----------
-    limit : int
-        Inclusive upper bound N >= 1.
-    rs : iterable of int
-        The r values (each >= 2) for which r-free indicator tables are kept.
-    memory_budget_bytes : int
-        Refuse to allocate finished tables larger than this.
-
-    Raises
-    ------
-    ValueError
-        If limit < 1 or some r < 2.
-    ResourceLimitError
-        If the finished tables would exceed ``memory_budget_bytes``, or if
-        limit is not below 2**32.
+    Raises ValueError if limit < 1 or some r < 2, and ResourceLimitError if
+    limit is not below 2**32 or the finished tables would exceed 2 GiB.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
@@ -238,43 +224,59 @@ def build_sieve(
     for r in rset:
         if r < 2:
             raise ValueError(f"every r must be >= 2, got {r}")
-    need = _estimate_bytes(limit, len(rset))
-    if need > memory_budget_bytes:
-        raise ResourceLimitError(
-            f"tables for limit={limit} need {need} bytes, exceeding the "
-            f"memory budget of {memory_budget_bytes} bytes"
-        )
-    if limit >= 2**32:
+    if limit >= _LIMIT_CEILING:
         raise ResourceLimitError(
             f"limit={limit} is not below 2**32, the range in which "
             "class_counts' int64 arithmetic is shown not to overflow"
         )
+    # one uint8 flag per n and r, plus int8 mu + uint32 spf + uint8 omega
+    # + uint32 phi up to isqrt(limit)
+    need = (limit + 1) * len(rset) + 10 * (math.isqrt(limit) + 1)
+    if need > _MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"tables for limit={limit} need {need} bytes, exceeding the "
+            f"memory budget of {_MEMORY_BUDGET} bytes"
+        )
 
-    base = small_primes(math.isqrt(limit))
     mu_r: dict[int, np.ndarray] = {}
     for r in rset:
-        flags = np.ones(limit + 1, dtype=np.uint8)
-        flags[0] = 0
-        for p in base:
-            q = int(p) ** r
-            if q > limit:
-                break
-            flags[q::q] = 0
+        flags = np.empty(limit + 1, dtype=np.uint8)
+        powers = _r_powers(limit, r)
+        for lo in range(0, limit + 1, _COUNT_WINDOW):
+            _sieve_window(flags[lo : lo + _COUNT_WINDOW], lo, *powers)
         mu_r[r] = flags
     return _with_root_factors(limit, rset, mu_r)
+
+
+def _r_powers(top: int, r: int) -> tuple[list[int], np.ndarray]:
+    """The p^r <= top: those below ``_COUNT_WINDOW`` (cleared by strides)
+    and the rest (fancy-indexed; each hits a window at most once)."""
+    powers = [p**r for p in small_primes(math.isqrt(top)).tolist() if p**r <= top]
+    dense = [q for q in powers if q < _COUNT_WINDOW]
+    return dense, np.array(powers[len(dense) :], dtype=np.int64)
+
+
+def _sieve_window(window: np.ndarray, lo: int, dense, sparse: np.ndarray) -> None:
+    """Set ``window`` to the r-free flags of n = lo ... lo + window.size - 1.
+
+    ``dense`` and ``sparse`` are the two parts of ``_r_powers(top, r)`` for
+    some top >= the last n; n = 0 gets flag 0.
+    """
+    window.fill(1)
+    if lo == 0:
+        window[0] = 0  # n = 0 is not counted
+    for q in dense:
+        window[-lo % q :: q] = 0
+    hits = -lo % sparse
+    window[hits[hits < window.size]] = 0
 
 
 def r_free_counts(xs: Iterable[int], r: int) -> list[int]:
     """#{1 <= n <= x : n r-free} for each x of ``xs``, in the order given.
 
-    A segmented sieve over [0, max(xs)] in windows of ``_COUNT_WINDOW``
-    flags: each window is set to 1 and cleared at the multiples of every
-    prime power p^r <= max(xs), by one strided pass per p^r shorter than
-    the window and one fancy-indexed pass for all the longer ones, which
-    hit a window at most once each.  One pass serves every x, the memory
-    is one window plus the primes up to sqrt(max(xs)), and neither the
-    Mobius function nor a flag table is read, so the count is independent
-    of the Mobius sums it checks.
+    One segmented pass over [0, max(xs)] serves every x: ``_sieve_window``
+    refills one scratch window after another.  No Mobius value is read, so
+    the count is independent of the Mobius sums it checks.
     """
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
@@ -282,26 +284,14 @@ def r_free_counts(xs: Iterable[int], r: int) -> list[int]:
     if any(x < 0 for x in xs):
         raise ValueError(f"every x must be >= 0, got {min(xs)}")
     top = max(xs, default=0)
-    powers = []
-    for p in small_primes(math.isqrt(top)).tolist():
-        if p**r > top:
-            break
-        powers.append(p**r)
-    dense = [q for q in powers if q < _COUNT_WINDOW]
-    sparse = np.array(powers[len(dense) :], dtype=np.int64)
+    powers = _r_powers(top, r)
     pending = sorted(range(len(xs)), key=xs.__getitem__, reverse=True)
     counts = [0] * len(xs)
     flags = np.empty(_COUNT_WINDOW, dtype=np.uint8)
     below = 0  # r-free n in [1, lo)
     for lo in range(0, top + 1, _COUNT_WINDOW):
         window = flags[: min(_COUNT_WINDOW, top + 1 - lo)]  # n = lo + index
-        window.fill(1)
-        if lo == 0:
-            window[0] = 0  # n = 0 is not counted
-        for q in dense:
-            window[-lo % q :: q] = 0
-        hits = -lo % sparse
-        window[hits[hits < window.size]] = 0
+        _sieve_window(window, lo, *powers)
         while pending and xs[pending[-1]] < lo + window.size:
             i = pending.pop()
             counts[i] = below + int(np.count_nonzero(window[: xs[i] - lo + 1]))
@@ -426,21 +416,27 @@ def save_cache(table: SieveTable, path) -> None:
 
     The bytes go to a temporary file in the same directory, which then
     replaces ``path`` in one step, so an interrupted save never leaves a
-    torn cache behind.
+    torn cache behind.  The flags are packed and written one r at a time
+    and the crc32 is filled in last, so the save holds one packed array.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
+    head = [
+        np.array(table.limit, dtype="<u8"),
+        np.array(len(table.rs), dtype="<u4"),
+        np.asarray(table.rs, dtype="<u4"),
+    ]
     try:
         with open(tmp, "wb") as fh:
-            body = b"".join([
-                np.array(table.limit, dtype="<u8").tobytes(),
-                np.array(len(table.rs), dtype="<u4").tobytes(),
-                np.asarray(table.rs, dtype="<u4").tobytes(),
-                *(np.packbits(table.mu_r[r]).tobytes() for r in table.rs),
-            ])
-            fh.write(_CACHE_MAGIC)
-            fh.write(np.array(zlib.crc32(body), dtype="<u4").tobytes())
-            fh.write(body)
+            fh.write(_CACHE_MAGIC + bytes(4))  # the crc32 is filled in below
+            crc = 0
+            packed = (np.packbits(table.mu_r[r]) for r in table.rs)
+            for part in itertools.chain(head, packed):
+                fh.write(part)
+                crc = zlib.crc32(part, crc)
+                del part  # freed before the next r is packed
             assert fh.tell() == _cache_size(table.limit, len(table.rs)), "cache layout"
+            fh.seek(len(_CACHE_MAGIC))
+            fh.write(np.array(crc, dtype="<u4").tobytes())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # the write failed before the replace

@@ -29,6 +29,25 @@ def test_sieve_command_with_cache(tmp_path, capsys):
     assert "r=2: 608" in second
 
 
+def test_sieve_prints_each_r_once(capsys):
+    assert main(["sieve", "--limit", "100", "--r", "3,2,3,2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "r=2: 61 r-free integers <= 100",
+        "r=3: 85 r-free integers <= 100",
+    ]
+    assert len(lines) == 3 and lines[2].startswith("built/loaded")
+
+
+def test_sieve_refuses_empty_r_before_reading_cache(tmp_path, capsys):
+    cache = tmp_path / "s.rfsv"
+    cache.write_bytes(b"not a cache")
+    assert main(["sieve", "--limit", "100", "--r", ",", "--cache", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--r must name at least one r value" in captured.err
+
+
 def test_sieve_cache_mismatch_is_config_error(tmp_path, capsys):
     cache = tmp_path / "s.rfsv"
     assert main(["sieve", "--limit", "1000", "--r", "2", "--cache", str(cache)]) == 0
@@ -282,6 +301,7 @@ def _exit_code(argv):
     "tau-sum --r 2 --x 2",
     "f --r 2 --k 0",
     "sieve --limit 100 --r 2,1",
+    "sieve --limit 100 --r ,",
     "bv-sum --r 2 --A 1 --x 1e5,abc",
     "bv-sum --r 2 --A 1 --x 5e9",
     "sieve --limit 5e9 --r 2",

@@ -69,6 +69,7 @@ def test_class_counts_validation(table_1e4):
         class_counts(table_1e4, table_1e4.limit + 1, 2, 3)
     with pytest.raises(ValueError, match="k must"):
         class_counts(table_1e4, 100, 2, 0)
+    assert class_counts(table_1e4, 0, 2, 3).tolist() == [0, 0, 0]  # R(0; k, l) = 0
 
 
 @pytest.mark.parametrize("limit", [10**6, 997**2])

@@ -238,6 +238,8 @@ def test_partial_sum_ratio_slowly_varying():
 def test_partial_sum_validation():
     with pytest.raises(ValueError):
         tau_partial_sum_check(2, [2])
+    with pytest.raises(ValueError, match="xs must be nonempty"):
+        tau_partial_sum_check(2, [])
 
 
 def test_omega_vs_tau_squarefree_equality(factors_1e5):

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +61,42 @@ def test_r_free_counts_match_flags_across_windows(table_windows, r):
     xs = [3 * w + 5, w - 1, w + 1, w]
     expected = [int(table_windows.mu_r[r][1 : x + 1].sum()) for x in xs]
     assert r_free_counts(xs, r) == expected
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_window_counts_match_mobius_sums(table_windows, r):
+    # the counts at the window edges against sum_d mu(d) floor(x / d^r),
+    # which reads neither the kernel nor the flags
+    w = sieve._COUNT_WINDOW
+    xs = [w - 1, w, w + 1, 3 * w + 5]
+    expected = [
+        sum(_mobius(d) * (x // d**r) for d in range(1, math.isqrt(x) + 1))
+        for x in xs
+    ]
+    assert r_free_counts(xs, r) == expected
+    flags = table_windows.mu_r[r]
+    assert [int(np.count_nonzero(flags[1 : x + 1])) for x in xs] == expected
+
+
+def test_short_windows_match_trial_division(monkeypatch):
+    # a 64-flag window puts every p^r >= 64 on the fancy-indexed clear and
+    # makes both clears run at every window offset up to 2000
+    monkeypatch.setattr(sieve, "_COUNT_WINDOW", 64)
+    table = build_sieve(2000, {2, 3, 4})
+    for r in (2, 3, 4):
+        expected = [0] + [int(is_r_free(n, r)) for n in range(1, 2001)]
+        assert table.mu_r[r].tolist() == expected
+        totals = list(itertools.accumulate(expected))
+        assert totals[2000] == count_r_free_bruteforce(2000, r, 1, 0)
+        assert r_free_counts(range(2001), r) == totals
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_zero_is_not_counted_below_the_first_power(r):
+    # below 2^r no p^r clears a flag, so only the n = 0 clear keeps 0 out
+    top = 2**r - 1
+    assert build_sieve(top, {r}).mu_r[r].tolist() == [0] + [1] * top
+    assert r_free_counts([0, top], r) == [0, top]
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -234,13 +272,14 @@ def test_build_validation():
 
 
 def test_memory_budget_named_in_error():
+    # 3e9 flags: below 2**32 but over the 2 GiB budget, refused before allocating
     with pytest.raises(ResourceLimitError, match="budget"):
-        build_sieve(10**6, {2}, memory_budget_bytes=1000)
+        build_sieve(3 * 10**9, {2})
 
 
 def test_limit_beyond_32bit_rejected():
     with pytest.raises(ResourceLimitError, match="class_counts"):
-        build_sieve(2**32, {2}, memory_budget_bytes=10**18)
+        build_sieve(2**32, {2})
     with pytest.raises(ResourceLimitError, match="spf/phi"):
         factor_sieve(2**32)
 
@@ -377,3 +416,16 @@ def test_cache_refuses_old_format(tmp_path):
     path.write_bytes(b"RFSV1" + b"\x00" * 64)
     with pytest.raises(ConfigError, match="RFSV1.*delete it and rebuild"):
         load_cache(path)
+
+
+def test_cache_save_holds_one_packed_array(tmp_path):
+    # three r at 2^20 pack to 128 KiB each; the save keeps one alive at a time
+    table = build_sieve(2**20, {2, 3, 4})
+    tracemalloc.start()
+    try:
+        save_cache(table, tmp_path / "sieve.rfsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**17 + 2**15
+    assert load_cache(tmp_path / "sieve.rfsv").mu_r[3].tolist() == table.mu_r[3].tolist()
