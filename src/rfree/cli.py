@@ -20,7 +20,6 @@ from pathlib import Path
 from .errors import ConfigError, ResourceLimitError, SelfCheckError
 from .harness import (
     ExperimentConfig,
-    modulus_threshold,
     rows_to_csv,
     run_experiment,
     write_csv,
@@ -35,7 +34,7 @@ from .progressions import (
     lemma_bound_probe,
 )
 from .residues import per_modulus_maxima
-from .sieve import build_sieve, is_r_free, load_cache, save_cache, trial_factorize
+from .sieve import build_sieve, is_r_free, load_cache, save_cache
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,13 +67,18 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _sieve_for(limit: int, rs, cache: str | None):
+    if limit < 1:  # refused before any cache is read, as build_sieve refuses it
+        raise ConfigError(f"limit must be >= 1, got {limit}")
     if cache and Path(cache).exists():
         table = load_cache(cache)
-        if table.limit < limit or any(r not in table.mu_r for r in rs):
+        try:
+            for r in rs:
+                table.check_covers(limit, r)
+        except ValueError as exc:
             raise ConfigError(
                 f"cache {cache} holds limit={table.limit}, rs={table.rs}; "
                 f"need limit>={limit}, rs={sorted(rs)} (delete it to rebuild)"
-            )
+            ) from exc
         return table
     table = build_sieve(limit, rs)
     if cache:
@@ -105,7 +109,7 @@ def _cmd_tau_sum(args) -> int:
 
 
 def _cmd_f(args) -> int:
-    fv = f_value(args.r, args.k, trial_factorize(args.k))
+    fv = f_value(args.r, args.k)
     print(f"{fv.value:.12f}")
     return EXIT_OK
 
@@ -151,7 +155,7 @@ def _lemma_trials(seed: int, x: int, r: int, n: int):
         while True:
             k = rng.randint(1, min(200, x))
             l = rng.randrange(k)
-            g = math.gcd(l, k) if l else k
+            g = math.gcd(l, k)  # gcd(0, k) = k
             if is_r_free(g, r):
                 break
         yield k, l, rng.uniform(1.0, max(1.0, (x / g) ** (1.0 / r)))

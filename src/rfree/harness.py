@@ -99,23 +99,26 @@ def _count_classes(terms: tuple[np.ndarray, ...], k: int) -> np.ndarray:
     return counts
 
 
-def class_counts(table: SieveTable, x: int, r: int, k: int) -> np.ndarray:
+def class_counts(x: int, r: int, k: int) -> np.ndarray:
     """R(x; k, l) for every l in [0, k), by Mobius inversion over d.
 
     R(x; k, l) = sum_{d <= x^(1/r)} mu(d) * #{m <= x/d^r : m d^r = l (mod k)}.
     For one d let c = d^r mod k and h = gcd(c, k).  As m runs, m*c mod k
     has period k/h and hits every multiple of h once per period, so the
     whole periods add the same amount to each class l = 0 (mod h); the
-    leftover partial period is tallied residue by residue.  Only
-    ``table.mu[1 : d_max + 1]`` is read.  The sweep shares one set of
-    d-terms across the moduli of an x and folds most moduli down from a
-    multiple; this per-modulus call is the oracle the fold is tested
-    against.
+    leftover partial period is tallied residue by residue.  mu is sieved
+    up to x^(1/r) for the call.  The sweep shares one set of d-terms
+    across the moduli of an x and folds most moduli down from a multiple;
+    this per-modulus call is the oracle the fold is tested against.
     """
-    table.check_covers(x, r)
+    if r < 2:
+        raise ValueError(f"r must be >= 2, got {r}")
+    if not 0 <= x < _LIMIT_CEILING:
+        raise ValueError(f"x={x} outside [0, 2**32)")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _count_classes(_d_terms(table.mu, x, r), k)
+    mu = factor_sieve(max(1, _int_rth_root(x, r))).mu
+    return _count_classes(_d_terms(mu, x, r), k)
 
 
 def _check_partition(k: int, counts: np.ndarray, expected_total: int) -> None:
@@ -128,7 +131,7 @@ def _check_partition(k: int, counts: np.ndarray, expected_total: int) -> None:
 
 def _max_error(x: int, r: int, k: int, counts: np.ndarray) -> tuple[int, float]:
     fact = trial_factorize(k)
-    fv = f_value(r, k, fact)
+    fv = f_value(r, k)
     # the main term depends on l only through g = gcd(l, k), so it is
     # evaluated once per divisor g; it is undefined (NaN) where g is not
     # r-free, and those l are masked below every error (l = 1 mod k, with
@@ -146,12 +149,7 @@ def _max_error(x: int, r: int, k: int, counts: np.ndarray) -> tuple[int, float]:
 
 
 def max_error_for_modulus(
-    table: SieveTable,
-    x: int,
-    r: int,
-    k: int,
-    *,
-    expected_total: int | None = None,
+    x: int, r: int, k: int, *, expected_total: int | None = None
 ) -> tuple[int, float]:
     """(l*, max |E(x; k, l)|) over every admissible residue of one modulus.
 
@@ -159,7 +157,7 @@ def max_error_for_modulus(
     ``expected_total`` enables the partition self-check: the class counts
     of one modulus must sum to the count for k = 1.
     """
-    counts = class_counts(table, x, r, k)
+    counts = class_counts(x, r, k)
     if expected_total is not None:
         _check_partition(k, counts, expected_total)
     return _max_error(x, r, k, counts)

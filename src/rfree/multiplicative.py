@@ -8,7 +8,9 @@
 which depends only on the radical of k.  ``tau_table`` sieves tau_r(n),
 the number of ordered r-tuples of positive integers with product n, in
 the prime-power pass ``factor_sieve`` also runs, through tau_r(p^e) =
-C(e + r - 1, r - 1); ``tau_value`` applies the formula to one factorization.
+C(e + r - 1, r - 1); ``tau_value`` applies the formula to one n.  Each
+helper that needs the primes of its argument factors it by the memoised
+``trial_factorize``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .sieve import FactorTable, Factorization, _prime_powers, small_primes
+from .sieve import _prime_powers, factor_sieve, small_primes, trial_factorize
 
 _ZETA_TARGET = 1e-13
 _FLOAT_ULP = 2.3e-16
@@ -82,8 +84,8 @@ class FValue:
     rel_error: float
 
 
-def f_value(r: int, k: int, fact: Factorization) -> FValue:
-    """Evaluate f_r(k) from the factorization of k.
+def f_value(r: int, k: int) -> FValue:
+    """Evaluate f_r(k) from the primes of k.
 
     Only the distinct primes of k matter, so f_r(k) = f_r(rad(k)).
     """
@@ -91,8 +93,7 @@ def f_value(r: int, k: int, fact: Factorization) -> FValue:
         raise ValueError(f"r must be >= 2, got {r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if fact.n != k:
-        raise ValueError(f"factorization is of {fact.n}, not {k}")
+    fact = trial_factorize(k)
     val = 1.0 / zeta(r, _ZETA_TARGET)
     for p, _ in fact.factors:
         val /= 1.0 - float(p) ** (-r)
@@ -164,12 +165,12 @@ def _tau_max(r: int, limit: int) -> int:
     return best
 
 
-def tau_value(r: int, fact: Factorization) -> int:
-    """tau_r from the multiplicative formula, in exact integer arithmetic."""
+def tau_value(r: int, n: int) -> int:
+    """tau_r(n) from the multiplicative formula, in exact integer arithmetic."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     out = 1
-    for _, e in fact.factors:
+    for _, e in trial_factorize(n).factors:
         out *= math.comb(e + r - 1, r - 1)
     return out
 
@@ -202,11 +203,9 @@ def tau_partial_sum_check(r: int, xs: Sequence[int]) -> list[TauSumRow]:
     return rows
 
 
-def omega_vs_tau_check(r: int, limit: int, table: FactorTable) -> bool:
+def omega_vs_tau_check(r: int, limit: int) -> bool:
     """True iff r^omega(k) <= tau_r(k) for every k <= limit."""
-    if limit >= table.omega.size:
-        raise ValueError(f"limit {limit} exceeds table limit {table.omega.size - 1}")
+    om = factor_sieve(limit).omega[1:].astype(np.int64)  # refuses limit >= 2**32
     taus = tau_table(r, limit).tau[1:]
-    om = table.omega[1 : limit + 1].astype(np.int64)
     lhs = np.power(r, om)
     return bool(np.all(lhs <= taus))

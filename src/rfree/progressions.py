@@ -131,7 +131,7 @@ def count_r_free_bruteforce(x: int, r: int, k: int, l: int) -> int:
     return sum(1 for n in range(start, x + 1, k) if is_r_free(n, r))
 
 
-def main_term(x: int, r: int, k: int, l: int, fval: FValue) -> float:
+def main_term(x: int, r: int, k: int, l: int) -> float:
     """Main term (x/k) * prod_p (1 - p^(e - r)) * f_r(k).
 
     The product runs over the prime powers p^e exactly dividing k with
@@ -148,9 +148,7 @@ def main_term(x: int, r: int, k: int, l: int, fval: FValue) -> float:
         raise ValueError(f"x must be >= 0, got {x}")
     if k < 1 or not 0 <= l < k:
         raise ValueError(f"bad progression k={k}, l={l}")
-    if fval.r != r or fval.k != k:
-        raise ValueError("f-value does not match the requested (r, k)")
-    return _main_term(x, r, trial_factorize(k), fval, l)
+    return _main_term(x, r, trial_factorize(k), f_value(r, k), l)
 
 
 def _main_term(x: int, r: int, fact: Factorization, fval: FValue, l: int) -> float:
@@ -184,8 +182,8 @@ def error_term(table: SieveTable, x: int, r: int, k: int, l: int) -> Progression
             count=0, main_term=0.0, error_term=0.0, main_rel_error=0.0,
         )
     count = count_r_free_in_progression(table, x, r, k, l)
-    fv = f_value(r, k, trial_factorize(k))
-    main = main_term(x, r, k, l, fv)
+    fv = f_value(r, k)
+    main = _main_term(x, r, trial_factorize(k), fv, l)
     rel = fv.rel_error + 5 * 2.3e-16
     return ProgressionReport(
         x=x, r=r, k=k, l=l, g=g, s=s, t=t, g_is_r_free=True,
@@ -261,8 +259,7 @@ def decompose_many(
             raise ValueError(f"gcd(l, k) = {g} is not {r}-free")
         count = count_r_free_in_progression(table, x, r, k, l)
         if k not in factored:
-            fact = trial_factorize(k)
-            factored[k] = (fact, f_value(r, k, fact))
+            factored[k] = (trial_factorize(k), f_value(r, k))
         progressions[k, l] = (count, _main_term(x, r, *factored[k], l))
     reports = []
     for (k, l, z), (small, large) in zip(

@@ -1,15 +1,20 @@
 """Counting solutions of d^r = a (mod s).
 
-The count is multiplicative over the prime-power factors of s (CRT).  Per
-prime power p^e the count comes from an exhaustive histogram when p^e is
-small, and from the structure of the unit group when p^e is large and a
-is a unit: cyclic of order phi(p^e) for odd p, {+-1} x cyclic of order
-2^(e-2) for 2^e with e >= 3.  Non-unit a above the histogram threshold
-falls back to direct enumeration.
+The count is multiplicative over the prime-power factors of s (CRT), and
+each prime power p^e has one closed form.  Write a = p^j * u with u a unit:
+
+* a = 0 (mod p^e): d^r = 0 exactly when v_p(d) >= ceil(e/r), so the count
+  is p^(e - ceil(e/r)).
+* 0 < j < e: there are no solutions unless r | j.  Then d = p^(j/r) * w
+  with w a unit mod p^(e - j/r) and w^r = u (mod p^(e - j)), so the count
+  is the unit count of u mod p^(e - j) times p^(j - j/r).
+* j = 0: the unit group is cyclic of order phi(p^e) for odd p, and
+  {+-1} x cyclic of order 2^(e-2) for 2^e with e >= 3.
 
 For units the count never exceeds 2 * r^omega(s), and a = 1 attains the
 maximum, which ``per_modulus_maxima`` reads off for each modulus and
-``bound_sweep`` folds.  ``counts_vector`` and the brute force are oracles.
+``bound_sweep`` folds.  ``counts_vector`` (exhaustive histograms per prime
+power) and ``count_solutions_bruteforce`` are the oracles.
 """
 
 from __future__ import annotations
@@ -21,9 +26,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .sieve import Factorization, trial_factorize
-
-BRUTE_FORCE_THRESHOLD = 10**6  # per prime power
+from .sieve import trial_factorize
 
 
 @dataclass(frozen=True)
@@ -64,14 +67,25 @@ def _prime_power_histogram(r: int, pe: int) -> np.ndarray:
     return hist
 
 
-def _count_prime_power(r: int, a: int, p: int, e: int, threshold: int) -> int:
+def _count_prime_power(r: int, a: int, p: int, e: int) -> int:
+    """#{d in [0, p^e) : d^r = a (mod p^e)}, in closed form."""
     pe = p**e
     a %= pe
-    if pe <= threshold:
-        return int(_prime_power_histogram(r, pe)[a])
-    if a % p == 0:
-        # non-unit above threshold: only the slow exhaustive path is exact
-        return sum(1 for d in range(pe) if pow(d, r, pe) == a)
+    if a == 0:
+        return p ** (e + (-e // r))  # e - ceil(e/r)
+    j = 0
+    while a % p == 0:
+        a //= p
+        j += 1
+    if j % r:
+        return 0
+    # d = p^(j/r) * w, w a unit counted mod p^(e - j/r) with w^r = a mod p^(e - j)
+    return _count_units(r, a, p, e - j) * p ** (j - j // r)
+
+
+def _count_units(r: int, a: int, p: int, e: int) -> int:
+    """#{d in [0, p^e) : d^r = a (mod p^e)} for a unit a."""
+    pe = p**e
     if p != 2:
         # cyclic unit group of order n
         n = pe // p * (p - 1)
@@ -88,50 +102,29 @@ def _count_prime_power(r: int, a: int, p: int, e: int, threshold: int) -> int:
     return 0
 
 
-def count_solutions(
-    r: int,
-    a: int,
-    s: int,
-    fact: Factorization,
-    *,
-    brute_threshold: int = BRUTE_FORCE_THRESHOLD,
-) -> ResidueCount:
-    """CRT-multiplicative count of d^r = a (mod s); equals the oracle."""
+def count_solutions(r: int, a: int, s: int) -> ResidueCount:
+    """CRT-multiplicative count of d^r = a (mod s); equals the oracles."""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     if not 0 <= a < s:
         raise ValueError(f"need 0 <= a < s, got a={a}, s={s}")
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
-    if fact.n != s:
-        raise ValueError(f"factorization is of {fact.n}, not {s}")
+    fact = trial_factorize(s)
     count = 1
     for p, e in fact.factors:
-        count *= _count_prime_power(r, a, p, e, brute_threshold)
+        count *= _count_prime_power(r, a, p, e)
         if count == 0:
             break
     return ResidueCount(r=r, a=a, s=s, count=count, bound=2.0 * r**fact.omega)
 
 
-def counts_vector(
-    r: int,
-    s: int,
-    fact: Factorization | None = None,
-    *,
-    brute_threshold: int = BRUTE_FORCE_THRESHOLD,
-) -> np.ndarray:
-    """counts[a] for every a in [0, s) at once (prime powers must be small
-    enough for the histogram path)."""
-    if fact is None:
-        fact = trial_factorize(s)
-    if fact.n != s:
-        raise ValueError(f"factorization is of {fact.n}, not {s}")
+def counts_vector(r: int, s: int) -> np.ndarray:
+    """counts[a] for every a in [0, s) at once, from exhaustive histograms."""
     out = np.ones(s, dtype=np.int64)
     idx = np.arange(s, dtype=np.int64)
-    for p, e in fact.factors:
+    for p, e in trial_factorize(s).factors:
         pe = p**e
-        if pe > brute_threshold:
-            raise ValueError(f"prime power {pe} exceeds histogram threshold")
         out *= _prime_power_histogram(r, pe)[idx % pe]
     return out
 
@@ -161,11 +154,9 @@ def per_modulus_maxima(r: int, s_max: int) -> Iterator[ModulusMaximum]:
     if s_max < 2:
         raise ValueError(f"s_max must be >= 2, got {s_max}")
     for s in range(1, s_max + 1):
-        fact = trial_factorize(s)
-        rc = count_solutions(r, 1 % s, s, fact, brute_threshold=0)
-        yield ModulusMaximum(
-            s=s, a=rc.a, count=rc.count, ratio=rc.count / float(r**fact.omega)
-        )
+        rc = count_solutions(r, 1 % s, s)
+        # rc.bound / 2 = r^omega(s), exactly as a float
+        yield ModulusMaximum(s=s, a=rc.a, count=rc.count, ratio=rc.count / (rc.bound / 2))
 
 
 def bound_sweep(r: int, s_max: int) -> SweepResult:

@@ -2,11 +2,11 @@
 
 Every count the package makes reads one of two things: the r-free
 indicator of each n <= N, summed along a progression, or the Mobius
-function up to x^(1/r) <= sqrt(N), in the d-sums of ``class_counts`` and
-``decompose``.  The tables hold exactly that.  The bv-sum sweep reads no
-flags: it takes mu from ``factor_sieve`` and the totals of its partition
-check from ``r_free_counts``.  One windowed kernel, ``_sieve_window``,
-computes the r-free flags for both.
+function up to x^(1/r) <= sqrt(N), in the d-sums of ``decompose``.  The
+tables hold exactly that.  ``class_counts`` and the bv-sum sweep read no
+flags: they take mu from ``factor_sieve``, and the sweep takes the totals
+of its partition check from ``r_free_counts``.  One windowed kernel,
+``_sieve_window``, computes the r-free flags for both.
 
 * ``build_sieve(N, rs)`` gives a :class:`SieveTable` holding, for each
   requested r >= 2, ``mu_r[r]``: one uint8 flag per n in [0, N], 1 iff no
@@ -346,10 +346,10 @@ def trial_factorize(n: int) -> Factorization:
     return Factorization(n, tuple(out))
 
 
-def totient_value(fact: Factorization) -> int:
-    """Euler totient from a factorization (exact integer arithmetic)."""
+def totient_value(n: int) -> int:
+    """Euler totient of n by trial division (exact integer arithmetic)."""
     out = 1
-    for p, e in fact.factors:
+    for p, e in trial_factorize(n).factors:
         out *= p ** (e - 1) * (p - 1)
     return out
 
@@ -448,7 +448,9 @@ def load_cache(path) -> SieveTable:
 
     Raises ConfigError unless the file carries the current magic, its
     size is exactly what its header implies (checked before any table is
-    read) and its checksum matches.
+    read) and its checksum matches (checked before the table is built).
+    The flags are read, checksummed and unpacked one r at a time, so the
+    load holds one packed array, as the save does.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEAD)
@@ -473,21 +475,18 @@ def load_cache(path) -> SieveTable:
                 f"(limit={limit}, {n_rs} r values) implies {expected}; "
                 "delete it to rebuild"
             )
-        body = head[9:] + fh.read()  # every byte after the crc32
-    actual = zlib.crc32(body)
+        r_values = fh.read(4 * n_rs)
+        actual = zlib.crc32(r_values, zlib.crc32(head[9:]))  # every byte after the crc32
+        rset = tuple(int(v) for v in np.frombuffer(r_values, dtype="<u4"))
+        mu_r = {}
+        for r in rset:
+            packed = fh.read((limit + 8) // 8)
+            actual = zlib.crc32(packed, actual)
+            mu_r[r] = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=limit + 1)
+            del packed  # freed before the next r is read
     if actual != crc:
         raise ConfigError(
             f"sieve cache {path} fails its checksum (crc32 {actual:#010x}, "
             f"header says {crc:#010x}); delete it to rebuild"
         )
-    offset = 12  # past limit and #r
-    rset = tuple(int(v) for v in np.frombuffer(body, dtype="<u4", count=n_rs, offset=offset))
-    offset += 4 * n_rs
-    n1 = limit + 1
-    packed = (n1 + 7) // 8
-    mu_r = {}
-    for r in rset:
-        bits = np.frombuffer(body, dtype=np.uint8, count=packed, offset=offset)
-        mu_r[r] = np.unpackbits(bits, count=n1)
-        offset += packed
     return _with_root_factors(limit, rset, mu_r)

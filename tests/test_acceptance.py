@@ -100,8 +100,7 @@ def test_criterion_4_residue_count_oracle():
     for r in (2, 3, 4):
         maxima = list(per_modulus_maxima(r, 2000))
         for s in range(1, 2001):
-            fact = trial_factorize(s)
-            crt = counts_vector(r, s, fact)
+            crt = counts_vector(r, s)
             # independent oracle: histogram of d^r mod s over d in [0, s)
             d = np.arange(s, dtype=np.int64)
             acc = np.ones(s, dtype=np.int64)
@@ -116,7 +115,7 @@ def test_criterion_4_residue_count_oracle():
             assert np.array_equal(crt, brute), (r, s)
             units = np.flatnonzero(np.gcd(d, s) == 1)
             best = int(units[np.argmax(crt[units])])  # first maximizing unit
-            assert int(crt[best]) <= 2 * r**fact.omega, (r, s)
+            assert int(crt[best]) <= 2 * r ** trial_factorize(s).omega, (r, s)
             row = maxima[s - 1]
             assert (row.s, row.a, row.count) == (s, best, int(crt[best])), (r, s)
     # the scalar operation agrees with the vector path
@@ -124,8 +123,7 @@ def test_criterion_4_residue_count_oracle():
         s = rng.randint(1, 2000)
         a = rng.randrange(s)
         r = rng.choice((2, 3, 4))
-        fact = trial_factorize(s)
-        assert count_solutions(r, a, s, fact).count == int(counts_vector(r, s, fact)[a])
+        assert count_solutions(r, a, s).count == int(counts_vector(r, s)[a])
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0, f"took {elapsed:.1f}s, budget 300s"
     _report(4, "residue-count oracle",
@@ -133,7 +131,7 @@ def test_criterion_4_residue_count_oracle():
             f"per-modulus maxima; {elapsed:.1f}s)")
 
 
-def test_criterion_5_divisor_sum_bound(factors_1e5):
+def test_criterion_5_divisor_sum_bound():
     details = []
     for r in (2, 3):
         rows = tau_partial_sum_check(r, [10**4, 10**5, 10**6])
@@ -144,7 +142,7 @@ def test_criterion_5_divisor_sum_bound(factors_1e5):
             assert abs(b / a - 1.0) < 0.25, (r, ratios)
         details.append(f"r={r}: " + ",".join(f"{v:.4f}" for v in ratios))
     for r in (2, 3, 4):
-        assert omega_vs_tau_check(r, 100_000, factors_1e5), r
+        assert omega_vs_tau_check(r, 100_000), r
     _report(5, "divisor-sum bound", "(" + " | ".join(details) + "; r^omega <= tau_r exact)")
 
 

@@ -55,6 +55,33 @@ def test_sieve_cache_mismatch_is_config_error(tmp_path, capsys):
     code = main(["sieve", "--limit", "2000", "--r", "2", "--cache", str(cache)])
     assert code == 2
     assert "cache" in capsys.readouterr().err
+    # the cache holds r = 2 only
+    code = main(["sieve", "--limit", "1000", "--r", "2,3", "--cache", str(cache)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rs=(2,)" in captured.err and "delete it to rebuild" in captured.err
+    # a limit below 1 is refused as without a cache, not blamed on the cache
+    assert main(["sieve", "--limit", "-5", "--r", "2", "--cache", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "limit must be >= 1" in captured.err
+
+
+# 21 is the first r value's low byte (r=2 becomes r=3); 29 + 100 lies in
+# the flags of the first of the two r
+@pytest.mark.parametrize("at", [21, 29 + 100])
+def test_sieve_refuses_flipped_two_r_cache(tmp_path, capsys, at):
+    cache = tmp_path / "s.rfsv"
+    argv = ["sieve", "--limit", "1e4", "--r", "2,3", "--cache", str(cache)]
+    assert main(argv) == 0
+    raw = bytearray(cache.read_bytes())
+    raw[at] ^= 0x01
+    cache.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err and "checksum" in captured.err
 
 
 def test_error_refuses_short_cache(tmp_path, capsys):

@@ -55,21 +55,23 @@ def test_class_counts_match_strided_scan(table_1e5, r):
     # classes empty
     for x in (54_321, 100, 1):
         for k in (1, 2, 3, 4, 7, 8, 9, 12, 16, 36, 64, 97, 150, 178):
-            counts = class_counts(table_1e5, x, r, k)
+            counts = class_counts(x, r, k)
             assert counts.dtype == np.int64
             for l in range(k):
                 expected = count_r_free_in_progression(table_1e5, x, r, k, l)
                 assert int(counts[l]) == expected, (x, k, l)
 
 
-def test_class_counts_validation(table_1e4):
-    with pytest.raises(ValueError, match="r=4"):
-        class_counts(table_1e4, 100, 4, 3)
+def test_class_counts_validation():
+    with pytest.raises(ValueError, match="r must"):
+        class_counts(100, 1, 3)
     with pytest.raises(ValueError, match="outside"):
-        class_counts(table_1e4, table_1e4.limit + 1, 2, 3)
+        class_counts(2**32, 2, 3)
+    with pytest.raises(ValueError, match="outside"):
+        class_counts(-1, 2, 3)
     with pytest.raises(ValueError, match="k must"):
-        class_counts(table_1e4, 100, 2, 0)
-    assert class_counts(table_1e4, 0, 2, 3).tolist() == [0, 0, 0]  # R(0; k, l) = 0
+        class_counts(100, 2, 0)
+    assert class_counts(0, 2, 3).tolist() == [0, 0, 0]  # R(0; k, l) = 0
 
 
 @pytest.mark.parametrize("limit", [10**6, 997**2])
@@ -81,7 +83,7 @@ def test_counts_at_the_table_limit(table_1e6, limit):
     x = limit
     for r in (2, 3):
         for k in (1, 4, 36, 178, 997, 1000):
-            counts = class_counts(table, x, r, k)
+            counts = class_counts(x, r, k)
             expected = [count_r_free_in_progression(table, x, r, k, l) for l in range(k)]
             assert counts.tolist() == expected, (r, k)
         for k, l in ((1, 0), (4, 1), (6, 2), (178, 3), (997, 2)):
@@ -92,7 +94,7 @@ def test_counts_at_the_table_limit(table_1e6, limit):
 
 
 def test_max_error_modulus_one(table_1e5):
-    l_star, max_e = max_error_for_modulus(table_1e5, 10_000, 2, 1)
+    l_star, max_e = max_error_for_modulus(10_000, 2, 1)
     assert l_star == 0
     rep = error_term(table_1e5, 10_000, 2, 1, 0)
     assert max_e == abs(rep.error_term)
@@ -105,7 +107,7 @@ def test_max_error_matches_per_residue_reports(table_1e5):
     for x, r, k in cases:
         reps = [error_term(table_1e5, x, r, k, l) for l in range(k)]
         errs = {rep.l: abs(rep.error_term) for rep in reps if rep.g_is_r_free}
-        l_star, max_e = max_error_for_modulus(table_1e5, x, r, k)
+        l_star, max_e = max_error_for_modulus(x, r, k)
         assert max_e == max(errs.values()), (x, r, k)
         assert l_star == min(l for l, e in errs.items() if e == max_e), (x, r, k)
 
@@ -114,15 +116,15 @@ def test_max_error_tie_goes_to_smallest_residue(table_1e5):
     # x = 8, k = 4: all three admissible classes carry identical errors
     errs = [abs(error_term(table_1e5, 8, 2, 4, l).error_term) for l in (1, 2, 3)]
     assert max(errs) - min(errs) < 1e-12
-    l_star, _ = max_error_for_modulus(table_1e5, 8, 2, 4)
+    l_star, _ = max_error_for_modulus(8, 2, 4)
     assert l_star == 1
 
 
 def test_max_error_partition_self_check(table_1e5):
     with pytest.raises(SelfCheckError):
-        max_error_for_modulus(table_1e5, 1000, 2, 6, expected_total=-5)
+        max_error_for_modulus(1000, 2, 6, expected_total=-5)
     total = int(table_1e5.mu_r[2][1:1001].sum())
-    max_error_for_modulus(table_1e5, 1000, 2, 6, expected_total=total)
+    max_error_for_modulus(1000, 2, 6, expected_total=total)
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -137,7 +139,7 @@ def test_sweep_fold_matches_class_counts(table_1e5, r):
             assert [k for k, _ in swept] == list(range(1, bound + 1))
             for k, counts in swept:
                 assert counts.dtype == np.int64
-                assert counts.tolist() == class_counts(table_1e5, x, r, k).tolist(), (
+                assert counts.tolist() == class_counts(x, r, k).tolist(), (
                     x, bound, k)
                 if k <= 30:
                     expected = [count_r_free_in_progression(table_1e5, x, r, k, l)
@@ -189,7 +191,7 @@ def test_run_experiment_guards():
     ExperimentConfig(r=2, log_power=1.0, xs=(2**32 - 1,)).validate()
 
 
-def test_run_experiment_small(table_1e4):
+def test_run_experiment_small():
     config = ExperimentConfig(r=2, log_power=1.0, xs=(10**4,), timing="none")
     rows = run_experiment(config)
     assert len(rows) == 1
@@ -198,7 +200,7 @@ def test_run_experiment_small(table_1e4):
     # serial recomputation of the fold
     expected = 0.0
     for k in range(1, 6):
-        expected += max_error_for_modulus(table_1e4, 10**4, 2, k)[1]
+        expected += max_error_for_modulus(10**4, 2, k)[1]
     assert row.error_sum == expected
     assert abs(row.normalized - row.error_sum * math.log(10**4) / 10**4) < 1e-9
     assert row.wall_seconds == 0.0
@@ -209,10 +211,10 @@ def test_density_at_one_million(table_1e6):
     assert 0.59 < density < 0.62
 
 
-def test_monotone_aggregation(table_1e4):
+def test_monotone_aggregation():
     # a smaller threshold can only reduce the sum of nonnegative terms
     x = 10**4
-    maxima = [max_error_for_modulus(table_1e4, x, 2, k)[1] for k in range(1, 6)]
+    maxima = [max_error_for_modulus(x, 2, k)[1] for k in range(1, 6)]
     partial = sum(maxima[:3])
     full = sum(maxima)
     assert partial <= full

@@ -11,7 +11,6 @@ from rfree import (
     tau_partial_sum_check,
     tau_table,
     tau_value,
-    trial_factorize,
     zeta,
 )
 from rfree.multiplicative import _descending_power_sum, _zeta_cached
@@ -91,19 +90,19 @@ def test_zeta_converged(r):
 
 
 def test_f_at_one():
-    fv = f_value(2, 1, trial_factorize(1))
+    fv = f_value(2, 1)
     assert abs(fv.value - 6 / math.pi**2) < 1e-12
     assert fv.rel_error <= 1e-12
 
 
 def test_f_at_two():
-    fv = f_value(2, 2, trial_factorize(2))
+    fv = f_value(2, 2)
     assert abs(fv.value - 0.810569469139) < 1e-11
 
 
 def test_f_depends_only_on_radical():
-    assert f_value(2, 4, trial_factorize(4)).value == f_value(2, 2, trial_factorize(2)).value
-    assert f_value(3, 12, trial_factorize(12)).value == f_value(3, 6, trial_factorize(6)).value
+    assert f_value(2, 4).value == f_value(2, 2).value
+    assert f_value(3, 12).value == f_value(3, 6).value
 
 
 def test_f_monotone_under_divisibility():
@@ -111,23 +110,23 @@ def test_f_monotone_under_divisibility():
     for _ in range(50):
         k = rng.randint(1, 5000)
         mult = rng.randint(2, 50)
-        small = f_value(2, k, trial_factorize(k)).value
-        large = f_value(2, k * mult, trial_factorize(k * mult)).value
+        small = f_value(2, k).value
+        large = f_value(2, k * mult).value
         assert small <= large
 
 
 def test_f_in_unit_interval():
     for r in (2, 3, 4):
         for k in (1, 2, 6, 30, 210, 9699690):
-            v = f_value(r, k, trial_factorize(k)).value
+            v = f_value(r, k).value
             assert 0.0 < v < 1.0
 
 
 def test_f_validates_factorization():
     with pytest.raises(ValueError):
-        f_value(2, 10, trial_factorize(6))
+        f_value(2, 0)
     with pytest.raises(ValueError):
-        f_value(1, 10, trial_factorize(10))
+        f_value(1, 10)
 
 
 def test_tau_examples():
@@ -135,7 +134,7 @@ def test_tau_examples():
     assert tau_table(2, 12).tau[12] == 6
     for r in (1, 2, 3, 7):
         assert tau_table(r, 1).tau[1] == 1
-        assert tau_value(r, trial_factorize(1)) == 1
+        assert tau_value(r, 1) == 1
 
 
 def test_tau_table_matches_formula():
@@ -144,7 +143,7 @@ def test_tau_table_matches_formula():
     ns = list(range(1, 101)) + [rng.randint(1, 2000) for _ in range(200)]
     for r, table in tables.items():
         for n in ns:
-            assert int(table.tau[n]) == tau_value(r, trial_factorize(n)), (r, n)
+            assert int(table.tau[n]) == tau_value(r, n), (r, n)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -251,20 +250,12 @@ def test_omega_vs_tau_squarefree_equality(factors_1e5):
 
 def test_omega_vs_tau_small_cases(factors_1e5):
     assert 2 ** int(factors_1e5.omega[4]) == 2
-    assert tau_value(2, trial_factorize(4)) == 3
+    assert tau_value(2, 4) == 3
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
-def test_omega_vs_tau_check_holds(factors_1e5, r):
-    assert omega_vs_tau_check(r, 5000, factors_1e5)
-
-
-def test_omega_vs_tau_check_range_guard(factors_1e5, table_1e4):
-    with pytest.raises(ValueError):
-        omega_vs_tau_check(2, factors_1e5.limit + 1, factors_1e5)
-    # a flag table's omega stops at isqrt(limit)
-    with pytest.raises(ValueError):
-        omega_vs_tau_check(2, 101, table_1e4)
+def test_omega_vs_tau_check_holds(r):
+    assert omega_vs_tau_check(r, 5000)
 
 
 def test_zeta_three():

@@ -53,7 +53,7 @@ def test_partition_over_residues(table_1e5, r):
     for x in (37, 1000, 100_000):
         total = int(table_1e5.mu_r[r][1 : x + 1].sum())
         for k in range(1, 101):
-            assert int(class_counts(table_1e5, x, r, k).sum()) == total
+            assert int(class_counts(x, r, k).sum()) == total
 
 
 def test_zero_progression_when_gcd_not_r_free(table_1e4):
@@ -64,25 +64,17 @@ def test_zero_progression_when_gcd_not_r_free(table_1e4):
 
 
 def test_main_term_modulus_one():
-    fv = f_value(2, 1, trial_factorize(1))
-    assert abs(main_term(10**6, 2, 1, 0, fv) - 607927.1018540267) < 0.01
-    assert main_term(0, 2, 1, 0, fv) == 0.0
+    assert abs(main_term(10**6, 2, 1, 0) - 607927.1018540267) < 0.01
+    assert main_term(0, 2, 1, 0) == 0.0
 
 
 def test_main_term_example():
-    fv = f_value(2, 4, trial_factorize(4))
-    assert abs(main_term(100, 2, 4, 2, fv) - 20.264236728467555) < 1e-9
+    assert abs(main_term(100, 2, 4, 2) - 20.264236728467555) < 1e-9
 
 
 def test_main_term_domain_error():
-    fv = f_value(2, 4, trial_factorize(4))
     with pytest.raises(ValueError, match="free"):
-        main_term(100, 2, 4, 0, fv)
-
-
-def test_main_term_mismatched_fvalue():
-    with pytest.raises(ValueError):
-        main_term(100, 2, 4, 2, f_value(2, 8, trial_factorize(8)))
+        main_term(100, 2, 4, 0)
 
 
 @pytest.mark.parametrize("r", [3, 4])
@@ -91,11 +83,10 @@ def test_main_term_tracks_count_for_higher_r(table_1e5, r):
     # form phi(k) / (g phi(s)) is off by up to a factor 2 here
     x = table_1e5.limit
     for k in range(1, 31):
-        fv = f_value(r, k, trial_factorize(k))
         for l in range(k):
             if not is_r_free(math.gcd(l, k), r):
                 continue
-            main = main_term(x, r, k, l, fv)
+            main = main_term(x, r, k, l)
             count = count_r_free_in_progression(table_1e5, x, r, k, l)
             assert abs(count - main) <= 1e-2 * main, (k, l, count, main)
 
@@ -110,9 +101,8 @@ def test_main_term_tracks_count_for_higher_r(table_1e5, r):
 )
 def test_main_term_r3_pinned(table_1e6, k, l, ratio, count, main):
     x, r = 10**6, 3
-    fv = f_value(r, k, trial_factorize(k))
-    value = main_term(x, r, k, l, fv)
-    assert value == (x / k) * (ratio[0] / ratio[1]) * fv.value
+    value = main_term(x, r, k, l)
+    assert value == (x / k) * (ratio[0] / ratio[1]) * f_value(r, k).value
     assert abs(value - main) < 1e-6
     rep = error_term(table_1e6, x, r, k, l)
     assert rep.count == count and rep.main_term == value
@@ -288,7 +278,7 @@ def test_decompose_huge_moduli(table_1e4, r, k, l, z, expected):
     assert (rep.count, rep.small_sum, rep.large_sum) == expected
     assert rep.count == count_r_free_bruteforce(x, r, k, l)
     assert (rep.small_sum, rep.large_sum) == decompose_by_loop(table_1e4, x, r, k, l, z)
-    assert rep.small_main == main_term(x, r, k, l, f_value(r, k, trial_factorize(k)))
+    assert rep.small_main == main_term(x, r, k, l)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])

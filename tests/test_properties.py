@@ -35,7 +35,7 @@ _moduli = st.builds(
     k=st.integers(min_value=1, max_value=300),
 )
 def test_class_counts_match_strided_scan(table_1e5, x, r, k):
-    counts = class_counts(table_1e5, x, r, k)
+    counts = class_counts(x, r, k)
     expected = [count_r_free_in_progression(table_1e5, x, r, k, l) for l in range(k)]
     assert counts.tolist() == expected
 

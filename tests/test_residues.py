@@ -12,6 +12,7 @@ from rfree import (
     per_modulus_maxima,
     trial_factorize,
 )
+from rfree.residues import _count_prime_power
 
 
 def _brute_histogram(r, s):
@@ -36,22 +37,22 @@ def test_bruteforce_validation():
 
 
 def test_crt_counter_examples():
-    assert count_solutions(3, 1, 9, trial_factorize(9)).count == 3
-    assert count_solutions(2, 1, 24, trial_factorize(24)).count == 8
-    assert count_solutions(2, 0, 4, trial_factorize(4)).count == 2
+    assert count_solutions(3, 1, 9).count == 3
+    assert count_solutions(2, 1, 24).count == 8
+    assert count_solutions(2, 0, 4).count == 2
 
 
 def test_crt_counter_bound_field():
-    rc = count_solutions(2, 1, 24, trial_factorize(24))
+    rc = count_solutions(2, 1, 24)
     assert rc.bound == 2.0 * 2 ** trial_factorize(24).omega
     assert rc.count <= rc.bound
 
 
 def test_crt_counter_validation():
     with pytest.raises(ValueError):
-        count_solutions(2, 1, 12, trial_factorize(6))
+        count_solutions(2, 12, 12)
     with pytest.raises(ValueError):
-        count_solutions(1, 0, 5, trial_factorize(5))
+        count_solutions(1, 0, 5)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -67,8 +68,7 @@ def test_scalar_matches_vector():
         s = rng.randint(1, 1500)
         a = rng.randrange(s)
         r = rng.choice([2, 3, 4])
-        fact = trial_factorize(s)
-        assert count_solutions(r, a, s, fact).count == int(counts_vector(r, s, fact)[a])
+        assert count_solutions(r, a, s).count == int(counts_vector(r, s)[a])
 
 
 @pytest.mark.parametrize(
@@ -78,20 +78,17 @@ def test_scalar_matches_vector():
 )
 @pytest.mark.parametrize("r", [2, 3, 4, 6, 8, 12])
 def test_unit_group_path_matches_bruteforce(pe, p, r):
-    # force the structural path, as per_modulus_maxima does
-    fact = trial_factorize(pe)
     for a in range(1, min(pe, 80)):
         if a % p == 0:
             continue
-        fast = count_solutions(r, a, pe, fact, brute_threshold=0).count
+        fast = count_solutions(r, a, pe).count
         slow = count_solutions_bruteforce(r, a, pe)
         assert fast == slow, (r, a, pe)
 
 
 def test_nonunit_fallback_above_threshold():
-    fact = trial_factorize(128)
     for a in (0, 2, 4, 8, 32, 64):
-        fast = count_solutions(2, a, 128, fact, brute_threshold=4).count
+        fast = count_solutions(2, a, 128).count
         assert fast == count_solutions_bruteforce(2, a, 128)
 
 
@@ -107,19 +104,18 @@ def test_crt_multiplicativity():
         s = s1 * s2
         a = rng.randrange(s)
         r = rng.choice([2, 3])
-        whole = count_solutions(r, a, s, trial_factorize(s)).count
-        part1 = count_solutions(r, a % s1, s1, trial_factorize(s1)).count
-        part2 = count_solutions(r, a % s2, s2, trial_factorize(s2)).count
+        whole = count_solutions(r, a, s).count
+        part1 = count_solutions(r, a % s1, s1).count
+        part2 = count_solutions(r, a % s2, s2).count
         assert whole == part1 * part2
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_unit_bound_small_moduli(r):
     for s in range(1, 300):
-        fact = trial_factorize(s)
-        vec = counts_vector(r, s, fact)
+        vec = counts_vector(r, s)
         units = np.gcd(np.arange(s, dtype=np.int64), s) == 1
-        assert int(vec[units].max()) <= 2 * r**fact.omega, (r, s)
+        assert int(vec[units].max()) <= 2 * r ** trial_factorize(s).omega, (r, s)
 
 
 def test_bound_sweep_r2_example():
@@ -141,12 +137,11 @@ def test_bound_sweep_validation():
 def test_prime_quadratic_residue_count():
     # cyclic group of even order: every QR has exactly two square roots
     for p in (5, 13, 97, 241):
-        fact = trial_factorize(p)
         for a in range(1, p):
-            c = count_solutions(2, a, p, fact).count
+            c = count_solutions(2, a, p).count
             assert c in (0, 2)
             if c:
-                assert c / 2 ** fact.omega == 1.0
+                assert c / 2 ** trial_factorize(p).omega == 1.0
 
 
 def test_per_modulus_maxima_rows():
@@ -157,12 +152,29 @@ def test_per_modulus_maxima_rows():
 
 
 def test_nonunit_fallback_odd_prime_power():
-    fact = trial_factorize(243)
     for a in (0, 3, 9, 81, 162):
-        fast = count_solutions(3, a, 243, fact, brute_threshold=8).count
+        fast = count_solutions(3, a, 243).count
         assert fast == count_solutions_bruteforce(3, a, 243)
 
 
-def test_counts_vector_threshold_guard():
-    with pytest.raises(ValueError, match="threshold"):
-        counts_vector(2, 2**21, trial_factorize(2**21), brute_threshold=10**6)
+def _prime_powers_to(top):
+    for p in (2, 3, 5, 7, 11):
+        e = 1
+        while p**e <= top:
+            yield p, e
+            e += 1
+
+
+@pytest.mark.parametrize("r", range(2, 13))
+def test_closed_form_matches_histogram(r):
+    # every a, zero, units and every valuation j, at each p^e <= 3000
+    for p, e in _prime_powers_to(3000):
+        pe = p**e
+        closed = [_count_prime_power(r, a, p, e) for a in range(pe)]
+        assert closed == counts_vector(r, pe).tolist(), (r, pe)
+
+
+def test_closed_form_at_huge_prime_powers():
+    # no enumeration: 2^60 and 2^61 are answered at once
+    assert count_solutions(2, 0, 2**60).count == 2**30  # d = 0 mod 2^30
+    assert count_solutions(2, 4, 2**61).count == 8  # d = 2w, w^2 = 1 mod 2^59

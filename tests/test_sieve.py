@@ -226,7 +226,7 @@ def test_phi_against_formula(factors_1e5):
     rng = random.Random(3)
     for _ in range(100):
         n = rng.randint(1, factors_1e5.limit)
-        assert int(factors_1e5.phi[n]) == totient_value(factorize(factors_1e5, n))
+        assert int(factors_1e5.phi[n]) == totient_value(n)
 
 
 def test_mu_prime_values(factors_1e5):
@@ -258,7 +258,7 @@ def test_factor_tables_match_trial_division():
         assert table.mu[n] == ((-1) ** len(factors) if squarefree else 0), n
         assert table.spf[n] == (factors[0][0] if factors else 1), n
         assert table.omega[n] == len(factors), n
-        assert table.phi[n] == totient_value(fact), n
+        assert table.phi[n] == totient_value(n), n
     assert (table.mu[0], table.spf[0], table.omega[0], table.phi[0]) == (0, 0, 0, 0)
 
 
@@ -429,3 +429,19 @@ def test_cache_save_holds_one_packed_array(tmp_path):
         tracemalloc.stop()
     assert peak < 2**17 + 2**15
     assert load_cache(tmp_path / "sieve.rfsv").mu_r[3].tolist() == table.mu_r[3].tolist()
+
+
+def test_cache_load_holds_one_packed_array(tmp_path):
+    # the three unpacked flag arrays are the table; of the 128 KiB packed
+    # parts the load keeps one alive at a time
+    table = build_sieve(2**20, {2, 3, 4})
+    save_cache(table, tmp_path / "sieve.rfsv")
+    tracemalloc.start()
+    try:
+        loaded = load_cache(tmp_path / "sieve.rfsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (2**20 + 1) + 2**17 + 2**15
+    for r in table.rs:
+        assert np.array_equal(loaded.mu_r[r], table.mu_r[r])
