@@ -42,4 +42,4 @@ counts = np.cumsum(table.mu_r[2][1:])
 for exp in range(2, 7):
     x = 10**exp
     print(f"  squarefree density at 1e{exp}: {counts[x - 1] / x:.6f}")
-print(f"  1/zeta(2)              : {1 / zeta(2, 1e-12):.6f}")
+print(f"  1/zeta(2)              : {1 / zeta(2):.6f}")

@@ -15,11 +15,9 @@ from .harness import (
     ExperimentConfig,
     ZProbeRow,
     class_counts,
-    max_error_for_modulus,
     modulus_threshold,
     rows_to_csv,
     run_experiment,
-    write_csv,
     write_plot,
     z_probe_csv,
     z_sensitivity_probe,
@@ -50,8 +48,6 @@ from .progressions import (
 from .residues import (
     ModulusMaximum,
     ResidueCount,
-    SweepResult,
-    bound_sweep,
     count_solutions,
     count_solutions_bruteforce,
     counts_vector,
@@ -91,11 +87,9 @@ __all__ = [
     "ResourceLimitError",
     "SelfCheckError",
     "SieveTable",
-    "SweepResult",
     "TauSumRow",
     "TauTable",
     "ZProbeRow",
-    "bound_sweep",
     "build_sieve",
     "class_counts",
     "count_r_free_bruteforce",
@@ -113,7 +107,6 @@ __all__ = [
     "lemma_bound_probe",
     "load_cache",
     "main_term",
-    "max_error_for_modulus",
     "modulus_threshold",
     "mu_r_direct",
     "r_free_counts",
@@ -128,7 +121,6 @@ __all__ = [
     "tau_value",
     "totient_value",
     "trial_factorize",
-    "write_csv",
     "write_plot",
     "z_probe_csv",
     "z_sensitivity_probe",

@@ -18,13 +18,7 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from .errors import ConfigError, ResourceLimitError, SelfCheckError
-from .harness import (
-    ExperimentConfig,
-    rows_to_csv,
-    run_experiment,
-    write_csv,
-    write_plot,
-)
+from .harness import ExperimentConfig, rows_to_csv, run_experiment, write_plot
 from .multiplicative import f_value, tau_partial_sum_check
 from .progressions import (
     count_r_free_in_progression,
@@ -194,7 +188,7 @@ def _cmd_residues(args) -> int:
     print("s,a,count,ratio")
     for row in rows:
         print(f"{row.s},{row.a},{row.count},{row.ratio!r}")
-    best = max(rows, key=lambda row: row.ratio)  # the first maximum, as in bound_sweep
+    best = max(rows, key=lambda row: row.ratio)  # the first maximum: the smallest s
     print(f"# max ratio {best.ratio!r} at a={best.a} s={best.s} (r={args.r})")
     return EXIT_OK
 
@@ -210,7 +204,7 @@ def _cmd_bv_sum(args) -> int:
     if args.plot:  # before any stdout, so an unwritable path leaves none
         write_plot(rows, args.plot)
     if args.csv:
-        write_csv(rows, args.csv)
+        Path(args.csv).write_text(rows_to_csv(rows))
     else:
         sys.stdout.write(rows_to_csv(rows))
     return EXIT_OK
@@ -231,20 +225,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sieve)
 
     p = sub.add_parser("tau-sum", help="partial sums of tau_r as CSV")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_parse_int, required=True)
     p.add_argument("--x", required=True, help="comma-separated x values")
     p.set_defaults(func=_cmd_tau_sum)
 
     p = sub.add_parser("f", help="print f_r(k) to 12 decimals")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--r", type=_parse_int, required=True)
+    p.add_argument("--k", type=_parse_int, required=True)
     p.set_defaults(func=_cmd_f)
 
     p = sub.add_parser("error", help="one progression report (CSV or JSON)")
     p.add_argument("--x", type=_parse_int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--r", type=_parse_int, required=True)
+    p.add_argument("--k", type=_parse_int, required=True)
+    p.add_argument("--l", type=_parse_int, required=True)
     p.add_argument("--z", type=_parse_z, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--cache", default=None)
@@ -254,21 +248,21 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-lemmas", help="randomized split-identity and bound sweeps"
     )
     p.add_argument("--x", type=_parse_int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--r", type=_parse_int, required=True)
+    p.add_argument("--trials", type=_parse_int, default=100)
+    p.add_argument("--seed", type=_parse_int, default=0)
     p.set_defaults(func=_cmd_verify_lemmas)
 
     p = sub.add_parser("residues", help="power-residue count maxima as CSV")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s-max", dest="s_max", type=int, required=True)
+    p.add_argument("--r", type=_parse_int, required=True)
+    p.add_argument("--s-max", dest="s_max", type=_parse_int, required=True)
     p.set_defaults(func=_cmd_residues)
 
     p = sub.add_parser("bv-sum", help="averaged worst-case error experiment")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_parse_int, required=True)
     p.add_argument("--A", type=float, required=True)
     p.add_argument("--x", required=True, help="comma-separated x values")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_parse_int, default=1,
                    help="kept for compatibility; has no effect (must be >= 1)")
     p.add_argument("--csv", default=None)
     p.add_argument("--plot", default=None)

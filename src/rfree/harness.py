@@ -148,21 +148,6 @@ def _max_error(x: int, r: int, k: int, counts: np.ndarray) -> tuple[int, float]:
     return best_l, float(errs[best_l])
 
 
-def max_error_for_modulus(
-    x: int, r: int, k: int, *, expected_total: int | None = None
-) -> tuple[int, float]:
-    """(l*, max |E(x; k, l)|) over every admissible residue of one modulus.
-
-    Admissible means gcd(l, k) is r-free.  Ties go to the smallest l.
-    ``expected_total`` enables the partition self-check: the class counts
-    of one modulus must sum to the count for k = 1.
-    """
-    counts = class_counts(x, r, k)
-    if expected_total is not None:
-        _check_partition(k, counts, expected_total)
-    return _max_error(x, r, k, counts)
-
-
 def _sweep_counts(
     mu: np.ndarray, x: int, r: int, bound: int, total: int
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -263,11 +248,6 @@ def rows_to_csv(rows: Sequence[BvRow]) -> str:
             f"{row.error_sum!r},{row.normalized!r},{row.wall_seconds:.6f}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_csv(rows: Sequence[BvRow], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(rows_to_csv(rows))
 
 
 def write_plot(rows: Sequence[BvRow], path) -> None:

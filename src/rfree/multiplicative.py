@@ -22,15 +22,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .sieve import _prime_powers, factor_sieve, small_primes, trial_factorize
+from .sieve import _check_table_size, _prime_powers, factor_sieve, small_primes, trial_factorize
 
 _ZETA_TARGET = 1e-13
 _FLOAT_ULP = 2.3e-16
 _ZETA_PIECE = 1 << 17  # float64 terms per np.sum in zeta: 1 MiB
 
 
-def zeta(r: int, target_rel_error: float = 1e-12) -> float:
-    """Riemann zeta at an integer r >= 2, to a requested relative error.
+def zeta(r: int) -> float:
+    """Riemann zeta at an integer r >= 2, to relative error 1e-13.
 
     Computed as the finite sum over n <= M plus the integral tail
     correction M^(1-r) / (r-1), with M chosen so the residual bound M^(-r)
@@ -38,9 +38,7 @@ def zeta(r: int, target_rel_error: float = 1e-12) -> float:
     """
     if r < 2:
         raise ValueError(f"r must be >= 2 (series diverges at r=1), got {r}")
-    if not target_rel_error > 0:
-        raise ValueError("target_rel_error must be positive")
-    return _zeta_cached(int(r), float(target_rel_error))
+    return _zeta_cached(int(r), _ZETA_TARGET)
 
 
 @lru_cache(maxsize=128)
@@ -94,7 +92,7 @@ def f_value(r: int, k: int) -> FValue:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     fact = trial_factorize(k)
-    val = 1.0 / zeta(r, _ZETA_TARGET)
+    val = 1.0 / zeta(r)
     for p, _ in fact.factors:
         val /= 1.0 - float(p) ** (-r)
     rel = _ZETA_TARGET + (len(fact.factors) + 2) * _FLOAT_ULP
@@ -125,12 +123,12 @@ def tau_table(r: int, limit: int) -> TauTable:
     most the final tau_r(n), and tau_r(n) = sum over d | n of tau_(r-1)(d)
     is at most tau(n) * M <= (2 sqrt(limit) + 1) * M, where M is the
     largest tau_(r-1) below limit.  OverflowError is raised up front
-    unless that bound fits int64.
+    unless that bound fits int64.  The table keeps the size rule of
+    ``sieve._check_table_size``, checked first.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
+    _check_table_size(limit, 8)  # one int64 per n
     divisor_bound = 2 * math.isqrt(limit) + 1  # tau_2(n) <= 2*sqrt(n)
     if r > 1 and _tau_max(r - 1, limit) > (2**63 - 1) // divisor_bound:
         raise OverflowError(f"tau_{r} would overflow 64-bit integers below {limit}")

@@ -12,9 +12,9 @@ each prime power p^e has one closed form.  Write a = p^j * u with u a unit:
   {+-1} x cyclic of order 2^(e-2) for 2^e with e >= 3.
 
 For units the count never exceeds 2 * r^omega(s), and a = 1 attains the
-maximum, which ``per_modulus_maxima`` reads off for each modulus and
-``bound_sweep`` folds.  ``counts_vector`` (exhaustive histograms per prime
-power) and ``count_solutions_bruteforce`` are the oracles.
+maximum, which ``per_modulus_maxima`` reads off for each modulus.
+``counts_vector`` (exhaustive histograms per prime power) and
+``count_solutions_bruteforce`` are the oracles.
 """
 
 from __future__ import annotations
@@ -136,14 +136,6 @@ class ModulusMaximum(NamedTuple):
     ratio: float
 
 
-class SweepResult(NamedTuple):
-    r: int
-    s_max: int
-    max_ratio: float
-    witness_a: int
-    witness_s: int
-
-
 def per_modulus_maxima(r: int, s_max: int) -> Iterator[ModulusMaximum]:
     """For each s <= s_max, the unit residue a maximizing count / r^omega(s).
 
@@ -158,11 +150,3 @@ def per_modulus_maxima(r: int, s_max: int) -> Iterator[ModulusMaximum]:
         # rc.bound / 2 = r^omega(s), exactly as a float
         yield ModulusMaximum(s=s, a=rc.a, count=rc.count, ratio=rc.count / (rc.bound / 2))
 
-
-def bound_sweep(r: int, s_max: int) -> SweepResult:
-    """Worst observed count / r^omega(s) over all s <= s_max and unit a."""
-    # max keeps the first maximal row: the smallest s attaining the ratio
-    best = max(per_modulus_maxima(r, s_max), key=lambda row: row.ratio)
-    return SweepResult(
-        r=r, s_max=s_max, max_ratio=best.ratio, witness_a=best.a, witness_s=best.s
-    )

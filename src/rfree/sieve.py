@@ -13,7 +13,7 @@ of its partition check from ``r_free_counts``.  One windowed kernel,
   prime p has p^r | n (r = 2 gives the squarefree numbers), written by the
   kernel window by window into the table.  The table also holds ``mu``,
   ``spf``, ``omega`` and ``phi`` over [0, isqrt(N)] only, taken from
-  ``factor_sieve(isqrt(N))``.  N < 2**32, and the tables fit in 2 GiB.
+  ``factor_sieve(isqrt(N))``.
 * ``factor_sieve(N)`` gives a :class:`FactorTable` with the Mobius
   function, smallest prime factor (spf(1) = 1), number of distinct prime
   factors and Euler totient of every n in [0, N], in one pass over the
@@ -22,6 +22,9 @@ of its partition check from ``r_free_counts``.  One windowed kernel,
   these tables over a full range.
 * ``r_free_counts(xs, r)`` counts the r-free n <= x for each x by running
   the kernel over one scratch window, reading no table and no Mobius value.
+
+Every table over [0, N], here and in ``tau_table``, keeps one size rule,
+``_check_table_size``: N >= 1, N < 2**32 and at most 2 GiB of arrays.
 
 Finished tables are read-only.  ``save_cache``/``load_cache`` store only
 the flags, bit packed and checksummed; the sqrt(N) tables are rebuilt on
@@ -142,6 +145,29 @@ class SieveTable:
             raise ValueError(f"x={x} outside sieve range [0, {self.limit}]")
 
 
+def _check_table_size(limit: int, per_n: int, per_root_n: int = 0) -> None:
+    """The one size rule for a table over [0, limit]: ``per_n`` bytes per n
+    plus ``per_root_n`` bytes per n <= isqrt(limit).
+
+    Raises ValueError if limit < 1, and ResourceLimitError, before anything
+    is allocated, if limit is not below 2**32 or the table would take more
+    than 2 GiB.  The 2**32 ceiling is checked first.
+    """
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    if limit >= _LIMIT_CEILING:
+        raise ResourceLimitError(
+            f"limit={limit} is not below 2**32, the range in which the 32-bit "
+            "spf/phi tables and class_counts' int64 arithmetic are shown exact"
+        )
+    need = (limit + 1) * per_n + (math.isqrt(limit) + 1) * per_root_n
+    if need > _MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"tables for limit={limit} need {need} bytes, exceeding the "
+            f"memory budget of {_MEMORY_BUDGET} bytes"
+        )
+
+
 def small_primes(n: int) -> np.ndarray:
     """All primes <= n, by a plain boolean sieve (self-contained)."""
     if n < 2:
@@ -183,14 +209,10 @@ def factor_sieve(limit: int) -> FactorTable:
     counts in omega, takes the factor p - 1 of phi and, unless a smaller
     prime came first, takes p as spf; each multiple of p^e, e >= 2, gets
     mu = 0 and one more factor p of phi.  Raises ValueError if limit < 1
-    and ResourceLimitError if limit does not fit the 32-bit spf/phi tables.
+    and ResourceLimitError if the tables break ``_check_table_size``.
     """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    if limit >= _LIMIT_CEILING:
-        raise ResourceLimitError(
-            f"limit={limit} does not fit the 32-bit spf/phi tables"
-        )
+    # int8 mu + uint32 spf + uint8 omega + uint32 phi per n
+    _check_table_size(limit, 10)
 
     mu = np.ones(limit + 1, dtype=np.int8)
     spf = np.zeros(limit + 1, dtype=np.uint32)
@@ -215,28 +237,15 @@ def factor_sieve(limit: int) -> FactorTable:
 def build_sieve(limit: int, rs: Iterable[int]) -> SieveTable:
     """r-free flags over [1, limit] for each r (>= 2) of ``rs``.
 
-    Raises ValueError if limit < 1 or some r < 2, and ResourceLimitError if
-    limit is not below 2**32 or the finished tables would exceed 2 GiB.
+    Raises ValueError if some r < 2, and ValueError or ResourceLimitError
+    if the tables break ``_check_table_size``.
     """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
     rset = tuple(sorted(set(int(r) for r in rs)))
     for r in rset:
         if r < 2:
             raise ValueError(f"every r must be >= 2, got {r}")
-    if limit >= _LIMIT_CEILING:
-        raise ResourceLimitError(
-            f"limit={limit} is not below 2**32, the range in which "
-            "class_counts' int64 arithmetic is shown not to overflow"
-        )
-    # one uint8 flag per n and r, plus int8 mu + uint32 spf + uint8 omega
-    # + uint32 phi up to isqrt(limit)
-    need = (limit + 1) * len(rset) + 10 * (math.isqrt(limit) + 1)
-    if need > _MEMORY_BUDGET:
-        raise ResourceLimitError(
-            f"tables for limit={limit} need {need} bytes, exceeding the "
-            f"memory budget of {_MEMORY_BUDGET} bytes"
-        )
+    # one uint8 flag per n and r, plus the factor tables up to isqrt(limit)
+    _check_table_size(limit, len(rset), per_root_n=10)
 
     mu_r: dict[int, np.ndarray] = {}
     for r in rset:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -311,6 +312,38 @@ def test_parse_int_refuses_non_integers(text):
         _parse_int(text)
 
 
+@pytest.mark.parametrize("argv,plain", [
+    ("residues --r 2 --s-max 1e2", "residues --r 2 --s-max 100"),
+    ("f --r 2e0 --k 1.2e1", "f --r 2 --k 12"),
+    ("tau-sum --r 3e0 --x 1e3", "tau-sum --r 3 --x 1000"),
+    ("error --x 1e4 --r 2e0 --k 4e0 --l 2e0", "error --x 10000 --r 2 --k 4 --l 2"),
+    ("verify-lemmas --x 1e4 --r 3 --trials 5e1 --seed 7e0",
+     "verify-lemmas --x 10000 --r 3 --trials 50 --seed 7"),
+    ("bv-sum --r 2e0 --A 1 --x 1e4 --threads 1e0 --timing none",
+     "bv-sum --r 2 --A 1 --x 10000 --threads 1 --timing none"),
+])
+def test_integer_options_take_float_notation(argv, plain, capsys):
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert main(plain.split()) == 0
+    assert out == capsys.readouterr().out
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("rfree ")]
+
+
+def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert len(commands) == 7  # one per subcommand
+    monkeypatch.chdir(tmp_path)  # the files they write stay out of the checkout
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv
+
+
 def _exit_code(argv):
     try:
         return main(argv)
@@ -333,6 +366,7 @@ def _exit_code(argv):
     "bv-sum --r 2 --A 1 --x 5e9",
     "sieve --limit 5e9 --r 2",
     "tau-sum --r 150 --x 8192",
+    "tau-sum --r 2 --x 5e9",
     "verify-lemmas --x 1e4 --r 2 --trials -1",
     "verify-lemmas --x 1e4 --r 2 --trials 0",
     "error --x 1e4 --r 2 --k 3 --l 1 --z nan",

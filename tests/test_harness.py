@@ -14,7 +14,6 @@ from rfree import (
     count_r_free_in_progression,
     decompose,
     error_term,
-    max_error_for_modulus,
     modulus_threshold,
     rows_to_csv,
     run_experiment,
@@ -62,6 +61,15 @@ def test_class_counts_match_strided_scan(table_1e5, r):
                 assert int(counts[l]) == expected, (x, k, l)
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_class_counts_every_class_up_to_200(table_1e5, r):
+    # the oracle for any rewrite of the kernel: every class of every k <= 200
+    x = 99_991
+    for k in range(1, 201):
+        expected = [count_r_free_in_progression(table_1e5, x, r, k, l) for l in range(k)]
+        assert class_counts(x, r, k).tolist() == expected, k
+
+
 def test_class_counts_validation():
     with pytest.raises(ValueError, match="r must"):
         class_counts(100, 1, 3)
@@ -93,8 +101,13 @@ def test_counts_at_the_table_limit(table_1e6, limit):
                 assert rep.small_sum + rep.large_sum == rep.count, (r, k, l, z)
 
 
+def _max_error_of(x, r, k):
+    """(l*, max |E(x; k, l)|) of one modulus, as the sweep takes it."""
+    return harness._max_error(x, r, k, class_counts(x, r, k))
+
+
 def test_max_error_modulus_one(table_1e5):
-    l_star, max_e = max_error_for_modulus(10_000, 2, 1)
+    l_star, max_e = _max_error_of(10_000, 2, 1)
     assert l_star == 0
     rep = error_term(table_1e5, 10_000, 2, 1, 0)
     assert max_e == abs(rep.error_term)
@@ -107,7 +120,7 @@ def test_max_error_matches_per_residue_reports(table_1e5):
     for x, r, k in cases:
         reps = [error_term(table_1e5, x, r, k, l) for l in range(k)]
         errs = {rep.l: abs(rep.error_term) for rep in reps if rep.g_is_r_free}
-        l_star, max_e = max_error_for_modulus(x, r, k)
+        l_star, max_e = _max_error_of(x, r, k)
         assert max_e == max(errs.values()), (x, r, k)
         assert l_star == min(l for l, e in errs.items() if e == max_e), (x, r, k)
 
@@ -116,15 +129,15 @@ def test_max_error_tie_goes_to_smallest_residue(table_1e5):
     # x = 8, k = 4: all three admissible classes carry identical errors
     errs = [abs(error_term(table_1e5, 8, 2, 4, l).error_term) for l in (1, 2, 3)]
     assert max(errs) - min(errs) < 1e-12
-    l_star, _ = max_error_for_modulus(8, 2, 4)
+    l_star, _ = _max_error_of(8, 2, 4)
     assert l_star == 1
 
 
 def test_max_error_partition_self_check(table_1e5):
+    counts = class_counts(1000, 2, 6)
     with pytest.raises(SelfCheckError):
-        max_error_for_modulus(1000, 2, 6, expected_total=-5)
-    total = int(table_1e5.mu_r[2][1:1001].sum())
-    max_error_for_modulus(1000, 2, 6, expected_total=total)
+        harness._check_partition(6, counts, -5)
+    harness._check_partition(6, counts, int(table_1e5.mu_r[2][1:1001].sum()))
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -200,7 +213,7 @@ def test_run_experiment_small():
     # serial recomputation of the fold
     expected = 0.0
     for k in range(1, 6):
-        expected += max_error_for_modulus(10**4, 2, k)[1]
+        expected += _max_error_of(10**4, 2, k)[1]
     assert row.error_sum == expected
     assert abs(row.normalized - row.error_sum * math.log(10**4) / 10**4) < 1e-9
     assert row.wall_seconds == 0.0
@@ -214,7 +227,7 @@ def test_density_at_one_million(table_1e6):
 def test_monotone_aggregation():
     # a smaller threshold can only reduce the sum of nonnegative terms
     x = 10**4
-    maxima = [max_error_for_modulus(x, 2, k)[1] for k in range(1, 6)]
+    maxima = [_max_error_of(x, 2, k)[1] for k in range(1, 6)]
     partial = sum(maxima[:3])
     full = sum(maxima)
     assert partial <= full

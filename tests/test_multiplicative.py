@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rfree import (
+    ResourceLimitError,
     f_value,
     omega_vs_tau_check,
     tau_partial_sum_check,
@@ -17,15 +18,15 @@ from rfree.multiplicative import _descending_power_sum, _zeta_cached
 
 
 def test_zeta_two():
-    assert abs(zeta(2, 1e-12) - math.pi**2 / 6) < 2e-12
+    assert abs(zeta(2) - math.pi**2 / 6) < 2e-12
 
 
 def test_zeta_four():
-    assert abs(zeta(4, 1e-12) - math.pi**4 / 90) < 2e-12
+    assert abs(zeta(4) - math.pi**4 / 90) < 2e-12
 
 
 def test_zeta_large_r():
-    assert abs(zeta(20, 1e-12) - 1.0000009539620338) < 1e-12
+    assert abs(zeta(20) - 1.0000009539620338) < 1e-12
 
 
 @pytest.mark.parametrize("r,bits", [
@@ -39,7 +40,7 @@ def test_zeta_large_r():
 def test_zeta_bits_pinned(r, bits):
     # the chunked sum's order and rounding fix every bit of f_r and so of
     # every main term
-    assert zeta(r, 1e-13).hex() == bits
+    assert zeta(r).hex() == bits
 
 
 @pytest.mark.parametrize("r,bits", [
@@ -66,7 +67,7 @@ def test_zeta_peak_memory():
     _zeta_cached.cache_clear()
     tracemalloc.start()
     try:
-        zeta(2, 1e-13)
+        zeta(2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -75,17 +76,15 @@ def test_zeta_peak_memory():
 
 def test_zeta_rejects_divergent_r():
     with pytest.raises(ValueError):
-        zeta(1, 1e-6)
-    with pytest.raises(ValueError):
-        zeta(2, 0.0)
+        zeta(1)
 
 
 @pytest.mark.parametrize("r", [2, 3, 5])
 def test_zeta_converged(r):
     # a 4x tighter target (doubled M twice) moves the value by less than
     # the coarser target's error budget
-    coarse = zeta(r, 1e-10)
-    fine = zeta(r, 2.5e-11)
+    coarse = _zeta_cached(r, 1e-10)
+    fine = _zeta_cached(r, 2.5e-11)
     assert abs(coarse - fine) < 1e-10 * fine
 
 
@@ -213,6 +212,19 @@ def test_tau_validation():
         tau_table(2, 0)
 
 
+@pytest.mark.parametrize("limit", [2**32, 300_000_000])
+def test_tau_table_refused_before_allocating(limit):
+    # 2**32 is past the ceiling; 3e8 int64 values (2.4 GB) are over the budget
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            tau_table(2, limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_partial_sum_r1_is_identity():
     rows = tau_partial_sum_check(1, [10, 100, 1000])
     for row in rows:
@@ -259,4 +271,4 @@ def test_omega_vs_tau_check_holds(r):
 
 
 def test_zeta_three():
-    assert abs(zeta(3, 1e-12) - 1.2020569031595943) < 2e-12
+    assert abs(zeta(3) - 1.2020569031595943) < 2e-12

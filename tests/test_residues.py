@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from rfree import (
-    bound_sweep,
     count_solutions,
     count_solutions_bruteforce,
     counts_vector,
@@ -118,20 +117,13 @@ def test_unit_bound_small_moduli(r):
         assert int(vec[units].max()) <= 2 * r ** trial_factorize(s).omega, (r, s)
 
 
-def test_bound_sweep_r2_example():
-    result = bound_sweep(2, 8)
-    assert result.max_ratio == 2.0
-    assert (result.witness_a, result.witness_s) == (1, 8)
+def test_per_modulus_maxima_r3_stays_small():
+    assert max(row.ratio for row in per_modulus_maxima(3, 100)) <= 3.0
 
 
-def test_bound_sweep_r3_stays_small():
-    result = bound_sweep(3, 100)
-    assert result.max_ratio <= 3.0
-
-
-def test_bound_sweep_validation():
+def test_per_modulus_maxima_validation():
     with pytest.raises(ValueError):
-        bound_sweep(2, 1)
+        next(per_modulus_maxima(2, 1))
 
 
 def test_prime_quadratic_residue_count():
