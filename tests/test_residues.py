@@ -117,6 +117,12 @@ def test_unit_bound_small_moduli(r):
         assert int(vec[units].max()) <= 2 * r ** trial_factorize(s).omega, (r, s)
 
 
+def test_per_modulus_maxima_r2_example():
+    best = max(per_modulus_maxima(2, 8), key=lambda row: row.ratio)
+    assert best.ratio == 2.0
+    assert (best.a, best.s) == (1, 8)
+
+
 def test_per_modulus_maxima_r3_stays_small():
     assert max(row.ratio for row in per_modulus_maxima(3, 100)) <= 3.0
 
