@@ -48,6 +48,15 @@ def _parse_int(text: str) -> int:
     raise ValueError(f"{text!r} is not an exact 64-bit integer")
 
 
+def _int_option(text: str) -> int:
+    """``_parse_int`` as an argparse type: a refusal names the option and
+    the rule, not this function."""
+    try:
+        return _parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_z(text: str) -> float:
     """The cut of ``decompose``: a finite number >= 1, checked for every class."""
     z = float(text)
@@ -61,6 +70,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _sieve_for(limit: int, rs, cache: str | None):
+    """The table and where it came from: built, built and saved, or loaded."""
     if limit < 1:  # refused before any cache is read, as build_sieve refuses it
         raise ConfigError(f"limit must be >= 1, got {limit}")
     if cache and Path(cache).exists():
@@ -73,11 +83,12 @@ def _sieve_for(limit: int, rs, cache: str | None):
                 f"cache {cache} holds limit={table.limit}, rs={table.rs}; "
                 f"need limit>={limit}, rs={sorted(rs)} (delete it to rebuild)"
             ) from exc
-        return table
+        return table, "loaded from the cache"
     table = build_sieve(limit, rs)
     if cache:
         save_cache(table, cache)
-    return table
+        return table, "built and saved"
+    return table, "built"
 
 
 def _cmd_sieve(args) -> int:
@@ -85,12 +96,16 @@ def _cmd_sieve(args) -> int:
     if not rs:
         raise ConfigError("--r must name at least one r value")
     start = time.perf_counter()
-    table = _sieve_for(args.limit, rs, args.cache)
+    table, source = _sieve_for(args.limit, rs, args.cache)
     elapsed = time.perf_counter() - start
     for r in rs:
         total = count_r_free_in_progression(table, args.limit, r, 1, 0)
         print(f"r={r}: {total} r-free integers <= {args.limit}")
-    print(f"built/loaded in {elapsed:.3f}s (limit {table.limit}, rs {table.rs})")
+    flag_bytes = sum(flags.nbytes for flags in table.mu_r.values())
+    print(
+        f"{source} in {elapsed:.3f}s (limit {table.limit}, rs {table.rs}, "
+        f"{flag_bytes} flag bytes)"
+    )
     return EXIT_OK
 
 
@@ -109,7 +124,7 @@ def _cmd_f(args) -> int:
 
 
 def _cmd_error(args) -> int:
-    table = _sieve_for(args.x, {args.r}, args.cache)
+    table, _ = _sieve_for(args.x, {args.r}, args.cache)
     rep = error_term(table, args.x, args.r, args.k, args.l)
     payload = {
         "x": rep.x, "r": rep.r, "k": rep.k, "l": rep.l,
@@ -158,7 +173,7 @@ def _lemma_trials(seed: int, x: int, r: int, n: int):
 def _cmd_verify_lemmas(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {args.trials}")
-    table = _sieve_for(args.x, {args.r}, None)
+    table, _ = _sieve_for(args.x, {args.r}, None)
     trials = _lemma_trials(args.seed, args.x, args.r, args.trials)
     failures = 0
     worst_small = worst_large = 0.0
@@ -219,26 +234,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sieve", help="build (or load) the flag tables")
-    p.add_argument("--limit", type=_parse_int, required=True)
+    p.add_argument("--limit", type=_int_option, required=True)
     p.add_argument("--r", required=True, help="comma-separated r values")
     p.add_argument("--cache", default=None)
     p.set_defaults(func=_cmd_sieve)
 
     p = sub.add_parser("tau-sum", help="partial sums of tau_r as CSV")
-    p.add_argument("--r", type=_parse_int, required=True)
+    p.add_argument("--r", type=_int_option, required=True)
     p.add_argument("--x", required=True, help="comma-separated x values")
     p.set_defaults(func=_cmd_tau_sum)
 
     p = sub.add_parser("f", help="print f_r(k) to 12 decimals")
-    p.add_argument("--r", type=_parse_int, required=True)
-    p.add_argument("--k", type=_parse_int, required=True)
+    p.add_argument("--r", type=_int_option, required=True)
+    p.add_argument("--k", type=_int_option, required=True)
     p.set_defaults(func=_cmd_f)
 
     p = sub.add_parser("error", help="one progression report (CSV or JSON)")
-    p.add_argument("--x", type=_parse_int, required=True)
-    p.add_argument("--r", type=_parse_int, required=True)
-    p.add_argument("--k", type=_parse_int, required=True)
-    p.add_argument("--l", type=_parse_int, required=True)
+    p.add_argument("--x", type=_int_option, required=True)
+    p.add_argument("--r", type=_int_option, required=True)
+    p.add_argument("--k", type=_int_option, required=True)
+    p.add_argument("--l", type=_int_option, required=True)
     p.add_argument("--z", type=_parse_z, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--cache", default=None)
@@ -247,22 +262,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify-lemmas", help="randomized split-identity and bound sweeps"
     )
-    p.add_argument("--x", type=_parse_int, required=True)
-    p.add_argument("--r", type=_parse_int, required=True)
-    p.add_argument("--trials", type=_parse_int, default=100)
-    p.add_argument("--seed", type=_parse_int, default=0)
+    p.add_argument("--x", type=_int_option, required=True)
+    p.add_argument("--r", type=_int_option, required=True)
+    p.add_argument("--trials", type=_int_option, default=100)
+    p.add_argument("--seed", type=_int_option, default=0)
     p.set_defaults(func=_cmd_verify_lemmas)
 
     p = sub.add_parser("residues", help="power-residue count maxima as CSV")
-    p.add_argument("--r", type=_parse_int, required=True)
-    p.add_argument("--s-max", dest="s_max", type=_parse_int, required=True)
+    p.add_argument("--r", type=_int_option, required=True)
+    p.add_argument("--s-max", dest="s_max", type=_int_option, required=True)
     p.set_defaults(func=_cmd_residues)
 
     p = sub.add_parser("bv-sum", help="averaged worst-case error experiment")
-    p.add_argument("--r", type=_parse_int, required=True)
+    p.add_argument("--r", type=_int_option, required=True)
     p.add_argument("--A", type=float, required=True)
     p.add_argument("--x", required=True, help="comma-separated x values")
-    p.add_argument("--threads", type=_parse_int, default=1,
+    p.add_argument("--threads", type=_int_option, default=1,
                    help="kept for compatibility; has no effect (must be >= 1)")
     p.add_argument("--csv", default=None)
     p.add_argument("--plot", default=None)

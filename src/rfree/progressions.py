@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -114,15 +114,28 @@ def count_r_free_in_progression(
     table: SieveTable, x: int, r: int, k: int, l: int
 ) -> int:
     """Exact R(x; k, l) by a strided scan of the r-free flag table."""
-    table.check_covers(x, r)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0 <= l < k:
         raise ValueError(f"need 0 <= l < k, got l={l}, k={k}")
-    start = l if l >= 1 else k
-    if start > x:
-        return 0
-    return int(np.count_nonzero(table.mu_r[r][start : x + 1 : k]))
+    return _class_counts(table, x, r, [(k, l)])[0]
+
+
+def _class_counts(
+    table: SieveTable, x: int, r: int, classes: Iterable[tuple[int, int]]
+) -> list[int]:
+    """R(x; k, l) for each (k, l) of ``classes``, in order, by strided scans
+    of the flags: each window of ``table.flag_windows`` is unpacked once and
+    serves every class.
+    """
+    starts = [(l if l >= 1 else k, k) for k, l in classes]
+    counts = [0] * len(starts)
+    for lo, window in table.flag_windows(x, r):
+        for i, (start, k) in enumerate(starts):
+            first = start - lo if start >= lo else (start - lo) % k  # n = lo + index
+            if first < window.size:
+                counts[i] += int(np.count_nonzero(window[first::k]))
+    return counts
 
 
 def count_r_free_bruteforce(x: int, r: int, k: int, l: int) -> int:
@@ -242,30 +255,31 @@ def decompose_many(
 
     Every trial is checked as ``decompose`` checks it before any sum is
     formed.  A repeated (k, l) is split once, all its cuts read off one
-    cumulative sum, and its count comes from one strided scan.
+    cumulative sum, and the counts of every distinct (k, l) come from one
+    ``_class_counts`` call, which unpacks each window of flags once.
     """
     trials = list(trials)
-    progressions = {}  # (k, l) -> (count, small main term)
+    main_terms = {}  # (k, l) -> small main term
     factored = {}  # k -> (factorization, f-value)
     for k, l, z in trials:
         if not (math.isfinite(z) and z >= 1):
             raise ValueError(f"z must be a finite number >= 1, got {z}")
         if k < 1 or not 0 <= l < k:
             raise ValueError(f"bad progression k={k}, l={l}")
-        if (k, l) in progressions:
+        if (k, l) in main_terms:
             continue
         g = math.gcd(l, k)
         if not is_r_free(g, r):
             raise ValueError(f"gcd(l, k) = {g} is not {r}-free")
-        count = count_r_free_in_progression(table, x, r, k, l)
         if k not in factored:
             factored[k] = (trial_factorize(k), f_value(r, k))
-        progressions[k, l] = (count, _main_term(x, r, *factored[k], l))
+        main_terms[k, l] = _main_term(x, r, *factored[k], l)
+    counts = dict(zip(main_terms, _class_counts(table, x, r, main_terms)))
     reports = []
     for (k, l, z), (small, large) in zip(
         trials, _split_sums(table, x, r, trials, factored)
     ):
-        count, small_main = progressions[k, l]
+        count, small_main = counts[k, l], main_terms[k, l]
         reports.append(
             DecompositionReport(
                 x=x, r=r, k=k, l=l, z=float(z),

@@ -9,11 +9,13 @@ of its partition check from ``r_free_counts``.  One windowed kernel,
 ``_sieve_window``, computes the r-free flags for both.
 
 * ``build_sieve(N, rs)`` gives a :class:`SieveTable` holding, for each
-  requested r >= 2, ``mu_r[r]``: one uint8 flag per n in [0, N], 1 iff no
-  prime p has p^r | n (r = 2 gives the squarefree numbers), written by the
-  kernel window by window into the table.  The table also holds ``mu``,
-  ``spf``, ``omega`` and ``phi`` over [0, isqrt(N)] only, taken from
-  ``factor_sieve(isqrt(N))``.
+  requested r >= 2, ``mu_r[r]``: one bit per n in [0, N], 1 iff no prime p
+  has p^r | n (r = 2 gives the squarefree numbers), packed eight to a
+  uint8 as ``np.packbits`` packs them (n = 0 in the high bit of byte 0,
+  zero pad bits after n = N).  The kernel fills one scratch window at a
+  time, which is packed into its byte slice of the table.  The table also
+  holds ``mu``, ``spf``, ``omega`` and ``phi`` over [0, isqrt(N)] only,
+  taken from ``factor_sieve(isqrt(N))``.
 * ``factor_sieve(N)`` gives a :class:`FactorTable` with the Mobius
   function, smallest prime factor (spf(1) = 1), number of distinct prime
   factors and Euler totient of every n in [0, N], in one pass over the
@@ -27,8 +29,8 @@ Every table over [0, N], here and in ``tau_table``, keeps one size rule,
 ``_check_table_size``: N >= 1, N < 2**32 and at most 2 GiB of arrays.
 
 Finished tables are read-only.  ``save_cache``/``load_cache`` store only
-the flags, bit packed and checksummed; the sqrt(N) tables are rebuilt on
-load.
+the packed flags, byte for byte as the table holds them, checksummed; the
+sqrt(N) tables are rebuilt on load.
 
 ``mu_r_direct`` recomputes the r-free indicator for a single n as the
 divisor sum of the Mobius function over d with d^r | n, using nothing but
@@ -40,7 +42,6 @@ read their answers off its factorization.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import zlib
@@ -56,7 +57,9 @@ _MEMORY_BUDGET = 2 * 1024**3  # bytes of finished tables
 # every table limit and every x lies below this: the uint32 spf/phi tables
 # and the int64 arithmetic of the Mobius sums are shown exact there
 _LIMIT_CEILING = 2**32
-_COUNT_WINDOW = 1 << 20  # uint8 flags per window of the r-free kernel: 1 MiB
+# uint8 flags per window of the r-free kernel: 1 MiB, a multiple of 8, so
+# each window packs into whole bytes of a flag table
+_COUNT_WINDOW = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -112,10 +115,13 @@ class SieveTable:
     """Read-only r-free flags over [0, limit], factoring tables over
     [0, isqrt(limit)].
 
-    ``mu_r`` maps each requested r to a uint8 0/1 array of length
-    limit + 1.  ``mu``, ``spf``, ``omega`` and ``phi`` have length
-    isqrt(limit) + 1: the Mobius sums need mu(d) only for d^r <= limit.
-    All arrays are indexed directly by n (index 0 is unused filler).
+    ``mu_r`` maps each requested r to the packed r-free flags of n in
+    [0, limit]: (limit + 8) // 8 uint8 bytes in ``np.packbits`` order, the
+    flag of n in bit 7 - n % 8 of byte n // 8, pad bits zero;
+    ``flag_windows`` reads them.  ``mu``, ``spf``, ``omega`` and
+    ``phi`` have length isqrt(limit) + 1: the Mobius sums need mu(d) only
+    for d^r <= limit.  They are indexed directly by n (index 0 is unused
+    filler).
     """
 
     __slots__ = ("limit", "rs", "mu", "spf", "omega", "phi", "mu_r")
@@ -131,7 +137,7 @@ class SieveTable:
         root = math.isqrt(limit) + 1
         _freeze([
             *((arr, root) for arr in (mu, spf, omega, phi)),
-            *((flags, limit + 1) for flags in mu_r.values()),
+            *((flags, _packed_size(limit)) for flags in mu_r.values()),
         ])
 
     def __repr__(self):
@@ -144,10 +150,32 @@ class SieveTable:
         if not 0 <= x <= self.limit:
             raise ValueError(f"x={x} outside sieve range [0, {self.limit}]")
 
+    def flag_windows(self, x: int, r: int):
+        """Yield (lo, flags) over [0, x]: the r-free flags of n = lo, lo + 1,
+        ... as uint8 0/1, unpacked one window of ``_COUNT_WINDOW`` at a time.
 
-def _check_table_size(limit: int, per_n: int, per_root_n: int = 0) -> None:
-    """The one size rule for a table over [0, limit]: ``per_n`` bytes per n
-    plus ``per_root_n`` bytes per n <= isqrt(limit).
+        Each window starts on a byte, and ``count`` keeps every flag past x
+        and every pad bit out of it.  Raises ValueError, before the first
+        window, unless the table holds the flags of r over [0, x].
+        """
+        self.check_covers(x, r)
+        packed = self.mu_r[r]
+        for lo in range(0, x + 1, _COUNT_WINDOW):
+            size = min(_COUNT_WINDOW, x + 1 - lo)
+            yield lo, np.unpackbits(packed[lo // 8 : (lo + size + 7) // 8], count=size)
+
+
+def _packed_size(limit: int) -> int:
+    """Bytes of one packed flag array over [0, limit]."""
+    return (limit + 8) // 8
+
+
+def _check_table_size(
+    limit: int, per_n: int, per_root_n: int = 0, flag_arrays: int = 0
+) -> None:
+    """The one size rule for a table over [0, limit]: ``per_n`` bytes per n,
+    ``per_root_n`` bytes per n <= isqrt(limit) and ``flag_arrays`` packed
+    flag arrays of (limit + 8) // 8 bytes each.
 
     Raises ValueError if limit < 1, and ResourceLimitError, before anything
     is allocated, if limit is not below 2**32 or the table would take more
@@ -160,7 +188,11 @@ def _check_table_size(limit: int, per_n: int, per_root_n: int = 0) -> None:
             f"limit={limit} is not below 2**32, the range in which the 32-bit "
             "spf/phi tables and class_counts' int64 arithmetic are shown exact"
         )
-    need = (limit + 1) * per_n + (math.isqrt(limit) + 1) * per_root_n
+    need = (
+        (limit + 1) * per_n
+        + (math.isqrt(limit) + 1) * per_root_n
+        + flag_arrays * _packed_size(limit)
+    )
     if need > _MEMORY_BUDGET:
         raise ResourceLimitError(
             f"tables for limit={limit} need {need} bytes, exceeding the "
@@ -244,16 +276,20 @@ def build_sieve(limit: int, rs: Iterable[int]) -> SieveTable:
     for r in rset:
         if r < 2:
             raise ValueError(f"every r must be >= 2, got {r}")
-    # one uint8 flag per n and r, plus the factor tables up to isqrt(limit)
-    _check_table_size(limit, len(rset), per_root_n=10)
+    # one packed bit per n and r, plus the factor tables up to isqrt(limit)
+    _check_table_size(limit, 0, per_root_n=10, flag_arrays=len(rset))
 
     mu_r: dict[int, np.ndarray] = {}
+    scratch = np.empty(min(_COUNT_WINDOW, limit + 1), dtype=np.uint8)
     for r in rset:
-        flags = np.empty(limit + 1, dtype=np.uint8)
+        packed = np.empty(_packed_size(limit), dtype=np.uint8)
         powers = _r_powers(limit, r)
         for lo in range(0, limit + 1, _COUNT_WINDOW):
-            _sieve_window(flags[lo : lo + _COUNT_WINDOW], lo, *powers)
-        mu_r[r] = flags
+            window = scratch[: min(_COUNT_WINDOW, limit + 1 - lo)]  # n = lo + index
+            _sieve_window(window, lo, *powers)
+            # lo is a multiple of 8; packbits zeroes the pad bits of the last window
+            packed[lo // 8 : (lo + window.size + 7) // 8] = np.packbits(window)
+        mu_r[r] = packed
     return _with_root_factors(limit, rset, mu_r)
 
 
@@ -404,10 +440,11 @@ def mu_r_direct(n: int, r: int) -> int:
 #
 #   "RFSV2" | crc32 (u32) | limit (u64) | #r (u32) | r values (u32 each) | flags
 #
-# The flags of each r, in the order of the r values, are packed one bit per
-# n in [0, limit].  The crc32 covers every byte after itself.  Reload is
-# bit-identical; a file whose size differs from what its header implies, or
-# whose checksum fails, is refused.  The sqrt(limit) tables are not stored,
+# The flags of each r, in the order of the r values, are the table's
+# ``mu_r[r]`` bytes: one bit per n in [0, limit], pad bits zero.  The crc32
+# covers every byte after itself.  Reload is bit-identical; a file whose
+# size differs from what its header implies, whose checksum fails or whose
+# pad bits are not zero is refused.  The sqrt(limit) tables are not stored,
 # because rebuilding them costs less than reading them.
 # ---------------------------------------------------------------------------
 
@@ -417,16 +454,16 @@ _HEAD = 5 + 4 + 8 + 4  # magic, crc32, limit, #r
 
 
 def _cache_size(limit: int, n_rs: int) -> int:
-    return _HEAD + 4 * n_rs + n_rs * ((limit + 8) // 8)
+    return _HEAD + 4 * n_rs + n_rs * _packed_size(limit)
 
 
 def save_cache(table: SieveTable, path) -> None:
-    """Write the table's flags to ``path`` in the packed binary format.
+    """Write the table's packed flags to ``path`` in the binary format.
 
     The bytes go to a temporary file in the same directory, which then
     replaces ``path`` in one step, so an interrupted save never leaves a
-    torn cache behind.  The flags are packed and written one r at a time
-    and the crc32 is filled in last, so the save holds one packed array.
+    torn cache behind.  The flags are written as the table holds them and
+    the crc32 is filled in last, so the save allocates nothing of size N.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     head = [
@@ -438,11 +475,9 @@ def save_cache(table: SieveTable, path) -> None:
         with open(tmp, "wb") as fh:
             fh.write(_CACHE_MAGIC + bytes(4))  # the crc32 is filled in below
             crc = 0
-            packed = (np.packbits(table.mu_r[r]) for r in table.rs)
-            for part in itertools.chain(head, packed):
+            for part in head + [table.mu_r[r] for r in table.rs]:
                 fh.write(part)
                 crc = zlib.crc32(part, crc)
-                del part  # freed before the next r is packed
             assert fh.tell() == _cache_size(table.limit, len(table.rs)), "cache layout"
             fh.seek(len(_CACHE_MAGIC))
             fh.write(np.array(crc, dtype="<u4").tobytes())
@@ -457,9 +492,10 @@ def load_cache(path) -> SieveTable:
 
     Raises ConfigError unless the file carries the current magic, its
     size is exactly what its header implies (checked before any table is
-    read) and its checksum matches (checked before the table is built).
-    The flags are read, checksummed and unpacked one r at a time, so the
-    load holds one packed array, as the save does.
+    read), its checksum matches and every pad bit past ``limit`` is zero,
+    as ``save_cache`` writes it (both checked before the table is built).
+    The table keeps the packed bytes as read, read-only, so the load holds
+    nothing beyond them.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEAD)
@@ -489,13 +525,19 @@ def load_cache(path) -> SieveTable:
         rset = tuple(int(v) for v in np.frombuffer(r_values, dtype="<u4"))
         mu_r = {}
         for r in rset:
-            packed = fh.read((limit + 8) // 8)
+            packed = fh.read(_packed_size(limit))
             actual = zlib.crc32(packed, actual)
-            mu_r[r] = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=limit + 1)
-            del packed  # freed before the next r is read
+            mu_r[r] = np.frombuffer(packed, dtype=np.uint8)  # read-only, no copy
     if actual != crc:
         raise ConfigError(
             f"sieve cache {path} fails its checksum (crc32 {actual:#010x}, "
             f"header says {crc:#010x}); delete it to rebuild"
         )
+    pad = (1 << (7 - limit % 8)) - 1  # the bits of n = limit + 1, ... in the last byte
+    for r, packed in mu_r.items():
+        if packed[-1] & pad:
+            raise ConfigError(
+                f"sieve cache {path} sets pad bits past limit={limit} in the "
+                f"flags of r={r}, which save_cache never writes; delete it to rebuild"
+            )
     return _with_root_factors(limit, rset, mu_r)

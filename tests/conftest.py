@@ -1,6 +1,12 @@
+import numpy as np
 import pytest
 
 from rfree import build_sieve, factor_sieve
+
+
+def unpacked(table, r):
+    """The r-free flags of ``table`` as one uint8 0/1 per n in [0, limit]."""
+    return np.unpackbits(table.mu_r[r], count=table.limit + 1)
 
 
 @pytest.fixture(scope="session")

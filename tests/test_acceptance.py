@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import unpacked
 from rfree import (
     ExperimentConfig,
     count_r_free_in_progression,
@@ -36,7 +37,7 @@ def _report(num: int, name: str, detail: str = "") -> None:
 def test_criterion_1_sieve_matches_direct_mobius_sum(table_1e5):
     start = time.perf_counter()
     for r in (2, 3, 4):
-        flags = table_1e5.mu_r[r]
+        flags = unpacked(table_1e5, r)
         for n in range(1, 100_001):
             if mu_r_direct(n, r) != flags[n]:
                 pytest.fail(f"mu_r mismatch at n={n}, r={r}")
@@ -52,7 +53,7 @@ def test_criterion_2_progression_oracle(table_1e4):
     for r in (2, 3):
         oracle = np.array([0] + [is_r_free(n, r) for n in range(1, x_max + 1)],
                           dtype=np.int64)
-        flags = table_1e4.mu_r[r].astype(np.int64)
+        flags = unpacked(table_1e4, r).astype(np.int64)
         for k in range(1, k_max + 1):
             for l in range(k):
                 start = l if l else k
@@ -163,7 +164,7 @@ def test_criterion_6_known_density(table_1e6):
 
     oracle = sum(mobius(d) * (10**6 // (d * d)) for d in range(1, 1001))
     assert oracle == 607926
-    sieved = int(table_1e6.mu_r[2][1:].sum(dtype=np.int64))
+    sieved = int(unpacked(table_1e6, 2)[1:].sum(dtype=np.int64))
     assert sieved == 607926
     _report(6, "known density", "(squarefree count at 1e6 = 607926, exact)")
 

@@ -1,4 +1,5 @@
 import json
+import zlib
 from pathlib import Path
 
 import pytest
@@ -24,10 +25,14 @@ def test_sieve_command_with_cache(tmp_path, capsys):
     assert main(["sieve", "--limit", "1000", "--r", "2,3", "--cache", str(cache)]) == 0
     first = capsys.readouterr().out
     assert "r=2: 608" in first
+    assert first.splitlines()[-1].startswith("built and saved in ")
     assert cache.exists()
     assert main(["sieve", "--limit", "1000", "--r", "2,3", "--cache", str(cache)]) == 0
     second = capsys.readouterr().out
-    assert "r=2: 608" in second
+    assert second.splitlines()[:2] == first.splitlines()[:2]
+    assert second.splitlines()[-1].startswith("loaded from the cache in ")
+    # the flags of r = 2 and 3, 126 packed bytes each
+    assert second.splitlines()[-1].endswith("(limit 1000, rs (2, 3), 252 flag bytes)")
 
 
 def test_sieve_prints_each_r_once(capsys):
@@ -37,7 +42,9 @@ def test_sieve_prints_each_r_once(capsys):
         "r=2: 61 r-free integers <= 100",
         "r=3: 85 r-free integers <= 100",
     ]
-    assert len(lines) == 3 and lines[2].startswith("built/loaded")
+    assert len(lines) == 3
+    assert lines[2].startswith("built in ")
+    assert lines[2].endswith("s (limit 100, rs (2, 3), 26 flag bytes)")  # 2 * (100 + 8) // 8
 
 
 def test_sieve_refuses_empty_r_before_reading_cache(tmp_path, capsys):
@@ -83,6 +90,21 @@ def test_sieve_refuses_flipped_two_r_cache(tmp_path, capsys, at):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "config error" in captured.err and "checksum" in captured.err
+
+
+def test_sieve_refuses_cache_with_pad_bit(tmp_path, capsys):
+    cache = tmp_path / "s.rfsv"
+    argv = ["sieve", "--limit", "1e4", "--r", "2,3", "--cache", str(cache)]
+    assert main(argv) == 0
+    raw = bytearray(cache.read_bytes())
+    raw[-1] |= 0x01  # the last pad bit of r = 3; the checksum is made to match
+    raw[5:9] = zlib.crc32(raw[9:]).to_bytes(4, "little")
+    cache.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err and "pad bits" in captured.err
 
 
 def test_error_refuses_short_cache(tmp_path, capsys):
@@ -310,6 +332,35 @@ def test_parse_int_accepts_exact_integers(text, value):
 def test_parse_int_refuses_non_integers(text):
     with pytest.raises(ValueError):
         _parse_int(text)
+
+
+@pytest.mark.parametrize("argv", [
+    "sieve --limit 1.5 --r 2",
+    "tau-sum --r 1.5 --x 100",
+    "f --r 1.5 --k 4",
+    "f --r 2 --k 1.5",
+    "error --x 1.5 --r 2 --k 4 --l 2",
+    "error --x 100 --r 1.5 --k 4 --l 2",
+    "error --x 100 --r 2 --k 1.5 --l 2",
+    "error --x 100 --r 2 --k 4 --l 1.5",
+    "verify-lemmas --x 1.5 --r 2",
+    "verify-lemmas --x 100 --r 1.5",
+    "verify-lemmas --x 100 --r 2 --trials 1.5",
+    "verify-lemmas --x 100 --r 2 --seed 1.5",
+    "residues --r 1.5 --s-max 8",
+    "residues --r 2 --s-max 1.5",
+    "bv-sum --r 1.5 --A 1 --x 1e4",
+    "bv-sum --r 2 --A 1 --x 1e4 --threads 1.5",
+])
+def test_integer_option_refusal_states_the_rule(argv, capsys):
+    # every integer option refuses 1.5 by its name and the rule it breaks
+    words = argv.split()
+    option = words[words.index("1.5") - 1]
+    assert _exit_code(words) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: '1.5' is not an exact 64-bit integer" in captured.err
+    assert "_parse_int" not in captured.err and "invalid" not in captured.err
 
 
 @pytest.mark.parametrize("argv,plain", [

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import unpacked
 import rfree.harness as harness
 from rfree import (
     ConfigError,
@@ -137,7 +138,7 @@ def test_max_error_partition_self_check(table_1e5):
     counts = class_counts(1000, 2, 6)
     with pytest.raises(SelfCheckError):
         harness._check_partition(6, counts, -5)
-    harness._check_partition(6, counts, int(table_1e5.mu_r[2][1:1001].sum()))
+    harness._check_partition(6, counts, int(unpacked(table_1e5, 2)[1:1001].sum()))
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -145,7 +146,7 @@ def test_sweep_fold_matches_class_counts(table_1e5, r):
     # the sweep counts only k in (K/2, K] and folds every smaller k down
     # from k * floor(K/k); 5 and 31 are odd K, 16 and 40 even
     for x in (10**4, 99_991, 10**5):
-        total = int(table_1e5.mu_r[r][1 : x + 1].sum())
+        total = int(unpacked(table_1e5, r)[1 : x + 1].sum())
         bounds = {modulus_threshold(x, r, 0.5), 5, 16, 31, 40}
         for bound in sorted(bounds):
             swept = list(harness._sweep_counts(table_1e5.mu, x, r, bound, total))
@@ -220,7 +221,7 @@ def test_run_experiment_small():
 
 
 def test_density_at_one_million(table_1e6):
-    density = int(table_1e6.mu_r[2][1:].sum()) / table_1e6.limit
+    density = int(unpacked(table_1e6, 2)[1:].sum()) / table_1e6.limit
     assert 0.59 < density < 0.62
 
 

@@ -3,7 +3,10 @@ import random
 
 import pytest
 
+from conftest import unpacked
 from rfree import (
+    SieveTable,
+    build_sieve,
     count_r_free_bruteforce,
     count_r_free_in_progression,
     decompose,
@@ -16,7 +19,7 @@ from rfree import (
     trial_factorize,
 )
 from rfree.harness import class_counts
-from rfree.progressions import _int_rth_root
+from rfree.progressions import _class_counts, _int_rth_root
 
 
 def test_count_examples(table_1e5):
@@ -47,11 +50,65 @@ def test_count_against_bruteforce(table_1e4, r):
             count_r_free_bruteforce(x, r, k, l)
 
 
+@pytest.fixture(scope="module")
+def table_edges():
+    # 2^21 + 9 flags: two whole 1 MiB windows, a third of 9 flags, and 7
+    # pad bits in the last byte
+    return build_sieve(2**21 + 8, {2, 3})
+
+
+def _every_class(k_max, x):
+    """Every (k, l) with k <= k_max, and five classes of a modulus above x."""
+    classes = [(k, l) for k in range(1, k_max + 1) for l in range(k)]
+    return classes + [(x + 5, l) for l in range(5)]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_class_counts_at_window_edges(table_edges, r):
+    # every class of every k <= 12 and some of a k > x, at the last flag of a
+    # window, the first of the next, one past it, inside the third window
+    # and at the limit; against the strided scan of the unpacked flags
+    flags = unpacked(table_edges, r)
+    w = 2**20
+    for x in (w - 1, w, w + 1, 2 * w + 7, table_edges.limit):
+        classes = _every_class(12, x)
+        expected = [int(flags[l or k : x + 1 : k].sum()) for k, l in classes]
+        assert _class_counts(table_edges, x, r, classes) == expected, x
+        assert [
+            count_r_free_in_progression(table_edges, x, r, k, l) for k, l in classes
+        ] == expected, x
+
+
+def test_class_counts_read_no_pad_bit(table_edges):
+    # the same table with every pad bit set counts the same
+    t = table_edges
+    dirty = {r: t.mu_r[r].copy() for r in t.rs}
+    for packed in dirty.values():
+        packed[-1] |= 0x7F
+    padded = SieveTable(t.limit, t.rs, t.mu, t.spf, t.omega, t.phi, dirty)
+    classes = _every_class(12, t.limit)
+    for r in t.rs:
+        assert _class_counts(padded, t.limit, r, classes) == _class_counts(
+            t, t.limit, r, classes
+        )
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_class_counts_match_bruteforce_to_200(table_1e4, r):
+    for x in range(201):
+        classes = _every_class(7, x)
+        expected = [count_r_free_bruteforce(x, r, k, l) for k, l in classes]
+        assert _class_counts(table_1e4, x, r, classes) == expected, x
+        assert [
+            count_r_free_in_progression(table_1e4, x, r, k, l) for k, l in classes
+        ] == expected, x
+
+
 @pytest.mark.parametrize("r", [2, 3])
 def test_partition_over_residues(table_1e5, r):
     # classes of any modulus partition [1, x]
     for x in (37, 1000, 100_000):
-        total = int(table_1e5.mu_r[r][1 : x + 1].sum())
+        total = int(unpacked(table_1e5, r)[1 : x + 1].sum())
         for k in range(1, 101):
             assert int(class_counts(x, r, k).sum()) == total
 

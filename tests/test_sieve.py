@@ -2,10 +2,12 @@ import itertools
 import math
 import random
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
+from conftest import unpacked
 import rfree.sieve as sieve
 from rfree import (
     ConfigError,
@@ -28,13 +30,15 @@ from rfree import (
 
 def test_squarefree_flags_to_ten():
     table = build_sieve(10, {2})
-    assert list(table.mu_r[2][1:11]) == [1, 1, 1, 0, 1, 1, 1, 0, 0, 1]
+    assert list(unpacked(table, 2)[1:11]) == [1, 1, 1, 0, 1, 1, 1, 0, 0, 1]
 
 
 def test_limit_one():
     table = build_sieve(1, {2})
     assert table.mu[1] == 1
-    assert table.mu_r[2][1] == 1
+    assert unpacked(table, 2)[1] == 1
+    # np.packbits order: n = 0 in the high bit, then n = 1, then zero pad bits
+    assert table.mu_r[2].tolist() == [0b0100_0000]
     assert table.phi[1] == 1
     assert table.spf[1] == 1
     assert table.omega[1] == 0
@@ -45,7 +49,7 @@ def test_cubefree_count_to_hundred():
     table = build_sieve(100, {3})
     expected = sum(_mobius(d) * (100 // d**3) for d in range(1, 5))
     assert expected == 85
-    assert int(table.mu_r[3][1:].sum()) == 85
+    assert int(unpacked(table, 3)[1:].sum()) == 85
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +63,7 @@ def test_r_free_counts_match_flags_across_windows(table_windows, r):
     # inside the fourth window, asked for out of order in one pass
     w = sieve._COUNT_WINDOW
     xs = [3 * w + 5, w - 1, w + 1, w]
-    expected = [int(table_windows.mu_r[r][1 : x + 1].sum()) for x in xs]
+    expected = [int(unpacked(table_windows, r)[1 : x + 1].sum()) for x in xs]
     assert r_free_counts(xs, r) == expected
 
 
@@ -74,7 +78,7 @@ def test_window_counts_match_mobius_sums(table_windows, r):
         for x in xs
     ]
     assert r_free_counts(xs, r) == expected
-    flags = table_windows.mu_r[r]
+    flags = unpacked(table_windows, r)
     assert [int(np.count_nonzero(flags[1 : x + 1])) for x in xs] == expected
 
 
@@ -85,7 +89,7 @@ def test_short_windows_match_trial_division(monkeypatch):
     table = build_sieve(2000, {2, 3, 4})
     for r in (2, 3, 4):
         expected = [0] + [int(is_r_free(n, r)) for n in range(1, 2001)]
-        assert table.mu_r[r].tolist() == expected
+        assert unpacked(table, r).tolist() == expected
         totals = list(itertools.accumulate(expected))
         assert totals[2000] == count_r_free_bruteforce(2000, r, 1, 0)
         assert r_free_counts(range(2001), r) == totals
@@ -95,7 +99,7 @@ def test_short_windows_match_trial_division(monkeypatch):
 def test_zero_is_not_counted_below_the_first_power(r):
     # below 2^r no p^r clears a flag, so only the n = 0 clear keeps 0 out
     top = 2**r - 1
-    assert build_sieve(top, {r}).mu_r[r].tolist() == [0] + [1] * top
+    assert unpacked(build_sieve(top, {r}), r).tolist() == [0] + [1] * top
     assert r_free_counts([0, top], r) == [0, top]
 
 
@@ -182,13 +186,14 @@ def test_sieve_matches_direct_sum_sample(table_1e5, r):
     rng = random.Random(r)
     ns = [rng.randint(1, table_1e5.limit) for _ in range(500)]
     ns += [1, 2, 4, 8, 16, 36, 64, 100, 729, 1024, 99991, 100000]
+    flags = unpacked(table_1e5, r)
     for n in ns:
-        assert int(table_1e5.mu_r[r][n]) == mu_r_direct(n, r), (n, r)
+        assert int(flags[n]) == mu_r_direct(n, r), (n, r)
 
 
 def test_mu_zero_iff_not_squarefree(factors_1e5, table_1e5):
     mu = factors_1e5.mu[1:]
-    sf = table_1e5.mu_r[2][1:]
+    sf = unpacked(table_1e5, 2)[1:]
     assert np.array_equal(mu != 0, sf == 1)
 
 
@@ -199,7 +204,7 @@ def test_flags_match_factorizations(factors_1e5, table_1e5):
     for n in range(1, factors_1e5.limit + 1):
         top[n] = max((e for _, e in factorize(factors_1e5, n).factors), default=0)
     for r in (2, 3, 4):
-        assert np.array_equal(table_1e5.mu_r[r][1:] == 1, top[1:] < r), r
+        assert np.array_equal(unpacked(table_1e5, r)[1:] == 1, top[1:] < r), r
 
 
 def test_sieve_factors_are_root_prefix(factors_1e5, table_1e5):
@@ -243,7 +248,7 @@ def test_spf_values(factors_1e5):
 
 
 def test_density_near_zeta_inverse(table_1e5):
-    density = int(table_1e5.mu_r[2][1:].sum()) / table_1e5.limit
+    density = int(unpacked(table_1e5, 2)[1:].sum()) / table_1e5.limit
     assert 0.59 < density < 0.62
 
 
@@ -272,9 +277,10 @@ def test_build_validation():
 
 
 def test_memory_budget_named_in_error():
-    # 3e9 flags: below 2**32 but over the 2 GiB budget, refused before allocating
+    # six packed flag arrays of 3e9 bits, 375 MB each: below 2**32 but over
+    # the 2 GiB budget, refused before allocating
     with pytest.raises(ResourceLimitError, match="budget"):
-        build_sieve(3 * 10**9, {2})
+        build_sieve(3 * 10**9, range(2, 8))
 
 
 def test_limit_beyond_32bit_rejected():
@@ -371,11 +377,15 @@ def test_cache_save_replaces_atomically(table_1e4, tmp_path, monkeypatch):
     save_cache(small, path)
     before = path.read_bytes()
 
-    def crash(_):
-        raise OSError("disk full")
+    crc32 = zlib.crc32
+
+    def crash(data, crc=0):
+        if memoryview(data).nbytes > 100:  # the header passes, the flags do not
+            raise OSError("disk full")
+        return crc32(data, crc)
 
     # a save that dies half-way leaves the old file and no temporary behind
-    monkeypatch.setattr(np, "packbits", crash)
+    monkeypatch.setattr(zlib, "crc32", crash)
     with pytest.raises(OSError, match="disk full"):
         save_cache(table_1e4, path)
     monkeypatch.undo()
@@ -389,9 +399,9 @@ def test_cache_save_replaces_atomically(table_1e4, tmp_path, monkeypatch):
 
 def test_table_rejects_short_arrays():
     root = np.ones(4, dtype=np.uint8)  # isqrt(10) + 1
-    flags = np.ones(11, dtype=np.uint8)
+    flags = np.ones(2, dtype=np.uint8)  # 11 bits packed into (10 + 8) // 8 bytes
     with pytest.raises(ValueError, match="does not cover"):
-        SieveTable(10, (2,), root, root, root, root, {2: flags[:10]})
+        SieveTable(10, (2,), root, root, root, root, {2: flags[:1]})
     with pytest.raises(ValueError, match="does not cover"):
         SieveTable(10, (2,), root[:3], root, root, root, {2: flags})
     with pytest.raises(ValueError, match="does not cover"):
@@ -431,9 +441,34 @@ def test_cache_save_holds_one_packed_array(tmp_path):
     assert load_cache(tmp_path / "sieve.rfsv").mu_r[3].tolist() == table.mu_r[3].tolist()
 
 
+def test_build_holds_packed_flags_and_one_window():
+    # two packed tables of 2^22 + 1 flags, one 1 MiB scratch window and the
+    # 128 KiB it packs to; a uint8 flag per n would be 8 MiB
+    tracemalloc.start()
+    try:
+        table = build_sieve(2**22, {2, 3})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (2**19 + 1) + 2**20 + 2**17 + 2**16
+    assert [table.mu_r[r].nbytes for r in table.rs] == [2**19 + 1] * 2
+
+
+def test_cache_refuses_nonzero_pad_bit(table_1e4, tmp_path):
+    # 10001 flags fill 1251 bytes with 7 pad bits; set the last one and fix
+    # the checksum, so only the pad-bit check can refuse the file
+    raw = bytearray(_saved_bytes(table_1e4, tmp_path))
+    raw[-1] |= 0x01
+    raw[5:9] = zlib.crc32(raw[9:]).to_bytes(4, "little")
+    path = tmp_path / "padded.rfsv"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ConfigError, match="pad bits"):
+        load_cache(path)
+
+
 def test_cache_load_holds_one_packed_array(tmp_path):
-    # the three unpacked flag arrays are the table; of the 128 KiB packed
-    # parts the load keeps one alive at a time
+    # the three 128 KiB packed arrays, as read from the file, are the table;
+    # the load unpacks nothing
     table = build_sieve(2**20, {2, 3, 4})
     save_cache(table, tmp_path / "sieve.rfsv")
     tracemalloc.start()
@@ -442,6 +477,6 @@ def test_cache_load_holds_one_packed_array(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * (2**20 + 1) + 2**17 + 2**15
+    assert peak < 3 * (2**17 + 1) + 2**15
     for r in table.rs:
         assert np.array_equal(loaded.mu_r[r], table.mu_r[r])
