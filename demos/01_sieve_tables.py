@@ -4,8 +4,8 @@
 mu(n), the smallest prime factor, the number of distinct prime factors
 omega(n) and the Euler totient phi(n).  ``build_sieve`` produces, for each
 requested r, a 0/1 flag that is 1 exactly when no r-th power of a prime
-divides n, packed eight to a byte; it keeps the factoring tables only up to sqrt(limit), because
-the progression counts read mu no further.
+divides n, packed eight to a byte; it keeps the factoring tables only up
+to sqrt(limit), because the progression counts read mu no further.
 """
 
 import numpy as np

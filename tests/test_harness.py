@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import unpacked
 import rfree.harness as harness
+from conftest import unpacked
 from rfree import (
     ConfigError,
     ExperimentConfig,

@@ -20,6 +20,7 @@ from rfree import (
 )
 from rfree.harness import class_counts
 from rfree.progressions import _class_counts, _int_rth_root
+from rfree.sieve import _COUNT_WINDOW
 
 
 def test_count_examples(table_1e5):
@@ -52,9 +53,8 @@ def test_count_against_bruteforce(table_1e4, r):
 
 @pytest.fixture(scope="module")
 def table_edges():
-    # 2^21 + 9 flags: two whole 1 MiB windows, a third of 9 flags, and 7
-    # pad bits in the last byte
-    return build_sieve(2**21 + 8, {2, 3})
+    # two whole windows, a third of 9 flags, and 7 pad bits in the last byte
+    return build_sieve(2 * _COUNT_WINDOW + 8, {2, 3})
 
 
 def _every_class(k_max, x):
@@ -69,7 +69,7 @@ def test_class_counts_at_window_edges(table_edges, r):
     # window, the first of the next, one past it, inside the third window
     # and at the limit; against the strided scan of the unpacked flags
     flags = unpacked(table_edges, r)
-    w = 2**20
+    w = _COUNT_WINDOW
     for x in (w - 1, w, w + 1, 2 * w + 7, table_edges.limit):
         classes = _every_class(12, x)
         expected = [int(flags[l or k : x + 1 : k].sum()) for k, l in classes]

@@ -7,8 +7,8 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import unpacked
 import rfree.sieve as sieve
+from conftest import unpacked
 from rfree import (
     ConfigError,
     Factorization,
