@@ -9,18 +9,16 @@ tail; the two parts always recombine to the exact count, for every z.
 
 import numpy as np
 
-from rfree import build_sieve, decompose, lemma_bound_probe
+from rfree import decompose, lemma_bound_probe
 
 X = 500_000
 R = 2
 K, L = 12, 5
 
-table = build_sieve(X, {R})
-
 print(f"progression {L} mod {K}, squarefree n <= {X:,}\n")
 print("        z   small_sum  large_sum   recombined   |small - main|")
 for z in np.geomspace(1.0, 700.0, 12):
-    rep = decompose(table, X, R, K, L, float(z))
+    rep = decompose(X, R, K, L, float(z))
     assert rep.small_sum + rep.large_sum == rep.count
     print(
         f"  {z:8.2f}  {rep.small_sum:9d}  {rep.large_sum:+9d}   "
@@ -30,7 +28,7 @@ print(f"\nexact count is {rep.count}; the identity held at every z")
 
 # the canonical cut x^(1/(r+1)) balances the two tail contributions
 z_star = X ** (1 / (R + 1))
-probe = lemma_bound_probe(decompose(table, X, R, K, L, z_star))
+probe = lemma_bound_probe(decompose(X, R, K, L, z_star))
 print(
     f"\nat the canonical cut z = x^(1/{R + 1}) = {z_star:.1f}: "
     f"small residual ratio {probe.small_residual:.4f}, "
@@ -40,8 +38,7 @@ print("(both ratios stay bounded by small constants across sweeps)")
 
 # higher r: the inner variable may share primes with g = gcd(l, k) as long
 # as combined exponents stay below r, and the identity is still exact
-table3 = build_sieve(50_000, {3})
-rep3 = decompose(table3, 50_000, 3, 6, 2, 10.0)
+rep3 = decompose(50_000, 3, 6, 2, 10.0)
 print(
     f"\ncubefree case k=6 l=2 (gcd shares the prime 2 with the cofactors): "
     f"{rep3.small_sum} + {rep3.large_sum} = {rep3.count}"

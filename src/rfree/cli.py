@@ -20,13 +20,7 @@ from pathlib import Path
 from .errors import ConfigError, ResourceLimitError, SelfCheckError
 from .harness import ExperimentConfig, rows_to_csv, run_experiment, write_plot
 from .multiplicative import f_value, tau_partial_sum_check
-from .progressions import (
-    count_r_free_in_progression,
-    decompose,
-    decompose_many,
-    error_term,
-    lemma_bound_probe,
-)
+from .progressions import decompose, decompose_many, error_term, lemma_bound_probe
 from .residues import per_modulus_maxima
 from .sieve import build_sieve, is_r_free, load_cache, save_cache
 
@@ -69,37 +63,32 @@ def _parse_int_list(text: str) -> list[int]:
     return [_parse_int(part) for part in text.split(",") if part.strip()]
 
 
-def _sieve_for(limit: int, rs, cache: str | None):
-    """The table and where it came from: built, built and saved, or loaded."""
-    if limit < 1:  # refused before any cache is read, as build_sieve refuses it
-        raise ConfigError(f"limit must be >= 1, got {limit}")
-    if cache and Path(cache).exists():
-        table = load_cache(cache)
-        try:
-            for r in rs:
-                table.check_covers(limit, r)
-        except ValueError as exc:
-            raise ConfigError(
-                f"cache {cache} holds limit={table.limit}, rs={table.rs}; "
-                f"need limit>={limit}, rs={sorted(rs)} (delete it to rebuild)"
-            ) from exc
-        return table, "loaded from the cache"
-    table = build_sieve(limit, rs)
-    if cache:
-        save_cache(table, cache)
-        return table, "built and saved"
-    return table, "built"
-
-
 def _cmd_sieve(args) -> int:
     rs = sorted(set(_parse_int_list(args.r)))
+    # refused before any cache is read: deleting the cache would not help
     if not rs:
         raise ConfigError("--r must name at least one r value")
+    if rs[0] < 2:
+        raise ConfigError(f"every r must be >= 2, got {rs[0]}")
+    if args.limit < 1:
+        raise ConfigError(f"limit must be >= 1, got {args.limit}")
     start = time.perf_counter()
-    table, source = _sieve_for(args.limit, rs, args.cache)
+    if args.cache and Path(args.cache).exists():
+        table, source = load_cache(args.cache), "loaded from the cache"
+    else:
+        table, source = build_sieve(args.limit, rs), "built"
+        if args.cache:
+            save_cache(table, args.cache)
+            source = "built and saved"
     elapsed = time.perf_counter() - start
-    for r in rs:
-        total = count_r_free_in_progression(table, args.limit, r, 1, 0)
+    try:
+        totals = [table.r_free_count(args.limit, r) for r in rs]
+    except ValueError as exc:  # only a loaded cache can miss the limit or an r
+        raise ConfigError(
+            f"cache {args.cache} holds limit={table.limit}, rs={table.rs}; "
+            f"need limit>={args.limit}, rs={rs} (delete it to rebuild)"
+        ) from exc
+    for r, total in zip(rs, totals):
         print(f"r={r}: {total} r-free integers <= {args.limit}")
     flag_bytes = sum(flags.nbytes for flags in table.mu_r.values())
     print(
@@ -124,8 +113,9 @@ def _cmd_f(args) -> int:
 
 
 def _cmd_error(args) -> int:
-    table, _ = _sieve_for(args.x, {args.r}, args.cache)
-    rep = error_term(table, args.x, args.r, args.k, args.l)
+    if args.x < 1:
+        raise ConfigError(f"x must be >= 1, got {args.x}")
+    rep = error_term(args.x, args.r, args.k, args.l)
     payload = {
         "x": rep.x, "r": rep.r, "k": rep.k, "l": rep.l,
         "g": rep.g, "s": rep.s, "t": rep.t,
@@ -134,7 +124,7 @@ def _cmd_error(args) -> int:
         "error_term": rep.error_term,
     }
     if args.z is not None and rep.g_is_r_free:
-        dec = decompose(table, args.x, args.r, args.k, args.l, args.z)
+        dec = decompose(args.x, args.r, args.k, args.l, args.z)
         payload.update(
             z=dec.z, small_sum=dec.small_sum, large_sum=dec.large_sum,
             split_exact=(dec.small_sum + dec.large_sum == dec.count),
@@ -173,13 +163,14 @@ def _lemma_trials(seed: int, x: int, r: int, n: int):
 def _cmd_verify_lemmas(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {args.trials}")
-    table, _ = _sieve_for(args.x, {args.r}, None)
+    if args.x < 1:
+        raise ConfigError(f"x must be >= 1, got {args.x}")
     trials = _lemma_trials(args.seed, args.x, args.r, args.trials)
     failures = 0
     worst_small = worst_large = 0.0
     # a few thousand trials per call keep the reports' memory flat in --trials
     while batch := list(itertools.islice(trials, _LEMMA_BATCH)):
-        for rep in decompose_many(table, args.x, args.r, batch):
+        for rep in decompose_many(args.x, args.r, batch):
             if rep.small_sum + rep.large_sum != rep.count:
                 failures += 1
                 print(
@@ -256,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=_int_option, required=True)
     p.add_argument("--z", type=_parse_z, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--cache", default=None)
+    p.add_argument("--cache", default=None,
+                   help="kept for compatibility; has no effect (no file is read or written)")
     p.set_defaults(func=_cmd_error)
 
     p = sub.add_parser(

@@ -44,8 +44,8 @@ import numpy as np
 
 from .errors import ConfigError, ResourceLimitError, SelfCheckError
 from .multiplicative import f_value
-from .progressions import _d_terms, _int_rth_root, _main_term, decompose_many
-from .sieve import _LIMIT_CEILING, SieveTable, factor_sieve, r_free_counts, trial_factorize
+from .progressions import _d_terms, _main_term, _root_mu, decompose_many
+from .sieve import _LIMIT_CEILING, _check_count_range, r_free_counts, trial_factorize
 
 CSV_HEADER = "x,r,A,K,S,normalized,wall_seconds"
 
@@ -111,14 +111,10 @@ def class_counts(x: int, r: int, k: int) -> np.ndarray:
     across the moduli of an x and folds most moduli down from a multiple;
     this per-modulus call is the oracle the fold is tested against.
     """
-    if r < 2:
-        raise ValueError(f"r must be >= 2, got {r}")
-    if not 0 <= x < _LIMIT_CEILING:
-        raise ValueError(f"x={x} outside [0, 2**32)")
+    _check_count_range(x, r)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    mu = factor_sieve(max(1, _int_rth_root(x, r))).mu
-    return _count_classes(_d_terms(mu, x, r), k)
+    return _count_classes(_d_terms(_root_mu(x, r), x, r), k)
 
 
 def _check_partition(k: int, counts: np.ndarray, expected_total: int) -> None:
@@ -219,7 +215,7 @@ def run_experiment(config: ExperimentConfig) -> list[BvRow]:
     partition totals' sieve and the class counts of the moduli.
     """
     config.validate()
-    mu = factor_sieve(_int_rth_root(max(config.xs), config.r)).mu
+    mu = _root_mu(max(config.xs), config.r)
     totals = r_free_counts(config.xs, config.r)
     rows = []
     for x, total in zip(config.xs, totals):
@@ -302,7 +298,6 @@ class ZProbeRow(NamedTuple):
 
 
 def z_sensitivity_probe(
-    table: SieveTable,
     x: int,
     r: int,
     pairs: Sequence[tuple[int, int]],
@@ -317,7 +312,7 @@ def z_sensitivity_probe(
     zs = sorted(set(float(z) for z in z_grid) | {reference})
     trials = [(k, l, z) for k, l in pairs for z in zs]
     rows = []
-    for rep in decompose_many(table, x, r, trials):  # all cuts of a pair at once
+    for rep in decompose_many(x, r, trials):  # all cuts of a pair at once
         k, l, z = rep.k, rep.l, rep.z
         if rep.small_sum + rep.large_sum != rep.count:
             raise SelfCheckError(

@@ -31,9 +31,10 @@ familiar squarefree form.  The split identity
     small_sum + large_sum = R,   for every z >= 1,
 
 holds with no tolerance and is enforced by the acceptance suite; R itself
-comes from the independent strided scan of the flag table.
+comes from the independent strided count of the r-free flags.  No function
+here takes a table: a count sieves its flags one window at a time.
 
-``decompose_many`` splits many (k, l, z) at one (table, x, r), and
+``decompose_many`` splits many (k, l, z) at one (x, r), and
 ``decompose`` is its one-trial call.  The trials are grouped by g, whose
 columns are the d-terms (d, mu(d), d^r, (x/g) // d^r) of the squarefree
 d <= (x/g)^(1/r), built by ``_d_terms``, which the bv-sum sweep shares.
@@ -44,8 +45,7 @@ rows x d x 2^(number of primes of g) int64 entries, exact at every size,
 so there is no scan crossover.  Every cut z of a row is read off one
 cumulative sum.  A batch thus costs a few dozen numpy passes per group
 and per block of about ``_BLOCK_ELEMENTS`` entries, not per trial, plus
-one strided scan per (k, l) for the count, reading only
-``table.mu[1 : d_max + 1]`` of the Mobius table.
+one pass of flag windows that counts every distinct (k, l) by strides.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .multiplicative import FValue, f_value
-from .sieve import Factorization, SieveTable, is_r_free, trial_factorize
+from .sieve import Factorization, factor_sieve, is_r_free, trial_factorize
+from .sieve import _check_count_range, _r_free_windows
 
 _BLOCK_ELEMENTS = 1 << 15  # int64 entries per (rows x d x caps) block of the split
 
@@ -110,27 +111,24 @@ def _split_progression(k: int, l: int) -> tuple[int, int, int]:
     return g, k // g, l // g
 
 
-def count_r_free_in_progression(
-    table: SieveTable, x: int, r: int, k: int, l: int
-) -> int:
-    """Exact R(x; k, l) by a strided scan of the r-free flag table."""
+def count_r_free_in_progression(x: int, r: int, k: int, l: int) -> int:
+    """Exact R(x; k, l) by strided counts of the sieved r-free flags."""
+    _check_count_range(x, r)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0 <= l < k:
         raise ValueError(f"need 0 <= l < k, got l={l}, k={k}")
-    return _class_counts(table, x, r, [(k, l)])[0]
+    return _class_counts(x, r, [(k, l)])[0]
 
 
-def _class_counts(
-    table: SieveTable, x: int, r: int, classes: Iterable[tuple[int, int]]
-) -> list[int]:
-    """R(x; k, l) for each (k, l) of ``classes``, in order, by strided scans
-    of the flags: each window of ``table.flag_windows`` is unpacked once and
-    serves every class.
+def _class_counts(x: int, r: int, classes: Iterable[tuple[int, int]]) -> list[int]:
+    """R(x; k, l) for each (k, l) of ``classes``, in order, by strided
+    counts of the flags: each window of ``_r_free_windows`` is sieved once
+    and serves every class.
     """
     starts = [(l if l >= 1 else k, k) for k, l in classes]
     counts = [0] * len(starts)
-    for lo, window in table.flag_windows(x, r):
+    for lo, window in _r_free_windows(x, r):
         for i, (start, k) in enumerate(starts):
             first = start - lo if start >= lo else (start - lo) % k  # n = lo + index
             if first < window.size:
@@ -139,7 +137,7 @@ def _class_counts(
 
 
 def count_r_free_bruteforce(x: int, r: int, k: int, l: int) -> int:
-    """Same count by per-n trial division; the table-free oracle."""
+    """Same count by per-n trial division; the sieve-free oracle."""
     start = l if l >= 1 else k
     return sum(1 for n in range(start, x + 1, k) if is_r_free(n, r))
 
@@ -179,13 +177,13 @@ def _main_term(x: int, r: int, fact: Factorization, fval: FValue, l: int) -> flo
     return (x / fact.n) * (num / den) * fval.value
 
 
-def error_term(table: SieveTable, x: int, r: int, k: int, l: int) -> ProgressionReport:
+def error_term(x: int, r: int, k: int, l: int) -> ProgressionReport:
     """Assemble the full report; error_term = count - main_term.
 
     A progression whose gcd is not r-free gets the all-zero convention
     with g_is_r_free = False (its exact count is genuinely zero).
     """
-    table.check_covers(x, r)
+    _check_count_range(x, r)
     if k < 1 or not 0 <= l < k:
         raise ValueError(f"bad progression k={k}, l={l}")
     g, s, t = _split_progression(k, l)
@@ -194,7 +192,7 @@ def error_term(table: SieveTable, x: int, r: int, k: int, l: int) -> Progression
             x=x, r=r, k=k, l=l, g=g, s=s, t=t, g_is_r_free=False,
             count=0, main_term=0.0, error_term=0.0, main_rel_error=0.0,
         )
-    count = count_r_free_in_progression(table, x, r, k, l)
+    count = count_r_free_in_progression(x, r, k, l)
     fv = f_value(r, k)
     main = _main_term(x, r, trial_factorize(k), fv, l)
     rel = fv.rel_error + 5 * 2.3e-16
@@ -221,13 +219,18 @@ def _int_rth_root(n: int, r: int) -> int:
     return x
 
 
+def _root_mu(x: int, r: int) -> np.ndarray:
+    """The Mobius function indexed by n, over [0, max(1, x^(1/r))]."""
+    return factor_sieve(max(1, _int_rth_root(x, r))).mu
+
+
 def _d_terms(mu: np.ndarray, x: int, r: int) -> tuple[np.ndarray, ...]:
     """(d, mu(d), d^r, x // d^r) over the squarefree d <= x^(1/r), as int64.
 
     ``mu`` is the Mobius function indexed by n, up to at least x^(1/r).
     """
     # int64 throughout: every d^r <= x, and every caller has x < 2^32
-    # (build_sieve and ExperimentConfig.validate refuse larger x)
+    # (sieve._check_count_range and ExperimentConfig.validate refuse larger x)
     d_max = _int_rth_root(x, r)
     if mu.size <= d_max:
         raise ValueError(f"mu covers [0, {mu.size - 1}], below x^(1/r) = {d_max}")
@@ -237,27 +240,27 @@ def _d_terms(mu: np.ndarray, x: int, r: int) -> tuple[np.ndarray, ...]:
     return ds, mu[ds - 1].astype(np.int64), dr, x // dr
 
 
-def decompose(
-    table: SieveTable, x: int, r: int, k: int, l: int, z: float
-) -> DecompositionReport:
+def decompose(x: int, r: int, k: int, l: int, z: float) -> DecompositionReport:
     """Split R(x; k, l) into the d <= z and d > z double sums, exactly.
 
     Requires a finite z >= 1 and gcd(l, k) r-free.  The two partial sums always
-    recombine to the strided-scan count with zero tolerance.
+    recombine to the strided count with zero tolerance.
     """
-    return decompose_many(table, x, r, [(k, l, z)])[0]
+    return decompose_many(x, r, [(k, l, z)])[0]
 
 
 def decompose_many(
-    table: SieveTable, x: int, r: int, trials: Sequence[tuple[int, int, float]]
+    x: int, r: int, trials: Sequence[tuple[int, int, float]]
 ) -> list[DecompositionReport]:
     """``decompose`` for every (k, l, z) of ``trials``, in order.
 
     Every trial is checked as ``decompose`` checks it before any sum is
     formed.  A repeated (k, l) is split once, all its cuts read off one
     cumulative sum, and the counts of every distinct (k, l) come from one
-    ``_class_counts`` call, which unpacks each window of flags once.
+    ``_class_counts`` call, which sieves each window of flags once.  mu is
+    sieved up to x^(1/r) for the call.
     """
+    _check_count_range(x, r)
     trials = list(trials)
     main_terms = {}  # (k, l) -> small main term
     factored = {}  # k -> (factorization, f-value)
@@ -274,11 +277,12 @@ def decompose_many(
         if k not in factored:
             factored[k] = (trial_factorize(k), f_value(r, k))
         main_terms[k, l] = _main_term(x, r, *factored[k], l)
-    counts = dict(zip(main_terms, _class_counts(table, x, r, main_terms)))
+    if not trials:
+        return []
+    counts = dict(zip(main_terms, _class_counts(x, r, main_terms)))
+    mu = _root_mu(x, r)
     reports = []
-    for (k, l, z), (small, large) in zip(
-        trials, _split_sums(table, x, r, trials, factored)
-    ):
+    for (k, l, z), (small, large) in zip(trials, _split_sums(mu, x, r, trials, factored)):
         count, small_main = counts[k, l], main_terms[k, l]
         reports.append(
             DecompositionReport(
@@ -300,8 +304,9 @@ class _Modulus(NamedTuple):
     dr_inv: np.ndarray  # (d^r)^(-1) mod s for each d, for k <= x
 
 
-def _split_sums(table, x, r, trials, factored) -> list[tuple[int, int]]:
-    """(small_sum, large_sum) of every checked (k, l, z)."""
+def _split_sums(mu, x, r, trials, factored) -> list[tuple[int, int]]:
+    """(small_sum, large_sum) of every checked (k, l, z); ``mu`` is the
+    Mobius function indexed by n, up to at least x^(1/r)."""
     groups = {}  # g -> (k, l) -> indices of its trials
     for i, (k, l, _) in enumerate(trials):
         groups.setdefault(math.gcd(l, k), {}).setdefault((k, l), []).append(i)
@@ -309,7 +314,7 @@ def _split_sums(table, x, r, trials, factored) -> list[tuple[int, int]]:
     inverses = {}  # s -> (d^r)^(-1) mod s over the longest range of d so far
     for g in sorted(groups):  # the d of a larger g are a prefix of a smaller g's
         rows = groups[g]
-        d_terms = _d_terms(table.mu, x // g, r)
+        d_terms = _d_terms(mu, x // g, r)
         ds = d_terms[0]
         g_factors = trial_factorize(g).factors
         width = 1 << len(g_factors)

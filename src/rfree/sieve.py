@@ -1,32 +1,32 @@
 """Sieve tables: r-free flags over [1, N], factoring tables up to sqrt(N).
 
 Every count the package makes reads one of two things: the r-free
-indicator of each n <= N, summed along a progression, or the Mobius
-function up to x^(1/r) <= sqrt(N), in the d-sums of ``decompose``.  The
-tables hold exactly that.  ``class_counts`` and the bv-sum sweep read no
-flags: they take mu from ``factor_sieve``, and the sweep takes the totals
-of its partition check from ``r_free_counts``.  One windowed kernel,
-``_sieve_window``, computes the r-free flags for both.
+indicator of each n <= x, summed along a progression, or the Mobius
+function up to x^(1/r), in the d-sums of ``decompose``.  No count reads a
+table: ``_r_free_windows(x, r)``, the one loop that runs the windowed
+kernel ``_sieve_window``, yields the flags of [0, x] one scratch window at
+a time, which ``r_free_counts`` sums, ``progressions._class_counts``
+counts by strides and ``build_sieve`` packs.  Only ``rfree sieve`` and
+its cache hold a flag table.
 
 * ``build_sieve(N, rs)`` gives a :class:`SieveTable` holding, for each
   requested r >= 2, ``mu_r[r]``: one bit per n in [0, N], 1 iff no prime p
   has p^r | n (r = 2 gives the squarefree numbers), packed eight to a
   uint8 as ``np.packbits`` packs them (n = 0 in the high bit of byte 0,
-  zero pad bits after n = N).  The kernel fills one scratch window at a
-  time, which is packed into its byte slice of the table.  The table also
-  holds ``mu``, ``spf``, ``omega`` and ``phi`` over [0, isqrt(N)] only,
-  taken from ``factor_sieve(isqrt(N))``.
+  zero pad bits after n = N); ``SieveTable.r_free_count`` reads the totals
+  back as a popcount.  The table also holds ``mu``, ``spf``, ``omega`` and
+  ``phi`` over [0, isqrt(N)] only, taken from ``factor_sieve(isqrt(N))``.
 * ``factor_sieve(N)`` gives a :class:`FactorTable` with the Mobius
   function, smallest prime factor (spf(1) = 1), number of distinct prime
   factors and Euler totient of every n in [0, N], in one pass over the
   prime powers of ``_prime_powers``, the loop ``tau_table`` shares.  Only
   ``factorize``, ``omega_vs_tau_check``, the demos and the tests need
   these tables over a full range.
-* ``r_free_counts(xs, r)`` counts the r-free n <= x for each x by running
-  the kernel over one scratch window, reading no table and no Mobius value.
 
 Every table over [0, N], here and in ``tau_table``, keeps one size rule,
 ``_check_table_size``: N >= 1, N < 2**32 and at most 2 GiB of arrays.
+Every count keeps one range rule, ``_check_count_range``: r >= 2 and
+0 <= x < 2**32.
 
 Finished tables are read-only.  ``save_cache``/``load_cache`` store only
 the packed flags, byte for byte as the table holds them, checksummed; the
@@ -60,6 +60,8 @@ _LIMIT_CEILING = 2**32
 # uint8 flags per window of the r-free kernel: 1 MiB, a multiple of 8, so
 # each window packs into whole bytes of a flag table
 _COUNT_WINDOW = 1 << 20
+# set bits of each byte value, for the popcount of packed flags
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ class SieveTable:
     ``mu_r`` maps each requested r to the packed r-free flags of n in
     [0, limit]: (limit + 8) // 8 uint8 bytes in ``np.packbits`` order, the
     flag of n in bit 7 - n % 8 of byte n // 8, pad bits zero;
-    ``flag_windows`` reads them.  ``mu``, ``spf``, ``omega`` and
+    ``r_free_count`` reads them.  ``mu``, ``spf``, ``omega`` and
     ``phi`` have length isqrt(limit) + 1: the Mobius sums need mu(d) only
     for d^r <= limit.  They are indexed directly by n (index 0 is unused
     filler).
@@ -143,26 +145,18 @@ class SieveTable:
     def __repr__(self):
         return f"SieveTable(limit={self.limit}, rs={self.rs})"
 
-    def check_covers(self, x: int, r: int) -> None:
-        """Raise ValueError unless the table holds the flags of r over [0, x]."""
-        if r not in self.mu_r:
-            raise ValueError(f"table was not built with r={r}")
-        if not 0 <= x <= self.limit:
-            raise ValueError(f"x={x} outside sieve range [0, {self.limit}]")
-
-    def flag_windows(self, x: int, r: int):
-        """Yield (lo, flags) over [0, x]: the r-free flags of n = lo, lo + 1,
-        ... as uint8 0/1, unpacked one window of ``_COUNT_WINDOW`` at a time.
-
-        Each window starts on a byte, and ``count`` keeps every flag past x
-        and every pad bit out of it.  Raises ValueError, before the first
-        window, unless the table holds the flags of r over [0, x].
-        """
-        self.check_covers(x, r)
-        packed = self.mu_r[r]
-        for lo in range(0, x + 1, _COUNT_WINDOW):
-            size = min(_COUNT_WINDOW, x + 1 - lo)
-            yield lo, np.unpackbits(packed[lo // 8 : (lo + size + 7) // 8], count=size)
+    def r_free_count(self, x: int, r: int) -> int:
+        """#{1 <= n <= x : n r-free}: the popcount of the flag bytes of [0, x],
+        ``_COUNT_WINDOW`` bytes at a time, less the bits past x in the last byte.
+        Raises ValueError unless the table holds the flags of r over [0, x]."""
+        if r not in self.mu_r or not 0 <= x <= self.limit:
+            raise ValueError(f"the table holds no flags of r={r} over [0, {x}]")
+        packed = self.mu_r[r][: x // 8 + 1]
+        total = sum(
+            int(_BYTE_BITS[packed[lo : lo + _COUNT_WINDOW]].sum(dtype=np.int64))
+            for lo in range(0, packed.size, _COUNT_WINDOW)
+        )
+        return total - int(_BYTE_BITS[packed[-1] & (0xFF >> (x % 8 + 1))])
 
 
 def _packed_size(limit: int) -> int:
@@ -280,17 +274,23 @@ def build_sieve(limit: int, rs: Iterable[int]) -> SieveTable:
     _check_table_size(limit, 0, per_root_n=10, flag_arrays=len(rset))
 
     mu_r: dict[int, np.ndarray] = {}
-    scratch = np.empty(min(_COUNT_WINDOW, limit + 1), dtype=np.uint8)
     for r in rset:
-        packed = np.empty(_packed_size(limit), dtype=np.uint8)
-        powers = _r_powers(limit, r)
-        for lo in range(0, limit + 1, _COUNT_WINDOW):
-            window = scratch[: min(_COUNT_WINDOW, limit + 1 - lo)]  # n = lo + index
-            _sieve_window(window, lo, *powers)
+        mu_r[r] = packed = np.empty(_packed_size(limit), dtype=np.uint8)
+        for lo, window in _r_free_windows(limit, r):
             # lo is a multiple of 8; packbits zeroes the pad bits of the last window
             packed[lo // 8 : (lo + window.size + 7) // 8] = np.packbits(window)
-        mu_r[r] = packed
+        del window  # the scratch of this r; the next r sieves into its own
     return _with_root_factors(limit, rset, mu_r)
+
+
+def _check_count_range(x: int, r: int) -> None:
+    """The one range rule of every count over [1, x]: r >= 2 and
+    0 <= x < 2**32, where the int64 Mobius sums are shown exact.  Raises
+    ValueError."""
+    if r < 2:
+        raise ValueError(f"r must be >= 2, got {r}")
+    if not 0 <= x < _LIMIT_CEILING:
+        raise ValueError(f"x={x} outside [0, 2**32)")
 
 
 def _r_powers(top: int, r: int) -> tuple[list[int], np.ndarray]:
@@ -316,27 +316,34 @@ def _sieve_window(window: np.ndarray, lo: int, dense, sparse: np.ndarray) -> Non
     window[hits[hits < window.size]] = 0
 
 
+def _r_free_windows(x: int, r: int):
+    """Yield (lo, flags) over [0, x]: the r-free flags of n = lo, lo + 1,
+    ... as uint8 0/1, one window of ``_COUNT_WINDOW`` at a time, each in the
+    one scratch buffer that the next step refills.  The one kernel loop.
+    """
+    powers = _r_powers(x, r)
+    scratch = np.empty(min(_COUNT_WINDOW, x + 1), dtype=np.uint8)
+    for lo in range(0, x + 1, _COUNT_WINDOW):
+        window = scratch[: min(_COUNT_WINDOW, x + 1 - lo)]  # n = lo + index
+        _sieve_window(window, lo, *powers)
+        yield lo, window
+
+
 def r_free_counts(xs: Iterable[int], r: int) -> list[int]:
     """#{1 <= n <= x : n r-free} for each x of ``xs``, in the order given.
 
-    One segmented pass over [0, max(xs)] serves every x: ``_sieve_window``
-    refills one scratch window after another.  No Mobius value is read, so
-    the count is independent of the Mobius sums it checks.
+    One pass of ``_r_free_windows`` over [0, max(xs)] serves every x.  No
+    Mobius value is read, so the count is independent of the Mobius sums
+    it checks.  Raises ValueError, before any window, unless r and every
+    x keep ``_check_count_range``.
     """
-    if r < 2:
-        raise ValueError(f"r must be >= 2, got {r}")
     xs = [int(x) for x in xs]
-    if any(x < 0 for x in xs):
-        raise ValueError(f"every x must be >= 0, got {min(xs)}")
-    top = max(xs, default=0)
-    powers = _r_powers(top, r)
+    for x in [0, *xs]:  # r is checked even when xs is empty
+        _check_count_range(x, r)
     pending = sorted(range(len(xs)), key=xs.__getitem__, reverse=True)
     counts = [0] * len(xs)
-    flags = np.empty(_COUNT_WINDOW, dtype=np.uint8)
     below = 0  # r-free n in [1, lo)
-    for lo in range(0, top + 1, _COUNT_WINDOW):
-        window = flags[: min(_COUNT_WINDOW, top + 1 - lo)]  # n = lo + index
-        _sieve_window(window, lo, *powers)
+    for lo, window in _r_free_windows(max(xs, default=0), r):
         while pending and xs[pending[-1]] < lo + window.size:
             i = pending.pop()
             counts[i] = below + int(np.count_nonzero(window[: xs[i] - lo + 1]))

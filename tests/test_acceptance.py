@@ -70,14 +70,14 @@ def test_criterion_2_progression_oracle(table_1e4):
             l = rng.randrange(k)
             start = l if l else k
             brute = int(oracle[start : x + 1 : k].sum())
-            got = count_r_free_in_progression(table_1e4, x, r, k, l)
+            got = count_r_free_in_progression(x, r, k, l)
             assert got == brute, (r, x, k, l)
             checked_ops += 1
     _report(2, "progression oracle",
             f"(all x <= 1e4, k <= 30, all l, r in 2..3; {checked_ops} direct calls)")
 
 
-def test_criterion_3_decomposition_exactness(table_1e6):
+def test_criterion_3_decomposition_exactness():
     rng = random.Random(1003)
     done = 0
     while done < 1000:
@@ -89,7 +89,7 @@ def test_criterion_3_decomposition_exactness(table_1e6):
         if not is_r_free(g, r):
             continue
         z = rng.uniform(1.0, max(1.0, (x / g) ** (1 / r)))
-        rep = decompose(table_1e6, x, r, k, l, z)
+        rep = decompose(x, r, k, l, z)
         assert rep.small_sum + rep.large_sum == rep.count, (x, r, k, l, z)
         done += 1
     _report(3, "decomposition exactness", "(1000 random splits, zero tolerance)")

@@ -1,9 +1,11 @@
+import builtins
 import json
 import zlib
 from pathlib import Path
 
 import pytest
 
+from rfree import count_r_free_bruteforce, r_free_counts, sieve
 from rfree.cli import _parse_int, main
 
 
@@ -54,6 +56,35 @@ def test_sieve_refuses_empty_r_before_reading_cache(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--r must name at least one r value" in captured.err
+
+
+def test_sieve_refuses_r_below_2_before_reading_cache(tmp_path, capsys):
+    # deleting the cache cannot help, so the refusal does not name it
+    cache = tmp_path / "s.rfsv"
+    assert main(["sieve", "--limit", "1000", "--r", "2", "--cache", str(cache)]) == 0
+    capsys.readouterr()
+    assert main(["sieve", "--limit", "1000", "--r", "1", "--cache", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "every r must be >= 2, got 1" in captured.err
+    assert "cache" not in captured.err
+
+
+@pytest.mark.parametrize("limit", range(1000, 1008))  # every limit mod 8
+def test_sieve_totals_match_r_free_counts(tmp_path, capsys, monkeypatch, limit):
+    # the totals are popcounts of the packed bytes; a 64-flag window makes
+    # the popcount take several chunks of 64 bytes
+    monkeypatch.setattr(sieve, "_COUNT_WINDOW", 64)
+    expected = [
+        f"r={r}: {r_free_counts([limit], r)[0]} r-free integers <= {limit}" for r in (2, 3)
+    ]
+    cache, wider = str(tmp_path / "s.rfsv"), str(tmp_path / "wider.rfsv")
+    # cold, warm, without a cache, and from a cache whose flags go past limit
+    assert main(["sieve", "--limit", str(limit + 9), "--r", "2,3", "--cache", wider]) == 0
+    capsys.readouterr()
+    for extra in (["--cache", cache], ["--cache", cache], [], ["--cache", wider]):
+        assert main(["sieve", "--limit", str(limit), "--r", "2,3", *extra]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == expected, extra
 
 
 def test_sieve_cache_mismatch_is_config_error(tmp_path, capsys):
@@ -107,32 +138,39 @@ def test_sieve_refuses_cache_with_pad_bit(tmp_path, capsys):
     assert "config error" in captured.err and "pad bits" in captured.err
 
 
-def test_error_refuses_short_cache(tmp_path, capsys):
-    cache = tmp_path / "s.rfsv"
-    assert main(["sieve", "--limit", "1e4", "--r", "3", "--cache", str(cache)]) == 0
-    cache.write_bytes(cache.read_bytes()[:-700])
-    capsys.readouterr()
-    code = main(["error", "--x", "1e4", "--r", "3", "--k", "1", "--l", "0",
-                 "--cache", str(cache)])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "config error" in captured.err and "bytes" in captured.err
-
-
-def test_error_refuses_flipped_cache(tmp_path, capsys):
+@pytest.mark.parametrize("damage", ["cut", "flipped", "missing directory"])
+def test_error_cache_has_no_effect(tmp_path, capsys, monkeypatch, damage):
+    # error counts without a table: it prints the true R and never opens
+    # the --cache path, whether the cache is cut 700 bytes short, has a
+    # flipped flag bit, or lies in a directory that does not exist
     cache = tmp_path / "s.rfsv"
     assert main(["sieve", "--limit", "1e4", "--r", "3", "--cache", str(cache)]) == 0
     raw = bytearray(cache.read_bytes())
-    raw[-700] ^= 0x01
-    cache.write_bytes(bytes(raw))
+    if damage == "cut":
+        cache.write_bytes(raw[:-700])
+    elif damage == "flipped":
+        raw[-700] ^= 0x01
+        cache.write_bytes(bytes(raw))
+    else:
+        cache = tmp_path / "missing" / "s.rfsv"
+    opened = []
+    real_open = builtins.open
+
+    def spy_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy_open)
     capsys.readouterr()
     code = main(["error", "--x", "1e4", "--r", "3", "--k", "1", "--l", "0",
                  "--cache", str(cache)])
-    assert code == 2
+    assert code == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "config error" in captured.err and "checksum" in captured.err
+    assert captured.err == ""
+    header, row = (line.split(",") for line in captured.out.splitlines())
+    assert int(row[header.index("R")]) == count_r_free_bruteforce(10**4, 3, 1, 0)
+    assert str(cache) not in opened
+    assert not (tmp_path / "missing").exists()
 
 
 def test_error_csv(capsys):
@@ -429,6 +467,10 @@ def _exit_code(argv):
     "bv-sum --r 2 --A 1 --x 1e4 --csv /nonexistent/x.csv",
     "bv-sum --r 2 --A 1 --x 1e4 --plot /nonexistent/dir/p.svg",
     "sieve --limit 10 --r 2 --cache /nonexistent/d/c.rfsv",
+    "error --x 5e9 --r 2 --k 3 --l 1",
+    "error --x 0 --r 2 --k 3 --l 1",
+    "verify-lemmas --x 5e9 --r 2",
+    "verify-lemmas --x 0 --r 2",
 ])
 def test_refused_input_exit_2(argv, capsys):
     assert _exit_code(argv.split()) == 2

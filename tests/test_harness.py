@@ -10,7 +10,6 @@ from rfree import (
     ExperimentConfig,
     ResourceLimitError,
     SelfCheckError,
-    build_sieve,
     class_counts,
     count_r_free_in_progression,
     decompose,
@@ -22,6 +21,7 @@ from rfree import (
     z_probe_csv,
     z_sensitivity_probe,
 )
+from rfree.progressions import _class_counts
 
 
 def test_threshold_examples():
@@ -48,8 +48,13 @@ def test_threshold_vacuous_config_rejected():
         modulus_threshold(2, 2, 1.0)
 
 
+def _strided(x, r, k):
+    """R(x; k, l) for every l, by strided counts of the sieved flags."""
+    return _class_counts(x, r, [(k, l) for l in range(k)])
+
+
 @pytest.mark.parametrize("r", [2, 3])
-def test_class_counts_match_strided_scan(table_1e5, r):
+def test_class_counts_match_strided_scan(r):
     # 4, 8, 9, 16, 36, 64 and 178 share primes with some d^r, so their
     # d-terms fill the cosets l = 0 (mod h) with h > 1; k > x leaves most
     # classes empty
@@ -57,18 +62,15 @@ def test_class_counts_match_strided_scan(table_1e5, r):
         for k in (1, 2, 3, 4, 7, 8, 9, 12, 16, 36, 64, 97, 150, 178):
             counts = class_counts(x, r, k)
             assert counts.dtype == np.int64
-            for l in range(k):
-                expected = count_r_free_in_progression(table_1e5, x, r, k, l)
-                assert int(counts[l]) == expected, (x, k, l)
+            assert counts.tolist() == _strided(x, r, k), (x, k)
 
 
 @pytest.mark.parametrize("r", [2, 3])
-def test_class_counts_every_class_up_to_200(table_1e5, r):
+def test_class_counts_every_class_up_to_200(r):
     # the oracle for any rewrite of the kernel: every class of every k <= 200
     x = 99_991
-    for k in range(1, 201):
-        expected = [count_r_free_in_progression(table_1e5, x, r, k, l) for l in range(k)]
-        assert class_counts(x, r, k).tolist() == expected, k
+    got = [c for k in range(1, 201) for c in class_counts(x, r, k).tolist()]
+    assert got == _class_counts(x, r, [(k, l) for k in range(1, 201) for l in range(k)])
 
 
 def test_class_counts_validation():
@@ -84,21 +86,18 @@ def test_class_counts_validation():
 
 
 @pytest.mark.parametrize("limit", [10**6, 997**2])
-def test_counts_at_the_table_limit(table_1e6, limit):
-    # at x = limit the d-sums run to isqrt(limit), the last tabled mu index;
-    # mu(997) = -1, so a table one entry short would change the counts
-    table = table_1e6 if limit == table_1e6.limit else build_sieve(limit, {2, 3})
-    assert table.mu.size == math.isqrt(limit) + 1
+def test_counts_at_the_table_limit(limit):
+    # at x = limit the d-sums run to isqrt(limit), the last index of the mu
+    # that each call sieves; mu(997) = -1, so a mu one entry short would
+    # change the counts
     x = limit
     for r in (2, 3):
         for k in (1, 4, 36, 178, 997, 1000):
-            counts = class_counts(x, r, k)
-            expected = [count_r_free_in_progression(table, x, r, k, l) for l in range(k)]
-            assert counts.tolist() == expected, (r, k)
+            assert class_counts(x, r, k).tolist() == _strided(x, r, k), (r, k)
         for k, l in ((1, 0), (4, 1), (6, 2), (178, 3), (997, 2)):
             for z in (1.0, 31.6, 1000.0):
-                rep = decompose(table, x, r, k, l, z)
-                assert rep.count == count_r_free_in_progression(table, x, r, k, l)
+                rep = decompose(x, r, k, l, z)
+                assert rep.count == count_r_free_in_progression(x, r, k, l)
                 assert rep.small_sum + rep.large_sum == rep.count, (r, k, l, z)
 
 
@@ -107,28 +106,28 @@ def _max_error_of(x, r, k):
     return harness._max_error(x, r, k, class_counts(x, r, k))
 
 
-def test_max_error_modulus_one(table_1e5):
+def test_max_error_modulus_one():
     l_star, max_e = _max_error_of(10_000, 2, 1)
     assert l_star == 0
-    rep = error_term(table_1e5, 10_000, 2, 1, 0)
+    rep = error_term(10_000, 2, 1, 0)
     assert max_e == abs(rep.error_term)
 
 
-def test_max_error_matches_per_residue_reports(table_1e5):
+def test_max_error_matches_per_residue_reports():
     # the scan's per-g main terms equal error_term's, class by class; at
     # x = 100, k = 4 the zero class has gcd 4 and is skipped
     cases = [(100, 2, 4)] + [(99_991, r, k) for r in (2, 3) for k in range(1, 41)]
     for x, r, k in cases:
-        reps = [error_term(table_1e5, x, r, k, l) for l in range(k)]
+        reps = [error_term(x, r, k, l) for l in range(k)]
         errs = {rep.l: abs(rep.error_term) for rep in reps if rep.g_is_r_free}
         l_star, max_e = _max_error_of(x, r, k)
         assert max_e == max(errs.values()), (x, r, k)
         assert l_star == min(l for l, e in errs.items() if e == max_e), (x, r, k)
 
 
-def test_max_error_tie_goes_to_smallest_residue(table_1e5):
+def test_max_error_tie_goes_to_smallest_residue():
     # x = 8, k = 4: all three admissible classes carry identical errors
-    errs = [abs(error_term(table_1e5, 8, 2, 4, l).error_term) for l in (1, 2, 3)]
+    errs = [abs(error_term(8, 2, 4, l).error_term) for l in (1, 2, 3)]
     assert max(errs) - min(errs) < 1e-12
     l_star, _ = _max_error_of(8, 2, 4)
     assert l_star == 1
@@ -156,9 +155,7 @@ def test_sweep_fold_matches_class_counts(table_1e5, r):
                 assert counts.tolist() == class_counts(x, r, k).tolist(), (
                     x, bound, k)
                 if k <= 30:
-                    expected = [count_r_free_in_progression(table_1e5, x, r, k, l)
-                                for l in range(k)]
-                    assert counts.tolist() == expected, (x, bound, k)
+                    assert counts.tolist() == _strided(x, r, k), (x, bound, k)
             half = bound // 2  # the largest folded modulus
             assert swept[half - 1][0] == half
 
@@ -247,44 +244,42 @@ def test_csv_shape():
     assert abs(norm - s_val * math.log(10**4) / 10**4) < 1e-9
 
 
-def test_z_probe_rows(table_1e5):
+def test_z_probe_rows():
     x = 50_000
-    rows = z_sensitivity_probe(
-        table_1e5, x, 2, [(4, 2), (7, 3)], [2.0, 5.0, 20.0, 100.0]
-    )
+    rows = z_sensitivity_probe(x, 2, [(4, 2), (7, 3)], [2.0, 5.0, 20.0, 100.0])
     ref = x ** (1 / 3)
     for k, l in [(4, 2), (7, 3)]:
         sub = [row for row in rows if (row.k, row.l) == (k, l)]
         assert any(row.is_reference_split and row.z == ref for row in sub)
-        count = count_r_free_in_progression(table_1e5, x, 2, k, l)
+        count = count_r_free_in_progression(x, 2, k, l)
         for row in sub:
             assert row.small_sum + row.large_sum == count
 
 
-def test_z_probe_bound_shape_unimodal(table_1e5):
+def test_z_probe_bound_shape_unimodal():
     # the bound shape is a sum of convex pieces, so it dips exactly once
     x = 100_000
     grid = [float(z) for z in np.geomspace(1.5, 2000, 25)]
-    rows = z_sensitivity_probe(table_1e5, x, 2, [(6, 1)], grid)
+    rows = z_sensitivity_probe(x, 2, [(6, 1)], grid)
     shapes = [row.bound_shape for row in rows]
     diffs = np.diff(shapes)
     sign_changes = int(np.count_nonzero(np.diff(np.sign(diffs))))
     assert sign_changes <= 1
 
 
-def test_z_probe_csv_header(table_1e4):
-    rows = z_sensitivity_probe(table_1e4, 1000, 2, [(3, 1)], [2.0])
+def test_z_probe_csv_header():
+    rows = z_sensitivity_probe(1000, 2, [(3, 1)], [2.0])
     text = z_probe_csv(rows)
     assert text.startswith(
         "k,l,z,small_sum,large_sum,small_abs_err,large_abs,bound_shape,is_reference_split"
     )
 
 
-def test_z_probe_csv_golden_bytes(table_1e5):
+def test_z_probe_csv_golden_bytes():
     # r = 3, with a capped prime (k = 12, l = 6: 3 divides g but not s), the
     # zero class and cuts on both sides of (x/g)^(1/r)
     rows = z_sensitivity_probe(
-        table_1e5, 99_991, 3, [(6, 1), (12, 6), (178, 89), (30, 0)], [1.0, 7.0, 1000.0]
+        99_991, 3, [(6, 1), (12, 6), (178, 89), (30, 0)], [1.0, 7.0, 1000.0]
     )
     assert z_probe_csv(rows) == (
     'k,l,z,small_sum,large_sum,small_abs_err,large_abs,bound_shape,is_reference_split\n'

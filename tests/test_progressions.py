@@ -5,7 +5,6 @@ import pytest
 
 from conftest import unpacked
 from rfree import (
-    SieveTable,
     build_sieve,
     count_r_free_bruteforce,
     count_r_free_in_progression,
@@ -23,38 +22,39 @@ from rfree.progressions import _class_counts, _int_rth_root
 from rfree.sieve import _COUNT_WINDOW
 
 
-def test_count_examples(table_1e5):
-    assert count_r_free_in_progression(table_1e5, 100, 2, 4, 2) == 20
-    assert count_r_free_in_progression(table_1e5, 10, 2, 1, 0) == 7
-    assert count_r_free_in_progression(table_1e5, 100, 2, 4, 0) == 0
+def test_count_examples():
+    assert count_r_free_in_progression(100, 2, 4, 2) == 20
+    assert count_r_free_in_progression(10, 2, 1, 0) == 7
+    assert count_r_free_in_progression(100, 2, 4, 0) == 0
 
 
-def test_count_validation(table_1e4):
+def test_count_validation():
+    for x in (2**32, -1):
+        with pytest.raises(ValueError, match="outside"):
+            count_r_free_in_progression(x, 2, 3, 1)
+    with pytest.raises(ValueError, match="r must"):
+        count_r_free_in_progression(100, 1, 3, 1)
     with pytest.raises(ValueError):
-        count_r_free_in_progression(table_1e4, table_1e4.limit + 1, 2, 3, 1)
+        count_r_free_in_progression(100, 2, 0, 0)
     with pytest.raises(ValueError):
-        count_r_free_in_progression(table_1e4, 100, 5, 3, 1)
-    with pytest.raises(ValueError):
-        count_r_free_in_progression(table_1e4, 100, 2, 0, 0)
-    with pytest.raises(ValueError):
-        count_r_free_in_progression(table_1e4, 100, 2, 3, 3)
+        count_r_free_in_progression(100, 2, 3, 3)
 
 
 @pytest.mark.parametrize("r", [2, 3])
-def test_count_against_bruteforce(table_1e4, r):
+def test_count_against_bruteforce(r):
     rng = random.Random(10 + r)
     for _ in range(150):
         x = rng.randint(1, 2000)
         k = rng.randint(1, 30)
         l = rng.randrange(k)
-        assert count_r_free_in_progression(table_1e4, x, r, k, l) == \
+        assert count_r_free_in_progression(x, r, k, l) == \
             count_r_free_bruteforce(x, r, k, l)
 
 
 @pytest.fixture(scope="module")
 def table_edges():
     # two whole windows, a third of 9 flags, and 7 pad bits in the last byte
-    return build_sieve(2 * _COUNT_WINDOW + 8, {2, 3})
+    return build_sieve(2 * _COUNT_WINDOW + 8, {2, 3, 4})
 
 
 def _every_class(k_max, x):
@@ -63,44 +63,33 @@ def _every_class(k_max, x):
     return classes + [(x + 5, l) for l in range(5)]
 
 
-@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("r", [2, 3, 4])
 def test_class_counts_at_window_edges(table_edges, r):
     # every class of every k <= 12 and some of a k > x, at the last flag of a
     # window, the first of the next, one past it, inside the third window
-    # and at the limit; against the strided scan of the unpacked flags
+    # and at the last flag of the table; against the strided scan of the
+    # unpacked flags and, for k <= 12, the Mobius sums of class_counts
     flags = unpacked(table_edges, r)
     w = _COUNT_WINDOW
     for x in (w - 1, w, w + 1, 2 * w + 7, table_edges.limit):
         classes = _every_class(12, x)
         expected = [int(flags[l or k : x + 1 : k].sum()) for k, l in classes]
-        assert _class_counts(table_edges, x, r, classes) == expected, x
+        assert _class_counts(x, r, classes) == expected, x
         assert [
-            count_r_free_in_progression(table_edges, x, r, k, l) for k, l in classes
-        ] == expected, x
+            count_r_free_in_progression(x, r, k, l) for k, l in classes[:3] + classes[-3:]
+        ] == expected[:3] + expected[-3:], x
+        mobius = [c for k in range(1, 13) for c in class_counts(x, r, k).tolist()]
+        assert mobius == expected[: len(mobius)], x
 
 
-def test_class_counts_read_no_pad_bit(table_edges):
-    # the same table with every pad bit set counts the same
-    t = table_edges
-    dirty = {r: t.mu_r[r].copy() for r in t.rs}
-    for packed in dirty.values():
-        packed[-1] |= 0x7F
-    padded = SieveTable(t.limit, t.rs, t.mu, t.spf, t.omega, t.phi, dirty)
-    classes = _every_class(12, t.limit)
-    for r in t.rs:
-        assert _class_counts(padded, t.limit, r, classes) == _class_counts(
-            t, t.limit, r, classes
-        )
-
-
-@pytest.mark.parametrize("r", [2, 3])
-def test_class_counts_match_bruteforce_to_200(table_1e4, r):
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_class_counts_match_bruteforce_to_200(r):
     for x in range(201):
         classes = _every_class(7, x)
         expected = [count_r_free_bruteforce(x, r, k, l) for k, l in classes]
-        assert _class_counts(table_1e4, x, r, classes) == expected, x
+        assert _class_counts(x, r, classes) == expected, x
         assert [
-            count_r_free_in_progression(table_1e4, x, r, k, l) for k, l in classes
+            count_r_free_in_progression(x, r, k, l) for k, l in classes
         ] == expected, x
 
 
@@ -113,11 +102,11 @@ def test_partition_over_residues(table_1e5, r):
             assert int(class_counts(x, r, k).sum()) == total
 
 
-def test_zero_progression_when_gcd_not_r_free(table_1e4):
+def test_zero_progression_when_gcd_not_r_free():
     # every member of the class is divisible by an r-th power
     for x in (10, 500, 9999):
-        assert count_r_free_in_progression(table_1e4, x, 2, 4, 0) == 0
-        assert count_r_free_in_progression(table_1e4, x, 3, 16, 8) == 0
+        assert count_r_free_in_progression(x, 2, 4, 0) == 0
+        assert count_r_free_in_progression(x, 3, 16, 8) == 0
 
 
 def test_main_term_modulus_one():
@@ -144,7 +133,7 @@ def test_main_term_tracks_count_for_higher_r(table_1e5, r):
             if not is_r_free(math.gcd(l, k), r):
                 continue
             main = main_term(x, r, k, l)
-            count = count_r_free_in_progression(table_1e5, x, r, k, l)
+            count = count_r_free_in_progression(x, r, k, l)
             assert abs(count - main) <= 1e-2 * main, (k, l, count, main)
 
 
@@ -156,17 +145,17 @@ def test_main_term_tracks_count_for_higher_r(table_1e5, r):
     ],
     ids=["6-2", "10-5"],
 )
-def test_main_term_r3_pinned(table_1e6, k, l, ratio, count, main):
+def test_main_term_r3_pinned(k, l, ratio, count, main):
     x, r = 10**6, 3
     value = main_term(x, r, k, l)
     assert value == (x / k) * (ratio[0] / ratio[1]) * f_value(r, k).value
     assert abs(value - main) < 1e-6
-    rep = error_term(table_1e6, x, r, k, l)
+    rep = error_term(x, r, k, l)
     assert rep.count == count and rep.main_term == value
 
 
-def test_error_term_example(table_1e5):
-    rep = error_term(table_1e5, 100, 2, 4, 2)
+def test_error_term_example():
+    rep = error_term(100, 2, 4, 2)
     assert rep.count == 20
     assert abs(rep.error_term - (20 - 20.264236728467555)) < 1e-9
     assert rep.g == 2 and rep.s == 2 and rep.t == 1
@@ -174,48 +163,51 @@ def test_error_term_example(table_1e5):
     assert math.gcd(rep.t, rep.s) == 1
 
 
-def test_error_term_zero_convention(table_1e5):
-    rep = error_term(table_1e5, 100, 2, 4, 0)
+def test_error_term_zero_convention():
+    rep = error_term(100, 2, 4, 0)
     assert not rep.g_is_r_free
     assert rep.count == 0 and rep.main_term == 0.0 and rep.error_term == 0.0
 
 
-def test_error_term_reports_error_budget(table_1e5):
-    rep = error_term(table_1e5, 100, 2, 4, 2)
+def test_error_term_reports_error_budget():
+    rep = error_term(100, 2, 4, 2)
     assert 0 < rep.main_rel_error < 1e-10
 
 
-def test_error_term_validates_range_even_for_zero_convention(table_1e4):
-    with pytest.raises(ValueError):
-        error_term(table_1e4, table_1e4.limit + 1, 2, 4, 0)
+def test_error_term_validates_range_even_for_zero_convention():
+    for x in (2**32, -1):
+        with pytest.raises(ValueError, match="outside"):
+            error_term(x, 2, 4, 0)
+    with pytest.raises(ValueError, match="r must"):
+        error_term(100, 1, 4, 0)
 
 
-def test_decompose_z_validation(table_1e4):
+def test_decompose_z_validation():
     with pytest.raises(ValueError):
-        decompose(table_1e4, 100, 2, 4, 2, 0.5)
+        decompose(100, 2, 4, 2, 0.5)
     for z in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="z must be a finite number >= 1"):
-            decompose(table_1e4, 100, 2, 4, 2, z=z)
+            decompose(100, 2, 4, 2, z=z)
     with pytest.raises(ValueError):
-        decompose(table_1e4, 100, 2, 4, 0, 2.0)  # gcd 4 not squarefree
+        decompose(100, 2, 4, 0, 2.0)  # gcd 4 not squarefree
 
 
-def test_decompose_large_range_empty(table_1e4):
+def test_decompose_large_range_empty():
     # z at or past (x/g)^(1/r) puts everything in the small part
-    rep = decompose(table_1e4, 100, 2, 4, 2, 8.0)
+    rep = decompose(100, 2, 4, 2, 8.0)
     assert rep.large_sum == 0
     assert rep.small_sum == rep.count == 20
 
 
-def test_decompose_split_example(table_1e4):
-    rep = decompose(table_1e4, 100, 2, 4, 2, 3.0)
+def test_decompose_split_example():
+    rep = decompose(100, 2, 4, 2, 3.0)
     assert rep.small_sum + rep.large_sum == 20
 
 
-def test_decompose_r3_example(table_1e4):
-    rep = decompose(table_1e4, 1000, 3, 7, 3, 1000**0.25)
+def test_decompose_r3_example():
+    rep = decompose(1000, 3, 7, 3, 1000**0.25)
     assert rep.small_sum + rep.large_sum == rep.count
-    assert rep.count == count_r_free_in_progression(table_1e4, 1000, 3, 7, 3)
+    assert rep.count == count_r_free_in_progression(1000, 3, 7, 3)
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -229,18 +221,18 @@ def test_decompose_identity_randomized(table_1e5, r):
         g = math.gcd(l, k) if l else k
         try:
             z = rng.uniform(1.0, max(1.0, (x / g) ** (1 / r)))
-            rep = decompose(table_1e5, x, r, k, l, z)
+            rep = decompose(x, r, k, l, z)
         except ValueError:
             continue  # g not r-free
         done += 1
         assert rep.small_sum + rep.large_sum == rep.count, (x, r, k, l, z)
 
 
-def test_decompose_counts_classes_sharing_primes_with_gcd(table_1e5):
+def test_decompose_counts_classes_sharing_primes_with_gcd():
     # cofactors may share primes with the gcd as long as the combined
     # exponent stays below r; the split must still recombine exactly
     for x, r, k, l in [(50, 3, 6, 2), (5000, 3, 6, 2), (9999, 4, 12, 4), (7000, 3, 10, 5)]:
-        rep = decompose(table_1e5, x, r, k, l, 2.0)
+        rep = decompose(x, r, k, l, 2.0)
         brute = count_r_free_bruteforce(x, r, k, l)
         assert rep.count == brute
         assert rep.small_sum + rep.large_sum == brute
@@ -306,7 +298,7 @@ def test_decompose_scan_and_inclusion_exclusion_agree(table_1e5):
         g = math.gcd(l, k) if l else k
         try:
             z = rng.uniform(1.0, max(1.0, (x / g) ** 0.5))
-            rep = decompose(table_1e5, x, 2, k, l, z)
+            rep = decompose(x, 2, k, l, z)
         except ValueError:
             continue
         via_scan = decompose_by_loop(table_1e5, x, 2, k, l, z, scan_crossover=10**9)
@@ -331,7 +323,7 @@ def test_decompose_scan_and_inclusion_exclusion_agree(table_1e5):
 def test_decompose_huge_moduli(table_1e4, r, k, l, z, expected):
     # k > x, up to k beyond int64: at most n = l lies in the progression
     x = 10_000
-    rep = decompose(table_1e4, x, r, k, l, z)
+    rep = decompose(x, r, k, l, z)
     assert (rep.count, rep.small_sum, rep.large_sum) == expected
     assert rep.count == count_r_free_bruteforce(x, r, k, l)
     assert (rep.small_sum, rep.large_sum) == decompose_by_loop(table_1e4, x, r, k, l, z)
@@ -349,12 +341,12 @@ def test_decompose_many_mixed_batch(table_1e5, r):
         (3 * 2**70, 3 * 5, 2.0), (400 * 2**70, 25, 1.0),  # past int64; 3 and 5 capped
     ]
     trials = [(k, l, z) for k, l, z in trials if is_r_free(math.gcd(l, k), r)]
-    reports = decompose_many(table_1e5, x, r, trials)
+    reports = decompose_many(x, r, trials)
     for (k, l, z), rep in zip(trials, reports, strict=True):
         assert (rep.k, rep.l, rep.z) == (k, l, z)
         assert (rep.small_sum, rep.large_sum) == decompose_by_loop(table_1e5, x, r, k, l, z)
         assert rep.small_sum + rep.large_sum == rep.count == count_r_free_bruteforce(x, r, k, l)
-        assert rep == decompose(table_1e5, x, r, k, l, z)
+        assert rep == decompose(x, r, k, l, z)
 
 
 def test_decompose_many_spans_blocks(table_1e5):
@@ -367,13 +359,13 @@ def test_decompose_many_spans_blocks(table_1e5):
         for l in range(k)
         if is_r_free(math.gcd(l, k), r)
     ]
-    reports = decompose_many(table_1e5, x, r, trials)
+    reports = decompose_many(x, r, trials)
     for (k, l, z), rep in zip(trials, reports, strict=True):
         assert (rep.small_sum, rep.large_sum) == decompose_by_loop(table_1e5, x, r, k, l, z)
         assert rep.small_sum + rep.large_sum == rep.count
 
 
-def test_decompose_many_checks_every_trial_first(table_1e4):
+def test_decompose_many_checks_every_trial_first():
     good = (7, 3, 2.0)
     for bad, message in [
         ((7, 3, math.nan), "z must be a finite number >= 1"),
@@ -381,23 +373,23 @@ def test_decompose_many_checks_every_trial_first(table_1e4):
         ((8, 4, 2.0), "is not 2-free"),
     ]:
         with pytest.raises(ValueError, match=message):
-            decompose_many(table_1e4, 1000, 2, [good, bad])
-    assert decompose_many(table_1e4, 1000, 2, []) == []
+            decompose_many(1000, 2, [good, bad])
+    assert decompose_many(1000, 2, []) == []
 
 
-def test_lemma_probe_zero_large_part(table_1e4):
-    probe = lemma_bound_probe(decompose(table_1e4, 100, 2, 4, 2, 8.0))
+def test_lemma_probe_zero_large_part():
+    probe = lemma_bound_probe(decompose(100, 2, 4, 2, 8.0))
     assert probe.large_ratio == 0.0
     assert probe.small_residual >= 0.0
 
 
-def test_lemma_probe_finite_positive(table_1e4):
-    probe = lemma_bound_probe(decompose(table_1e4, 100, 2, 4, 2, 3.0))
+def test_lemma_probe_finite_positive():
+    probe = lemma_bound_probe(decompose(100, 2, 4, 2, 3.0))
     assert math.isfinite(probe.small_residual) and probe.small_residual >= 0
     assert math.isfinite(probe.large_ratio) and probe.large_ratio >= 0
 
 
-def test_lemma_probe_sweep_bounded(table_1e6):
+def test_lemma_probe_sweep_bounded():
     # squarefree case, cut at x^(1/3): the ratios stay below a small
     # constant across three decades of x and random progressions
     rng = random.Random(31)
@@ -408,7 +400,7 @@ def test_lemma_probe_sweep_bounded(table_1e6):
             k = rng.randint(1, 50)
             l = rng.randrange(k)
             try:
-                probe = lemma_bound_probe(decompose(table_1e6, x, 2, k, l, x ** (1 / 3)))
+                probe = lemma_bound_probe(decompose(x, 2, k, l, x ** (1 / 3)))
             except ValueError:
                 continue
             done += 1
@@ -418,8 +410,8 @@ def test_lemma_probe_sweep_bounded(table_1e6):
         assert worst_large < 5.0, (x, worst_large)
 
 
-def test_decompose_empty_range(table_1e4):
-    rep = decompose(table_1e4, 0, 2, 4, 2, 1.0)
+def test_decompose_empty_range():
+    rep = decompose(0, 2, 4, 2, 1.0)
     assert rep.small_sum == rep.large_sum == rep.count == 0
 
 
@@ -437,9 +429,9 @@ def test_int_rth_root_fuzz():
             assert _int_rth_root(base**r - 1, r) == base - 1 or base == 1
 
 
-def test_error_term_full_range_at_one_million(table_1e6):
+def test_error_term_full_range_at_one_million():
     # the k = 1 remainder is of square-root order, far below 1000
-    rep = error_term(table_1e6, 10**6, 2, 1, 0)
+    rep = error_term(10**6, 2, 1, 0)
     assert rep.count == 607926
     assert abs(rep.error_term) < 1000
     assert abs(rep.error_term - (607926 - 607927.1018540267)) < 1e-6

@@ -17,6 +17,7 @@ from rfree import (  # noqa: E402
     decompose_many,
     is_r_free,
 )
+from rfree.progressions import _class_counts  # noqa: E402
 from test_progressions import decompose_by_loop  # noqa: E402
 
 # small moduli, and up to 400 * 2^70 (far past int64) in a form that trial
@@ -34,10 +35,21 @@ _moduli = st.builds(
     r=st.sampled_from([2, 3]),
     k=st.integers(min_value=1, max_value=300),
 )
-def test_class_counts_match_strided_scan(table_1e5, x, r, k):
+def test_class_counts_match_strided_scan(x, r, k):
     counts = class_counts(x, r, k)
-    expected = [count_r_free_in_progression(table_1e5, x, r, k, l) for l in range(k)]
-    assert counts.tolist() == expected
+    assert counts.tolist() == _class_counts(x, r, [(k, l) for l in range(k)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    x=st.integers(min_value=0, max_value=3000),
+    r=st.sampled_from([2, 3, 4]),
+    k=st.integers(min_value=1, max_value=3100),
+    l_seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_count_matches_bruteforce(x, r, k, l_seed):
+    l = l_seed % k
+    assert count_r_free_in_progression(x, r, k, l) == count_r_free_bruteforce(x, r, k, l)
 
 
 @settings(max_examples=80, deadline=None)
@@ -53,7 +65,7 @@ def test_split_matches_scalar_loop_and_bruteforce(table_1e5, x, r, k, l_seed, z_
     g = math.gcd(l, k)
     assume(is_r_free(g, r))
     z = 1.0 + z_frac * (x / g) ** (1 / r)
-    rep = decompose(table_1e5, x, r, k, l, z)
+    rep = decompose(x, r, k, l, z)
     assert (rep.small_sum, rep.large_sum) == decompose_by_loop(table_1e5, x, r, k, l, z)
     assert rep.small_sum + rep.large_sum == count_r_free_bruteforce(x, r, k, l)
 
@@ -84,7 +96,7 @@ def test_split_batch_matches_scalar_loop_and_bruteforce(table_1e5, x, r, draws):
     assume(trials)
     k, l, _ = trials[0]
     trials.append((k, l, 1.0))  # a repeated (k, l), cut at z = 1
-    reports = decompose_many(table_1e5, x, r, trials)
+    reports = decompose_many(x, r, trials)
     assert len(reports) == len(trials)
     for (k, l, z), rep in zip(trials, reports):
         assert (rep.k, rep.l, rep.z) == (k, l, z)

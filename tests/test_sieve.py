@@ -117,6 +117,20 @@ def test_r_free_counts_validation():
         r_free_counts([10, -1], 2)
 
 
+def test_r_free_counts_refuse_x_past_2_32_at_once(monkeypatch):
+    # refused before any window or power is made: 2**40 would take about
+    # 10^6 passes of the window
+    def no_sieve(*args):
+        raise AssertionError("sieved before the range was checked")
+
+    monkeypatch.setattr(sieve, "_r_powers", no_sieve)
+    for xs in ([2**32], [10, 2**40]):
+        with pytest.raises(ValueError, match="outside"):
+            r_free_counts(xs, 2)
+    with pytest.raises(ValueError, match="r must"):
+        r_free_counts([], 1)
+
+
 def _mobius(n):
     if n == 1:
         return 1
