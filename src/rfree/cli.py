@@ -20,7 +20,7 @@ from pathlib import Path
 from .errors import ConfigError, ResourceLimitError, SelfCheckError
 from .harness import ExperimentConfig, rows_to_csv, run_experiment, write_plot
 from .multiplicative import f_value, tau_partial_sum_check
-from .progressions import decompose, decompose_many, error_term, lemma_bound_probe
+from .progressions import _error_report, decompose_many, lemma_bound_probe
 from .residues import per_modulus_maxima
 from .sieve import build_sieve, is_r_free, load_cache, save_cache
 
@@ -115,7 +115,7 @@ def _cmd_f(args) -> int:
 def _cmd_error(args) -> int:
     if args.x < 1:
         raise ConfigError(f"x must be >= 1, got {args.x}")
-    rep = error_term(args.x, args.r, args.k, args.l)
+    rep, dec = _error_report(args.x, args.r, args.k, args.l, args.z)
     payload = {
         "x": rep.x, "r": rep.r, "k": rep.k, "l": rep.l,
         "g": rep.g, "s": rep.s, "t": rep.t,
@@ -123,8 +123,7 @@ def _cmd_error(args) -> int:
         "R": rep.count, "main_term": rep.main_term,
         "error_term": rep.error_term,
     }
-    if args.z is not None and rep.g_is_r_free:
-        dec = decompose(args.x, args.r, args.k, args.l, args.z)
+    if dec is not None:
         payload.update(
             z=dec.z, small_sum=dec.small_sum, large_sum=dec.large_sum,
             split_exact=(dec.small_sum + dec.large_sum == dec.count),

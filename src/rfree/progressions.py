@@ -183,6 +183,16 @@ def error_term(x: int, r: int, k: int, l: int) -> ProgressionReport:
     A progression whose gcd is not r-free gets the all-zero convention
     with g_is_r_free = False (its exact count is genuinely zero).
     """
+    return _error_report(x, r, k, l)[0]
+
+
+def _error_report(
+    x: int, r: int, k: int, l: int, z: float | None = None
+) -> tuple[ProgressionReport, DecompositionReport | None]:
+    """``error_term`` and, given a cut z and gcd(l, k) r-free, the
+    ``decompose`` split at z, whose count the report then takes: one
+    sieve pass over [0, x] serves both.  The split is None otherwise.
+    """
     _check_count_range(x, r)
     if k < 1 or not 0 <= l < k:
         raise ValueError(f"bad progression k={k}, l={l}")
@@ -191,8 +201,12 @@ def error_term(x: int, r: int, k: int, l: int) -> ProgressionReport:
         return ProgressionReport(
             x=x, r=r, k=k, l=l, g=g, s=s, t=t, g_is_r_free=False,
             count=0, main_term=0.0, error_term=0.0, main_rel_error=0.0,
-        )
-    count = count_r_free_in_progression(x, r, k, l)
+        ), None
+    if z is None:
+        split, count = None, count_r_free_in_progression(x, r, k, l)
+    else:
+        split = decompose(x, r, k, l, z)
+        count = split.count
     fv = f_value(r, k)
     main = _main_term(x, r, trial_factorize(k), fv, l)
     rel = fv.rel_error + 5 * 2.3e-16
@@ -200,7 +214,7 @@ def error_term(x: int, r: int, k: int, l: int) -> ProgressionReport:
         x=x, r=r, k=k, l=l, g=g, s=s, t=t, g_is_r_free=True,
         count=count, main_term=main, error_term=count - main,
         main_rel_error=rel,
-    )
+    ), split
 
 
 def _int_rth_root(n: int, r: int) -> int:

@@ -19,9 +19,9 @@ its cache hold a flag table.
 * ``factor_sieve(N)`` gives a :class:`FactorTable` with the Mobius
   function, smallest prime factor (spf(1) = 1), number of distinct prime
   factors and Euler totient of every n in [0, N], in one pass over the
-  prime powers of ``_prime_powers``, the loop ``tau_table`` shares.  Only
-  ``factorize``, ``omega_vs_tau_check``, the demos and the tests need
-  these tables over a full range.
+  prime powers of ``_prime_powers``.  Only ``factorize``,
+  ``omega_vs_tau_check``, the demos and the tests need these tables over
+  a full range.
 
 Every table over [0, N], here and in ``tau_table``, keeps one size rule,
 ``_check_table_size``: N >= 1, N < 2**32 and at most 2 GiB of arrays.

@@ -194,6 +194,35 @@ def test_error_json_with_split(capsys):
     assert payload["split_exact"] is True
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_error_with_split_sieves_once(monkeypatch, capsys, fmt):
+    # the report and the split share one pass of flag windows over [0, x]
+    calls = []
+    kernel = sieve._sieve_window
+
+    def counted(*args):
+        calls.append(args[1])
+        kernel(*args)
+
+    monkeypatch.setattr(sieve, "_COUNT_WINDOW", 64)
+    monkeypatch.setattr(sieve, "_sieve_window", counted)
+    argv = ["error", "--x", "1000", "--r", "2", "--k", "7", "--l", "3", "--format", fmt]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert calls == list(range(0, 1001, 64))
+    calls.clear()
+    assert main(argv + ["--z", "5"]) == 0
+    assert calls == list(range(0, 1001, 64))
+    split = capsys.readouterr().out
+    if fmt == "json":
+        payload = json.loads(split)
+        assert payload["R"] == count_r_free_bruteforce(1000, 2, 7, 3)
+        assert payload["split_exact"] is True
+        assert json.loads(plain).items() <= payload.items()
+    else:
+        assert split.splitlines()[1].startswith(plain.splitlines()[1])
+
+
 def test_error_json_zero_convention(capsys):
     assert main(["error", "--x", "100", "--r", "2", "--k", "4", "--l", "0",
                  "--format", "json"]) == 0
@@ -456,6 +485,7 @@ def _exit_code(argv):
     "sieve --limit 5e9 --r 2",
     "tau-sum --r 150 --x 8192",
     "tau-sum --r 2 --x 5e9",
+    "tau-sum --r 0 --x 100",
     "verify-lemmas --x 1e4 --r 2 --trials -1",
     "verify-lemmas --x 1e4 --r 2 --trials 0",
     "error --x 1e4 --r 2 --k 3 --l 1 --z nan",

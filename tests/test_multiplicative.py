@@ -8,6 +8,7 @@ import pytest
 from rfree import (
     ResourceLimitError,
     f_value,
+    multiplicative,
     omega_vs_tau_check,
     tau_partial_sum_check,
     tau_table,
@@ -197,6 +198,56 @@ def test_tau_table_matches_convolution(limit):
         assert np.array_equal(tau_table(r, limit).tau, _tau_by_convolution(r, limit)), r
 
 
+@pytest.mark.parametrize("window", [64, 256])
+def test_tau_table_matches_convolution_across_windows(monkeypatch, window):
+    # limits at the edges of a short window: every p^e >= window goes through
+    # the index arrays, and window**2 still exceeds each limit
+    monkeypatch.setattr(multiplicative, "_TAU_WINDOW", window)
+    for limit in (window - 1, window, window + 1, 2 * window + 7):
+        assert limit < window**2
+        for r in (1, 2, 3, 4):
+            expected = _tau_by_convolution(r, limit)
+            assert np.array_equal(tau_table(r, limit).tau, expected), (window, limit, r)
+
+
+def _ordered_triples(x):
+    # #{(a, b, c) : abc <= x} from the a <= b <= c, each counted with the
+    # number of its distinct orderings
+    total = 0
+    a = 1
+    while a**3 <= x:
+        b = a
+        while a * b * b <= x:
+            cs = x // (a * b) - b + 1  # the c >= b
+            if a == b:
+                total += 1 + 3 * (cs - 1)  # (a, a, a), then (a, a, c > a)
+            else:
+                total += 3 + 6 * (cs - 1)  # (a, b, b), then (a, b, c > b)
+            b += 1
+        a += 1
+    return total
+
+
+def test_tau_3_sum_counts_ordered_triples():
+    # sum of tau_3 over n <= x is #{abc <= x}; x = 10^6 spans 16 windows
+    assert _ordered_triples(100) == sum(tau_value(3, n) for n in range(1, 101))
+    xs = [10**6, 2**16, 2**16 - 1]
+    rows = tau_partial_sum_check(3, xs)
+    assert [row.total for row in rows] == [_ordered_triples(x) for x in xs]
+
+
+def test_tau_partial_sum_memory_is_flat_in_x():
+    # a table of tau_3 below 5 * 10^6 would take 40 MB
+    tracemalloc.start()
+    try:
+        rows = tau_partial_sum_check(3, [5 * 10**6])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows[0].total == _ordered_triples(5 * 10**6)
+    assert peak < 4 * 2**20
+
+
 def test_tau_overflow_detected():
     with pytest.raises(OverflowError):
         tau_table(150, 8192)
@@ -219,6 +270,17 @@ def test_tau_table_refused_before_allocating(limit):
     try:
         with pytest.raises(ResourceLimitError):
             tau_table(2, limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_partial_sum_refuses_x_past_2_32_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="2\\*\\*32"):
+            tau_partial_sum_check(2, [10, 2**32])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

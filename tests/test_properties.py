@@ -1,6 +1,9 @@
 """Property tests of the exact identities, on random inputs."""
 
+import functools
+import itertools
 import math
+from unittest import mock
 
 import pytest
 
@@ -16,6 +19,9 @@ from rfree import (  # noqa: E402
     decompose,
     decompose_many,
     is_r_free,
+    multiplicative,
+    tau_partial_sum_check,
+    tau_value,
 )
 from rfree.progressions import _class_counts  # noqa: E402
 from test_progressions import decompose_by_loop  # noqa: E402
@@ -109,3 +115,23 @@ def test_split_batch_matches_scalar_loop_and_bruteforce(table_1e5, x, r, draws):
 def test_counts_vector_matches_enumeration(r, s):
     expected = [count_solutions_bruteforce(r, a, s) for a in range(s)]
     assert counts_vector(r, s).tolist() == expected
+
+
+@functools.lru_cache(maxsize=None)
+def _tau_prefix_sums(r):
+    """The sums of tau_value(r, n) over n <= x, for every x <= 3000."""
+    return list(itertools.accumulate((tau_value(r, n) for n in range(1, 3001)), initial=0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    xs=st.lists(st.integers(min_value=3, max_value=3000), min_size=1, max_size=4),
+    r=st.integers(min_value=1, max_value=5),
+    window=st.sampled_from([64, 100, 1 << 16]),
+)
+def test_tau_partial_sums_match_tau_value(xs, r, window):
+    # each window's square exceeds 3000, so the short ones stay exact
+    with mock.patch.object(multiplicative, "_TAU_WINDOW", window):
+        rows = tau_partial_sum_check(r, xs)
+    assert [row.x for row in rows] == xs
+    assert [row.total for row in rows] == [_tau_prefix_sums(r)[x] for x in xs]
