@@ -6,11 +6,12 @@ omega(n) and the Euler totient phi(n).  ``build_sieve`` produces, for each
 requested r, a 0/1 flag that is 1 exactly when no r-th power of a prime
 divides n, packed eight to a byte; it keeps the factoring tables only up
 to sqrt(limit), because the progression counts read mu no further.
+``trial_factorize`` factors a single n by trial division, without a table.
 """
 
 import numpy as np
 
-from rfree import build_sieve, factor_sieve, factorize, mu_r_direct, zeta
+from rfree import build_sieve, factor_sieve, mu_r_direct, trial_factorize, zeta
 
 LIMIT = 1_000_000
 
@@ -33,9 +34,9 @@ for n in (360, 1024, 999_983):
     assert int(squarefree[n]) == mu_r_direct(n, 2)
 print("\nflag table agrees with the direct Mobius divisor sum on spot checks")
 
-# factorizations come straight off the smallest-prime-factor chain
+# factorizations by trial division, independent of the tables
 for n in (9_699_690 // 11, 2**19, 999_983):
-    fact = factorize(factors, n)
+    fact = trial_factorize(n)
     pretty = " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in fact.factors)
     print(f"  {n} = {pretty}")
 

@@ -13,14 +13,11 @@ from .errors import ConfigError, ResourceLimitError, SelfCheckError
 from .harness import (
     BvRow,
     ExperimentConfig,
-    ZProbeRow,
     class_counts,
     modulus_threshold,
     rows_to_csv,
     run_experiment,
     write_plot,
-    z_probe_csv,
-    z_sensitivity_probe,
 )
 from .multiplicative import (
     FValue,
@@ -59,7 +56,6 @@ from .sieve import (
     SieveTable,
     build_sieve,
     factor_sieve,
-    factorize,
     is_r_free,
     load_cache,
     mu_r_direct,
@@ -89,7 +85,6 @@ __all__ = [
     "SieveTable",
     "TauSumRow",
     "TauTable",
-    "ZProbeRow",
     "build_sieve",
     "class_counts",
     "count_r_free_bruteforce",
@@ -102,7 +97,6 @@ __all__ = [
     "error_term",
     "f_value",
     "factor_sieve",
-    "factorize",
     "is_r_free",
     "lemma_bound_probe",
     "load_cache",
@@ -122,7 +116,5 @@ __all__ = [
     "totient_value",
     "trial_factorize",
     "write_plot",
-    "z_probe_csv",
-    "z_sensitivity_probe",
     "zeta",
 ]

@@ -53,9 +53,12 @@ def _int_option(text: str) -> int:
 
 def _parse_z(text: str) -> float:
     """The cut of ``decompose``: a finite number >= 1, checked for every class."""
-    z = float(text)
+    try:
+        z = float(text)
+    except ValueError:
+        z = math.nan  # not a number: refused by the same rule
     if not (math.isfinite(z) and z >= 1):
-        raise argparse.ArgumentTypeError(f"z must be a finite number >= 1, got {z}")
+        raise argparse.ArgumentTypeError(f"z must be a finite number >= 1, got {text!r}")
     return z
 
 
@@ -189,11 +192,13 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _cmd_residues(args) -> int:
-    rows = list(per_modulus_maxima(args.r, args.s_max))  # refuses bad input before the header
+    rows = per_modulus_maxima(args.r, args.s_max)
+    best = next(rows)  # refuses bad input before the header
     print("s,a,count,ratio")
-    for row in rows:
+    for row in itertools.chain([best], rows):  # streamed: memory flat in --s-max
         print(f"{row.s},{row.a},{row.count},{row.ratio!r}")
-    best = max(rows, key=lambda row: row.ratio)  # the first maximum: the smallest s
+        if row.ratio > best.ratio:  # keeps the first maximum: the smallest s
+            best = row
     print(f"# max ratio {best.ratio!r} at a={best.a} s={best.s} (r={args.r})")
     return EXIT_OK
 

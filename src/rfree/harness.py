@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import ConfigError, ResourceLimitError, SelfCheckError
 from .multiplicative import f_value
-from .progressions import _d_terms, _main_term, _root_mu, decompose_many
+from .progressions import _d_terms, _main_term, _root_mu
 from .sieve import _LIMIT_CEILING, _check_count_range, r_free_counts, trial_factorize
 
 CSV_HEADER = "x,r,A,K,S,normalized,wall_seconds"
@@ -283,65 +283,3 @@ def write_plot(rows: Sequence[BvRow], path) -> None:
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
-
-
-class ZProbeRow(NamedTuple):
-    k: int
-    l: int
-    z: float
-    small_sum: int
-    large_sum: int
-    small_abs_err: float
-    large_abs: float
-    bound_shape: float
-    is_reference_split: bool
-
-
-def z_sensitivity_probe(
-    x: int,
-    r: int,
-    pairs: Sequence[tuple[int, int]],
-    z_grid: Sequence[float],
-) -> list[ZProbeRow]:
-    """Decomposition residuals and the combined bound shape across cuts z.
-
-    The reference cut z = x^(1/(r+1)) is always included and flagged.  The
-    split identity is re-verified at every grid point.
-    """
-    reference = x ** (1.0 / (r + 1))
-    zs = sorted(set(float(z) for z in z_grid) | {reference})
-    trials = [(k, l, z) for k, l in pairs for z in zs]
-    rows = []
-    for rep in decompose_many(x, r, trials):  # all cuts of a pair at once
-        k, l, z = rep.k, rep.l, rep.z
-        if rep.small_sum + rep.large_sum != rep.count:
-            raise SelfCheckError(
-                f"split identity failed at (x={x}, k={k}, l={l}, z={z})"
-            )
-        g = math.gcd(l, k)  # gcd(0, k) = k
-        omega_k = trial_factorize(k).omega
-        shape = 2**omega_k * z + r**omega_k * (
-            x / (k * z ** (r - 1)) + x / (g * z**r)
-        )
-        rows.append(
-            ZProbeRow(
-                k=k, l=l, z=z,
-                small_sum=rep.small_sum, large_sum=rep.large_sum,
-                small_abs_err=abs(rep.small_err),
-                large_abs=abs(float(rep.large_sum)),
-                bound_shape=shape,
-                is_reference_split=(z == reference),
-            )
-        )
-    return rows
-
-
-def z_probe_csv(rows: Sequence[ZProbeRow]) -> str:
-    lines = ["k,l,z,small_sum,large_sum,small_abs_err,large_abs,bound_shape,is_reference_split"]
-    for row in rows:
-        lines.append(
-            f"{row.k},{row.l},{row.z!r},{row.small_sum},{row.large_sum},"
-            f"{row.small_abs_err!r},{row.large_abs!r},{row.bound_shape!r},"
-            f"{int(row.is_reference_split)}"
-        )
-    return "\n".join(lines) + "\n"

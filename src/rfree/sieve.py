@@ -19,9 +19,8 @@ its cache hold a flag table.
 * ``factor_sieve(N)`` gives a :class:`FactorTable` with the Mobius
   function, smallest prime factor (spf(1) = 1), number of distinct prime
   factors and Euler totient of every n in [0, N], in one pass over the
-  prime powers of ``_prime_powers``.  Only ``factorize``,
-  ``omega_vs_tau_check``, the demos and the tests need these tables over
-  a full range.
+  prime powers of ``_prime_powers``.  Only ``omega_vs_tau_check``, the
+  demos and the tests need these tables over a full range.
 
 Every table over [0, N], here and in ``tau_table``, keeps one size rule,
 ``_check_table_size``: N >= 1, N < 2**32 and at most 2 GiB of arrays.
@@ -256,7 +255,7 @@ def factor_sieve(limit: int) -> FactorTable:
             mu[at] = 0
             phi[at] = phi[at] * p
 
-    spf[1] = 1  # convention: avoids a sentinel branch in factorize
+    spf[1] = 1  # convention: spf(1) = 1, as the module docstring states
     return FactorTable(limit, mu, spf, omega, phi)
 
 
@@ -354,23 +353,6 @@ def r_free_counts(xs: Iterable[int], r: int) -> list[int]:
 def _with_root_factors(limit: int, rs, mu_r: dict) -> SieveTable:
     root = factor_sieve(math.isqrt(limit))
     return SieveTable(limit, rs, root.mu, root.spf, root.omega, root.phi, mu_r)
-
-
-def factorize(table: FactorTable, n: int) -> Factorization:
-    """Factor n by repeated division by the tabled smallest prime factor."""
-    spf = table.spf
-    if not 1 <= n < spf.size:
-        raise ValueError(f"n={n} outside table range [1, {spf.size - 1}]")
-    out = []
-    m = n
-    while m > 1:
-        p = int(spf[m])
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        out.append((p, e))
-    return Factorization(n, tuple(out))
 
 
 @lru_cache(maxsize=1024)

@@ -1,5 +1,7 @@
 import builtins
+import contextlib
 import json
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -253,6 +255,23 @@ def test_residues_csv_and_summary(capsys):
     assert lines[-1].startswith("# max ratio 2.0 at a=1 s=8")
 
 
+def test_residues_streams_rows(tmp_path):
+    # rows go out as they are made: a list of them would take about 3 MB here
+    out = tmp_path / "residues.csv"
+    with out.open("w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["residues", "--r", "3", "--s-max", "20000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20, peak
+    lines = out.read_text().splitlines()
+    assert lines[0] == "s,a,count,ratio" and len(lines) == 20_002
+    assert lines[-1] == "# max ratio 1.0 at a=0 s=1 (r=3)"
+
+
 def test_bv_sum_stdout(capsys):
     code = main(["bv-sum", "--r", "2", "--A", "1", "--x", "1e4", "--timing", "none"])
     assert code == 0
@@ -494,6 +513,7 @@ def _exit_code(argv):
     "bv-sum --r 2 --A 1 --x 1e4 --seed 3",
     "error --x 1e4 --r 2 --k 4 --l 0 --z nan",
     "error --x 1e4 --r 2 --k 4 --l 0 --z -5",
+    "error --x 100 --r 2 --k 7 --l 3 --z abc",
     "bv-sum --r 2 --A 1 --x 1e4 --csv /nonexistent/x.csv",
     "bv-sum --r 2 --A 1 --x 1e4 --plot /nonexistent/dir/p.svg",
     "sieve --limit 10 --r 2 --cache /nonexistent/d/c.rfsv",

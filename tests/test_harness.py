@@ -18,8 +18,6 @@ from rfree import (
     rows_to_csv,
     run_experiment,
     write_plot,
-    z_probe_csv,
-    z_sensitivity_probe,
 )
 from rfree.progressions import _class_counts
 
@@ -242,64 +240,6 @@ def test_csv_shape():
     s_val = float(cells[4])
     norm = float(cells[5])
     assert abs(norm - s_val * math.log(10**4) / 10**4) < 1e-9
-
-
-def test_z_probe_rows():
-    x = 50_000
-    rows = z_sensitivity_probe(x, 2, [(4, 2), (7, 3)], [2.0, 5.0, 20.0, 100.0])
-    ref = x ** (1 / 3)
-    for k, l in [(4, 2), (7, 3)]:
-        sub = [row for row in rows if (row.k, row.l) == (k, l)]
-        assert any(row.is_reference_split and row.z == ref for row in sub)
-        count = count_r_free_in_progression(x, 2, k, l)
-        for row in sub:
-            assert row.small_sum + row.large_sum == count
-
-
-def test_z_probe_bound_shape_unimodal():
-    # the bound shape is a sum of convex pieces, so it dips exactly once
-    x = 100_000
-    grid = [float(z) for z in np.geomspace(1.5, 2000, 25)]
-    rows = z_sensitivity_probe(x, 2, [(6, 1)], grid)
-    shapes = [row.bound_shape for row in rows]
-    diffs = np.diff(shapes)
-    sign_changes = int(np.count_nonzero(np.diff(np.sign(diffs))))
-    assert sign_changes <= 1
-
-
-def test_z_probe_csv_header():
-    rows = z_sensitivity_probe(1000, 2, [(3, 1)], [2.0])
-    text = z_probe_csv(rows)
-    assert text.startswith(
-        "k,l,z,small_sum,large_sum,small_abs_err,large_abs,bound_shape,is_reference_split"
-    )
-
-
-def test_z_probe_csv_golden_bytes():
-    # r = 3, with a capped prime (k = 12, l = 6: 3 divides g but not s), the
-    # zero class and cuts on both sides of (x/g)^(1/r)
-    rows = z_sensitivity_probe(
-        99_991, 3, [(6, 1), (12, 6), (178, 89), (30, 0)], [1.0, 7.0, 1000.0]
-    )
-    assert z_probe_csv(rows) == (
-    'k,l,z,small_sum,large_sum,small_abs_err,large_abs,bound_shape,is_reference_split\n'
-    '6,1,1.0,16666,-212,212.17031152908748,212.0,1049909.5,0\n'
-    '6,1,7.0,16484,-30,30.170311529087485,30.0,5712.619533527697,0\n'
-    '6,1,17.782393974017452,16461,-7,7.170311529087485,7.0,705.491424832985,1\n'
-    '6,1,1000.0,16454,0,0.17031152908748481,0.0,4000.150886419,0\n'
-    '12,6,1.0,7407,-94,94.18680512403898,94.0,224983.75,0\n'
-    '12,6,7.0,7326,-13,13.186805124038983,13.0,1995.752915451895,0\n'
-    '12,6,17.782393974017452,7315,-2,2.186805124038983,2.0,334.96331844247504,1\n'
-    '12,6,1000.0,7313,0,0.1868051240389832,0.0,4000.0751432365,0\n'
-    '178,89,1.0,562,-27,27.984806016422795,27.0,15171.174157303372,0\n'
-    '178,89,7.0,535,0,0.9848060164227945,0.0,160.6574999181053,0\n'
-    '178,89,17.782393974017452,535,0,0.9848060164227945,0.0,88.9161203374005,1\n'
-    '178,89,1000.0,535,0,0.9848060164227945,0.0,4000.0050658361683,0\n'
-    '30,0,1.0,2133,-9,9.92520148762378,9.0,179991.8,0\n'
-    '30,0,7.0,2127,-3,3.925201487623781,3.0,2154.936443148688,0\n'
-    '30,0,17.782393974017452,2124,0,0.9252014876237808,0.0,442.8554882712102,1\n'
-    '30,0,1000.0,2124,0,0.9252014876237808,0.0,8000.0900818919,0\n'
-    )
 
 
 def test_plot_writers(tmp_path):

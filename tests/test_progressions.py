@@ -365,6 +365,39 @@ def test_decompose_many_spans_blocks(table_1e5):
         assert rep.small_sum + rep.large_sum == rep.count
 
 
+def test_decompose_many_golden_r3():
+    # r = 3, with a capped prime (k = 12, l = 6: 3 divides g but not s), the
+    # zero class and cuts on both sides of (x/g)^(1/r); 17.78... is x^(1/4)
+    x = 99_991
+    zs = (1.0, 7.0, x ** (1 / 4), 1000.0)
+    pairs = ((6, 1), (12, 6), (178, 89), (30, 0))
+    reports = decompose_many(x, 3, [(k, l, z) for k, l in pairs for z in zs])
+    got = [
+        (rep.k, rep.l, rep.z, rep.small_sum, rep.large_sum, abs(rep.small_err))
+        for rep in reports
+    ]
+    assert got == [
+        (6, 1, 1.0, 16666, -212, 212.17031152908748),
+        (6, 1, 7.0, 16484, -30, 30.170311529087485),
+        (6, 1, 17.782393974017452, 16461, -7, 7.170311529087485),
+        (6, 1, 1000.0, 16454, 0, 0.17031152908748481),
+        (12, 6, 1.0, 7407, -94, 94.18680512403898),
+        (12, 6, 7.0, 7326, -13, 13.186805124038983),
+        (12, 6, 17.782393974017452, 7315, -2, 2.186805124038983),
+        (12, 6, 1000.0, 7313, 0, 0.1868051240389832),
+        (178, 89, 1.0, 562, -27, 27.984806016422795),
+        (178, 89, 7.0, 535, 0, 0.9848060164227945),
+        (178, 89, 17.782393974017452, 535, 0, 0.9848060164227945),
+        (178, 89, 1000.0, 535, 0, 0.9848060164227945),
+        (30, 0, 1.0, 2133, -9, 9.92520148762378),
+        (30, 0, 7.0, 2127, -3, 3.925201487623781),
+        (30, 0, 17.782393974017452, 2124, 0, 0.9252014876237808),
+        (30, 0, 1000.0, 2124, 0, 0.9252014876237808),
+    ]
+    for rep in reports:
+        assert rep.small_sum + rep.large_sum == rep.count
+
+
 def test_decompose_many_checks_every_trial_first():
     good = (7, 3, 2.0)
     for bad, message in [

@@ -17,7 +17,6 @@ from rfree import (
     build_sieve,
     count_r_free_bruteforce,
     factor_sieve,
-    factorize,
     is_r_free,
     load_cache,
     mu_r_direct,
@@ -146,27 +145,11 @@ def _mobius(n):
     return -sign if m > 1 else sign
 
 
-def test_factorize_examples(factors_1e5):
-    assert factorize(factors_1e5, 12).factors == ((2, 2), (3, 1))
-    assert factorize(factors_1e5, 1).factors == ()
-    assert factorize(factors_1e5, 97).factors == ((97, 1),)
-
-
-def test_factorize_range_error(factors_1e5, table_1e5):
-    with pytest.raises(ValueError):
-        factorize(factors_1e5, 0)
-    with pytest.raises(ValueError):
-        factorize(factors_1e5, factors_1e5.limit + 1)
-    # a flag table's spf stops at isqrt(limit)
-    with pytest.raises(ValueError):
-        factorize(table_1e5, math.isqrt(table_1e5.limit) + 1)
-
-
 def test_factorization_product_invariant(factors_1e5):
     rng = random.Random(1)
     for _ in range(200):
         n = rng.randint(1, factors_1e5.limit)
-        fact = factorize(factors_1e5, n)
+        fact = trial_factorize(n)
         prod = 1
         for p, e in fact.factors:
             prod *= p**e
@@ -213,10 +196,10 @@ def test_mu_zero_iff_not_squarefree(factors_1e5, table_1e5):
 
 def test_flags_match_factorizations(factors_1e5, table_1e5):
     # an independent construction: the flags come from p^r strides, the
-    # exponents from the smallest-prime-factor chain
+    # exponents from trial division
     top = np.zeros(factors_1e5.limit + 1, dtype=np.int64)
     for n in range(1, factors_1e5.limit + 1):
-        top[n] = max((e for _, e in factorize(factors_1e5, n).factors), default=0)
+        top[n] = max((e for _, e in trial_factorize(n).factors), default=0)
     for r in (2, 3, 4):
         assert np.array_equal(unpacked(table_1e5, r)[1:] == 1, top[1:] < r), r
 
@@ -234,7 +217,7 @@ def test_totient_divisor_sum(factors_1e5):
     # sum of phi over divisors of n equals n
     rng = random.Random(2)
     for n in [1, 2, 12, 360, 99991] + [rng.randint(1, 10**5) for _ in range(50)]:
-        fact = factorize(factors_1e5, n)
+        fact = trial_factorize(n)
         divs = [1]
         for p, e in fact.factors:
             divs = [d * p**j for d in divs for j in range(e + 1)]
@@ -324,7 +307,10 @@ def test_trial_factorize_matches_table(factors_1e5):
     rng = random.Random(4)
     for _ in range(100):
         n = rng.randint(1, factors_1e5.limit)
-        assert trial_factorize(n).factors == factorize(factors_1e5, n).factors
+        fact = trial_factorize(n)
+        assert int(factors_1e5.spf[n]) == (fact.factors[0][0] if n > 1 else 1)
+        assert int(factors_1e5.omega[n]) == fact.omega
+        assert int(factors_1e5.phi[n]) == totient_value(n)
 
 
 def test_cache_roundtrip_bit_identical(table_1e4, tmp_path):
