@@ -7,114 +7,62 @@ exactly, evaluates Euler-product main terms and error terms, verifies the
 small-d/large-d split of the count as an exact identity, counts power
 residues mod s, and drives averaged worst-case error experiments over
 sweeps of moduli.
+
+Every public name is imported from its module on first use (PEP 562), so
+``import rfree`` loads no submodule and no numpy; ``from rfree import X``
+loads only the module that defines X.
 """
 
-from .errors import ConfigError, ResourceLimitError, SelfCheckError
-from .harness import (
-    BvRow,
-    ExperimentConfig,
-    class_counts,
-    modulus_threshold,
-    rows_to_csv,
-    run_experiment,
-    write_plot,
-)
-from .multiplicative import (
-    FValue,
-    TauSumRow,
-    TauTable,
-    f_value,
-    omega_vs_tau_check,
-    tau_partial_sum_check,
-    tau_table,
-    tau_value,
-    zeta,
-)
-from .progressions import (
-    DecompositionReport,
-    LemmaBoundRatios,
-    ProgressionReport,
-    count_r_free_bruteforce,
-    count_r_free_in_progression,
-    decompose,
-    decompose_many,
-    error_term,
-    lemma_bound_probe,
-    main_term,
-)
-from .residues import (
-    ModulusMaximum,
-    ResidueCount,
-    count_solutions,
-    count_solutions_bruteforce,
-    counts_vector,
-    per_modulus_maxima,
-)
-from .sieve import (
-    FactorTable,
-    Factorization,
-    SieveTable,
-    build_sieve,
-    factor_sieve,
-    is_r_free,
-    load_cache,
-    mu_r_direct,
-    r_free_counts,
-    save_cache,
-    small_primes,
-    totient_value,
-    trial_factorize,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BvRow",
-    "ConfigError",
-    "DecompositionReport",
-    "ExperimentConfig",
-    "FValue",
-    "FactorTable",
-    "Factorization",
-    "LemmaBoundRatios",
-    "ModulusMaximum",
-    "ProgressionReport",
-    "ResidueCount",
-    "ResourceLimitError",
-    "SelfCheckError",
-    "SieveTable",
-    "TauSumRow",
-    "TauTable",
-    "build_sieve",
-    "class_counts",
-    "count_r_free_bruteforce",
-    "count_r_free_in_progression",
-    "count_solutions",
-    "count_solutions_bruteforce",
-    "counts_vector",
-    "decompose",
-    "decompose_many",
-    "error_term",
-    "f_value",
-    "factor_sieve",
-    "is_r_free",
-    "lemma_bound_probe",
-    "load_cache",
-    "main_term",
-    "modulus_threshold",
-    "mu_r_direct",
-    "r_free_counts",
-    "omega_vs_tau_check",
-    "per_modulus_maxima",
-    "rows_to_csv",
-    "run_experiment",
-    "save_cache",
-    "small_primes",
-    "tau_partial_sum_check",
-    "tau_table",
-    "tau_value",
-    "totient_value",
-    "trial_factorize",
-    "write_plot",
-    "zeta",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(
+        ("Factorization", "is_r_free", "mu_r_direct", "totient_value", "trial_factorize"),
+        "arith",
+    ),
+    **dict.fromkeys(("ConfigError", "ResourceLimitError", "SelfCheckError"), "errors"),
+    **dict.fromkeys(
+        ("BvRow", "ExperimentConfig", "class_counts", "modulus_threshold",
+         "rows_to_csv", "run_experiment", "write_plot"),
+        "harness",
+    ),
+    **dict.fromkeys(
+        ("FValue", "TauSumRow", "TauTable", "f_value", "omega_vs_tau_check",
+         "tau_partial_sum_check", "tau_table", "tau_value", "zeta"),
+        "multiplicative",
+    ),
+    **dict.fromkeys(
+        ("DecompositionReport", "LemmaBoundRatios", "ProgressionReport",
+         "count_r_free_bruteforce", "count_r_free_in_progression", "decompose",
+         "decompose_many", "error_term", "lemma_bound_probe", "main_term"),
+        "progressions",
+    ),
+    **dict.fromkeys(
+        ("ModulusMaximum", "ResidueCount", "count_solutions",
+         "count_solutions_bruteforce", "counts_vector", "per_modulus_maxima"),
+        "residues",
+    ),
+    **dict.fromkeys(
+        ("FactorTable", "SieveTable", "build_sieve", "factor_sieve", "load_cache",
+         "r_free_counts", "save_cache", "small_primes"),
+        "sieve",
+    ),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

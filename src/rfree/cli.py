@@ -3,26 +3,22 @@
 Subcommands: sieve, tau-sum, f, error, verify-lemmas, residues, bv-sum.
 Exit codes: 0 success, 2 refused input or an unreadable or unwritable
 file (message on stderr, nothing on stdout), 3 exact-identity failure.
+
+Import rule: at the top this module imports only what parsing the
+command line needs (the standard library and ``errors``).  Each
+``_cmd_*`` imports the layers it runs when it runs, so ``rfree --help``,
+a refused option and ``rfree residues`` start without numpy, and a
+command pays only for its own modules.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
-import json
 import math
-import random
 import sys
-import time
 from decimal import Decimal, InvalidOperation
-from pathlib import Path
 
 from .errors import ConfigError, ResourceLimitError, SelfCheckError
-from .harness import ExperimentConfig, rows_to_csv, run_experiment, write_plot
-from .multiplicative import f_value, tau_partial_sum_check
-from .progressions import _error_report, decompose_many, lemma_bound_probe
-from .residues import per_modulus_maxima
-from .sieve import build_sieve, is_r_free, load_cache, save_cache
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,6 +63,11 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _cmd_sieve(args) -> int:
+    import time
+    from pathlib import Path
+
+    from .sieve import build_sieve, load_cache, save_cache
+
     rs = sorted(set(_parse_int_list(args.r)))
     # refused before any cache is read: deleting the cache would not help
     if not rs:
@@ -102,6 +103,8 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_tau_sum(args) -> int:
+    from .multiplicative import tau_partial_sum_check
+
     rows = tau_partial_sum_check(args.r, _parse_int_list(args.x))
     print("x,sum,ratio")
     for row in rows:
@@ -110,12 +113,18 @@ def _cmd_tau_sum(args) -> int:
 
 
 def _cmd_f(args) -> int:
+    from .multiplicative import f_value
+
     fv = f_value(args.r, args.k)
     print(f"{fv.value:.12f}")
     return EXIT_OK
 
 
 def _cmd_error(args) -> int:
+    import json
+
+    from .progressions import _error_report
+
     if args.x < 1:
         raise ConfigError(f"x must be >= 1, got {args.x}")
     rep, dec = _error_report(args.x, args.r, args.k, args.l, args.z)
@@ -151,6 +160,10 @@ def _csv_cell(v) -> str:
 
 def _lemma_trials(seed: int, x: int, r: int, n: int):
     """The n random (k, l, z) of verify-lemmas, each with gcd(l, k) r-free."""
+    import random
+
+    from .arith import is_r_free
+
     rng = random.Random(seed)
     for _ in range(n):
         while True:
@@ -163,6 +176,10 @@ def _lemma_trials(seed: int, x: int, r: int, n: int):
 
 
 def _cmd_verify_lemmas(args) -> int:
+    import itertools
+
+    from .progressions import decompose_many, lemma_bound_probe
+
     if args.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {args.trials}")
     if args.x < 1:
@@ -192,6 +209,10 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _cmd_residues(args) -> int:
+    import itertools
+
+    from .residues import per_modulus_maxima
+
     rows = per_modulus_maxima(args.r, args.s_max)
     best = next(rows)  # refuses bad input before the header
     print("s,a,count,ratio")
@@ -204,6 +225,10 @@ def _cmd_residues(args) -> int:
 
 
 def _cmd_bv_sum(args) -> int:
+    from pathlib import Path
+
+    from .harness import ExperimentConfig, rows_to_csv, run_experiment, write_plot
+
     if args.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {args.threads}")
     xs = _parse_int_list(args.x)

@@ -42,10 +42,11 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .arith import trial_factorize
 from .errors import ConfigError, ResourceLimitError, SelfCheckError
 from .multiplicative import f_value
 from .progressions import _d_terms, _main_term, _root_mu
-from .sieve import _LIMIT_CEILING, _check_count_range, r_free_counts, trial_factorize
+from .sieve import _LIMIT_CEILING, _check_count_range, r_free_counts
 
 CSV_HEADER = "x,r,A,K,S,normalized,wall_seconds"
 

@@ -24,8 +24,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .arith import trial_factorize
 from .errors import ResourceLimitError
-from .sieve import _LIMIT_CEILING, _check_table_size, factor_sieve, small_primes, trial_factorize
+from .sieve import _LIMIT_CEILING, _check_table_size, factor_sieve, small_primes
 
 _ZETA_TARGET = 1e-13
 _FLOAT_ULP = 2.3e-16

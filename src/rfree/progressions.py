@@ -56,8 +56,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .arith import Factorization, is_r_free, trial_factorize
 from .multiplicative import FValue, f_value
-from .sieve import Factorization, factor_sieve, is_r_free, trial_factorize
+from .sieve import factor_sieve
 from .sieve import _check_count_range, _r_free_windows
 
 _BLOCK_ELEMENTS = 1 << 15  # int64 entries per (rows x d x caps) block of the split

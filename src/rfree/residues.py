@@ -15,6 +15,11 @@ For units the count never exceeds 2 * r^omega(s), and a = 1 attains the
 maximum, which ``per_modulus_maxima`` reads off for each modulus.
 ``counts_vector`` (exhaustive histograms per prime power) and
 ``count_solutions_bruteforce`` are the oracles.
+
+Import rule: this module imports no numpy at the top.  The counts are
+integer arithmetic on ``arith.trial_factorize``, so ``rfree residues``
+starts without numpy; only the histogram oracle, which the tests call,
+imports it in its own body.
 """
 
 from __future__ import annotations
@@ -24,9 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-import numpy as np
-
-from .sieve import trial_factorize
+from .arith import trial_factorize
 
 
 @dataclass(frozen=True)
@@ -52,8 +55,10 @@ def count_solutions_bruteforce(r: int, a: int, s: int) -> int:
 
 
 @lru_cache(maxsize=32)
-def _prime_power_histogram(r: int, pe: int) -> np.ndarray:
+def _prime_power_histogram(r: int, pe: int):
     """counts[a] = #{ d in [0, pe) : d^r = a (mod pe) }, vectorised."""
+    import numpy as np
+
     base = np.arange(pe, dtype=np.int64)
     result = np.ones(pe, dtype=np.int64)
     exp = r
@@ -119,8 +124,11 @@ def count_solutions(r: int, a: int, s: int) -> ResidueCount:
     return ResidueCount(r=r, a=a, s=s, count=count, bound=2.0 * r**fact.omega)
 
 
-def counts_vector(r: int, s: int) -> np.ndarray:
-    """counts[a] for every a in [0, s) at once, from exhaustive histograms."""
+def counts_vector(r: int, s: int):
+    """counts[a] for every a in [0, s) at once, from exhaustive histograms,
+    as an int64 numpy array."""
+    import numpy as np
+
     out = np.ones(s, dtype=np.int64)
     idx = np.arange(s, dtype=np.int64)
     for p, e in trial_factorize(s).factors:

@@ -31,12 +31,8 @@ Finished tables are read-only.  ``save_cache``/``load_cache`` store only
 the packed flags, byte for byte as the table holds them, checksummed; the
 sqrt(N) tables are rebuilt on load.
 
-``mu_r_direct`` recomputes the r-free indicator for a single n as the
-divisor sum of the Mobius function over d with d^r | n, using nothing but
-trial division.  It is deliberately independent of the sieve and serves as
-the cross-check oracle for the flags.  ``trial_factorize`` is the one
-trial-division loop; ``is_r_free`` and the Mobius values of ``mu_r_direct``
-read their answers off its factorization.
+The per-number oracles of the flags, ``mu_r_direct`` and ``is_r_free``,
+read no table and live in ``rfree.arith``.
 """
 
 from __future__ import annotations
@@ -44,8 +40,6 @@ from __future__ import annotations
 import math
 import os
 import zlib
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -61,25 +55,6 @@ _LIMIT_CEILING = 2**32
 _COUNT_WINDOW = 1 << 20
 # set bits of each byte value, for the popcount of packed flags
 _BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization of n as ordered (prime, exponent) pairs."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        prod = 1
-        for p, e in self.factors:
-            prod *= p**e
-        if prod != self.n:
-            raise ValueError(f"factors do not multiply to {self.n}")
-
-    @property
-    def omega(self) -> int:
-        return len(self.factors)
 
 
 def _freeze(arrays_and_lengths) -> None:
@@ -353,75 +328,6 @@ def r_free_counts(xs: Iterable[int], r: int) -> list[int]:
 def _with_root_factors(limit: int, rs, mu_r: dict) -> SieveTable:
     root = factor_sieve(math.isqrt(limit))
     return SieveTable(limit, rs, root.mu, root.spf, root.omega, root.phi, mu_r)
-
-
-@lru_cache(maxsize=1024)
-def trial_factorize(n: int) -> Factorization:
-    """Factor n by trial division; independent of any sieve table.
-
-    Memoised: a split factors the same small moduli and gcds many times,
-    and a :class:`Factorization` is immutable, so it is safe to share.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return Factorization(n, tuple(out))
-
-
-def totient_value(n: int) -> int:
-    """Euler totient of n by trial division (exact integer arithmetic)."""
-    out = 1
-    for p, e in trial_factorize(n).factors:
-        out *= p ** (e - 1) * (p - 1)
-    return out
-
-
-@lru_cache(maxsize=65536)
-def _mobius_trial(n: int) -> int:
-    factors = trial_factorize(n).factors
-    if any(e > 1 for _, e in factors):
-        return 0
-    return -1 if len(factors) % 2 else 1
-
-
-def is_r_free(n: int, r: int) -> bool:
-    """True iff no prime r-th power divides n (trial division, no table)."""
-    if n < 1 or r < 2:
-        raise ValueError("need n >= 1 and r >= 2")
-    return all(e < r for _, e in trial_factorize(n).factors)
-
-
-def mu_r_direct(n: int, r: int) -> int:
-    """r-free indicator of n as the literal Mobius sum over d with d^r | n.
-
-    Enumerates every d with d^r <= n, adding mu(d) whenever d^r divides n.
-    Always lands in {0, 1}; agrees with the sieve's mu_r table and serves
-    as its independent oracle.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if r < 2:
-        raise ValueError(f"r must be >= 2, got {r}")
-    total = 0
-    d = dr = 1
-    while dr <= n:
-        if n % dr == 0:
-            total += _mobius_trial(d)
-        d += 1
-        dr = d**r
-    return total
 
 
 # ---------------------------------------------------------------------------

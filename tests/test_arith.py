@@ -1,0 +1,34 @@
+import json
+
+import pytest
+
+from conftest import run_rfree
+from rfree import f_value, trial_factorize
+
+
+@pytest.mark.parametrize("n,factors", [
+    (2**61 - 1, ((2**61 - 1, 1),)),  # a Mersenne prime
+    ((2**31 - 1) ** 2, ((2**31 - 1, 2),)),
+    ((2**31 - 1) * (2**32 + 15), ((2**31 - 1, 1), (2**32 + 15, 1))),
+    # a strong pseudoprime to every prime base up to 23
+    (3825123056546413051, ((149491, 1), (747451, 1), (34233211, 1))),
+    (12 * 65537**2 * (2**31 - 1), ((2, 2), (3, 1), (65537, 2), (2**31 - 1, 1))),
+    (2**63 - 25, ((2**63 - 25, 1),)),  # the largest prime below 2**63
+])
+def test_trial_factorize_large_factors(n, factors):
+    assert trial_factorize(n).factors == factors
+
+
+def test_f_with_a_large_prime_modulus_exits_0():
+    k = 2**61 - 1
+    done = run_rfree("f", "--r", "2", "--k", str(k), timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{f_value(2, k).value:.12f}\n"
+
+
+def test_error_with_a_square_of_a_large_prime_exits_0():
+    done = run_rfree("error", "--x", "1000", "--r", "2", "--k", str((2**31 - 1) ** 2),
+                     "--l", "5", "--format", "json", timeout=30)
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert (payload["g"], payload["R"]) == (1, 1)  # n = 5 is the one term up to 1000

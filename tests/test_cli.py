@@ -334,12 +334,13 @@ def test_bv_sum_threads_zero_exit_2(capsys):
 
 def test_bv_sum_self_check_failure_exit_3(monkeypatch, capsys):
     from rfree.errors import SelfCheckError
-    import rfree.cli as cli
+    import rfree.harness as harness
 
     def boom(config):
         raise SelfCheckError("forced for the exit-code contract")
 
-    monkeypatch.setattr(cli, "run_experiment", boom)
+    # the bv-sum handler looks run_experiment up in its module when it runs
+    monkeypatch.setattr(harness, "run_experiment", boom)
     code = main(["bv-sum", "--r", "2", "--A", "1", "--x", "1e4"])
     assert code == 3
     assert "self-check" in capsys.readouterr().err

@@ -22,6 +22,7 @@ from rfree import (  # noqa: E402
     multiplicative,
     tau_partial_sum_check,
     tau_value,
+    trial_factorize,
 )
 from rfree.progressions import _class_counts  # noqa: E402
 from test_progressions import decompose_by_loop  # noqa: E402
@@ -135,3 +136,43 @@ def test_tau_partial_sums_match_tau_value(xs, r, window):
         rows = tau_partial_sum_check(r, xs)
     assert [row.x for row in rows] == xs
     assert [row.total for row in rows] == [_tau_prefix_sums(r)[x] for x in xs]
+
+
+def _plain_factorize(n):
+    """Trial division by every d up to the square root of the cofactor."""
+    out, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    return tuple(out + [(n, 1)] * (n > 1))
+
+
+def _next_prime(n):
+    while _plain_factorize(n) != ((n, 1),):
+        n += 1
+    return n
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.one_of(
+    st.integers(min_value=1, max_value=2**40 - 1),
+    st.integers(min_value=2**32, max_value=2**40 - 1),  # past the trial division
+))
+def test_trial_factorize_matches_plain_division_below_2_40(n):
+    assert trial_factorize(n).factors == _plain_factorize(n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    a=st.integers(min_value=2**31 - 2**20, max_value=2**31 + 2**20),
+    b=st.integers(min_value=2**31 - 2**20, max_value=2**31 + 2**20),
+)
+def test_trial_factorize_splits_two_primes_near_2_31(a, b):
+    p, q = sorted((_next_prime(a), _next_prime(b)))
+    expected = ((p, 2),) if p == q else ((p, 1), (q, 1))
+    assert trial_factorize(p * q).factors == expected

@@ -1,0 +1,63 @@
+"""Start-up cost: a command imports only the layers it runs."""
+
+import importlib
+
+import pytest
+
+import rfree
+from conftest import run_rfree
+from rfree.cli import main
+
+
+def _imported(stderr: str) -> set[str]:
+    """The modules a ``python -X importtime`` process reported loading."""
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+
+
+def test_help_refusal_and_residues_load_no_numpy(capsys):
+    traced = ("-X", "importtime")
+    done = run_rfree("--help", python_flags=traced)
+    assert done.returncode == 0 and "usage: rfree" in done.stdout
+    # ``python -m`` runs rfree/cli.py as __main__; parsing needs only errors
+    assert {name for name in _imported(done.stderr) if name.startswith("rfree.")} == {
+        "rfree.errors"
+    }
+    assert "numpy" not in _imported(done.stderr)
+
+    done = run_rfree("sieve", "--limit", "abc", "--r", "2", python_flags=traced)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "numpy" not in _imported(done.stderr)
+
+    done = run_rfree("residues", "--r", "3", "--s-max", "50", python_flags=traced)
+    assert done.returncode == 0
+    assert "numpy" not in _imported(done.stderr)
+    assert main(["residues", "--r", "3", "--s-max", "50"]) == 0
+    assert done.stdout == capsys.readouterr().out
+
+    # the commands that need numpy still load it and run
+    for argv in (["f", "--r", "2", "--k", "12"],
+                 ["bv-sum", "--r", "2", "--A", "1", "--x", "1e4,1e5", "--timing", "none"]):
+        done = run_rfree(*argv, python_flags=traced)
+        assert done.returncode == 0, done.stderr
+        assert "numpy" in _imported(done.stderr)
+        assert main(argv) == 0
+        assert done.stdout == capsys.readouterr().out
+
+
+def test_lazy_exports_resolve_to_their_definitions():
+    for name in rfree.__all__:
+        obj = getattr(rfree, name)
+        assert obj.__name__ == name
+        assert obj.__module__.startswith("rfree.")
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+    namespace = {}
+    exec("from rfree import *", namespace)
+    assert set(rfree.__all__) <= namespace.keys()
+    assert all(namespace[name] is getattr(rfree, name) for name in rfree.__all__)
+    assert set(rfree.__all__) <= set(dir(rfree))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rfree.no_such_name
