@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(
-        ("Factorization", "is_r_free", "mu_r_direct", "totient_value", "trial_factorize"),
+        ("Factorization", "is_r_free", "mu_r_direct", "trial_factorize"),
         "arith",
     ),
     **dict.fromkeys(("ConfigError", "ResourceLimitError", "SelfCheckError"), "errors"),
@@ -46,8 +46,8 @@ _EXPORTS = {
         "residues",
     ),
     **dict.fromkeys(
-        ("FactorTable", "SieveTable", "build_sieve", "factor_sieve", "load_cache",
-         "r_free_counts", "save_cache", "small_primes"),
+        ("FactorTable", "cached_counts", "factor_sieve", "r_free_counts", "save_cache",
+         "small_primes"),
         "sieve",
     ),
 }

@@ -6,8 +6,8 @@ cofactor left above 2**32 has no prime factor up to 2**16; below 2**64 it
 is tested by deterministic Miller-Rabin and a composite one is split by
 Pollard-Brent rho, so a modulus with a large prime factor factors at
 once.  Above 2**64, where those bases are not shown exact, trial division
-goes on.  ``is_r_free``, ``totient_value`` and the Mobius values of
-``mu_r_direct`` read their answers off its factorization.
+goes on.  ``is_r_free`` and the Mobius values of ``mu_r_direct`` read
+their answers off its factorization.
 
 ``mu_r_direct`` recomputes the r-free indicator for a single n as the
 divisor sum of the Mobius function over d with d^r | n.  It is
@@ -142,14 +142,6 @@ def _brent_factor(n: int) -> int:
                 g = math.gcd(abs(x - saved), n)
         if g != n:
             return g
-
-
-def totient_value(n: int) -> int:
-    """Euler totient of n by trial division (exact integer arithmetic)."""
-    out = 1
-    for p, e in trial_factorize(n).factors:
-        out *= p ** (e - 1) * (p - 1)
-    return out
 
 
 @lru_cache(maxsize=65536)

@@ -66,7 +66,7 @@ def _cmd_sieve(args) -> int:
     import time
     from pathlib import Path
 
-    from .sieve import build_sieve, load_cache, save_cache
+    from .sieve import _packed_size, cached_counts, r_free_counts, save_cache
 
     rs = sorted(set(_parse_int_list(args.r)))
     # refused before any cache is read: deleting the cache would not help
@@ -77,27 +77,20 @@ def _cmd_sieve(args) -> int:
     if args.limit < 1:
         raise ConfigError(f"limit must be >= 1, got {args.limit}")
     start = time.perf_counter()
-    if args.cache and Path(args.cache).exists():
-        table, source = load_cache(args.cache), "loaded from the cache"
+    limit, held = args.limit, tuple(rs)
+    if not args.cache:
+        totals, source = [r_free_counts([limit], r)[0] for r in rs], "built"
+    elif Path(args.cache).exists():
+        limit, held, totals = cached_counts(args.cache, limit, rs)
+        source = "loaded from the cache"
     else:
-        table, source = build_sieve(args.limit, rs), "built"
-        if args.cache:
-            save_cache(table, args.cache)
-            source = "built and saved"
+        totals, source = save_cache(args.cache, limit, rs), "built and saved"
     elapsed = time.perf_counter() - start
-    try:
-        totals = [table.r_free_count(args.limit, r) for r in rs]
-    except ValueError as exc:  # only a loaded cache can miss the limit or an r
-        raise ConfigError(
-            f"cache {args.cache} holds limit={table.limit}, rs={table.rs}; "
-            f"need limit>={args.limit}, rs={rs} (delete it to rebuild)"
-        ) from exc
     for r, total in zip(rs, totals):
         print(f"r={r}: {total} r-free integers <= {args.limit}")
-    flag_bytes = sum(flags.nbytes for flags in table.mu_r.values())
     print(
-        f"{source} in {elapsed:.3f}s (limit {table.limit}, rs {table.rs}, "
-        f"{flag_bytes} flag bytes)"
+        f"{source} in {elapsed:.3f}s (limit {limit}, rs {held}, "
+        f"{len(held) * _packed_size(limit)} flag bytes)"
     )
     return EXIT_OK
 
@@ -253,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sieve", help="build (or load) the flag tables")
+    p = sub.add_parser("sieve", help="count the r-free integers up to --limit")
     p.add_argument("--limit", type=_int_option, required=True)
     p.add_argument("--r", required=True, help="comma-separated r values")
     p.add_argument("--cache", default=None)

@@ -1,35 +1,29 @@
-"""Sieve tables: r-free flags over [1, N], factoring tables up to sqrt(N).
+"""Sieves: r-free flags over [0, x] by windows, factoring tables over [0, N].
 
 Every count the package makes reads one of two things: the r-free
 indicator of each n <= x, summed along a progression, or the Mobius
 function up to x^(1/r), in the d-sums of ``decompose``.  No count reads a
-table: ``_r_free_windows(x, r)``, the one loop that runs the windowed
+flag table: ``_r_free_windows(x, r)``, the one loop that runs the windowed
 kernel ``_sieve_window``, yields the flags of [0, x] one scratch window at
 a time, which ``r_free_counts`` sums, ``progressions._class_counts``
-counts by strides and ``build_sieve`` packs.  Only ``rfree sieve`` and
-its cache hold a flag table.
+counts by strides and ``save_cache`` packs into its file.
 
-* ``build_sieve(N, rs)`` gives a :class:`SieveTable` holding, for each
-  requested r >= 2, ``mu_r[r]``: one bit per n in [0, N], 1 iff no prime p
-  has p^r | n (r = 2 gives the squarefree numbers), packed eight to a
-  uint8 as ``np.packbits`` packs them (n = 0 in the high bit of byte 0,
-  zero pad bits after n = N); ``SieveTable.r_free_count`` reads the totals
-  back as a popcount.  The table also holds ``mu``, ``spf``, ``omega`` and
-  ``phi`` over [0, isqrt(N)] only, taken from ``factor_sieve(isqrt(N))``.
+* ``r_free_counts(xs, r)`` gives #{1 <= n <= x : no prime p has p^r | n}
+  for each x (r = 2 counts the squarefree numbers).
+* ``save_cache(path, limit, rs)`` writes the flags of [0, limit] for each
+  r, packed eight to a byte as ``np.packbits`` packs them (n = 0 in the
+  high bit of byte 0, zero pad bits after n = limit), and returns the
+  totals; ``cached_counts(path, x, rs)`` checks such a file and counts its
+  bits up to x.  Neither holds more than one window or one chunk of it.
 * ``factor_sieve(N)`` gives a :class:`FactorTable` with the Mobius
-  function, smallest prime factor (spf(1) = 1), number of distinct prime
-  factors and Euler totient of every n in [0, N], in one pass over the
-  prime powers of ``_prime_powers``.  Only ``omega_vs_tau_check``, the
-  demos and the tests need these tables over a full range.
+  function and the number of distinct prime factors of every n in [0, N],
+  in one pass over the prime powers of ``_prime_powers``.  The Mobius sums
+  read mu up to x^(1/r); ``omega_vs_tau_check`` reads omega over its range.
 
 Every table over [0, N], here and in ``tau_table``, keeps one size rule,
 ``_check_table_size``: N >= 1, N < 2**32 and at most 2 GiB of arrays.
 Every count keeps one range rule, ``_check_count_range``: r >= 2 and
-0 <= x < 2**32.
-
-Finished tables are read-only.  ``save_cache``/``load_cache`` store only
-the packed flags, byte for byte as the table holds them, checksummed; the
-sqrt(N) tables are rebuilt on load.
+0 <= x < 2**32.  Finished tables are read-only.
 
 The per-number oracles of the flags, ``mu_r_direct`` and ``is_r_free``,
 read no table and live in ``rfree.arith``.
@@ -47,90 +41,38 @@ import numpy as np
 from .errors import ConfigError, ResourceLimitError
 
 _MEMORY_BUDGET = 2 * 1024**3  # bytes of finished tables
-# every table limit and every x lies below this: the uint32 spf/phi tables
-# and the int64 arithmetic of the Mobius sums are shown exact there
+# every table limit and every x lies below this, where the arithmetic is
+# shown exact: the int64 Mobius sums of harness._count_classes and
+# progressions._split_terms, the uint64 products of
+# progressions._residues_mod_s and the uint32 smooth part of
+# multiplicative._tau_windows
 _LIMIT_CEILING = 2**32
 # uint8 flags per window of the r-free kernel: 1 MiB, a multiple of 8, so
-# each window packs into whole bytes of a flag table
+# each window packs into whole bytes of the cache
 _COUNT_WINDOW = 1 << 20
-# set bits of each byte value, for the popcount of packed flags
-_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
-def _freeze(arrays_and_lengths) -> None:
-    """Check that each array is 1-D of its length, then make it read-only."""
-    for arr, length in arrays_and_lengths:
-        if arr.shape != (length,):
-            raise ValueError(
-                f"table array of shape {arr.shape} does not cover [0, {length - 1}]"
-            )
-        arr.setflags(write=False)
 
 
 class FactorTable:
-    """Read-only mu, spf, omega and phi over [0, limit], indexed by n.
+    """Read-only mu and omega over [0, limit], indexed by n.
 
     Index 0 is unused filler.
     """
 
-    __slots__ = ("limit", "mu", "spf", "omega", "phi")
+    __slots__ = ("limit", "mu", "omega")
 
-    def __init__(self, limit, mu, spf, omega, phi):
+    def __init__(self, limit, mu, omega):
         self.limit = limit
         self.mu = mu
-        self.spf = spf
         self.omega = omega
-        self.phi = phi
-        _freeze((arr, limit + 1) for arr in (mu, spf, omega, phi))
+        for arr in (mu, omega):
+            if arr.shape != (limit + 1,):
+                raise ValueError(
+                    f"table array of shape {arr.shape} does not cover [0, {limit}]"
+                )
+            arr.setflags(write=False)
 
     def __repr__(self):
         return f"FactorTable(limit={self.limit})"
-
-
-class SieveTable:
-    """Read-only r-free flags over [0, limit], factoring tables over
-    [0, isqrt(limit)].
-
-    ``mu_r`` maps each requested r to the packed r-free flags of n in
-    [0, limit]: (limit + 8) // 8 uint8 bytes in ``np.packbits`` order, the
-    flag of n in bit 7 - n % 8 of byte n // 8, pad bits zero;
-    ``r_free_count`` reads them.  ``mu``, ``spf``, ``omega`` and
-    ``phi`` have length isqrt(limit) + 1: the Mobius sums need mu(d) only
-    for d^r <= limit.  They are indexed directly by n (index 0 is unused
-    filler).
-    """
-
-    __slots__ = ("limit", "rs", "mu", "spf", "omega", "phi", "mu_r")
-
-    def __init__(self, limit, rs, mu, spf, omega, phi, mu_r):
-        self.limit = limit
-        self.rs = tuple(sorted(rs))
-        self.mu = mu
-        self.spf = spf
-        self.omega = omega
-        self.phi = phi
-        self.mu_r = mu_r
-        root = math.isqrt(limit) + 1
-        _freeze([
-            *((arr, root) for arr in (mu, spf, omega, phi)),
-            *((flags, _packed_size(limit)) for flags in mu_r.values()),
-        ])
-
-    def __repr__(self):
-        return f"SieveTable(limit={self.limit}, rs={self.rs})"
-
-    def r_free_count(self, x: int, r: int) -> int:
-        """#{1 <= n <= x : n r-free}: the popcount of the flag bytes of [0, x],
-        ``_COUNT_WINDOW`` bytes at a time, less the bits past x in the last byte.
-        Raises ValueError unless the table holds the flags of r over [0, x]."""
-        if r not in self.mu_r or not 0 <= x <= self.limit:
-            raise ValueError(f"the table holds no flags of r={r} over [0, {x}]")
-        packed = self.mu_r[r][: x // 8 + 1]
-        total = sum(
-            int(_BYTE_BITS[packed[lo : lo + _COUNT_WINDOW]].sum(dtype=np.int64))
-            for lo in range(0, packed.size, _COUNT_WINDOW)
-        )
-        return total - int(_BYTE_BITS[packed[-1] & (0xFF >> (x % 8 + 1))])
 
 
 def _packed_size(limit: int) -> int:
@@ -138,12 +80,8 @@ def _packed_size(limit: int) -> int:
     return (limit + 8) // 8
 
 
-def _check_table_size(
-    limit: int, per_n: int, per_root_n: int = 0, flag_arrays: int = 0
-) -> None:
-    """The one size rule for a table over [0, limit]: ``per_n`` bytes per n,
-    ``per_root_n`` bytes per n <= isqrt(limit) and ``flag_arrays`` packed
-    flag arrays of (limit + 8) // 8 bytes each.
+def _check_table_size(limit: int, per_n: int) -> None:
+    """The one size rule for a table of ``per_n`` bytes per n in [0, limit].
 
     Raises ValueError if limit < 1, and ResourceLimitError, before anything
     is allocated, if limit is not below 2**32 or the table would take more
@@ -153,14 +91,11 @@ def _check_table_size(
         raise ValueError(f"limit must be >= 1, got {limit}")
     if limit >= _LIMIT_CEILING:
         raise ResourceLimitError(
-            f"limit={limit} is not below 2**32, the range in which the 32-bit "
-            "spf/phi tables and class_counts' int64 arithmetic are shown exact"
+            f"limit={limit} is not below 2**32, the range in which the int64 "
+            "Mobius sums, the uint64 residue products and the uint32 smooth "
+            "parts of tau_r are shown exact"
         )
-    need = (
-        (limit + 1) * per_n
-        + (math.isqrt(limit) + 1) * per_root_n
-        + flag_arrays * _packed_size(limit)
-    )
+    need = (limit + 1) * per_n
     if need > _MEMORY_BUDGET:
         raise ResourceLimitError(
             f"tables for limit={limit} need {need} bytes, exceeding the "
@@ -203,58 +138,25 @@ def _prime_powers(limit: int):
 
 
 def factor_sieve(limit: int) -> FactorTable:
-    """mu, spf, omega and phi for every n in [1, limit].
+    """mu and omega for every n in [1, limit].
 
-    One pass over ``_prime_powers(limit)``: each multiple of p flips mu,
-    counts in omega, takes the factor p - 1 of phi and, unless a smaller
-    prime came first, takes p as spf; each multiple of p^e, e >= 2, gets
-    mu = 0 and one more factor p of phi.  Raises ValueError if limit < 1
-    and ResourceLimitError if the tables break ``_check_table_size``.
+    One pass over ``_prime_powers(limit)``: each multiple of p flips mu and
+    counts in omega; each multiple of p^e, e >= 2, gets mu = 0.  Raises
+    ValueError if limit < 1 and ResourceLimitError if the tables break
+    ``_check_table_size``.
     """
-    # int8 mu + uint32 spf + uint8 omega + uint32 phi per n
-    _check_table_size(limit, 10)
+    _check_table_size(limit, 2)  # int8 mu + uint8 omega per n
 
     mu = np.ones(limit + 1, dtype=np.int8)
-    spf = np.zeros(limit + 1, dtype=np.uint32)
     omega = np.zeros(limit + 1, dtype=np.uint8)
-    phi = np.ones(limit + 1, dtype=np.uint32)
-    mu[0] = phi[0] = 0
-    for p, e, at in _prime_powers(limit):
+    mu[0] = 0
+    for _, e, at in _prime_powers(limit):
         if e == 1:
             mu[at] = -mu[at]
             omega[at] += 1
-            phi[at] = phi[at] * (p - 1)
-            first = spf[at]
-            spf[at] = np.where(first == 0, p, first)
         else:
             mu[at] = 0
-            phi[at] = phi[at] * p
-
-    spf[1] = 1  # convention: spf(1) = 1, as the module docstring states
-    return FactorTable(limit, mu, spf, omega, phi)
-
-
-def build_sieve(limit: int, rs: Iterable[int]) -> SieveTable:
-    """r-free flags over [1, limit] for each r (>= 2) of ``rs``.
-
-    Raises ValueError if some r < 2, and ValueError or ResourceLimitError
-    if the tables break ``_check_table_size``.
-    """
-    rset = tuple(sorted(set(int(r) for r in rs)))
-    for r in rset:
-        if r < 2:
-            raise ValueError(f"every r must be >= 2, got {r}")
-    # one packed bit per n and r, plus the factor tables up to isqrt(limit)
-    _check_table_size(limit, 0, per_root_n=10, flag_arrays=len(rset))
-
-    mu_r: dict[int, np.ndarray] = {}
-    for r in rset:
-        mu_r[r] = packed = np.empty(_packed_size(limit), dtype=np.uint8)
-        for lo, window in _r_free_windows(limit, r):
-            # lo is a multiple of 8; packbits zeroes the pad bits of the last window
-            packed[lo // 8 : (lo + window.size + 7) // 8] = np.packbits(window)
-        del window  # the scratch of this r; the next r sieves into its own
-    return _with_root_factors(limit, rset, mu_r)
+    return FactorTable(limit, mu, omega)
 
 
 def _check_count_range(x: int, r: int) -> None:
@@ -325,22 +227,17 @@ def r_free_counts(xs: Iterable[int], r: int) -> list[int]:
     return counts
 
 
-def _with_root_factors(limit: int, rs, mu_r: dict) -> SieveTable:
-    root = factor_sieve(math.isqrt(limit))
-    return SieveTable(limit, rs, root.mu, root.spf, root.omega, root.phi, mu_r)
-
-
 # ---------------------------------------------------------------------------
 # Binary cache, little-endian:
 #
 #   "RFSV2" | crc32 (u32) | limit (u64) | #r (u32) | r values (u32 each) | flags
 #
-# The flags of each r, in the order of the r values, are the table's
-# ``mu_r[r]`` bytes: one bit per n in [0, limit], pad bits zero.  The crc32
-# covers every byte after itself.  Reload is bit-identical; a file whose
-# size differs from what its header implies, whose checksum fails or whose
-# pad bits are not zero is refused.  The sqrt(limit) tables are not stored,
-# because rebuilding them costs less than reading them.
+# The flags of each r, in the order of the r values (ascending), are
+# (limit + 8) // 8 bytes: one bit per n in [0, limit] in np.packbits order
+# (the flag of n in bit 7 - n % 8 of byte n // 8), pad bits zero.  The
+# crc32 covers every byte after itself.  A file whose size differs from
+# what its header implies, whose checksum fails or whose pad bits are not
+# zero is refused.
 # ---------------------------------------------------------------------------
 
 _CACHE_MAGIC = b"RFSV2"
@@ -352,45 +249,71 @@ def _cache_size(limit: int, n_rs: int) -> int:
     return _HEAD + 4 * n_rs + n_rs * _packed_size(limit)
 
 
-def save_cache(table: SieveTable, path) -> None:
-    """Write the table's packed flags to ``path`` in the binary format.
+def _write_crc(fh, data, crc: int) -> int:
+    """Write ``data`` to ``fh`` and return the crc32 carried on over it."""
+    fh.write(data)
+    return zlib.crc32(data, crc)
 
-    The bytes go to a temporary file in the same directory, which then
-    replaces ``path`` in one step, so an interrupted save never leaves a
-    torn cache behind.  The flags are written as the table holds them and
-    the crc32 is filled in last, so the save allocates nothing of size N.
+
+def save_cache(path, limit: int, rs: Iterable[int]) -> list[int]:
+    """Write the r-free flags of [0, limit] for each r of ``rs`` to ``path``
+    in the binary format, and return #{1 <= n <= limit : n r-free} for each
+    r, ascending.
+
+    Raises ValueError, before any file is opened, unless every r and limit
+    keep ``_check_count_range``.  Each window of ``_r_free_windows`` is
+    counted, packed and written as it comes, and the crc32 is filled in
+    last, so the save holds one window and its packed bytes.  The bytes go
+    to a temporary file in the same directory, which then replaces ``path``
+    in one step, so an interrupted save never leaves a torn cache behind.
     """
+    rs = sorted(set(int(r) for r in rs))
+    for r in rs:
+        _check_count_range(limit, r)
     tmp = f"{path}.{os.getpid()}.tmp"
     head = [
-        np.array(table.limit, dtype="<u8"),
-        np.array(len(table.rs), dtype="<u4"),
-        np.asarray(table.rs, dtype="<u4"),
+        np.array(limit, dtype="<u8"),
+        np.array(len(rs), dtype="<u4"),
+        np.asarray(rs, dtype="<u4"),
     ]
+    counts = []
     try:
         with open(tmp, "wb") as fh:
             fh.write(_CACHE_MAGIC + bytes(4))  # the crc32 is filled in below
             crc = 0
-            for part in head + [table.mu_r[r] for r in table.rs]:
-                fh.write(part)
-                crc = zlib.crc32(part, crc)
-            assert fh.tell() == _cache_size(table.limit, len(table.rs)), "cache layout"
+            for part in head:
+                crc = _write_crc(fh, part, crc)
+            for r in rs:
+                count = 0
+                for _, window in _r_free_windows(limit, r):
+                    count += int(np.count_nonzero(window))
+                    # every window but the last is a multiple of 8 flags, and
+                    # packbits zeroes the pad bits of the last
+                    crc = _write_crc(fh, np.packbits(window), crc)
+                counts.append(count)
+                del window  # the scratch of this r; the next r sieves into its own
+            assert fh.tell() == _cache_size(limit, len(rs)), "cache layout"
             fh.seek(len(_CACHE_MAGIC))
             fh.write(np.array(crc, dtype="<u4").tobytes())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # the write failed before the replace
             os.unlink(tmp)
+    return counts
 
 
-def load_cache(path) -> SieveTable:
-    """Reload a table written by :func:`save_cache` (bit-identical).
+def cached_counts(path, x: int, rs: list[int]) -> tuple[int, tuple[int, ...], list[int]]:
+    """(limit, held, counts): the limit and the r values of a file written
+    by :func:`save_cache`, and #{1 <= n <= x : n r-free} for each r of
+    ``rs``, counted from the file's flag bits.
 
-    Raises ConfigError unless the file carries the current magic, its
-    size is exactly what its header implies (checked before any table is
-    read), its checksum matches and every pad bit past ``limit`` is zero,
-    as ``save_cache`` writes it (both checked before the table is built).
-    The table keeps the packed bytes as read, read-only, so the load holds
-    nothing beyond them.
+    The file is read in chunks of at most ``_COUNT_WINDOW // 8`` bytes, each
+    checksummed and popcounted as it comes.  Raises ConfigError unless the
+    file carries the current magic, its size is exactly what its header
+    implies (checked before any flag byte is read), its checksum matches,
+    every pad bit past its limit is zero, its limit is at least x and it
+    holds every r of ``rs``, in that order, so no count comes from a file
+    that fails its checksum.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEAD)
@@ -417,22 +340,44 @@ def load_cache(path) -> SieveTable:
             )
         r_values = fh.read(4 * n_rs)
         actual = zlib.crc32(r_values, zlib.crc32(head[9:]))  # every byte after the crc32
-        rset = tuple(int(v) for v in np.frombuffer(r_values, dtype="<u4"))
-        mu_r = {}
-        for r in rset:
-            packed = fh.read(_packed_size(limit))
-            actual = zlib.crc32(packed, actual)
-            mu_r[r] = np.frombuffer(packed, dtype=np.uint8)  # read-only, no copy
+        held = tuple(int(v) for v in np.frombuffer(r_values, dtype="<u4"))
+        top = min(x, limit)  # a limit below x is refused once the checksum is known
+        stop = top // 8 + 1  # the bytes that hold n <= top
+        past_top = (1 << (7 - top % 8)) - 1  # the bits of n > top in byte top // 8
+        flag_bytes = _packed_size(limit)
+        # chunks of at most _COUNT_WINDOW // 8 bytes, one of them ending at
+        # byte top // 8, so that each is counted whole or not at all
+        edges = [
+            *range(0, stop, _COUNT_WINDOW // 8),
+            *range(stop, flag_bytes, _COUNT_WINDOW // 8),
+            flag_bytes,
+        ]
+        counts, last_bytes = {}, {}
+        for r in held:
+            count = 0
+            for lo, hi in zip(edges, edges[1:]):
+                chunk = fh.read(hi - lo)
+                actual = zlib.crc32(chunk, actual)
+                if r in rs and hi <= stop:
+                    count += int.from_bytes(chunk, "big").bit_count()
+                    if hi == stop:
+                        count -= (chunk[-1] & past_top).bit_count()
+            counts[r], last_bytes[r] = count, chunk[-1]
     if actual != crc:
         raise ConfigError(
             f"sieve cache {path} fails its checksum (crc32 {actual:#010x}, "
             f"header says {crc:#010x}); delete it to rebuild"
         )
     pad = (1 << (7 - limit % 8)) - 1  # the bits of n = limit + 1, ... in the last byte
-    for r, packed in mu_r.items():
-        if packed[-1] & pad:
+    for r, last in last_bytes.items():
+        if last & pad:
             raise ConfigError(
                 f"sieve cache {path} sets pad bits past limit={limit} in the "
                 f"flags of r={r}, which save_cache never writes; delete it to rebuild"
             )
-    return _with_root_factors(limit, rset, mu_r)
+    if limit < x or not set(rs) <= set(held):
+        raise ConfigError(
+            f"cache {path} holds limit={limit}, rs={held}; "
+            f"need limit>={x}, rs={rs} (delete it to rebuild)"
+        )
+    return limit, held, [counts[r] for r in rs]

@@ -6,14 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rfree import build_sieve, factor_sieve
+from rfree import factor_sieve, sieve
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def unpacked(table, r):
-    """The r-free flags of ``table`` as one uint8 0/1 per n in [0, limit]."""
-    return np.unpackbits(table.mu_r[r], count=table.limit + 1)
+def r_free_flags(x, r):
+    """The r-free flags of n in [0, x], one uint8 0/1 per n: copies of the
+    windows of the kernel loop ``sieve._r_free_windows``."""
+    return np.concatenate([window.copy() for _, window in sieve._r_free_windows(x, r)])
 
 
 def run_rfree(*args: str, python_flags=(), timeout=60) -> subprocess.CompletedProcess:
@@ -26,20 +27,5 @@ def run_rfree(*args: str, python_flags=(), timeout=60) -> subprocess.CompletedPr
 
 
 @pytest.fixture(scope="session")
-def table_1e4():
-    return build_sieve(10_000, {2, 3})
-
-
-@pytest.fixture(scope="session")
-def table_1e5():
-    return build_sieve(100_000, {2, 3, 4})
-
-
-@pytest.fixture(scope="session")
 def factors_1e5():
     return factor_sieve(100_000)
-
-
-@pytest.fixture(scope="session")
-def table_1e6():
-    return build_sieve(1_000_000, {2, 3})

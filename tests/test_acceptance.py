@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import unpacked
+from conftest import r_free_flags
 from rfree import (
     ExperimentConfig,
     count_r_free_in_progression,
@@ -34,10 +34,10 @@ def _report(num: int, name: str, detail: str = "") -> None:
     print(f"\nACCEPTANCE {num} ({name}): PASS {detail}".rstrip())
 
 
-def test_criterion_1_sieve_matches_direct_mobius_sum(table_1e5):
+def test_criterion_1_sieve_matches_direct_mobius_sum():
     start = time.perf_counter()
     for r in (2, 3, 4):
-        flags = unpacked(table_1e5, r)
+        flags = r_free_flags(100_000, r)
         for n in range(1, 100_001):
             if mu_r_direct(n, r) != flags[n]:
                 pytest.fail(f"mu_r mismatch at n={n}, r={r}")
@@ -46,14 +46,14 @@ def test_criterion_1_sieve_matches_direct_mobius_sum(table_1e5):
     _report(1, "sieve/formula equivalence", f"(n <= 1e5, r in 2..4, {elapsed:.1f}s)")
 
 
-def test_criterion_2_progression_oracle(table_1e4):
+def test_criterion_2_progression_oracle():
     x_max, k_max = 10_000, 30
     rng = random.Random(1002)
     checked_ops = 0
     for r in (2, 3):
         oracle = np.array([0] + [is_r_free(n, r) for n in range(1, x_max + 1)],
                           dtype=np.int64)
-        flags = unpacked(table_1e4, r).astype(np.int64)
+        flags = r_free_flags(x_max, r).astype(np.int64)
         for k in range(1, k_max + 1):
             for l in range(k):
                 start = l if l else k
@@ -147,7 +147,7 @@ def test_criterion_5_divisor_sum_bound():
     _report(5, "divisor-sum bound", "(" + " | ".join(details) + "; r^omega <= tau_r exact)")
 
 
-def test_criterion_6_known_density(table_1e6):
+def test_criterion_6_known_density():
     # independent inclusion-exclusion oracle, trial-division Mobius only
     def mobius(n):
         if n == 1:
@@ -164,7 +164,7 @@ def test_criterion_6_known_density(table_1e6):
 
     oracle = sum(mobius(d) * (10**6 // (d * d)) for d in range(1, 1001))
     assert oracle == 607926
-    sieved = int(unpacked(table_1e6, 2)[1:].sum(dtype=np.int64))
+    sieved = int(r_free_flags(10**6, 2)[1:].sum(dtype=np.int64))
     assert sieved == 607926
     _report(6, "known density", "(squarefree count at 1e6 = 607926, exact)")
 

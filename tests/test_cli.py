@@ -1,6 +1,8 @@
 import builtins
 import contextlib
+import hashlib
 import json
+import re
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -39,6 +41,28 @@ def test_sieve_command_with_cache(tmp_path, capsys):
     assert second.splitlines()[-1].endswith("(limit 1000, rs (2, 3), 252 flag bytes)")
 
 
+def test_sieve_golden_cache_bytes_and_stdout(tmp_path, capsys):
+    # the RFSV2 file and the stdout, timing masked, without a cache, cold,
+    # warm and at a smaller limit from the larger cache
+    cache = str(tmp_path / "s.rfsv")
+    counts = "r=2: 60797 r-free integers <= 100003\nr=3: 83193 r-free integers <= 100003\n"
+    tail = " in N.NNNs (limit 100003, rs (2, 3), 25002 flag bytes)\n"
+    runs = [
+        (["--limit", "100003"], counts + "built" + tail),
+        (["--limit", "100003", "--cache", cache], counts + "built and saved" + tail),
+        (["--limit", "100003", "--cache", cache], counts + "loaded from the cache" + tail),
+        (["--limit", "99999", "--cache", cache],
+         "r=2: 60794 r-free integers <= 99999\nr=3: 83190 r-free integers <= 99999\n"
+         "loaded from the cache" + tail),
+    ]
+    for args, expected in runs:
+        assert main(["sieve", *args, "--r", "2,3"]) == 0
+        assert re.sub(r" in \d+\.\d{3}s ", " in N.NNNs ", capsys.readouterr().out) == expected
+    assert hashlib.sha256(Path(cache).read_bytes()).hexdigest() == (
+        "6f5fa12e5798d6e9eeaf684e0e61ff3835fbd4c422eeac673668b514d415e17c"
+    )
+
+
 def test_sieve_prints_each_r_once(capsys):
     assert main(["sieve", "--limit", "100", "--r", "3,2,3,2"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -74,8 +98,8 @@ def test_sieve_refuses_r_below_2_before_reading_cache(tmp_path, capsys):
 
 @pytest.mark.parametrize("limit", range(1000, 1008))  # every limit mod 8
 def test_sieve_totals_match_r_free_counts(tmp_path, capsys, monkeypatch, limit):
-    # the totals are popcounts of the packed bytes; a 64-flag window makes
-    # the popcount take several chunks of 64 bytes
+    # a 64-flag window makes the save pack several windows and the load
+    # popcount several chunks of 8 bytes, one of them ending at the limit
     monkeypatch.setattr(sieve, "_COUNT_WINDOW", 64)
     expected = [
         f"r={r}: {r_free_counts([limit], r)[0]} r-free integers <= {limit}" for r in (2, 3)
@@ -503,6 +527,7 @@ def _exit_code(argv):
     "bv-sum --r 2 --A 1 --x 1e5,abc",
     "bv-sum --r 2 --A 1 --x 5e9",
     "sieve --limit 5e9 --r 2",
+    "sieve --limit 5e9 --r 2 --cache {tmp}/c.rfsv",
     "tau-sum --r 150 --x 8192",
     "tau-sum --r 2 --x 5e9",
     "tau-sum --r 0 --x 100",
@@ -523,10 +548,12 @@ def _exit_code(argv):
     "verify-lemmas --x 5e9 --r 2",
     "verify-lemmas --x 0 --r 2",
 ])
-def test_refused_input_exit_2(argv, capsys):
-    assert _exit_code(argv.split()) == 2
+def test_refused_input_exit_2(argv, capsys, tmp_path):
+    assert _exit_code(argv.format(tmp=tmp_path).split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip()
+    # the range is refused before any file is made: no cache, no temporary
+    assert list(tmp_path.iterdir()) == []
     if "--z" in argv:
         assert "z must be a finite number >= 1" in captured.err

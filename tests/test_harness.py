@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rfree.harness as harness
-from conftest import unpacked
+from conftest import r_free_flags
 from rfree import (
     ConfigError,
     ExperimentConfig,
@@ -19,7 +19,7 @@ from rfree import (
     run_experiment,
     write_plot,
 )
-from rfree.progressions import _class_counts
+from rfree.progressions import _class_counts, _root_mu
 
 
 def test_threshold_examples():
@@ -131,22 +131,23 @@ def test_max_error_tie_goes_to_smallest_residue():
     assert l_star == 1
 
 
-def test_max_error_partition_self_check(table_1e5):
+def test_max_error_partition_self_check():
     counts = class_counts(1000, 2, 6)
     with pytest.raises(SelfCheckError):
         harness._check_partition(6, counts, -5)
-    harness._check_partition(6, counts, int(unpacked(table_1e5, 2)[1:1001].sum()))
+    harness._check_partition(6, counts, int(r_free_flags(1000, 2)[1:].sum()))
 
 
 @pytest.mark.parametrize("r", [2, 3])
-def test_sweep_fold_matches_class_counts(table_1e5, r):
+def test_sweep_fold_matches_class_counts(r):
     # the sweep counts only k in (K/2, K] and folds every smaller k down
     # from k * floor(K/k); 5 and 31 are odd K, 16 and 40 even
+    flags = r_free_flags(10**5, r)
     for x in (10**4, 99_991, 10**5):
-        total = int(unpacked(table_1e5, r)[1 : x + 1].sum())
+        total = int(flags[1 : x + 1].sum())
         bounds = {modulus_threshold(x, r, 0.5), 5, 16, 31, 40}
         for bound in sorted(bounds):
-            swept = list(harness._sweep_counts(table_1e5.mu, x, r, bound, total))
+            swept = list(harness._sweep_counts(_root_mu(x, r), x, r, bound, total))
             assert [k for k, _ in swept] == list(range(1, bound + 1))
             for k, counts in swept:
                 assert counts.dtype == np.int64
@@ -215,8 +216,8 @@ def test_run_experiment_small():
     assert row.wall_seconds == 0.0
 
 
-def test_density_at_one_million(table_1e6):
-    density = int(unpacked(table_1e6, 2)[1:].sum()) / table_1e6.limit
+def test_density_at_one_million():
+    density = int(r_free_flags(10**6, 2)[1:].sum()) / 10**6
     assert 0.59 < density < 0.62
 
 

@@ -3,9 +3,8 @@ import random
 
 import pytest
 
-from conftest import unpacked
+from conftest import r_free_flags
 from rfree import (
-    build_sieve,
     count_r_free_bruteforce,
     count_r_free_in_progression,
     decompose,
@@ -51,10 +50,8 @@ def test_count_against_bruteforce(r):
             count_r_free_bruteforce(x, r, k, l)
 
 
-@pytest.fixture(scope="module")
-def table_edges():
-    # two whole windows, a third of 9 flags, and 7 pad bits in the last byte
-    return build_sieve(2 * _COUNT_WINDOW + 8, {2, 3, 4})
+# two whole windows and a third of 9 flags
+_EDGES_LIMIT = 2 * _COUNT_WINDOW + 8
 
 
 def _every_class(k_max, x):
@@ -64,14 +61,14 @@ def _every_class(k_max, x):
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
-def test_class_counts_at_window_edges(table_edges, r):
+def test_class_counts_at_window_edges(r):
     # every class of every k <= 12 and some of a k > x, at the last flag of a
     # window, the first of the next, one past it, inside the third window
-    # and at the last flag of the table; against the strided scan of the
-    # unpacked flags and, for k <= 12, the Mobius sums of class_counts
-    flags = unpacked(table_edges, r)
+    # and at the last flag; against the strided scan of the kernel's flags
+    # and, for k <= 12, the Mobius sums of class_counts
+    flags = r_free_flags(_EDGES_LIMIT, r)
     w = _COUNT_WINDOW
-    for x in (w - 1, w, w + 1, 2 * w + 7, table_edges.limit):
+    for x in (w - 1, w, w + 1, 2 * w + 7, _EDGES_LIMIT):
         classes = _every_class(12, x)
         expected = [int(flags[l or k : x + 1 : k].sum()) for k, l in classes]
         assert _class_counts(x, r, classes) == expected, x
@@ -94,10 +91,11 @@ def test_class_counts_match_bruteforce_to_200(r):
 
 
 @pytest.mark.parametrize("r", [2, 3])
-def test_partition_over_residues(table_1e5, r):
+def test_partition_over_residues(r):
     # classes of any modulus partition [1, x]
+    flags = r_free_flags(100_000, r)
     for x in (37, 1000, 100_000):
-        total = int(unpacked(table_1e5, r)[1 : x + 1].sum())
+        total = int(flags[1 : x + 1].sum())
         for k in range(1, 101):
             assert int(class_counts(x, r, k).sum()) == total
 
@@ -124,10 +122,10 @@ def test_main_term_domain_error():
 
 
 @pytest.mark.parametrize("r", [3, 4])
-def test_main_term_tracks_count_for_higher_r(table_1e5, r):
+def test_main_term_tracks_count_for_higher_r(r):
     # the local factor at p^e || k with p^e | l is 1 - p^(e - r); the r = 2
     # form phi(k) / (g phi(s)) is off by up to a factor 2 here
-    x = table_1e5.limit
+    x = 100_000
     for k in range(1, 31):
         for l in range(k):
             if not is_r_free(math.gcd(l, k), r):
@@ -211,11 +209,11 @@ def test_decompose_r3_example():
 
 
 @pytest.mark.parametrize("r", [2, 3])
-def test_decompose_identity_randomized(table_1e5, r):
+def test_decompose_identity_randomized(r):
     rng = random.Random(20 + r)
     done = 0
     while done < 120:
-        x = rng.randint(10, table_1e5.limit)
+        x = rng.randint(10, 100_000)
         k = rng.randint(1, 60)
         l = rng.randrange(k)
         g = math.gcd(l, k) if l else k
@@ -270,9 +268,10 @@ def _inner_count(limit, a, s, caps, crossover):
     return total
 
 
-def decompose_by_loop(table, x, r, k, l, z, *, scan_crossover=2048):
+def decompose_by_loop(mu, x, r, k, l, z, *, scan_crossover=2048):
     """(small_sum, large_sum) of the split at z, one d at a time: the
-    reference for ``decompose``."""
+    reference for ``decompose``.  ``mu`` is the Mobius function indexed by
+    n, up to at least (x / g)^(1/r)."""
     g = math.gcd(l, k)
     s, t = k // g, l // g
     caps = tuple(p ** (r - e) for p, e in trial_factorize(g).factors if s % p)
@@ -280,7 +279,7 @@ def decompose_by_loop(table, x, r, k, l, z, *, scan_crossover=2048):
     z_cut = min(math.floor(z), d_max)
     sums = [0, 0]
     for d in range(1, d_max + 1):
-        m = int(table.mu[d])
+        m = int(mu[d])
         if m == 0 or math.gcd(d, k) != 1:
             continue
         dr = d**r
@@ -289,10 +288,10 @@ def decompose_by_loop(table, x, r, k, l, z, *, scan_crossover=2048):
     return tuple(sums)
 
 
-def test_decompose_scan_and_inclusion_exclusion_agree(table_1e5):
+def test_decompose_scan_and_inclusion_exclusion_agree(factors_1e5):
     rng = random.Random(23)
     for _ in range(40):
-        x = rng.randint(100, table_1e5.limit)
+        x = rng.randint(100, 100_000)
         k = rng.randint(1, 40)
         l = rng.randrange(k)
         g = math.gcd(l, k) if l else k
@@ -301,8 +300,8 @@ def test_decompose_scan_and_inclusion_exclusion_agree(table_1e5):
             rep = decompose(x, 2, k, l, z)
         except ValueError:
             continue
-        via_scan = decompose_by_loop(table_1e5, x, 2, k, l, z, scan_crossover=10**9)
-        via_ie = decompose_by_loop(table_1e5, x, 2, k, l, z, scan_crossover=0)
+        via_scan = decompose_by_loop(factors_1e5.mu, x, 2, k, l, z, scan_crossover=10**9)
+        via_ie = decompose_by_loop(factors_1e5.mu, x, 2, k, l, z, scan_crossover=0)
         assert via_scan == via_ie == (rep.small_sum, rep.large_sum)
 
 
@@ -320,18 +319,18 @@ def test_decompose_scan_and_inclusion_exclusion_agree(table_1e5):
         (2, 10_007, 0, 1.0, (0, 0, 0)),
     ],
 )
-def test_decompose_huge_moduli(table_1e4, r, k, l, z, expected):
+def test_decompose_huge_moduli(factors_1e5, r, k, l, z, expected):
     # k > x, up to k beyond int64: at most n = l lies in the progression
     x = 10_000
     rep = decompose(x, r, k, l, z)
     assert (rep.count, rep.small_sum, rep.large_sum) == expected
     assert rep.count == count_r_free_bruteforce(x, r, k, l)
-    assert (rep.small_sum, rep.large_sum) == decompose_by_loop(table_1e4, x, r, k, l, z)
+    assert (rep.small_sum, rep.large_sum) == decompose_by_loop(factors_1e5.mu, x, r, k, l, z)
     assert rep.small_main == main_term(x, r, k, l)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
-def test_decompose_many_mixed_batch(table_1e5, r):
+def test_decompose_many_mixed_batch(factors_1e5, r):
     x = 10_000
     trials = [
         (12, 6, 1.0), (18, 6, 3.5), (7, 3, 2.0), (30, 0, 2.0), (1, 0, 4.0),  # g = 6, 6, 1, 30, 1
@@ -344,12 +343,12 @@ def test_decompose_many_mixed_batch(table_1e5, r):
     reports = decompose_many(x, r, trials)
     for (k, l, z), rep in zip(trials, reports, strict=True):
         assert (rep.k, rep.l, rep.z) == (k, l, z)
-        assert (rep.small_sum, rep.large_sum) == decompose_by_loop(table_1e5, x, r, k, l, z)
+        assert (rep.small_sum, rep.large_sum) == decompose_by_loop(factors_1e5.mu, x, r, k, l, z)
         assert rep.small_sum + rep.large_sum == rep.count == count_r_free_bruteforce(x, r, k, l)
         assert rep == decompose(x, r, k, l, z)
 
 
-def test_decompose_many_spans_blocks(table_1e5):
+def test_decompose_many_spans_blocks(factors_1e5):
     # every admissible class of every k <= 60: the g = 1 rows alone fill more
     # than one block of the split
     x, r = 99_991, 2
@@ -361,7 +360,7 @@ def test_decompose_many_spans_blocks(table_1e5):
     ]
     reports = decompose_many(x, r, trials)
     for (k, l, z), rep in zip(trials, reports, strict=True):
-        assert (rep.small_sum, rep.large_sum) == decompose_by_loop(table_1e5, x, r, k, l, z)
+        assert (rep.small_sum, rep.large_sum) == decompose_by_loop(factors_1e5.mu, x, r, k, l, z)
         assert rep.small_sum + rep.large_sum == rep.count
 
 

@@ -67,13 +67,13 @@ def test_count_matches_bruteforce(x, r, k, l_seed):
     l_seed=st.integers(min_value=0, max_value=2**80),
     z_frac=st.floats(min_value=0.0, max_value=1.2),
 )
-def test_split_matches_scalar_loop_and_bruteforce(table_1e5, x, r, k, l_seed, z_frac):
+def test_split_matches_scalar_loop_and_bruteforce(factors_1e5, x, r, k, l_seed, z_frac):
     l = l_seed % k
     g = math.gcd(l, k)
     assume(is_r_free(g, r))
     z = 1.0 + z_frac * (x / g) ** (1 / r)
     rep = decompose(x, r, k, l, z)
-    assert (rep.small_sum, rep.large_sum) == decompose_by_loop(table_1e5, x, r, k, l, z)
+    assert (rep.small_sum, rep.large_sum) == decompose_by_loop(factors_1e5.mu, x, r, k, l, z)
     assert rep.small_sum + rep.large_sum == count_r_free_bruteforce(x, r, k, l)
 
 
@@ -93,7 +93,7 @@ def test_split_matches_scalar_loop_and_bruteforce(table_1e5, x, r, k, l_seed, z_
         max_size=10,
     ),
 )
-def test_split_batch_matches_scalar_loop_and_bruteforce(table_1e5, x, r, draws):
+def test_split_batch_matches_scalar_loop_and_bruteforce(factors_1e5, x, r, draws):
     trials = []
     for k, l_seed, factor, z_frac in draws:
         l = l_seed * factor % k
@@ -107,7 +107,7 @@ def test_split_batch_matches_scalar_loop_and_bruteforce(table_1e5, x, r, draws):
     assert len(reports) == len(trials)
     for (k, l, z), rep in zip(trials, reports):
         assert (rep.k, rep.l, rep.z) == (k, l, z)
-        assert (rep.small_sum, rep.large_sum) == decompose_by_loop(table_1e5, x, r, k, l, z)
+        assert (rep.small_sum, rep.large_sum) == decompose_by_loop(factors_1e5.mu, x, r, k, l, z)
         assert rep.small_sum + rep.large_sum == rep.count == count_r_free_bruteforce(x, r, k, l)
 
 
