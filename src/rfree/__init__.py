@@ -30,8 +30,7 @@ _EXPORTS = {
         "harness",
     ),
     **dict.fromkeys(
-        ("FValue", "TauSumRow", "TauTable", "f_value", "omega_vs_tau_check",
-         "tau_partial_sum_check", "tau_table", "tau_value", "zeta"),
+        ("FValue", "TauSumRow", "f_value", "tau_partial_sum_check", "tau_value", "zeta"),
         "multiplicative",
     ),
     **dict.fromkeys(
@@ -46,8 +45,7 @@ _EXPORTS = {
         "residues",
     ),
     **dict.fromkeys(
-        ("FactorTable", "cached_counts", "factor_sieve", "r_free_counts", "save_cache",
-         "small_primes"),
+        ("cached_counts", "mobius_sieve", "r_free_counts", "save_cache", "small_primes"),
         "sieve",
     ),
 }

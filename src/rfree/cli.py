@@ -7,8 +7,8 @@ file (message on stderr, nothing on stdout), 3 exact-identity failure.
 Import rule: at the top this module imports only what parsing the
 command line needs (the standard library and ``errors``).  Each
 ``_cmd_*`` imports the layers it runs when it runs, so ``rfree --help``,
-a refused option and ``rfree residues`` start without numpy, and a
-command pays only for its own modules.
+a refused option, ``rfree residues`` and ``rfree tau-sum`` start without
+numpy, and a command pays only for its own modules.
 """
 
 from __future__ import annotations

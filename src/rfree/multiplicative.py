@@ -6,13 +6,15 @@
            = zeta(r)^{-1} * prod over p | k of (1 - p^{-r})^{-1},
 
 which depends only on the radical of k.  tau_r(n), the number of ordered
-r-tuples of positive integers with product n, is sieved through
-tau_r(p^e) = C(e + r - 1, r - 1) by one kernel, ``_tau_windows(r, x)``,
-which yields tau_r over [0, x] one scratch window at a time in
-O(window + sqrt(x)) memory.  ``tau_partial_sum_check`` sums its windows
-and ``tau_table`` copies them into a table; ``tau_value`` applies the
-formula to one n.  Each helper that needs the primes of its argument
-factors it by the memoised ``trial_factorize``.
+r-tuples of positive integers with product n, is needed only through its
+partial sums, which ``tau_partial_sum_check`` forms by the Dirichlet
+hyperbola over the floor values x // m in exact integers (``_tau_sum``),
+and through single values, which ``tau_value`` takes from
+tau_r(p^e) = C(e + r - 1, r - 1).  Each helper that needs the primes of
+its argument factors it by the memoised ``trial_factorize``.
+
+Only ``zeta`` uses numpy, and imports it when it runs, so ``rfree
+tau-sum`` starts without it.
 """
 
 from __future__ import annotations
@@ -20,20 +22,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import floordiv, mul
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .arith import trial_factorize
 from .errors import ResourceLimitError
-from .sieve import _LIMIT_CEILING, _check_table_size, factor_sieve, small_primes
 
 _ZETA_TARGET = 1e-13
 _FLOAT_ULP = 2.3e-16
 _ZETA_PIECE = 1 << 17  # float64 terms per np.sum in zeta: 1 MiB
-# n per window of the tau_r kernel: an int64 tau_r and a uint32 smooth part
-# each, 768 KiB of scratch; its square exceeds every x below 2**32
-_TAU_WINDOW = 1 << 16
+# every x of tau_partial_sum_check lies below this, as every x and sieve
+# limit of the package does, for its cost: each level j < r of the
+# hyperbola takes O(x^(3/4)) steps, and at x = 2**32 - 1 the sum took
+# 0.1 s at r = 2, 10-12 s at r = 3 and 18 s at r = 4 (2-core VM)
+_TAU_CEILING = 2**32
 
 
 def zeta(r: int) -> float:
@@ -71,6 +74,8 @@ def _descending_power_sum(hi: int, n: int, r: int) -> float:
     of 8, terms plus the sum of the rest.  Taking the same split here until a piece has at most
     ``_ZETA_PIECE`` terms gives the same bits while only one piece is held.
     """
+    import numpy as np
+
     if n <= _ZETA_PIECE:
         terms = np.arange(hi, hi - n, -1, dtype=np.float64)
         return float(np.sum(np.power(terms, -r, out=terms)))
@@ -106,148 +111,6 @@ def f_value(r: int, k: int) -> FValue:
     return FValue(r=r, k=k, value=val, rel_error=rel)
 
 
-@dataclass(frozen=True)
-class TauTable:
-    """tau_r(n) for all n <= limit."""
-
-    r: int
-    limit: int
-    tau: np.ndarray
-
-    def __post_init__(self):
-        self.tau.setflags(write=False)
-
-
-def tau_table(r: int, limit: int) -> TauTable:
-    """tau_r(n) for every n in [1, limit], copied from ``_tau_windows``.
-
-    Values are held in 64-bit integers, exact under ``_check_tau_range``,
-    which raises OverflowError up front otherwise.  The table keeps the
-    size rule of ``sieve._check_table_size``, checked first.
-    """
-    _check_table_size(limit, 8)  # one int64 per n
-    _check_tau_range(r, limit)
-    tau = np.empty(limit + 1, dtype=np.int64)
-    for lo, window in _tau_windows(r, limit):
-        tau[lo : lo + window.size] = window
-    return TauTable(r=r, limit=limit, tau=tau)
-
-
-def _check_tau_range(r: int, x: int) -> None:
-    """The rule of every tau_r sieve over [0, x]: r >= 1 (ValueError),
-    x < 2**32 (ResourceLimitError) and tau_r exact in int64 (OverflowError),
-    all checked before anything is allocated.
-
-    Every intermediate value of ``_tau_windows`` is at most the final
-    tau_r(n), and tau_r(n) = sum over d | n of tau_(r-1)(d) is at most
-    tau(n) * M <= (2 sqrt(x) + 1) * M, where M is the largest tau_(r-1)
-    below x; the check asks that bound to fit int64.
-    """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if x >= _LIMIT_CEILING:
-        raise ResourceLimitError(
-            f"x={x} is not below 2**32, the range of the uint32 smooth parts "
-            "and the window of the tau_r sieve"
-        )
-    divisor_bound = 2 * math.isqrt(x) + 1  # tau_2(n) <= 2*sqrt(n)
-    if r > 1 and _tau_max(r - 1, x) > (2**63 - 1) // divisor_bound:
-        raise OverflowError(f"tau_{r} would overflow 64-bit integers below {x}")
-
-
-def _tau_windows(r: int, x: int):
-    """Yield (lo, tau) over [0, x]: tau_r(n) of n = lo, lo + 1, ... as
-    int64 (tau_r(0) = 0), one window of ``_TAU_WINDOW`` at a time, each in
-    the one scratch buffer that the next step refills.  The one tau_r
-    kernel; callers check ``_check_tau_range(r, x)`` first.
-
-    tau_r is multiplicative with tau_r(p^e) = C(e + r - 1, r - 1).  For
-    each prime p <= sqrt(x), ascending, and each p^e <= x, e ascending,
-    every multiple of p^e trades tau_r(p^(e-1)) for tau_r(p^e) by an exact
-    division and a multiplication, and its smooth part, the product of the
-    prime powers found so far, takes the factor p.  A p^e below the window
-    is applied by strides; one at least the window hits a window at most
-    once, so the powers of each e are applied by one index array.  Where
-    the smooth part is still below n, n has exactly one prime factor above
-    sqrt(x), which brings the factor r.
-    """
-    w = _TAU_WINDOW
-    # Two distinct primes with powers >= w divide no common n <= x < w * w,
-    # so the hits of one exponent's index array are distinct, and plain
-    # fancy indexing applies each factor exactly once.
-    assert x < w * w, "x must lie below the square of the window"
-    dense = []  # (p^e < w, p, C(e + r - 2, r - 1) or None at e = 1, C(e + r - 1, r - 1))
-    sparse = {}  # e -> ([p^e >= w], [p])
-    for p in small_primes(math.isqrt(x)).tolist():
-        q, e = p, 1
-        while q <= x:
-            if q < w:
-                div = math.comb(e + r - 2, r - 1)
-                mul = math.comb(e + r - 1, r - 1)
-                # numpy scalars of the arrays' dtypes make the strided updates faster
-                dense.append((q, np.uint32(p), np.int64(div) if e > 1 else None, np.int64(mul)))
-            else:
-                qs, ps = sparse.setdefault(e, ([], []))
-                qs.append(q)
-                ps.append(p)
-            q *= p
-            e += 1
-    sparse = [
-        (np.array(qs, dtype=np.int64), np.array(ps, dtype=np.uint32),
-         math.comb(e + r - 2, r - 1), math.comb(e + r - 1, r - 1))
-        for e, (qs, ps) in sorted(sparse.items())
-    ]
-    tau_scratch = np.empty(min(w, x + 1), dtype=np.int64)
-    smooth_scratch = np.empty_like(tau_scratch, dtype=np.uint32)
-    offsets = np.arange(tau_scratch.size, dtype=np.uint32)
-    for lo in range(0, x + 1, w):
-        size = min(w, x + 1 - lo)
-        tau, smooth = tau_scratch[:size], smooth_scratch[:size]  # n = lo + index
-        tau.fill(1)
-        smooth.fill(1)
-        if lo == 0:
-            tau[0] = smooth[0] = 0  # n = 0: every update keeps both 0
-        for q, p, div, mul in dense:
-            start = -lo % q
-            at = tau[start::q]
-            if div is not None:
-                at //= div
-            at *= mul
-            smooth_at = smooth[start::q]
-            smooth_at *= p
-        for qs, ps, div, mul in sparse:
-            hits = -lo % qs
-            hit = hits < size
-            at = hits[hit]
-            tau[at] //= div
-            tau[at] *= mul
-            smooth[at] *= ps[hit]
-        np.multiply(tau, r, out=tau, where=smooth < offsets[:size] + lo)
-        yield lo, tau
-
-
-def _tau_max(r: int, limit: int) -> int:
-    """max tau_r(n) over n <= limit, exactly.
-
-    Moving the exponents of n, in decreasing order, onto the smallest
-    primes keeps tau_r(n) and does not increase n, so the maximum is
-    attained at some n = 2^e1 * 3^e2 * 5^e3 * ... with e1 >= e2 >= ....
-    """
-    primes = small_primes(100).tolist()  # their product exceeds 2**64
-    best = 1
-    stack = [(0, 1, 1, limit.bit_length())]  # prime index, n, tau_r(n), exponent cap
-    while stack:
-        i, n, value, cap = stack.pop()
-        best = max(best, value)
-        p = primes[i]
-        for e in range(1, cap + 1):
-            n *= p
-            if n > limit:
-                break
-            stack.append((i + 1, n, value * math.comb(e + r - 1, r - 1), e))
-    return best
-
-
 def tau_value(r: int, n: int) -> int:
     """tau_r(n) from the multiplicative formula, in exact integer arithmetic."""
     if r < 1:
@@ -264,14 +127,61 @@ class TauSumRow(NamedTuple):
     ratio: float
 
 
+def _tau_sum(r: int, x: int) -> int:
+    """The sum of tau_r(n) over 1 <= n <= x, exactly, by the Dirichlet
+    hyperbola, in O(r * x^(3/4)) steps and O(sqrt(x)) memory.
+
+    With D_j(v) the sum of tau_j over n <= v and u = isqrt(v),
+
+        D_1(v) = v,
+        D_j(v) = sum over a <= u of tau_(j-1)(a) * (v // a)
+               + sum over b <= u of D_(j-1)(v // b) - D_(j-1)(u) * u.
+
+    Every v that the recursion reaches from x is a floor value x // m.
+    Each level j keeps D_j(x // m) for the m with x // m > isqrt(x) (the
+    list ``big``), and tau_j(a) and D_j(a) for every a <= isqrt(x) (the
+    lists ``tau`` and ``small``, the next tau by one divisor-sum pass);
+    the last level needs only m = 1.
+    """
+    root = math.isqrt(x)
+    top = x // (root + 1)  # x // m > root exactly for m <= top
+    tau = [0] + [1] * root  # tau_1(a), a <= root
+    small = list(range(root + 1))  # D_1(a), a <= root
+    big = [0] + [x // m for m in range(1, top + 1)]  # D_1(x // m), m <= top
+    for j in range(2, r + 1):
+        nxt = [0]
+        for m in range(1, (top if j < r else 1) + 1):
+            v = x // m
+            u = math.isqrt(v)
+            total = sum(map(mul, tau[1 : u + 1], map(floordiv, repeat(v), range(1, u + 1))))
+            # D_(j-1)(x // (m * b)): held in ``big`` up to m * b = top, in
+            # ``small`` past it
+            held = min(u, top // m)
+            total += sum(big[m : m * held + 1 : m])
+            total += sum(map(small.__getitem__,
+                             map(floordiv, repeat(x), range(m * (held + 1), m * u + 1, m))))
+            nxt.append(total - small[u] * u)
+        big = nxt
+        if j < r:
+            nxt = [0] * (root + 1)
+            for d in range(1, root + 1):
+                t = tau[d]
+                for n in range(d, root + 1, d):
+                    nxt[n] += t
+            tau = nxt
+            small = list(accumulate(tau))
+    return big[1]
+
+
 def tau_partial_sum_check(r: int, xs: Sequence[int]) -> list[TauSumRow]:
     """Partial sums of tau_r with their x * (log x)^(r-1) normalization.
 
     The returned ratio stays bounded and slowly varying in x; acceptance
-    checks pin that down numerically.  One pass of ``_tau_windows`` over
-    [0, max(xs)] serves every x, in O(window + sqrt(x)) memory.  Raises
-    ValueError unless xs is nonempty and every x >= 3, and the errors of
-    ``_check_tau_range`` before any window.
+    checks pin that down numerically.  Each total is ``_tau_sum(r, x)``,
+    an exact integer.  Raises, before any sum is formed, ValueError unless
+    xs is nonempty, every x >= 3 and r >= 1, ResourceLimitError unless
+    every x < 2**32, and OverflowError if a normalization is not a finite
+    float.
     """
     xs = [int(x) for x in xs]
     if not xs:
@@ -279,32 +189,22 @@ def tau_partial_sum_check(r: int, xs: Sequence[int]) -> list[TauSumRow]:
     for x in xs:
         if x < 3:
             raise ValueError(f"each x must be >= 3, got {x}")
-    top = max(xs)
-    _check_tau_range(r, top)
-    # every tau_r(n) with n <= top is at most _tau_max(r, top) < 2**63, so
-    # a sum of `chunk` of them is exact in int64
-    chunk = (2**63 - 1) // _tau_max(r, top)
-
-    def exact_sum(values):
-        return sum(int(values[i : i + chunk].sum()) for i in range(0, values.size, chunk))
-
-    pending = sorted(range(len(xs)), key=xs.__getitem__, reverse=True)
-    totals = [0] * len(xs)
-    below = 0  # the sum of tau_r over [1, lo)
-    for lo, tau in _tau_windows(r, top):
-        while pending and xs[pending[-1]] < lo + tau.size:
-            i = pending.pop()
-            totals[i] = below + exact_sum(tau[: xs[i] - lo + 1])
-        below += exact_sum(tau)
-    return [
-        TauSumRow(x, total, total / (x * math.log(x) ** (r - 1)))
-        for x, total in zip(xs, totals)
-    ]
-
-
-def omega_vs_tau_check(r: int, limit: int) -> bool:
-    """True iff r^omega(k) <= tau_r(k) for every k <= limit."""
-    om = factor_sieve(limit).omega[1:].astype(np.int64)  # refuses limit >= 2**32
-    taus = tau_table(r, limit).tau[1:]
-    lhs = np.power(r, om)
-    return bool(np.all(lhs <= taus))
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    if max(xs) >= _TAU_CEILING:
+        raise ResourceLimitError(
+            f"x={max(xs)} is not below 2**32, the ceiling of every x; at "
+            "x = 2**32 - 1 the sum already takes about 10 s at r = 3 and 8 s "
+            "more for each further r"
+        )
+    try:
+        norms = [x * math.log(x) ** (r - 1) for x in xs]
+    except OverflowError:  # raised by the power; the product overflows to inf
+        norms = [math.inf]
+    if not all(map(math.isfinite, norms)):
+        raise OverflowError(f"x * (log x)^{r - 1} overflows a float for some x of {xs}")
+    rows = []
+    for x, norm in zip(xs, norms):
+        total = _tau_sum(r, x)
+        rows.append(TauSumRow(x, total, total / norm))
+    return rows

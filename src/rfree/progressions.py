@@ -58,8 +58,7 @@ import numpy as np
 
 from .arith import Factorization, is_r_free, trial_factorize
 from .multiplicative import FValue, f_value
-from .sieve import factor_sieve
-from .sieve import _check_count_range, _r_free_windows
+from .sieve import _check_count_range, _r_free_windows, mobius_sieve
 
 _BLOCK_ELEMENTS = 1 << 15  # int64 entries per (rows x d x caps) block of the split
 
@@ -236,7 +235,7 @@ def _int_rth_root(n: int, r: int) -> int:
 
 def _root_mu(x: int, r: int) -> np.ndarray:
     """The Mobius function indexed by n, over [0, max(1, x^(1/r))]."""
-    return factor_sieve(max(1, _int_rth_root(x, r))).mu
+    return mobius_sieve(max(1, _int_rth_root(x, r)))
 
 
 def _d_terms(mu: np.ndarray, x: int, r: int) -> tuple[np.ndarray, ...]:

@@ -1,4 +1,4 @@
-"""Sieves: r-free flags over [0, x] by windows, factoring tables over [0, N].
+"""Sieves: r-free flags over [0, x] by windows, the Mobius table over [0, N].
 
 Every count the package makes reads one of two things: the r-free
 indicator of each n <= x, summed along a progression, or the Mobius
@@ -15,15 +15,13 @@ counts by strides and ``save_cache`` packs into its file.
   high bit of byte 0, zero pad bits after n = limit), and returns the
   totals; ``cached_counts(path, x, rs)`` checks such a file and counts its
   bits up to x.  Neither holds more than one window or one chunk of it.
-* ``factor_sieve(N)`` gives a :class:`FactorTable` with the Mobius
-  function and the number of distinct prime factors of every n in [0, N],
-  in one pass over the prime powers of ``_prime_powers``.  The Mobius sums
-  read mu up to x^(1/r); ``omega_vs_tau_check`` reads omega over its range.
+* ``mobius_sieve(N)`` gives the Mobius function of every n in [0, N] as
+  a read-only int8 array, in one pass over the prime powers of
+  ``_prime_powers``.  The Mobius sums read it up to x^(1/r).
 
-Every table over [0, N], here and in ``tau_table``, keeps one size rule,
-``_check_table_size``: N >= 1, N < 2**32 and at most 2 GiB of arrays.
-Every count keeps one range rule, ``_check_count_range``: r >= 2 and
-0 <= x < 2**32.  Finished tables are read-only.
+A table over [0, N] keeps one size rule, ``_check_table_size``: N >= 1,
+N < 2**32 and at most 2 GiB.  Every count keeps one range rule,
+``_check_count_range``: r >= 2 and 0 <= x < 2**32.
 
 The per-number oracles of the flags, ``mu_r_direct`` and ``is_r_free``,
 read no table and live in ``rfree.arith``.
@@ -43,36 +41,12 @@ from .errors import ConfigError, ResourceLimitError
 _MEMORY_BUDGET = 2 * 1024**3  # bytes of finished tables
 # every table limit and every x lies below this, where the arithmetic is
 # shown exact: the int64 Mobius sums of harness._count_classes and
-# progressions._split_terms, the uint64 products of
-# progressions._residues_mod_s and the uint32 smooth part of
-# multiplicative._tau_windows
+# progressions._split_terms and the uint64 products of
+# progressions._residues_mod_s
 _LIMIT_CEILING = 2**32
 # uint8 flags per window of the r-free kernel: 1 MiB, a multiple of 8, so
 # each window packs into whole bytes of the cache
 _COUNT_WINDOW = 1 << 20
-
-
-class FactorTable:
-    """Read-only mu and omega over [0, limit], indexed by n.
-
-    Index 0 is unused filler.
-    """
-
-    __slots__ = ("limit", "mu", "omega")
-
-    def __init__(self, limit, mu, omega):
-        self.limit = limit
-        self.mu = mu
-        self.omega = omega
-        for arr in (mu, omega):
-            if arr.shape != (limit + 1,):
-                raise ValueError(
-                    f"table array of shape {arr.shape} does not cover [0, {limit}]"
-                )
-            arr.setflags(write=False)
-
-    def __repr__(self):
-        return f"FactorTable(limit={self.limit})"
 
 
 def _packed_size(limit: int) -> int:
@@ -80,8 +54,8 @@ def _packed_size(limit: int) -> int:
     return (limit + 8) // 8
 
 
-def _check_table_size(limit: int, per_n: int) -> None:
-    """The one size rule for a table of ``per_n`` bytes per n in [0, limit].
+def _check_table_size(limit: int) -> None:
+    """The one size rule for a table of one byte per n in [0, limit].
 
     Raises ValueError if limit < 1, and ResourceLimitError, before anything
     is allocated, if limit is not below 2**32 or the table would take more
@@ -92,13 +66,11 @@ def _check_table_size(limit: int, per_n: int) -> None:
     if limit >= _LIMIT_CEILING:
         raise ResourceLimitError(
             f"limit={limit} is not below 2**32, the range in which the int64 "
-            "Mobius sums, the uint64 residue products and the uint32 smooth "
-            "parts of tau_r are shown exact"
+            "Mobius sums and the uint64 residue products are shown exact"
         )
-    need = (limit + 1) * per_n
-    if need > _MEMORY_BUDGET:
+    if limit + 1 > _MEMORY_BUDGET:
         raise ResourceLimitError(
-            f"tables for limit={limit} need {need} bytes, exceeding the "
+            f"a table for limit={limit} needs {limit + 1} bytes, exceeding the "
             f"memory budget of {_MEMORY_BUDGET} bytes"
         )
 
@@ -137,26 +109,24 @@ def _prime_powers(limit: int):
         yield ps, 1, m * ps
 
 
-def factor_sieve(limit: int) -> FactorTable:
-    """mu and omega for every n in [1, limit].
+def mobius_sieve(limit: int) -> np.ndarray:
+    """mu(n) for every n in [0, limit] as a read-only int8 array (mu(0) = 0).
 
-    One pass over ``_prime_powers(limit)``: each multiple of p flips mu and
-    counts in omega; each multiple of p^e, e >= 2, gets mu = 0.  Raises
-    ValueError if limit < 1 and ResourceLimitError if the tables break
+    One pass over ``_prime_powers(limit)``: each multiple of p flips mu;
+    each multiple of p^e, e >= 2, gets mu = 0.  Raises ValueError if
+    limit < 1 and ResourceLimitError if the table breaks
     ``_check_table_size``.
     """
-    _check_table_size(limit, 2)  # int8 mu + uint8 omega per n
-
+    _check_table_size(limit)
     mu = np.ones(limit + 1, dtype=np.int8)
-    omega = np.zeros(limit + 1, dtype=np.uint8)
     mu[0] = 0
     for _, e, at in _prime_powers(limit):
         if e == 1:
             mu[at] = -mu[at]
-            omega[at] += 1
         else:
             mu[at] = 0
-    return FactorTable(limit, mu, omega)
+    mu.setflags(write=False)
+    return mu
 
 
 def _check_count_range(x: int, r: int) -> None:

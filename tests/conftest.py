@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rfree import factor_sieve, sieve
+from rfree import mobius_sieve, sieve
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -27,5 +27,5 @@ def run_rfree(*args: str, python_flags=(), timeout=60) -> subprocess.CompletedPr
 
 
 @pytest.fixture(scope="session")
-def factors_1e5():
-    return factor_sieve(100_000)
+def mu_1e5():
+    return mobius_sieve(100_000)

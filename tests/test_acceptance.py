@@ -22,10 +22,10 @@ from rfree import (
     is_r_free,
     modulus_threshold,
     mu_r_direct,
-    omega_vs_tau_check,
     per_modulus_maxima,
     run_experiment,
     tau_partial_sum_check,
+    tau_value,
     trial_factorize,
 )
 
@@ -143,7 +143,8 @@ def test_criterion_5_divisor_sum_bound():
             assert abs(b / a - 1.0) < 0.25, (r, ratios)
         details.append(f"r={r}: " + ",".join(f"{v:.4f}" for v in ratios))
     for r in (2, 3, 4):
-        assert omega_vs_tau_check(r, 100_000), r
+        for k in range(1, 100_001):
+            assert r ** trial_factorize(k).omega <= tau_value(r, k), (r, k)
     _report(5, "divisor-sum bound", "(" + " | ".join(details) + "; r^omega <= tau_r exact)")
 
 

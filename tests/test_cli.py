@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rfree import count_r_free_bruteforce, r_free_counts, sieve
+from rfree import count_r_free_bruteforce, r_free_counts, sieve, tau_value
 from rfree.cli import _parse_int, main
 
 
@@ -396,6 +396,48 @@ def test_bv_sum_golden_bytes(argv, expected, capsys):
     assert capsys.readouterr().out == expected
 
 
+# the totals and ratios tau-sum printed when it sieved tau_r at every n <= x
+@pytest.mark.parametrize("argv,expected", [
+    ("--r 1 --x 3", "3,3,1.0\n"),
+    ("--r 2 --x 3", "3,5,1.5170653777113956\n"),
+    ("--r 3 --x 3", "3,7,1.9332493826105204\n"),
+    ("--r 4 --x 3", "3,9,2.262496400876842\n"),
+    ("--r 1 --x 65535", "65535,65535,1.0\n"),
+    ("--r 2 --x 65535", "65535,736957,1.013967414437903\n"),
+    ("--r 3 --x 65535", "65535,4594669,0.5700214967502544\n"),
+    ("--r 4 --x 65535", "65535,20913389,0.23394651138555314\n"),
+    ("--r 1 --x 65536", "65536,65536,1.0\n"),
+    ("--r 2 --x 65536", "65536,736974,1.0139739370957404\n"),
+    ("--r 3 --x 65536", "65536,4594822,0.5700302114511817\n"),
+    ("--r 4 --x 65536", "65536,20914358,0.23395281547670324\n"),
+    ("--r 1 --x 65537", "65537,65537,1.0\n"),
+    ("--r 2 --x 65537", "65537,736976,1.0139598219404853\n"),
+    ("--r 3 --x 65537", "65537,4594825,0.5700203172584463\n"),
+    ("--r 4 --x 65537", "65537,20914362,0.23394832480351346\n"),
+    ("--r 1 --x 1e6", "1000000,1000000,1.0\n"),
+    ("--r 2 --x 1e6", "1000000,13970034,1.0111847797001356\n"),
+    ("--r 3 --x 1e6", "1000000,106030594,0.5555169519302625\n"),
+    ("--r 4 --x 1e6", "1000000,578262093,0.2192925645672282\n"),
+    ("--r 1 --x 1e7", "10000000,10000000,1.0\n"),
+    ("--r 2 --x 1e7", "10000000,162725364,1.009581823584258\n"),
+    ("--r 3 --x 1e7", "10000000,1421760251,0.5472665585403432\n"),
+    ("--r 4 --x 1e7", "10000000,8840109380,0.21111371710772106\n"),
+    ("--r 20 --x 1e4", "10000,92675189684,4.423087827603579e-12\n"),
+    ("--r 3 --x 10000,100000,1000000", "10000,496623,0.5854306675312421\n100000,7518850,0.5672572232303094\n1000000,106030594,0.5555169519302625\n"),
+    ("--r 2 --x 1000,100,1000", "1000,7069,1.0233425641913625\n100,482,1.0466497013868368\n1000,7069,1.0233425641913625\n"),
+])
+def test_tau_sum_golden_bytes(argv, expected, capsys):
+    assert main(["tau-sum", *argv.split()]) == 0
+    assert capsys.readouterr().out == "x,sum,ratio\n" + expected
+
+
+def test_tau_sum_past_int64(capsys):
+    # the total passes 2**63; it is the exact sum of tau_value
+    assert main(["tau-sum", "--r", "150", "--x", "8192"]) == 0
+    assert capsys.readouterr().out == "x,sum,ratio\n8192,23895939462008006181,1.6009618250232013e-127\n"
+    assert sum(tau_value(150, n) for n in range(1, 8193)) == 23895939462008006181
+
+
 @pytest.mark.parametrize("r,seed,expected", [
     (2, 1, 'trials=1000 failures=0 max_small_residual=0.3056488400290332 max_large_ratio=0.17362259748141806\n'),
     (3, 5, 'trials=1000 failures=0 max_small_residual=0.6704838367706755 max_large_ratio=0.08071584059603173\n'),
@@ -528,7 +570,6 @@ def _exit_code(argv):
     "bv-sum --r 2 --A 1 --x 5e9",
     "sieve --limit 5e9 --r 2",
     "sieve --limit 5e9 --r 2 --cache {tmp}/c.rfsv",
-    "tau-sum --r 150 --x 8192",
     "tau-sum --r 2 --x 5e9",
     "tau-sum --r 0 --x 100",
     "verify-lemmas --x 1e4 --r 2 --trials -1",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -8,14 +9,12 @@ import pytest
 from rfree import (
     ResourceLimitError,
     f_value,
-    multiplicative,
-    omega_vs_tau_check,
     tau_partial_sum_check,
-    tau_table,
     tau_value,
+    trial_factorize,
     zeta,
 )
-from rfree.multiplicative import _descending_power_sum, _zeta_cached
+from rfree.multiplicative import _descending_power_sum, _tau_sum, _zeta_cached
 
 
 def test_zeta_two():
@@ -130,20 +129,10 @@ def test_f_validates_factorization():
 
 
 def test_tau_examples():
-    assert tau_table(3, 4).tau[4] == 6
-    assert tau_table(2, 12).tau[12] == 6
+    assert tau_value(3, 4) == 6
+    assert tau_value(2, 12) == 6
     for r in (1, 2, 3, 7):
-        assert tau_table(r, 1).tau[1] == 1
         assert tau_value(r, 1) == 1
-
-
-def test_tau_table_matches_formula():
-    tables = {r: tau_table(r, 2000) for r in (2, 3, 4)}
-    rng = random.Random(6)
-    ns = list(range(1, 101)) + [rng.randint(1, 2000) for _ in range(200)]
-    for r, table in tables.items():
-        for n in ns:
-            assert int(table.tau[n]) == tau_value(r, n), (r, n)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -151,24 +140,22 @@ def test_dirichlet_recursion(r):
     # tau_{r+1}(n) = sum of tau_r over divisors, via independent divisor
     # enumeration in sqrt(n) pairs
     limit = 10_000
-    lo = tau_table(r, limit).tau
-    hi = tau_table(r + 1, limit).tau
     for n in range(1, limit + 1):
         total = 0
         d = 1
         while d * d <= n:
             if n % d == 0:
-                total += int(lo[d])
+                total += tau_value(r, d)
                 if d != n // d:
-                    total += int(lo[n // d])
+                    total += tau_value(r, n // d)
             d += 1
-        assert total == int(hi[n]), n
+        assert total == tau_value(r + 1, n), n
 
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_tau_multiplicative_on_coprime_pairs(r):
     limit = 10_000
-    table = tau_table(r, limit).tau
+    table = _tau_by_convolution(r, limit)
     rng = random.Random(7)
     found = 0
     while found < 1000:
@@ -195,19 +182,8 @@ def _tau_by_convolution(r, limit):
 @pytest.mark.parametrize("limit", [1, 2, 3, 4, 8, 9, 30, 97, 3000])
 def test_tau_table_matches_convolution(limit):
     for r in (1, 2, 3, 4, 7):
-        assert np.array_equal(tau_table(r, limit).tau, _tau_by_convolution(r, limit)), r
-
-
-@pytest.mark.parametrize("window", [64, 256])
-def test_tau_table_matches_convolution_across_windows(monkeypatch, window):
-    # limits at the edges of a short window: every p^e >= window goes through
-    # the index arrays, and window**2 still exceeds each limit
-    monkeypatch.setattr(multiplicative, "_TAU_WINDOW", window)
-    for limit in (window - 1, window, window + 1, 2 * window + 7):
-        assert limit < window**2
-        for r in (1, 2, 3, 4):
-            expected = _tau_by_convolution(r, limit)
-            assert np.array_equal(tau_table(r, limit).tau, expected), (window, limit, r)
+        values = [0] + [tau_value(r, n) for n in range(1, limit + 1)]
+        assert values == _tau_by_convolution(r, limit).tolist(), r
 
 
 def _ordered_triples(x):
@@ -229,7 +205,8 @@ def _ordered_triples(x):
 
 
 def test_tau_3_sum_counts_ordered_triples():
-    # sum of tau_3 over n <= x is #{abc <= x}; x = 10^6 spans 16 windows
+    # sum of tau_3 over n <= x is #{abc <= x}; 2^16 - 1 and 2^16 sit on
+    # either side of a square, 255^2 < 2^16 - 1 < 2^16 = 256^2
     assert _ordered_triples(100) == sum(tau_value(3, n) for n in range(1, 101))
     xs = [10**6, 2**16, 2**16 - 1]
     rows = tau_partial_sum_check(3, xs)
@@ -248,32 +225,41 @@ def test_tau_partial_sum_memory_is_flat_in_x():
     assert peak < 4 * 2**20
 
 
-def test_tau_overflow_detected():
-    with pytest.raises(OverflowError):
-        tau_table(150, 8192)
-    # accepted as before: the largest value, 5454680000, is tau_20(8640)
-    table = tau_table(20, 10**4)
-    assert int(table.tau.max()) == 5_454_680_000 == int(table.tau[8640])
+def test_tau_sum_exact_past_int64():
+    # the sum of tau_150 below 8192 passes 2**63; Python ints keep it exact
+    for r, x in ((150, 8192), (20, 10**4)):
+        total = tau_partial_sum_check(r, [x])[0].total
+        assert total == sum(tau_value(r, n) for n in range(1, x + 1)), r
+    assert total == 92_675_189_684
 
 
 def test_tau_validation():
-    with pytest.raises(ValueError):
-        tau_table(0, 10)
-    with pytest.raises(ValueError):
-        tau_table(2, 0)
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        tau_partial_sum_check(0, [10])
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        tau_partial_sum_check(-3, [10])
+    # an r so large that x * (log x)^(r-1) overflows is refused at once,
+    # before any of its r - 1 levels runs
+    with pytest.raises(OverflowError, match="overflows a float"):
+        tau_partial_sum_check(2**62, [3])
 
 
-@pytest.mark.parametrize("limit", [2**32, 300_000_000])
-def test_tau_table_refused_before_allocating(limit):
-    # 2**32 is past the ceiling; 3e8 int64 values (2.4 GB) are over the budget
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceLimitError):
-            tau_table(2, limit)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+def test_tau_table_matches_formula():
+    # the sums at every x >= 3 up to 2000, so each tau_r(n), n >= 4, is a
+    # difference of two of them; the floor values x // m cross between the
+    # lists held for m <= top and for a <= isqrt(x) at every square
+    for r in (2, 3, 4):
+        values = [0] + [tau_value(r, n) for n in range(1, 2001)]
+        prefix = list(itertools.accumulate(values))
+        assert [_tau_sum(r, x) for x in range(3, 2001)] == prefix[3:], r
+
+
+@pytest.mark.parametrize("x", [10**8, *(n * n + d for n in (1000, 65535) for d in (-1, 0, 1))])
+def test_tau_sum_r2_matches_closed_form(x):
+    # D_2(x) = 2 * sum over i <= sqrt(x) of x // i - isqrt(x)^2, at x = 1e8
+    # and at n^2 - 1, n^2, n^2 + 1 for n = 1000 and 65535
+    root = math.isqrt(x)
+    assert _tau_sum(2, x) == 2 * sum(x // i for i in range(1, root + 1)) - root * root
 
 
 def test_partial_sum_refuses_x_past_2_32_before_allocating():
@@ -315,21 +301,21 @@ def test_partial_sum_validation():
         tau_partial_sum_check(2, [])
 
 
-def test_omega_vs_tau_squarefree_equality(factors_1e5):
+def test_omega_vs_tau_squarefree_equality():
     # for squarefree k the two sides agree exactly
-    taus = tau_table(3, 1000).tau
     for k in (1, 2, 6, 30, 210, 770):
-        assert 3 ** int(factors_1e5.omega[k]) == int(taus[k])
+        assert 3 ** trial_factorize(k).omega == tau_value(3, k)
 
 
-def test_omega_vs_tau_small_cases(factors_1e5):
-    assert 2 ** int(factors_1e5.omega[4]) == 2
+def test_omega_vs_tau_small_cases():
+    assert 2 ** trial_factorize(4).omega == 2
     assert tau_value(2, 4) == 3
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_omega_vs_tau_check_holds(r):
-    assert omega_vs_tau_check(r, 5000)
+    for k in range(1, 5001):
+        assert r ** trial_factorize(k).omega <= tau_value(r, k), k
 
 
 def test_zeta_three():

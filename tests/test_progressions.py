@@ -288,7 +288,7 @@ def decompose_by_loop(mu, x, r, k, l, z, *, scan_crossover=2048):
     return tuple(sums)
 
 
-def test_decompose_scan_and_inclusion_exclusion_agree(factors_1e5):
+def test_decompose_scan_and_inclusion_exclusion_agree(mu_1e5):
     rng = random.Random(23)
     for _ in range(40):
         x = rng.randint(100, 100_000)
@@ -300,8 +300,8 @@ def test_decompose_scan_and_inclusion_exclusion_agree(factors_1e5):
             rep = decompose(x, 2, k, l, z)
         except ValueError:
             continue
-        via_scan = decompose_by_loop(factors_1e5.mu, x, 2, k, l, z, scan_crossover=10**9)
-        via_ie = decompose_by_loop(factors_1e5.mu, x, 2, k, l, z, scan_crossover=0)
+        via_scan = decompose_by_loop(mu_1e5, x, 2, k, l, z, scan_crossover=10**9)
+        via_ie = decompose_by_loop(mu_1e5, x, 2, k, l, z, scan_crossover=0)
         assert via_scan == via_ie == (rep.small_sum, rep.large_sum)
 
 
@@ -319,18 +319,18 @@ def test_decompose_scan_and_inclusion_exclusion_agree(factors_1e5):
         (2, 10_007, 0, 1.0, (0, 0, 0)),
     ],
 )
-def test_decompose_huge_moduli(factors_1e5, r, k, l, z, expected):
+def test_decompose_huge_moduli(mu_1e5, r, k, l, z, expected):
     # k > x, up to k beyond int64: at most n = l lies in the progression
     x = 10_000
     rep = decompose(x, r, k, l, z)
     assert (rep.count, rep.small_sum, rep.large_sum) == expected
     assert rep.count == count_r_free_bruteforce(x, r, k, l)
-    assert (rep.small_sum, rep.large_sum) == decompose_by_loop(factors_1e5.mu, x, r, k, l, z)
+    assert (rep.small_sum, rep.large_sum) == decompose_by_loop(mu_1e5, x, r, k, l, z)
     assert rep.small_main == main_term(x, r, k, l)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
-def test_decompose_many_mixed_batch(factors_1e5, r):
+def test_decompose_many_mixed_batch(mu_1e5, r):
     x = 10_000
     trials = [
         (12, 6, 1.0), (18, 6, 3.5), (7, 3, 2.0), (30, 0, 2.0), (1, 0, 4.0),  # g = 6, 6, 1, 30, 1
@@ -343,12 +343,12 @@ def test_decompose_many_mixed_batch(factors_1e5, r):
     reports = decompose_many(x, r, trials)
     for (k, l, z), rep in zip(trials, reports, strict=True):
         assert (rep.k, rep.l, rep.z) == (k, l, z)
-        assert (rep.small_sum, rep.large_sum) == decompose_by_loop(factors_1e5.mu, x, r, k, l, z)
+        assert (rep.small_sum, rep.large_sum) == decompose_by_loop(mu_1e5, x, r, k, l, z)
         assert rep.small_sum + rep.large_sum == rep.count == count_r_free_bruteforce(x, r, k, l)
         assert rep == decompose(x, r, k, l, z)
 
 
-def test_decompose_many_spans_blocks(factors_1e5):
+def test_decompose_many_spans_blocks(mu_1e5):
     # every admissible class of every k <= 60: the g = 1 rows alone fill more
     # than one block of the split
     x, r = 99_991, 2
@@ -360,7 +360,7 @@ def test_decompose_many_spans_blocks(factors_1e5):
     ]
     reports = decompose_many(x, r, trials)
     for (k, l, z), rep in zip(trials, reports, strict=True):
-        assert (rep.small_sum, rep.large_sum) == decompose_by_loop(factors_1e5.mu, x, r, k, l, z)
+        assert (rep.small_sum, rep.large_sum) == decompose_by_loop(mu_1e5, x, r, k, l, z)
         assert rep.small_sum + rep.large_sum == rep.count
 
 

@@ -3,7 +3,6 @@
 import functools
 import itertools
 import math
-from unittest import mock
 
 import pytest
 
@@ -19,7 +18,6 @@ from rfree import (  # noqa: E402
     decompose,
     decompose_many,
     is_r_free,
-    multiplicative,
     tau_partial_sum_check,
     tau_value,
     trial_factorize,
@@ -67,13 +65,13 @@ def test_count_matches_bruteforce(x, r, k, l_seed):
     l_seed=st.integers(min_value=0, max_value=2**80),
     z_frac=st.floats(min_value=0.0, max_value=1.2),
 )
-def test_split_matches_scalar_loop_and_bruteforce(factors_1e5, x, r, k, l_seed, z_frac):
+def test_split_matches_scalar_loop_and_bruteforce(mu_1e5, x, r, k, l_seed, z_frac):
     l = l_seed % k
     g = math.gcd(l, k)
     assume(is_r_free(g, r))
     z = 1.0 + z_frac * (x / g) ** (1 / r)
     rep = decompose(x, r, k, l, z)
-    assert (rep.small_sum, rep.large_sum) == decompose_by_loop(factors_1e5.mu, x, r, k, l, z)
+    assert (rep.small_sum, rep.large_sum) == decompose_by_loop(mu_1e5, x, r, k, l, z)
     assert rep.small_sum + rep.large_sum == count_r_free_bruteforce(x, r, k, l)
 
 
@@ -93,7 +91,7 @@ def test_split_matches_scalar_loop_and_bruteforce(factors_1e5, x, r, k, l_seed, 
         max_size=10,
     ),
 )
-def test_split_batch_matches_scalar_loop_and_bruteforce(factors_1e5, x, r, draws):
+def test_split_batch_matches_scalar_loop_and_bruteforce(mu_1e5, x, r, draws):
     trials = []
     for k, l_seed, factor, z_frac in draws:
         l = l_seed * factor % k
@@ -107,7 +105,7 @@ def test_split_batch_matches_scalar_loop_and_bruteforce(factors_1e5, x, r, draws
     assert len(reports) == len(trials)
     for (k, l, z), rep in zip(trials, reports):
         assert (rep.k, rep.l, rep.z) == (k, l, z)
-        assert (rep.small_sum, rep.large_sum) == decompose_by_loop(factors_1e5.mu, x, r, k, l, z)
+        assert (rep.small_sum, rep.large_sum) == decompose_by_loop(mu_1e5, x, r, k, l, z)
         assert rep.small_sum + rep.large_sum == rep.count == count_r_free_bruteforce(x, r, k, l)
 
 
@@ -128,12 +126,9 @@ def _tau_prefix_sums(r):
 @given(
     xs=st.lists(st.integers(min_value=3, max_value=3000), min_size=1, max_size=4),
     r=st.integers(min_value=1, max_value=5),
-    window=st.sampled_from([64, 100, 1 << 16]),
 )
-def test_tau_partial_sums_match_tau_value(xs, r, window):
-    # each window's square exceeds 3000, so the short ones stay exact
-    with mock.patch.object(multiplicative, "_TAU_WINDOW", window):
-        rows = tau_partial_sum_check(r, xs)
+def test_tau_partial_sums_match_tau_value(xs, r):
+    rows = tau_partial_sum_check(r, xs)
     assert [row.x for row in rows] == xs
     assert [row.total for row in rows] == [_tau_prefix_sums(r)[x] for x in xs]
 

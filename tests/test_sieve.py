@@ -11,13 +11,12 @@ import rfree.sieve as sieve
 from conftest import r_free_flags
 from rfree import (
     ConfigError,
-    FactorTable,
     Factorization,
     ResourceLimitError,
     cached_counts,
     count_r_free_bruteforce,
-    factor_sieve,
     is_r_free,
+    mobius_sieve,
     mu_r_direct,
     r_free_counts,
     save_cache,
@@ -36,8 +35,7 @@ def test_limit_one(tmp_path):
     assert save_cache(path, 1, {2}) == [1]
     # np.packbits order: n = 0 in the high bit, then n = 1, then zero pad bits
     assert path.read_bytes()[-1:] == bytes([0b0100_0000])
-    table = factor_sieve(1)
-    assert (table.mu[1], table.omega[1]) == (1, 0)
+    assert mobius_sieve(1).tolist() == [0, 1]
 
 
 def test_cubefree_count_to_hundred():
@@ -146,10 +144,10 @@ def _mobius(n):
     return -sign if m > 1 else sign
 
 
-def test_factorization_product_invariant(factors_1e5):
+def test_factorization_product_invariant():
     rng = random.Random(1)
     for _ in range(200):
-        n = rng.randint(1, factors_1e5.limit)
+        n = rng.randint(1, 100_000)
         fact = trial_factorize(n)
         prod = 1
         for p, e in fact.factors:
@@ -157,7 +155,6 @@ def test_factorization_product_invariant(factors_1e5):
         assert prod == n
         primes = [p for p, _ in fact.factors]
         assert primes == sorted(primes)
-        assert fact.omega == int(factors_1e5.omega[n])
 
 
 def test_factorization_rejects_wrong_product():
@@ -189,34 +186,34 @@ def test_sieve_matches_direct_sum_sample(r):
         assert int(flags[n]) == mu_r_direct(n, r), (n, r)
 
 
-def test_mu_zero_iff_not_squarefree(factors_1e5):
-    mu = factors_1e5.mu[1:]
+def test_mu_zero_iff_not_squarefree(mu_1e5):
+    mu = mu_1e5[1:]
     sf = r_free_flags(100_000, 2)[1:]
     assert np.array_equal(mu != 0, sf == 1)
 
 
-def test_flags_match_factorizations(factors_1e5):
+def test_flags_match_factorizations():
     # an independent construction: the flags come from p^r strides, the
     # exponents from trial division
-    top = np.zeros(factors_1e5.limit + 1, dtype=np.int64)
-    for n in range(1, factors_1e5.limit + 1):
+    top = np.zeros(100_001, dtype=np.int64)
+    for n in range(1, 100_001):
         top[n] = max((e for _, e in trial_factorize(n).factors), default=0)
     for r in (2, 3, 4):
         assert np.array_equal(r_free_flags(100_000, r)[1:] == 1, top[1:] < r), r
 
 
-def test_sieve_factors_are_root_prefix(factors_1e5):
+def test_sieve_factors_are_root_prefix(mu_1e5):
     # the Mobius sums read mu over [0, x^(1/r)], sieved on its own
     for r, root in ((2, 317), (3, 47)):
         mu = _root_mu(100_000, r)
-        assert mu.dtype == factors_1e5.mu.dtype
-        assert np.array_equal(mu, factors_1e5.mu[:root]), r
+        assert mu.dtype == mu_1e5.dtype == np.int8
+        assert np.array_equal(mu, mu_1e5[:root]), r
 
 
-def test_mu_prime_values(factors_1e5):
+def test_mu_prime_values(mu_1e5):
     for p in (2, 3, 5, 7, 11, 99991):
-        assert factors_1e5.mu[p] == -1
-    assert factors_1e5.mu[1] == 1
+        assert mu_1e5[p] == -1
+    assert mu_1e5[1] == 1
 
 
 def test_density_near_zeta_inverse():
@@ -227,14 +224,12 @@ def test_density_near_zeta_inverse():
 def test_factor_tables_match_trial_division():
     # whole-range oracle: every n <= 2*10^4 against trial division
     limit = 20_000
-    table = factor_sieve(limit)
+    mu = mobius_sieve(limit)
+    assert mu.shape == (limit + 1,) and mu[0] == 0
     for n in range(1, limit + 1):
-        fact = trial_factorize(n)
-        factors = fact.factors
+        factors = trial_factorize(n).factors
         squarefree = all(e == 1 for _, e in factors)
-        assert table.mu[n] == ((-1) ** len(factors) if squarefree else 0), n
-        assert table.omega[n] == len(factors), n
-    assert (table.mu[0], table.omega[0]) == (0, 0)
+        assert mu[n] == ((-1) ** len(factors) if squarefree else 0), n
 
 
 def test_build_validation(tmp_path):
@@ -244,28 +239,32 @@ def test_build_validation(tmp_path):
         save_cache(tmp_path / "c.rfsv", -1, {2})
     assert list(tmp_path.iterdir()) == []  # refused before any file is opened
     with pytest.raises(ValueError):
-        factor_sieve(0)
+        mobius_sieve(0)
 
 
 def test_memory_budget_named_in_error():
-    # 2 bytes per n of 1.5e9: below 2**32 but over the 2 GiB budget,
+    # one byte per n of 2.2e9: below 2**32 but over the 2 GiB budget,
     # refused before allocating
-    with pytest.raises(ResourceLimitError, match="budget"):
-        factor_sieve(3 * 10**9 // 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="budget"):
+            mobius_sieve(2_200_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_limit_beyond_32bit_rejected(tmp_path):
     with pytest.raises(ResourceLimitError, match="int64 Mobius sums"):
-        factor_sieve(2**32)
+        mobius_sieve(2**32)
     with pytest.raises(ValueError, match="outside"):
         save_cache(tmp_path / "c.rfsv", 2**32, {2})
 
 
-def test_tables_are_read_only(factors_1e5):
+def test_tables_are_read_only(mu_1e5):
     with pytest.raises(ValueError):
-        factors_1e5.mu[5] = 0
-    with pytest.raises(ValueError):
-        factors_1e5.omega[5] = 0
+        mu_1e5[5] = 0
 
 
 def test_is_r_free_trial():
@@ -275,14 +274,13 @@ def test_is_r_free_trial():
     assert is_r_free(1, 2)
 
 
-def test_trial_factorize_matches_table(factors_1e5):
+def test_trial_factorize_matches_table(mu_1e5):
     rng = random.Random(4)
     for _ in range(100):
-        n = rng.randint(1, factors_1e5.limit)
+        n = rng.randint(1, 100_000)
         fact = trial_factorize(n)
-        assert int(factors_1e5.omega[n]) == fact.omega
         squarefree = all(e == 1 for _, e in fact.factors)
-        assert int(factors_1e5.mu[n]) == ((-1) ** fact.omega if squarefree else 0)
+        assert int(mu_1e5[n]) == ((-1) ** fact.omega if squarefree else 0)
 
 
 def _saved_bytes(tmp_path) -> bytes:
@@ -363,15 +361,6 @@ def test_cache_save_replaces_atomically(tmp_path, monkeypatch):
     save_cache(path, 10_000, {2, 3})
     assert cached_counts(path, 10_000, [2])[0] == 10_000
     assert [p.name for p in tmp_path.iterdir()] == ["sieve.rfsv"]
-
-
-def test_table_rejects_short_arrays():
-    full = np.ones(11, dtype=np.int8)  # [0, 10]
-    with pytest.raises(ValueError, match="does not cover"):
-        FactorTable(10, full, full[:10])
-    with pytest.raises(ValueError, match="does not cover"):
-        FactorTable(10, full[:4], full)
-    FactorTable(10, full, full)
 
 
 # offset 21 is the low byte of the first r value: flipping it turns r=2

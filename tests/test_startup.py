@@ -48,6 +48,14 @@ def test_help_refusal_and_residues_load_no_numpy(capsys):
         assert done.stdout == capsys.readouterr().out
 
 
+def test_tau_sum_loads_no_numpy(capsys):
+    argv = ["tau-sum", "--r", "3", "--x", "1e4,1e6"]
+    done = run_rfree(*argv, python_flags=("-X", "importtime"))
+    assert done.returncode == 0, done.stderr
+    assert "numpy" not in _imported(done.stderr)
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out
+
 def test_lazy_exports_resolve_to_their_definitions():
     for name in rfree.__all__:
         obj = getattr(rfree, name)
