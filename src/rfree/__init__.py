@@ -1,9 +1,9 @@
 """Exact distribution of r-free numbers in arithmetic progressions.
 
 A positive integer is r-free when no r-th power of a prime divides it
-(r = 2: the squarefree numbers).  This package builds sieve tables for the
-relevant arithmetic functions, counts r-free numbers in progressions
-exactly, evaluates Euler-product main terms and error terms, verifies the
+(r = 2: the squarefree numbers).  This package counts r-free numbers up
+to x and in progressions exactly (by a windowed sieve that holds no
+table), evaluates Euler-product main terms and error terms, verifies the
 small-d/large-d split of the count as an exact identity, counts power
 residues mod s, and drives averaged worst-case error experiments over
 sweeps of moduli.
@@ -45,7 +45,7 @@ _EXPORTS = {
         "residues",
     ),
     **dict.fromkeys(
-        ("cached_counts", "mobius_sieve", "r_free_counts", "save_cache", "small_primes"),
+        ("mobius_sieve", "r_free_counts", "save_cache", "small_primes"),
         "sieve",
     ),
 }

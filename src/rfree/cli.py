@@ -62,14 +62,32 @@ def _parse_int_list(text: str) -> list[int]:
     return [_parse_int(part) for part in text.split(",") if part.strip()]
 
 
+def _refuse_non_cache(path) -> None:
+    """Raise ConfigError if a file at ``path`` does not begin with ``RFSV``,
+    the magic of every sieve cache version, so that ``sieve --cache`` never
+    overwrites a file it did not write.  Only those four bytes are read."""
+    from .sieve import _CACHE_MAGIC
+
+    prefix = _CACHE_MAGIC[:4]
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(len(prefix))
+    except FileNotFoundError:
+        return
+    if head != prefix:
+        raise ConfigError(
+            f"{path} exists and is not a sieve cache (it does not begin with "
+            "RFSV); refusing to overwrite it"
+        )
+
+
 def _cmd_sieve(args) -> int:
     import time
-    from pathlib import Path
 
-    from .sieve import _packed_size, cached_counts, r_free_counts, save_cache
+    from .sieve import _packed_size, r_free_counts, save_cache
 
     rs = sorted(set(_parse_int_list(args.r)))
-    # refused before any cache is read: deleting the cache would not help
+    # refused before the cache path is opened
     if not rs:
         raise ConfigError("--r must name at least one r value")
     if rs[0] < 2:
@@ -77,20 +95,17 @@ def _cmd_sieve(args) -> int:
     if args.limit < 1:
         raise ConfigError(f"limit must be >= 1, got {args.limit}")
     start = time.perf_counter()
-    limit, held = args.limit, tuple(rs)
-    if not args.cache:
-        totals, source = [r_free_counts([limit], r)[0] for r in rs], "built"
-    elif Path(args.cache).exists():
-        limit, held, totals = cached_counts(args.cache, limit, rs)
-        source = "loaded from the cache"
+    if args.cache:
+        _refuse_non_cache(args.cache)
+        totals, source = save_cache(args.cache, args.limit, rs), "built and saved"
     else:
-        totals, source = save_cache(args.cache, limit, rs), "built and saved"
+        totals, source = [r_free_counts([args.limit], r)[0] for r in rs], "built"
     elapsed = time.perf_counter() - start
     for r, total in zip(rs, totals):
         print(f"r={r}: {total} r-free integers <= {args.limit}")
     print(
-        f"{source} in {elapsed:.3f}s (limit {limit}, rs {held}, "
-        f"{len(held) * _packed_size(limit)} flag bytes)"
+        f"{source} in {elapsed:.3f}s (limit {args.limit}, rs {tuple(rs)}, "
+        f"{len(rs) * _packed_size(args.limit)} flag bytes)"
     )
     return EXIT_OK
 
@@ -249,7 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sieve", help="count the r-free integers up to --limit")
     p.add_argument("--limit", type=_int_option, required=True)
     p.add_argument("--r", required=True, help="comma-separated r values")
-    p.add_argument("--cache", default=None)
+    p.add_argument("--cache", default=None,
+                   help="also write the packed flags to this RFSV2 file, replacing "
+                   "any sieve cache there; the file is written, never read")
     p.set_defaults(func=_cmd_sieve)
 
     p = sub.add_parser("tau-sum", help="partial sums of tau_r as CSV")

@@ -2,7 +2,9 @@
 
 
 class ResourceLimitError(RuntimeError):
-    """A requested table would exceed the configured memory budget."""
+    """A request is refused for its size, before any work starts: a table
+    over the memory budget, an x or limit not below 2**32, or a tau-sum
+    whose estimated cost exceeds its budget."""
 
 
 class ConfigError(ValueError):

@@ -37,6 +37,10 @@ _ZETA_PIECE = 1 << 17  # float64 terms per np.sum in zeta: 1 MiB
 # hyperbola takes O(x^(3/4)) steps, and at x = 2**32 - 1 the sum took
 # 0.1 s at r = 2, 10-12 s at r = 3 and 18 s at r = 4 (2-core VM)
 _TAU_CEILING = 2**32
+# the steps of the levels j < r, (r - 2) * x^(3/4) summed over the xs, that
+# tau_partial_sum_check admits: r = 4 at any x < 2**32.  A step took about
+# 0.4-0.5 us at x = 1e8 (2-core VM), so the budget is about 15 s of work
+_TAU_STEP_BUDGET = 2 * 2**24
 
 
 def zeta(r: int) -> float:
@@ -180,8 +184,9 @@ def tau_partial_sum_check(r: int, xs: Sequence[int]) -> list[TauSumRow]:
     checks pin that down numerically.  Each total is ``_tau_sum(r, x)``,
     an exact integer.  Raises, before any sum is formed, ValueError unless
     xs is nonempty, every x >= 3 and r >= 1, ResourceLimitError unless
-    every x < 2**32, and OverflowError if a normalization is not a finite
-    float.
+    every x < 2**32, OverflowError if a normalization is not a finite
+    float, and ResourceLimitError if the levels below r would take more
+    than ``_TAU_STEP_BUDGET`` steps.
     """
     xs = [int(x) for x in xs]
     if not xs:
@@ -203,6 +208,14 @@ def tau_partial_sum_check(r: int, xs: Sequence[int]) -> list[TauSumRow]:
         norms = [math.inf]
     if not all(map(math.isfinite, norms)):
         raise OverflowError(f"x * (log x)^{r - 1} overflows a float for some x of {xs}")
+    # floor(x^(3/4)) exactly, as the floor of the 4th root of x^3
+    steps = max(r - 2, 0) * sum(math.isqrt(math.isqrt(x**3)) for x in xs)
+    if steps > _TAU_STEP_BUDGET:
+        raise ResourceLimitError(
+            f"the sums at r={r} would take about {steps:.3g} steps, (r - 2) * x^(3/4) "
+            f"summed over the xs, more than the budget of {_TAU_STEP_BUDGET} (r = 4 "
+            "at x just below 2**32, about 15 s)"
+        )
     rows = []
     for x, norm in zip(xs, norms):
         total = _tau_sum(r, x)

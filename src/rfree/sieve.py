@@ -13,8 +13,8 @@ counts by strides and ``save_cache`` packs into its file.
 * ``save_cache(path, limit, rs)`` writes the flags of [0, limit] for each
   r, packed eight to a byte as ``np.packbits`` packs them (n = 0 in the
   high bit of byte 0, zero pad bits after n = limit), and returns the
-  totals; ``cached_counts(path, x, rs)`` checks such a file and counts its
-  bits up to x.  Neither holds more than one window or one chunk of it.
+  totals, holding one window and its packed bytes.  The file is written
+  and never read: no function of the package parses it.
 * ``mobius_sieve(N)`` gives the Mobius function of every n in [0, N] as
   a read-only int8 array, in one pass over the prime powers of
   ``_prime_powers``.  The Mobius sums read it up to x^(1/r).
@@ -36,7 +36,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, ResourceLimitError
+from .errors import ResourceLimitError
 
 _MEMORY_BUDGET = 2 * 1024**3  # bytes of finished tables
 # every table limit and every x lies below this, where the arithmetic is
@@ -205,13 +205,11 @@ def r_free_counts(xs: Iterable[int], r: int) -> list[int]:
 # The flags of each r, in the order of the r values (ascending), are
 # (limit + 8) // 8 bytes: one bit per n in [0, limit] in np.packbits order
 # (the flag of n in bit 7 - n % 8 of byte n // 8), pad bits zero.  The
-# crc32 covers every byte after itself.  A file whose size differs from
-# what its header implies, whose checksum fails or whose pad bits are not
-# zero is refused.
+# crc32 covers every byte after itself.  The package writes this format
+# and reads none of it back.
 # ---------------------------------------------------------------------------
 
 _CACHE_MAGIC = b"RFSV2"
-_OLD_MAGIC = b"RFSV1"
 _HEAD = 5 + 4 + 8 + 4  # magic, crc32, limit, #r
 
 
@@ -270,84 +268,3 @@ def save_cache(path, limit: int, rs: Iterable[int]) -> list[int]:
         if os.path.exists(tmp):  # the write failed before the replace
             os.unlink(tmp)
     return counts
-
-
-def cached_counts(path, x: int, rs: list[int]) -> tuple[int, tuple[int, ...], list[int]]:
-    """(limit, held, counts): the limit and the r values of a file written
-    by :func:`save_cache`, and #{1 <= n <= x : n r-free} for each r of
-    ``rs``, counted from the file's flag bits.
-
-    The file is read in chunks of at most ``_COUNT_WINDOW // 8`` bytes, each
-    checksummed and popcounted as it comes.  Raises ConfigError unless the
-    file carries the current magic, its size is exactly what its header
-    implies (checked before any flag byte is read), its checksum matches,
-    every pad bit past its limit is zero, its limit is at least x and it
-    holds every r of ``rs``, in that order, so no count comes from a file
-    that fails its checksum.
-    """
-    with open(path, "rb") as fh:
-        head = fh.read(_HEAD)
-        magic = head[:5]
-        if magic == _OLD_MAGIC:
-            raise ConfigError(
-                f"{path} is a sieve cache in the older RFSV1 format, "
-                "which this version does not read; delete it and rebuild"
-            )
-        if magic != _CACHE_MAGIC:
-            raise ConfigError(f"{path} is not a sieve cache file: bad magic {magic!r}")
-        if len(head) < _HEAD:
-            raise ConfigError(f"sieve cache {path} is cut short inside its header")
-        crc = int(np.frombuffer(head, dtype="<u4", count=1, offset=5)[0])
-        limit = int(np.frombuffer(head, dtype="<u8", count=1, offset=9)[0])
-        n_rs = int(np.frombuffer(head, dtype="<u4", count=1, offset=17)[0])
-        size = os.fstat(fh.fileno()).st_size
-        expected = _cache_size(limit, n_rs)
-        if size != expected:
-            raise ConfigError(
-                f"sieve cache {path} is {size} bytes, but its header "
-                f"(limit={limit}, {n_rs} r values) implies {expected}; "
-                "delete it to rebuild"
-            )
-        r_values = fh.read(4 * n_rs)
-        actual = zlib.crc32(r_values, zlib.crc32(head[9:]))  # every byte after the crc32
-        held = tuple(int(v) for v in np.frombuffer(r_values, dtype="<u4"))
-        top = min(x, limit)  # a limit below x is refused once the checksum is known
-        stop = top // 8 + 1  # the bytes that hold n <= top
-        past_top = (1 << (7 - top % 8)) - 1  # the bits of n > top in byte top // 8
-        flag_bytes = _packed_size(limit)
-        # chunks of at most _COUNT_WINDOW // 8 bytes, one of them ending at
-        # byte top // 8, so that each is counted whole or not at all
-        edges = [
-            *range(0, stop, _COUNT_WINDOW // 8),
-            *range(stop, flag_bytes, _COUNT_WINDOW // 8),
-            flag_bytes,
-        ]
-        counts, last_bytes = {}, {}
-        for r in held:
-            count = 0
-            for lo, hi in zip(edges, edges[1:]):
-                chunk = fh.read(hi - lo)
-                actual = zlib.crc32(chunk, actual)
-                if r in rs and hi <= stop:
-                    count += int.from_bytes(chunk, "big").bit_count()
-                    if hi == stop:
-                        count -= (chunk[-1] & past_top).bit_count()
-            counts[r], last_bytes[r] = count, chunk[-1]
-    if actual != crc:
-        raise ConfigError(
-            f"sieve cache {path} fails its checksum (crc32 {actual:#010x}, "
-            f"header says {crc:#010x}); delete it to rebuild"
-        )
-    pad = (1 << (7 - limit % 8)) - 1  # the bits of n = limit + 1, ... in the last byte
-    for r, last in last_bytes.items():
-        if last & pad:
-            raise ConfigError(
-                f"sieve cache {path} sets pad bits past limit={limit} in the "
-                f"flags of r={r}, which save_cache never writes; delete it to rebuild"
-            )
-    if limit < x or not set(rs) <= set(held):
-        raise ConfigError(
-            f"cache {path} holds limit={limit}, rs={held}; "
-            f"need limit>={x}, rs={rs} (delete it to rebuild)"
-        )
-    return limit, held, [counts[r] for r in rs]

@@ -5,14 +5,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 
 import math
 import random
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
 
-from conftest import r_free_flags
+from conftest import r_free_flags, run_rfree
 from rfree import (
     ExperimentConfig,
     count_r_free_in_progression,
@@ -194,15 +192,10 @@ def test_criterion_8_determinism_across_workers(tmp_path):
     outputs = []
     for threads in ("1", "2", "8"):
         out = tmp_path / f"run{threads}.csv"
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "rfree.cli", "bv-sum",
-                "--r", "2", "--A", "1", "--x", "1e4,1e5",
-                "--threads", threads, "--csv", str(out),
-                "--cache", str(cache), "--timing", "none",
-            ],
-            capture_output=True,
-            text=True,
+        proc = run_rfree(
+            "bv-sum", "--r", "2", "--A", "1", "--x", "1e4,1e5",
+            "--threads", threads, "--csv", str(out),
+            "--cache", str(cache), "--timing", "none",
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())

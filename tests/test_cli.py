@@ -2,13 +2,17 @@ import builtins
 import contextlib
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import zlib
 from pathlib import Path
 
 import pytest
 
+from conftest import SRC
 from rfree import count_r_free_bruteforce, r_free_counts, sieve, tau_value
 from rfree.cli import _parse_int, main
 
@@ -32,35 +36,42 @@ def test_sieve_command_with_cache(tmp_path, capsys):
     first = capsys.readouterr().out
     assert "r=2: 608" in first
     assert first.splitlines()[-1].startswith("built and saved in ")
-    assert cache.exists()
+    written = cache.read_bytes()
+    # a second run sieves again and rewrites the same bytes
     assert main(["sieve", "--limit", "1000", "--r", "2,3", "--cache", str(cache)]) == 0
     second = capsys.readouterr().out
     assert second.splitlines()[:2] == first.splitlines()[:2]
-    assert second.splitlines()[-1].startswith("loaded from the cache in ")
+    assert second.splitlines()[-1].startswith("built and saved in ")
     # the flags of r = 2 and 3, 126 packed bytes each
     assert second.splitlines()[-1].endswith("(limit 1000, rs (2, 3), 252 flag bytes)")
+    assert cache.read_bytes() == written
+    assert [p.name for p in tmp_path.iterdir()] == ["s.rfsv"]
 
 
 def test_sieve_golden_cache_bytes_and_stdout(tmp_path, capsys):
     # the RFSV2 file and the stdout, timing masked, without a cache, cold,
-    # warm and at a smaller limit from the larger cache
+    # again over the file it wrote, and at a smaller limit, which rewrites it
     cache = str(tmp_path / "s.rfsv")
     counts = "r=2: 60797 r-free integers <= 100003\nr=3: 83193 r-free integers <= 100003\n"
     tail = " in N.NNNs (limit 100003, rs (2, 3), 25002 flag bytes)\n"
+    golden = "6f5fa12e5798d6e9eeaf684e0e61ff3835fbd4c422eeac673668b514d415e17c"
     runs = [
         (["--limit", "100003"], counts + "built" + tail),
         (["--limit", "100003", "--cache", cache], counts + "built and saved" + tail),
-        (["--limit", "100003", "--cache", cache], counts + "loaded from the cache" + tail),
-        (["--limit", "99999", "--cache", cache],
-         "r=2: 60794 r-free integers <= 99999\nr=3: 83190 r-free integers <= 99999\n"
-         "loaded from the cache" + tail),
+        (["--limit", "100003", "--cache", cache], counts + "built and saved" + tail),
     ]
     for args, expected in runs:
         assert main(["sieve", *args, "--r", "2,3"]) == 0
         assert re.sub(r" in \d+\.\d{3}s ", " in N.NNNs ", capsys.readouterr().out) == expected
-    assert hashlib.sha256(Path(cache).read_bytes()).hexdigest() == (
-        "6f5fa12e5798d6e9eeaf684e0e61ff3835fbd4c422eeac673668b514d415e17c"
+        if "--cache" in args:
+            assert hashlib.sha256(Path(cache).read_bytes()).hexdigest() == golden
+    assert main(["sieve", "--limit", "99999", "--r", "2,3", "--cache", cache]) == 0
+    assert re.sub(r" in \d+\.\d{3}s ", " in N.NNNs ", capsys.readouterr().out) == (
+        "r=2: 60794 r-free integers <= 99999\nr=3: 83190 r-free integers <= 99999\n"
+        "built and saved in N.NNNs (limit 99999, rs (2, 3), 25000 flag bytes)\n"
     )
+    sieve.save_cache(tmp_path / "fresh.rfsv", 99999, [2, 3])
+    assert Path(cache).read_bytes() == (tmp_path / "fresh.rfsv").read_bytes()
 
 
 def test_sieve_prints_each_r_once(capsys):
@@ -82,6 +93,7 @@ def test_sieve_refuses_empty_r_before_reading_cache(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--r must name at least one r value" in captured.err
+    assert cache.read_bytes() == b"not a cache"
 
 
 def test_sieve_refuses_r_below_2_before_reading_cache(tmp_path, capsys):
@@ -98,70 +110,86 @@ def test_sieve_refuses_r_below_2_before_reading_cache(tmp_path, capsys):
 
 @pytest.mark.parametrize("limit", range(1000, 1008))  # every limit mod 8
 def test_sieve_totals_match_r_free_counts(tmp_path, capsys, monkeypatch, limit):
-    # a 64-flag window makes the save pack several windows and the load
-    # popcount several chunks of 8 bytes, one of them ending at the limit
+    # a 64-flag window makes the save pack several windows, the last of
+    # them cut at the limit
     monkeypatch.setattr(sieve, "_COUNT_WINDOW", 64)
     expected = [
         f"r={r}: {r_free_counts([limit], r)[0]} r-free integers <= {limit}" for r in (2, 3)
     ]
     cache, wider = str(tmp_path / "s.rfsv"), str(tmp_path / "wider.rfsv")
-    # cold, warm, without a cache, and from a cache whose flags go past limit
+    # cold, over the file it wrote, without a cache, and over a cache
+    # written at a larger limit
     assert main(["sieve", "--limit", str(limit + 9), "--r", "2,3", "--cache", wider]) == 0
     capsys.readouterr()
     for extra in (["--cache", cache], ["--cache", cache], [], ["--cache", wider]):
         assert main(["sieve", "--limit", str(limit), "--r", "2,3", *extra]) == 0
         assert capsys.readouterr().out.splitlines()[:2] == expected, extra
+    assert Path(wider).read_bytes() == Path(cache).read_bytes()
 
 
-def test_sieve_cache_mismatch_is_config_error(tmp_path, capsys):
+def _damaged_cache(path, damage):
+    """Write at ``path`` a sieve cache of limit 1e4, r = 2, 3, damaged as
+    named, or a true cache of another limit or other r values."""
+    if damage == "other limit":
+        sieve.save_cache(path, 1000, [2, 3])
+        return
+    if damage == "other r":
+        sieve.save_cache(path, 10_000, [2])
+        return
+    sieve.save_cache(path, 10_000, [2, 3])
+    raw = bytearray(path.read_bytes())
+    if damage == "cut 700":
+        raw = raw[:-700]
+    elif damage == "cut header":
+        raw = raw[:10]
+    elif damage == "trailing byte":
+        raw += b"\x00"
+    elif damage == "old format":
+        raw[:5] = b"RFSV1"
+    elif damage.startswith("flipped "):
+        # byte 21 is the first r value's low byte (r=2 becomes r=3); 129
+        # and -700 lie in the flags of r = 2 and r = 3
+        raw[int(damage.split()[1])] ^= 0x01
+    else:  # "pad bit": the last pad bit of r = 3, the checksum made to match
+        raw[-1] |= 0x01
+        raw[5:9] = zlib.crc32(raw[9:]).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("damage", [
+    "cut 700", "cut header", "trailing byte", "old format", "flipped 21",
+    "flipped 129", "flipped -700", "pad bit", "other limit", "other r",
+])
+def test_sieve_rewrites_damaged_cache(tmp_path, capsys, damage):
+    # no file is read: whatever RFSV file lies at the path, sieve prints
+    # the true counts and replaces it with the true file
     cache = tmp_path / "s.rfsv"
-    assert main(["sieve", "--limit", "1000", "--r", "2", "--cache", str(cache)]) == 0
-    capsys.readouterr()
-    code = main(["sieve", "--limit", "2000", "--r", "2", "--cache", str(cache)])
-    assert code == 2
-    assert "cache" in capsys.readouterr().err
-    # the cache holds r = 2 only
-    code = main(["sieve", "--limit", "1000", "--r", "2,3", "--cache", str(cache)])
-    assert code == 2
+    _damaged_cache(cache, damage)
+    assert main(["sieve", "--limit", "1e4", "--r", "2,3", "--cache", str(cache)]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "rs=(2,)" in captured.err and "delete it to rebuild" in captured.err
-    # a limit below 1 is refused as without a cache, not blamed on the cache
-    assert main(["sieve", "--limit", "-5", "--r", "2", "--cache", str(cache)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "limit must be >= 1" in captured.err
+    assert captured.err == ""
+    assert captured.out.splitlines()[:2] == [
+        f"r={r}: {r_free_counts([10_000], r)[0]} r-free integers <= 10000" for r in (2, 3)
+    ]
+    sieve.save_cache(tmp_path / "true.rfsv", 10_000, [2, 3])
+    assert cache.read_bytes() == (tmp_path / "true.rfsv").read_bytes()
 
 
-# 21 is the first r value's low byte (r=2 becomes r=3); 29 + 100 lies in
-# the flags of the first of the two r
-@pytest.mark.parametrize("at", [21, 29 + 100])
-def test_sieve_refuses_flipped_two_r_cache(tmp_path, capsys, at):
+@pytest.mark.parametrize("argv,message", [
+    ("--limit 1e4 --r 1", "every r must be >= 2"),
+    ("--limit 1e4 --r ,", "--r must name at least one r value"),
+    ("--limit -5 --r 2", "limit must be >= 1"),
+    ("--limit 5e9 --r 2", "outside [0, 2**32)"),
+])
+def test_sieve_refused_options_leave_cache_untouched(tmp_path, capsys, argv, message):
     cache = tmp_path / "s.rfsv"
-    argv = ["sieve", "--limit", "1e4", "--r", "2,3", "--cache", str(cache)]
-    assert main(argv) == 0
-    raw = bytearray(cache.read_bytes())
-    raw[at] ^= 0x01
-    cache.write_bytes(bytes(raw))
-    capsys.readouterr()
-    assert main(argv) == 2
+    _damaged_cache(cache, "cut 700")
+    before = cache.read_bytes()
+    assert _exit_code(["sieve", *argv.split(), "--cache", str(cache)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "config error" in captured.err and "checksum" in captured.err
-
-
-def test_sieve_refuses_cache_with_pad_bit(tmp_path, capsys):
-    cache = tmp_path / "s.rfsv"
-    argv = ["sieve", "--limit", "1e4", "--r", "2,3", "--cache", str(cache)]
-    assert main(argv) == 0
-    raw = bytearray(cache.read_bytes())
-    raw[-1] |= 0x01  # the last pad bit of r = 3; the checksum is made to match
-    raw[5:9] = zlib.crc32(raw[9:]).to_bytes(4, "little")
-    cache.write_bytes(bytes(raw))
-    capsys.readouterr()
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "config error" in captured.err and "pad bits" in captured.err
+    assert captured.out == "" and message in captured.err
+    assert cache.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["s.rfsv"]
 
 
 @pytest.mark.parametrize("damage", ["cut", "flipped", "missing directory"])
@@ -197,6 +225,58 @@ def test_error_cache_has_no_effect(tmp_path, capsys, monkeypatch, damage):
     assert int(row[header.index("R")]) == count_r_free_bruteforce(10**4, 3, 1, 0)
     assert str(cache) not in opened
     assert not (tmp_path / "missing").exists()
+
+
+# runs ``main(argv)`` and prints, as the last line of stderr, every file
+# open under the path given first that an audit hook saw: [path, mode]
+_AUDITED_MAIN = """
+import json, os, sys
+from rfree.cli import main
+watched, argv = sys.argv[1], sys.argv[2:]
+opens = []
+def hook(event, args):
+    if event == "open" and isinstance(args[0], (str, os.PathLike)):
+        if os.fspath(args[0]).startswith(watched):
+            opens.append([os.fspath(args[0]), args[1]])
+sys.addaudithook(hook)
+code = main(argv)
+print(json.dumps(opens), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    "sieve --limit 1e4 --r 2,3 --cache {cache}",
+    "error --x 1e4 --r 3 --k 1 --l 0 --cache {cache}",
+    "bv-sum --r 2 --A 1 --x 1e4 --timing none --cache {cache}",
+])
+def test_no_command_reads_a_cache(tmp_path, argv):
+    # each command, pointed at a cache cut 700 bytes short, prints the true
+    # output; error and bv-sum open nothing at the path, and sieve opens it
+    # once, read-only, for the four magic bytes of its overwrite guard, and
+    # writes the flags to a temporary file beside it
+    cache = tmp_path / "s.rfsv"
+    _damaged_cache(cache, "cut 700")
+    done = subprocess.run(
+        [sys.executable, "-c", _AUDITED_MAIN, str(cache), *argv.format(cache=cache).split()],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    opens = json.loads(done.stderr.splitlines()[-1])
+    command = argv.split()[0]
+    if command == "sieve":
+        assert done.stdout.splitlines()[:2] == [
+            f"r={r}: {r_free_counts([10_000], r)[0]} r-free integers <= 10000" for r in (2, 3)
+        ]
+        # the audit event gives the mode without its "b"
+        assert opens[0] == [str(cache), "r"]
+        assert [mode for _, mode in opens[1:]] == ["w"]
+        assert re.fullmatch(re.escape(str(cache)) + r"\.\d+\.tmp", opens[1][0])
+    else:
+        assert opens == []
+    if command == "error":
+        header, row = (line.split(",") for line in done.stdout.splitlines())
+        assert int(row[header.index("R")]) == count_r_free_bruteforce(10**4, 3, 1, 0)
 
 
 def test_error_csv(capsys):
@@ -572,6 +652,7 @@ def _exit_code(argv):
     "sieve --limit 5e9 --r 2 --cache {tmp}/c.rfsv",
     "tau-sum --r 2 --x 5e9",
     "tau-sum --r 0 --x 100",
+    "tau-sum --r 200 --x 4e9,3",
     "verify-lemmas --x 1e4 --r 2 --trials -1",
     "verify-lemmas --x 1e4 --r 2 --trials 0",
     "error --x 1e4 --r 2 --k 3 --l 1 --z nan",

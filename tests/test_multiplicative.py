@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import rfree.multiplicative as mult
 from rfree import (
     ResourceLimitError,
     f_value,
@@ -180,7 +181,7 @@ def _tau_by_convolution(r, limit):
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 4, 8, 9, 30, 97, 3000])
-def test_tau_table_matches_convolution(limit):
+def test_tau_value_matches_convolution(limit):
     for r in (1, 2, 3, 4, 7):
         values = [0] + [tau_value(r, n) for n in range(1, limit + 1)]
         assert values == _tau_by_convolution(r, limit).tolist(), r
@@ -244,7 +245,7 @@ def test_tau_validation():
         tau_partial_sum_check(2**62, [3])
 
 
-def test_tau_table_matches_formula():
+def test_tau_sum_matches_prefix_sums_of_tau_value():
     # the sums at every x >= 3 up to 2000, so each tau_r(n), n >= 4, is a
     # difference of two of them; the floor values x // m cross between the
     # lists held for m <= top and for a <= isqrt(x) at every square
@@ -271,6 +272,22 @@ def test_partial_sum_refuses_x_past_2_32_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_partial_sum_refuses_by_cost_before_any_level(monkeypatch):
+    # (r - 2) * x^(3/4) summed over the xs is refused past 2**25 steps,
+    # which admits r = 4 at any x below 2**32
+    def no_sum(r, x):
+        raise AssertionError("summed before the cost was checked")
+
+    monkeypatch.setattr(mult, "_tau_sum", no_sum)
+    for r, xs in ((200, [4 * 10**9, 3]), (5, [2**32 - 1]), (4, [2**32 - 1, 2**32 - 1])):
+        with pytest.raises(ResourceLimitError, match="budget"):
+            tau_partial_sum_check(r, xs)
+    monkeypatch.setattr(mult, "_tau_sum", lambda r, x: x)
+    for r, xs in ((4, [2**32 - 1]), (3, [2**32 - 1]), (1000, [3]), (20, [10**4]),
+                  (150, [8192])):
+        assert [row.total for row in tau_partial_sum_check(r, xs)] == xs
 
 
 def test_partial_sum_r1_is_identity():
@@ -301,19 +318,19 @@ def test_partial_sum_validation():
         tau_partial_sum_check(2, [])
 
 
-def test_omega_vs_tau_squarefree_equality():
+def test_r_to_omega_equals_tau_r_on_squarefree():
     # for squarefree k the two sides agree exactly
     for k in (1, 2, 6, 30, 210, 770):
         assert 3 ** trial_factorize(k).omega == tau_value(3, k)
 
 
-def test_omega_vs_tau_small_cases():
+def test_r_to_omega_vs_tau_r_small_cases():
     assert 2 ** trial_factorize(4).omega == 2
     assert tau_value(2, 4) == 3
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
-def test_omega_vs_tau_check_holds(r):
+def test_r_to_omega_at_most_tau_r(r):
     for k in range(1, 5001):
         assert r ** trial_factorize(k).omega <= tau_value(r, k), k
 
