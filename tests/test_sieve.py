@@ -313,6 +313,37 @@ def test_cache_rejects_bad_magic(tmp_path, capsys):
         assert [p.name for p in tmp_path.iterdir()] == ["bogus.rfsv"]
 
 
+def _save_over(tmp_path, damage) -> None:
+    # save a cache of limit 1e4, r = 2, 3, damage it, save it again, and
+    # check that the damaged file was never read: the second save returns
+    # the true counts and leaves the bytes of a save to a fresh path
+    path, true = tmp_path / "damaged.rfsv", tmp_path / "true.rfsv"
+    save_cache(true, 10_000, {2, 3})
+    raw = bytearray(true.read_bytes())
+    damage(raw)
+    path.write_bytes(bytes(raw))
+    assert save_cache(path, 10_000, {2, 3}) == [r_free_counts([10_000], r)[0] for r in (2, 3)]
+    assert path.read_bytes() == true.read_bytes()
+
+
+@pytest.mark.parametrize("at", [21, -700])  # the first r value; a flag of r = 3
+def test_save_cache_replaces_flipped_bit(tmp_path, at):
+    def flip(raw):
+        raw[at] ^= 0x01
+
+    _save_over(tmp_path, flip)
+
+
+def test_save_cache_replaces_nonzero_pad_bit(tmp_path):
+    # 10001 flags fill 1251 bytes with 7 pad bits; the last one is set and
+    # the checksum made to match
+    def pad(raw):
+        raw[-1] |= 0x01
+        raw[5:9] = zlib.crc32(raw[9:]).to_bytes(4, "little")
+
+    _save_over(tmp_path, pad)
+
+
 def test_cache_starts_with_magic(tmp_path):
     path = tmp_path / "sieve.rfsv"
     save_cache(path, 10_000, {2, 3})
