@@ -10,13 +10,16 @@ the worst |error term| among residues l whose gcd with k is r-free:
 
 The reported trend statistic is S(x) * (log x)^A / x.  All residue classes
 of one modulus are counted at once by Mobius inversion over the squarefree
-d <= x^(1/r): whole periods of m*d^r mod k are added per coset, and at most
-one partial period per d is tallied, so a modulus costs about x^(1/r)
-d-terms plus at most one partial period per d.  The d-terms (mu(d), d^r
-and x // d^r) are built once per x, by the builder
-``progressions._d_terms`` that the split also uses, and shared by every
-modulus of that x; the sweep sieves mu only up to (max x)^(1/r) and
-holds no table over [1, x].
+d <= x^(1/r): whole periods of m*d^r mod k are added per coset, and of the
+one partial period per d only its shorter side is tallied (when more than
+half a period is left, one more whole period is added and the rest taken
+back), so a modulus costs about x^(1/r) d-terms plus at most half a period
+per d.  The partial-period entries are int32 while k*k < 2^31 and are
+tallied in blocks of at most 2^18, so a modulus holds one block of entries
+at a time, not one entry per m.  The d-terms (mu(d), d^r and x // d^r)
+are built once per x, by the builder ``progressions._d_terms`` that the
+split also uses, and shared by every modulus of that x; the sweep sieves
+mu only up to (max x)^(1/r) and holds no table over [1, x].
 
 Only the moduli in (K/2, K] are counted.  Every k <= K/2 divides
 k' = k * floor(K/k), which lies in that range, and
@@ -25,12 +28,13 @@ counts of k are those of k' folded onto k classes.  The total that the
 classes of a modulus must sum to comes from ``sieve.r_free_counts``, a
 segmented sieve of the r-th prime powers that reads no Mobius value, so
 it is an independent check; it runs on every counted modulus, and a
-folded modulus sums to its k' total by construction.  The maximum over l
-runs over every admissible class in one numpy pass, with one main term
-per divisor g = gcd(l, k), so S(x) is the exact sum.  The maxima are
-taken for k = 1..K in ascending order in one process and S(x) is summed
-in that order, so the CSV output is byte-identical for a fixed
-configuration.
+folded modulus sums to its k' total by construction.  Each counted k' is
+folded onto every k that folds from it as soon as it is counted, and its
+counts are then dropped, so one modulus's counts are held at a time.  The
+maximum over l runs over every admissible class in one numpy pass, with
+one main term per divisor g = gcd(l, k), so S(x) is the exact sum.  One
+maximum is kept per k and S(x) is summed in ascending k at the end, so
+the CSV output is byte-identical for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -49,6 +53,10 @@ from .progressions import _d_terms, _main_term, _root_mu
 from .sieve import _LIMIT_CEILING, _check_count_range, r_free_counts
 
 CSV_HEADER = "x,r,A,K,S,normalized,wall_seconds"
+# the partial-period entries one bincount tallies; a block is cut on d
+# boundaries, and one d brings at most k/2 < 2^18 entries for every k the
+# sweep takes, so a block holds at most 2^18 entries there
+_BLOCK = 1 << 18
 
 
 def modulus_threshold(x: int, r: int, log_power: float) -> int:
@@ -72,32 +80,68 @@ def modulus_threshold(x: int, r: int, log_power: float) -> int:
 
 
 def _count_classes(terms: tuple[np.ndarray, ...], k: int) -> np.ndarray:
-    # int64 throughout: every d^r <= x < 2^32, each count is at most x, and
-    # m*c < k * min(k, x), below 2^63 for every k the sweep takes
-    # (k <= K(x) < x / log x)
+    # the counts are int64: each is at most x < 2^32.  The whole periods are
+    # gathered as float64 bincount weights, integers of size at most
+    # sum_d x/d^r < 2x < 2^53, so every partial sum is exact.  A partial
+    # period has m <= period <= k and c < k, so m*c < k^2, and every bin is
+    # below 2k: the entries fit int32 when k*k < 2^31 (k <= 46340).
+    # ExperimentConfig admits K up to about 1.2e5 at x just below 2^32 when
+    # A is small, and those moduli take int64
     _, signs, dr, per_d = terms
+    dtype = np.int32 if k * k < 2**31 else np.int64
     c = dr % k
-    h = np.gcd(c, k)  # gcd(0, k) = k
+    # h = gcd(c, k) from a table over the k residues: at r = 2 there are
+    # more d-terms than residues for the sweep's usual A, and a gcd costs
+    # more than a lookup
+    h = np.gcd(np.arange(k), k)[c]  # gcd(0, k) = k
     period = k // h
-    counts = np.zeros(k, dtype=np.int64)
+    whole, left = np.divmod(per_d, period)
+    # tally the shorter side of each partial period: when 2*left > period,
+    # add one more whole period and take back m in (left, period]
+    long = 2 * left > period
+    whole += long
 
     # whole periods: summed per h in one pass, then one strided add per h
-    by_h = np.zeros(k + 1, dtype=np.int64)
-    np.add.at(by_h, h, signs * (per_d // period))
+    counts = np.zeros(k, dtype=np.int64)
+    by_h = np.bincount(h, weights=signs * whole, minlength=k + 1)
     for hv in np.flatnonzero(by_h).tolist():
-        counts[::hv] += by_h[hv]
+        counts[::hv] += int(by_h[hv])
 
-    # partial periods: m = 1 .. per_d mod period, residues (m*c) mod k; the
-    # negative-mu terms land in a second block of k bins so one integer
-    # bincount carries both signs
-    left = per_d % period
-    n_left = int(left.sum())
-    if n_left:
-        m = np.arange(1, n_left + 1) - np.repeat(np.cumsum(left) - left, left)
-        bins = (m * np.repeat(c, left)) % k + np.repeat(k * (signs < 0), left)
-        tally = np.bincount(bins, minlength=2 * k)
-        counts += tally[:k] - tally[k:]
+    # partial periods: m = start .. start + n - 1, residues (m*c) mod k; the
+    # entries taken back land in a second block of k bins, so one integer
+    # tally carries both signs
+    n = np.where(long, period - left, left)
+    start = np.where(long, left + 1, 1)
+    base = np.where((signs > 0) != long, 0, k)
+    tally = _tally(c.astype(dtype), start, n, base.astype(dtype), k)
+    counts += tally[:k] - tally[k:]
     return counts
+
+
+def _tally(
+    c: np.ndarray, start: np.ndarray, n: np.ndarray, base: np.ndarray, k: int
+) -> np.ndarray:
+    """Histogram over [0, 2k) of base + (m*c mod k), for m = start ..
+    start + n - 1 of each term, in blocks of at most ``_BLOCK`` entries cut
+    on term boundaries (a longer term takes a block to itself)."""
+    tally = np.zeros(2 * k, dtype=np.int64)
+    ends = np.cumsum(n)
+    lo = 0
+    while lo < n.size:
+        first = int(ends[lo] - n[lo])  # entries before this block
+        hi = max(lo + 1, int(np.searchsorted(ends, first + _BLOCK, side="right")))
+        # entry j of the block has m = j + start - (the block's entries
+        # before its term)
+        run = n[lo:hi]
+        m = np.arange(int(ends[hi - 1]) - first, dtype=c.dtype)
+        shift = start[lo:hi] - (ends[lo:hi] - run - first)
+        m += np.repeat(shift.astype(c.dtype), run)
+        m *= np.repeat(c[lo:hi], run)
+        m -= m // k * k  # m mod k: a floor division by a scalar is faster than %
+        m += np.repeat(base[lo:hi], run)
+        tally += np.bincount(m, minlength=2 * k)
+        lo = hi
+    return tally
 
 
 def class_counts(x: int, r: int, k: int) -> np.ndarray:
@@ -107,10 +151,11 @@ def class_counts(x: int, r: int, k: int) -> np.ndarray:
     For one d let c = d^r mod k and h = gcd(c, k).  As m runs, m*c mod k
     has period k/h and hits every multiple of h once per period, so the
     whole periods add the same amount to each class l = 0 (mod h); the
-    leftover partial period is tallied residue by residue.  mu is sieved
-    up to x^(1/r) for the call.  The sweep shares one set of d-terms
-    across the moduli of an x and folds most moduli down from a multiple;
-    this per-modulus call is the oracle the fold is tested against.
+    shorter side of the leftover partial period is tallied residue by
+    residue.  mu is sieved up to x^(1/r) for the call.  The sweep shares
+    one set of d-terms across the moduli of an x and folds most moduli
+    down from a multiple; this per-modulus call is the oracle the fold is
+    tested against.
     """
     _check_count_range(x, r)
     if k < 1:
@@ -148,21 +193,24 @@ def _max_error(x: int, r: int, k: int, counts: np.ndarray) -> tuple[int, float]:
 def _sweep_counts(
     mu: np.ndarray, x: int, r: int, bound: int, total: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """(k, class counts of k) for k = 1..bound, in ascending order.
+    """(k, class counts of k) for every k = 1..bound, each once.
 
     ``mu`` is the Mobius function indexed by n, up to at least x^(1/r).
-    Only the moduli in (bound/2, bound] are counted, each checked against
-    ``total``; every smaller k is folded down from k * floor(bound / k).
+    Only the moduli k' in (bound/2, bound] are counted, in ascending order,
+    each checked against ``total``; right after k' come its folds, every k
+    with k * floor(bound / k) = k' in ascending order (k' itself last), and
+    then its counts are dropped.
     """
     terms = _d_terms(mu, x, r)
-    counted = {}
-    for k in range(bound // 2 + 1, bound + 1):
-        counts = _count_classes(terms, k)
-        _check_partition(k, counts, total)
-        counted[k] = counts
+    half = bound // 2
+    folds: list[list[int]] = [[] for _ in range(bound - half)]  # by k' - half - 1
     for k in range(1, bound + 1):
-        multiple = k * (bound // k)
-        yield k, counted[multiple].reshape(multiple // k, k).sum(axis=0)
+        folds[k * (bound // k) - half - 1].append(k)
+    for counted, fold in zip(range(half + 1, bound + 1), folds):
+        counts = _count_classes(terms, counted)
+        _check_partition(counted, counts, total)
+        for k in fold:
+            yield k, counts.reshape(counted // k, k).sum(axis=0)
 
 
 @dataclass
@@ -213,7 +261,8 @@ def run_experiment(config: ExperimentConfig) -> list[BvRow]:
     """Run the sweep; one row per x, deterministic for a fixed config.
 
     Memory is O(sqrt(max x)): mu up to (max x)^(1/r), one window of the
-    partition totals' sieve and the class counts of the moduli.
+    partition totals' sieve, the class counts of one counted modulus, one
+    block of partial-period entries and one maximum per modulus.
     """
     config.validate()
     mu = _root_mu(max(config.xs), config.r)
@@ -222,9 +271,12 @@ def run_experiment(config: ExperimentConfig) -> list[BvRow]:
     for x, total in zip(config.xs, totals):
         start = time.perf_counter()
         bound = modulus_threshold(x, config.r, config.log_power)
-        error_sum = 0.0
+        maxima = [0.0] * (bound + 1)  # indexed by k
         for k, counts in _sweep_counts(mu, x, config.r, bound, total):
-            error_sum += _max_error(x, config.r, k, counts)[1]  # ascending k
+            maxima[k] = _max_error(x, config.r, k, counts)[1]
+        error_sum = 0.0
+        for value in maxima[1:]:  # ascending k, so the bytes do not move
+            error_sum += value
         normalized = error_sum * math.log(x) ** config.log_power / x
         wall = time.perf_counter() - start if config.timing == "wall" else 0.0
         rows.append(

@@ -13,8 +13,8 @@ and through single values, which ``tau_value`` takes from
 tau_r(p^e) = C(e + r - 1, r - 1).  Each helper that needs the primes of
 its argument factors it by the memoised ``trial_factorize``.
 
-Only ``zeta`` uses numpy, and imports it when it runs, so ``rfree
-tau-sum`` starts without it.
+Only ``zeta`` at r >= 3 uses numpy, and imports it when it runs, so
+``rfree tau-sum`` and ``rfree f --r 2`` start without it.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from .errors import ResourceLimitError
 _ZETA_TARGET = 1e-13
 _FLOAT_ULP = 2.3e-16
 _ZETA_PIECE = 1 << 17  # float64 terms per np.sum in zeta: 1 MiB
+# _zeta_cached(2, _ZETA_TARGET), the bits every r = 2 main term has used;
+# pinned because the sum takes 3,162,278 terms
+_ZETA_2 = float.fromhex("0x1.a51a6625308b4p+0")
 # every x of tau_partial_sum_check lies below this, as every x and sieve
 # limit of the package does, for its cost: each level j < r of the
 # hyperbola takes O(x^(3/4)) steps, and at x = 2**32 - 1 the sum took
@@ -48,10 +51,12 @@ def zeta(r: int) -> float:
 
     Computed as the finite sum over n <= M plus the integral tail
     correction M^(1-r) / (r-1), with M chosen so the residual bound M^(-r)
-    meets the target.
+    meets the target.  zeta(2) returns the pinned bits of that sum.
     """
     if r < 2:
         raise ValueError(f"r must be >= 2 (series diverges at r=1), got {r}")
+    if r == 2:
+        return _ZETA_2
     return _zeta_cached(int(r), _ZETA_TARGET)
 
 

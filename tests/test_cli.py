@@ -468,7 +468,10 @@ def test_bv_sum_self_check_failure_exit_3(monkeypatch, capsys):
     ("--r 3 --A 1 --x 1e7",
      "x,r,A,K,S,normalized,wall_seconds\n"
      "10000000,3,1.0,42,268.04238220254774,0.0004320332754851393,0.000000\n"),
-], ids=["r2", "r3", "r2-bench", "r3-1e7"])
+    ("--r 2 --A 1 --x 1e8",
+     "x,r,A,K,S,normalized,wall_seconds\n"
+     "100000000,2,1.0,634,21302.102239391214,0.003923992245268583,0.000000\n"),
+], ids=["r2", "r3", "r2-bench", "r3-1e7", "r2-1e8"])
 def test_bv_sum_golden_bytes(argv, expected, capsys):
     # S(x) is the exact sum over every admissible class; any change to the
     # counts, the main terms, the maximum or the fold order moves these bytes

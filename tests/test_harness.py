@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from rfree import (
     run_experiment,
     write_plot,
 )
-from rfree.progressions import _class_counts, _root_mu
+from rfree.progressions import _class_counts, _d_terms, _root_mu
 
 
 def test_threshold_examples():
@@ -69,6 +70,79 @@ def test_class_counts_every_class_up_to_200(r):
     x = 99_991
     got = [c for k in range(1, 201) for c in class_counts(x, r, k).tolist()]
     assert got == _class_counts(x, r, [(k, l) for k in range(1, 201) for l in range(k)])
+
+
+def reference_count_classes(terms, k):
+    """The direct form of ``harness._count_classes``, its reference: one
+    int64 entry per m of every partial period, all tallied in one
+    bincount, and the whole periods gathered by ``np.add.at``."""
+    _, signs, dr, per_d = terms
+    c = dr % k
+    h = np.gcd(c, k)  # gcd(0, k) = k
+    period = k // h
+    counts = np.zeros(k, dtype=np.int64)
+    by_h = np.zeros(k + 1, dtype=np.int64)
+    np.add.at(by_h, h, signs * (per_d // period))
+    for hv in np.flatnonzero(by_h).tolist():
+        counts[::hv] += by_h[hv]
+    left = per_d % period
+    n_left = int(left.sum())
+    if n_left:
+        m = np.arange(1, n_left + 1) - np.repeat(np.cumsum(left) - left, left)
+        bins = (m * np.repeat(c, left)) % k + np.repeat(k * (signs < 0), left)
+        tally = np.bincount(bins, minlength=2 * k)
+        counts += tally[:k] - tally[k:]
+    return counts
+
+
+@pytest.mark.parametrize("block", [64, harness._BLOCK])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_count_classes_match_reference_kernel(r, block, monkeypatch):
+    # 46340 is the last k with int32 entries and 46341 the first with int64;
+    # a 64-entry block splits every modulus's tally
+    monkeypatch.setattr(harness, "_BLOCK", block)
+    for x in (10**6, 123_457):
+        terms = _d_terms(_root_mu(x, r), x, r)
+        for k in (1, 2, 36, 178, 634, 997, 2328, 46340, 46341, 50_000):
+            got = harness._count_classes(terms, k)
+            assert got.dtype == np.int64
+            assert got.tolist() == reference_count_classes(terms, k).tolist(), (x, k)
+
+
+def test_count_classes_int64_entries_near_the_ceiling():
+    # a partial period's m*c stays below 2x, so below x = 2^30 int32 entries
+    # would hold for any k; near x = 2^32 the long sides reach m*c ~ k^2,
+    # which passes 2^31 from k = 46341 on.  Ten d-terms near d = 208 keep
+    # the reference kernel small
+    x = 2**32 - 1
+    d, signs, dr, per_d = _d_terms(_root_mu(x, 2), x, 2)
+    near = (d >= 200) & (d < 216)
+    terms = (d[near], signs[near], dr[near], per_d[near])
+    for k in (46_340, 46_341, 60_000, 120_000):
+        got = harness._count_classes(terms, k)
+        assert got.tolist() == reference_count_classes(terms, k).tolist(), k
+
+
+@pytest.mark.parametrize("block", [1 << 10, harness._BLOCK])
+def test_count_classes_peak_memory_is_bounded_by_the_block(block, monkeypatch):
+    # at x = 1e8 and k = 634 the reference kernel peaks at about 4.9 MB, one
+    # int64 entry per m of every partial period; blocked, the tally holds at most
+    # 24 bytes per block entry (m, m // k and its product in int32, and
+    # bincount's intp copy), besides about a dozen arrays over the d-terms
+    # and the bins
+    monkeypatch.setattr(harness, "_BLOCK", block)
+    x, k = 10**8, 634
+    terms = _d_terms(_root_mu(x, 2), x, 2)
+    bound = 24 * block + 128 * terms[0].size + 32 * k
+    harness._count_classes(terms, k)
+    tracemalloc.start()
+    try:
+        counts = harness._count_classes(terms, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(counts.sum()) == 60_792_694  # the r-free n <= 1e8
+    assert peak < bound, (peak, bound)
 
 
 def test_class_counts_validation():
@@ -148,15 +222,19 @@ def test_sweep_fold_matches_class_counts(r):
         bounds = {modulus_threshold(x, r, 0.5), 5, 16, 31, 40}
         for bound in sorted(bounds):
             swept = list(harness._sweep_counts(_root_mu(x, r), x, r, bound, total))
-            assert [k for k, _ in swept] == list(range(1, bound + 1))
+            ks = [k for k, _ in swept]
+            assert sorted(ks) == list(range(1, bound + 1))
+            # each k follows the modulus it folds from, and those come in
+            # ascending order, so one counted modulus is held at a time
+            targets = [k * (bound // k) for k in ks]
+            assert targets == sorted(targets)
+            assert min(targets) == bound // 2 + 1
             for k, counts in swept:
                 assert counts.dtype == np.int64
                 assert counts.tolist() == class_counts(x, r, k).tolist(), (
                     x, bound, k)
                 if k <= 30:
                     assert counts.tolist() == _strided(x, r, k), (x, bound, k)
-            half = bound // 2  # the largest folded modulus
-            assert swept[half - 1][0] == half
 
 
 def test_sweep_partition_check_covers_counted_moduli(monkeypatch):

@@ -15,7 +15,12 @@ from rfree import (
     trial_factorize,
     zeta,
 )
-from rfree.multiplicative import _descending_power_sum, _tau_sum, _zeta_cached
+from rfree.multiplicative import (
+    _ZETA_TARGET,
+    _descending_power_sum,
+    _tau_sum,
+    _zeta_cached,
+)
 
 
 def test_zeta_two():
@@ -63,12 +68,20 @@ def test_zeta_split_sum_matches_np_sum(n):
     assert _descending_power_sum(n + 5, n, 2) == float(np.sum(terms))
 
 
+def test_zeta_two_pin_is_the_sum():
+    # zeta(2) returns pinned bits; the sum it stands for must still give them
+    _zeta_cached.cache_clear()
+    summed = _zeta_cached(2, _ZETA_TARGET)
+    assert summed.hex() == "0x1.a51a6625308b4p+0" == zeta(2).hex()
+    assert abs(summed - math.pi**2 / 6) < 1e-13 * (math.pi**2 / 6)
+
+
 def test_zeta_peak_memory():
     # one 2^17-term float64 piece (1 MiB) alive at a time
     _zeta_cached.cache_clear()
     tracemalloc.start()
     try:
-        zeta(2)
+        _zeta_cached(2, _ZETA_TARGET)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -22,7 +22,9 @@ from rfree import (  # noqa: E402
     tau_value,
     trial_factorize,
 )
-from rfree.progressions import _class_counts  # noqa: E402
+import rfree.harness as harness  # noqa: E402
+from rfree.progressions import _class_counts, _d_terms, _root_mu  # noqa: E402
+from test_harness import reference_count_classes  # noqa: E402
 from test_progressions import decompose_by_loop  # noqa: E402
 
 # small moduli, and up to 400 * 2^70 (far past int64) in a form that trial
@@ -43,6 +45,25 @@ _moduli = st.builds(
 def test_class_counts_match_strided_scan(x, r, k):
     counts = class_counts(x, r, k)
     assert counts.tolist() == _class_counts(x, r, [(k, l) for l in range(k)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.integers(min_value=1, max_value=100_000),
+    r=st.sampled_from([2, 3, 4]),
+    # both sides of 46341, the first k whose entries take int64
+    k=st.one_of(st.integers(min_value=1, max_value=3000),
+                st.integers(min_value=46_300, max_value=46_400)),
+    block=st.sampled_from([64, harness._BLOCK]),
+)
+def test_count_classes_match_reference_and_strided_scan(x, r, k, block):
+    # a 64-entry block splits the tally of every modulus with more entries
+    terms = _d_terms(_root_mu(x, r), x, r)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_BLOCK", block)
+        counts = harness._count_classes(terms, k).tolist()
+    assert counts == reference_count_classes(terms, k).tolist()
+    assert counts == _class_counts(x, r, [(k, l) for l in range(k)])
 
 
 @settings(max_examples=100, deadline=None)

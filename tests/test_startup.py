@@ -38,8 +38,16 @@ def test_help_refusal_and_residues_load_no_numpy(capsys):
     assert main(["residues", "--r", "3", "--s-max", "50"]) == 0
     assert done.stdout == capsys.readouterr().out
 
+    # zeta(2) is pinned, so f at r = 2 sums no series and loads no numpy
+    argv = ["f", "--r", "2", "--k", "12"]
+    done = run_rfree(*argv, python_flags=traced)
+    assert done.returncode == 0, done.stderr
+    assert "numpy" not in _imported(done.stderr)
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out
+
     # the commands that need numpy still load it and run
-    for argv in (["f", "--r", "2", "--k", "12"],
+    for argv in (["f", "--r", "3", "--k", "12"],
                  ["bv-sum", "--r", "2", "--A", "1", "--x", "1e4,1e5", "--timing", "none"]):
         done = run_rfree(*argv, python_flags=traced)
         assert done.returncode == 0, done.stderr
