@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 _TRIAL_BOUND = 1 << 16  # trial division runs over every p <= 2**16
 # Miller-Rabin with these bases is exact for every n < 2**64
@@ -32,19 +32,23 @@ _MR_EXACT_BELOW = 1 << 64
 _RHO_BATCH = 128  # rho steps multiplied together per gcd
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization of n as ordered (prime, exponent) pairs."""
-
+class _FactorizationFields(NamedTuple):
     n: int
     factors: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
+
+class Factorization(_FactorizationFields):
+    """Prime factorization of n as ordered (prime, exponent) pairs."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, factors: tuple[tuple[int, int], ...]):
         prod = 1
-        for p, e in self.factors:
+        for p, e in factors:
             prod *= p**e
-        if prod != self.n:
-            raise ValueError(f"factors do not multiply to {self.n}")
+        if prod != n:
+            raise ValueError(f"factors do not multiply to {n}")
+        return super().__new__(cls, n, factors)
 
     @property
     def omega(self) -> int:

@@ -25,6 +25,7 @@ EXIT_CONFIG = 2
 EXIT_IDENTITY = 3
 
 _LEMMA_BATCH = 4096  # verify-lemmas trials per decompose_many call
+_RESIDUES_BATCH = 1024  # residues rows per write
 
 
 def _parse_int(text: str) -> int:
@@ -216,18 +217,31 @@ def _cmd_verify_lemmas(args) -> int:
     return EXIT_IDENTITY if failures else EXIT_OK
 
 
+class _Reprs(dict):
+    """The repr of each key, made on its first lookup."""
+
+    def __missing__(self, key):
+        text = self[key] = repr(key)
+        return text
+
+
 def _cmd_residues(args) -> int:
     import itertools
+    from operator import attrgetter
 
     from .residues import per_modulus_maxima
 
     rows = per_modulus_maxima(args.r, args.s_max)
     best = next(rows)  # refuses bad input before the header
     print("s,a,count,ratio")
-    for row in itertools.chain([best], rows):  # streamed: memory flat in --s-max
-        print(f"{row.s},{row.a},{row.count},{row.ratio!r}")
-        if row.ratio > best.ratio:  # keeps the first maximum: the smallest s
-            best = row
+    rows = itertools.chain([best], rows)
+    texts = _Reprs()  # a row has few distinct ratios, and repr is most of its cost
+    # one write per batch of rows: memory stays flat in --s-max
+    while batch := list(itertools.islice(rows, _RESIDUES_BATCH)):
+        sys.stdout.write("".join(f"{s},{a},{count},{texts[ratio]}\n" for s, a, count, ratio in batch))
+        top = max(batch, key=attrgetter("ratio"))  # the first maximum: the smallest s
+        if top.ratio > best.ratio:
+            best = top
     print(f"# max ratio {best.ratio!r} at a={best.a} s={best.s} (r={args.r})")
     return EXIT_OK
 

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -213,17 +212,20 @@ def _sweep_counts(
             yield k, counts.reshape(counted // k, k).sum(axis=0)
 
 
-@dataclass
-class ExperimentConfig:
-    """Sweep settings: r, the log-power A, the sample sizes and the timing."""
-
+class _ExperimentFields(NamedTuple):
     r: int
     log_power: float
     xs: tuple[int, ...]
     timing: str = "wall"  # "none" zeroes wall_seconds for reproducible bytes
 
-    def __post_init__(self):
-        self.xs = tuple(int(x) for x in self.xs)
+
+class ExperimentConfig(_ExperimentFields):
+    """Sweep settings: r, the log-power A, the sample sizes and the timing."""
+
+    __slots__ = ()
+
+    def __new__(cls, r: int, log_power: float, xs, timing: str = "wall"):
+        return super().__new__(cls, r, log_power, tuple(int(x) for x in xs), timing)
 
     def validate(self) -> None:
         if self.r < 2:

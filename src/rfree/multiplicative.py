@@ -20,7 +20,6 @@ Only ``zeta`` at r >= 3 uses numpy, and imports it when it runs, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import floordiv, mul
@@ -93,8 +92,7 @@ def _descending_power_sum(hi: int, n: int, r: int) -> float:
     return _descending_power_sum(hi, n2, r) + _descending_power_sum(hi - n2, n - n2, r)
 
 
-@dataclass(frozen=True)
-class FValue:
+class FValue(NamedTuple):
     """Value of f_r(k) with an explicit relative-error budget."""
 
     r: int

@@ -51,7 +51,6 @@ one pass of flag windows that counts every distinct (k, l) by strides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -63,8 +62,7 @@ from .sieve import _check_count_range, _r_free_windows, mobius_sieve
 _BLOCK_ELEMENTS = 1 << 15  # int64 entries per (rows x d x caps) block of the split
 
 
-@dataclass(frozen=True)
-class ProgressionReport:
+class ProgressionReport(NamedTuple):
     """One progression: exact count, main term, and their difference."""
 
     x: int
@@ -81,8 +79,7 @@ class ProgressionReport:
     main_rel_error: float
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """Exact split of the progression count at a cut z.
 
     small_sum + large_sum = count always; small_main is the closed-form

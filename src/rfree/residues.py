@@ -12,28 +12,41 @@ each prime power p^e has one closed form.  Write a = p^j * u with u a unit:
   {+-1} x cyclic of order 2^(e-2) for 2^e with e >= 3.
 
 For units the count never exceeds 2 * r^omega(s), and a = 1 attains the
-maximum, which ``per_modulus_maxima`` reads off for each modulus.
+maximum.  ``count_solutions`` gives the count for any a and one s by
+``arith.trial_factorize``.  ``per_modulus_maxima`` gives the a = 1 count of
+every s <= s_max without factoring any s: N(s) = #{d mod s : d^r = 1} is
+multiplicative, N(p^e) = gcd(r, phi(p^e)) for odd p, and one windowed sieve
+applies every prime power p^e <= s_max with p <= sqrt(s_max) by strides,
+counting omega(s) in the same pass.  What is left of s after that is 1 or
+one prime q > sqrt(s_max), which adds gcd(r, q - 1).
 ``counts_vector`` (exhaustive histograms per prime power) and
 ``count_solutions_bruteforce`` are the oracles.
 
 Import rule: this module imports no numpy at the top.  The counts are
-integer arithmetic on ``arith.trial_factorize``, so ``rfree residues``
-starts without numpy; only the histogram oracle, which the tests call,
-imports it in its own body.
+integer arithmetic on Python lists and ints, so ``rfree residues`` starts
+without numpy; only the histogram oracle, which the tests call, imports it
+in its own body.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import add, floordiv, mul
 from typing import Iterator, NamedTuple
 
-from .arith import trial_factorize
+from .arith import _TRIAL_BOUND, trial_factorize
+from .errors import ResourceLimitError
+
+_WINDOW = 1 << 12  # moduli per window of the per_modulus_maxima sieve
+# s_max lies below _TRIAL_BOUND**2 = 2**32, the ceiling of every limit of the
+# package: the sieve's primes are then those below 2**16 (at most 6542), the
+# ones trial_factorize divides by, and omega(s) <= 9 (2*3*...*29 > 2**32)
+_S_MAX_CEILING = _TRIAL_BOUND**2
 
 
-@dataclass(frozen=True)
-class ResidueCount:
+class ResidueCount(NamedTuple):
     """Number of d in [0, s) with d^r = a (mod s), and the unit bound."""
 
     r: int
@@ -144,17 +157,63 @@ class ModulusMaximum(NamedTuple):
     ratio: float
 
 
+def _primes_upto(n: int) -> list[int]:
+    """The primes p <= n, for n >= 1, by a sieve of Eratosthenes."""
+    flags = bytearray([1]) * (n + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p, flag in enumerate(flags) if flag]
+
+
 def per_modulus_maxima(r: int, s_max: int) -> Iterator[ModulusMaximum]:
     """For each s <= s_max, the unit residue a maximizing count / r^omega(s).
 
     For a unit a the solutions of d^r = a (mod s) are a coset of the
     kernel of d -> d^r on the units, or there are none.  So the count at
     a = 1 is the maximum, and 1 % s is the smallest unit attaining it.
+
+    The counts come from one sieve over windows of ``_WINDOW`` moduli,
+    with no factoring: in each window every prime power p^e <= s_max with
+    p <= sqrt(s_max) multiplies the count of its multiples by
+    N(p^e) / N(p^(e-1)) and divides p out of what is left of them, and
+    each p adds 1 to omega of its multiples.  The cofactor left, if above
+    1, is one prime q > sqrt(s_max), with N(q) = gcd(r, q - 1).  A window
+    holds three lists of ``_WINDOW`` ints, so memory is flat in s_max.
     """
+    if r < 2:
+        raise ValueError(f"r must be >= 2, got {r}")
     if s_max < 2:
         raise ValueError(f"s_max must be >= 2, got {s_max}")
-    for s in range(1, s_max + 1):
-        rc = count_solutions(r, 1 % s, s)
-        # rc.bound / 2 = r^omega(s), exactly as a float
-        yield ModulusMaximum(s=s, a=rc.a, count=rc.count, ratio=rc.count / (rc.bound / 2))
-
+    if s_max >= _S_MAX_CEILING:
+        raise ResourceLimitError(
+            f"s_max={s_max} is not below 2**32: the sieve's primes go up to "
+            "sqrt(s_max), and below 2**32 they are the primes below 2**16"
+        )
+    strides = []  # (p, p^e, N(p^e) // N(p^(e-1))) for every p^e <= s_max
+    for p in _primes_upto(math.isqrt(s_max)):
+        units, pe, e = 1, p, 1
+        while pe <= s_max:
+            grown = _count_units(r, 1, 2, e) if p == 2 else math.gcd(r, pe // p * (p - 1))
+            strides.append((p, pe, grown // units))
+            units, pe, e = grown, pe * p, e + 1
+    # r^omega(s) as a float, as count_solutions' bound / 2 gives it
+    powers = [2.0 * r**w / 2 for w in range(10)]
+    for lo in range(1, s_max + 1, _WINDOW):
+        hi = min(lo + _WINDOW, s_max + 1)
+        count = [1] * (hi - lo)
+        omega = [0] * (hi - lo)
+        rest = list(range(lo, hi))
+        for p, pe, factor in strides:
+            at = -lo % pe  # index of the first multiple of p^e in the window
+            rest[at::pe] = map(floordiv, rest[at::pe], repeat(p))
+            if pe == p:
+                omega[at::p] = map(add, omega[at::p], repeat(1))
+            if factor != 1:
+                count[at::pe] = map(mul, count[at::pe], repeat(factor))
+        for s, c, w, q in zip(range(lo, hi), count, omega, rest):
+            if q > 1:  # the one prime factor above sqrt(s_max)
+                c *= math.gcd(r, q - 1)
+                w += 1
+            yield ModulusMaximum(s, 1 % s, c, c / powers[w])

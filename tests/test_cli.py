@@ -645,6 +645,7 @@ def _exit_code(argv):
     "error --x 1e4 --r 2 --l 5 --k 3",
     "residues --r 2 --s-max 1",
     "residues --r 1 --s-max 10",
+    "residues --r 3 --s-max 5e9",
     "tau-sum --r 2 --x 2",
     "f --r 2 --k 0",
     "sieve --limit 100 --r 2,1",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -5,12 +6,16 @@ import numpy as np
 import pytest
 
 from rfree import (
+    ModulusMaximum,
+    ResourceLimitError,
     count_solutions,
     count_solutions_bruteforce,
     counts_vector,
     per_modulus_maxima,
+    residues,
     trial_factorize,
 )
+from rfree.cli import main
 from rfree.residues import _count_prime_power
 
 
@@ -176,3 +181,54 @@ def test_closed_form_at_huge_prime_powers():
     # no enumeration: 2^60 and 2^61 are answered at once
     assert count_solutions(2, 0, 2**60).count == 2**30  # d = 0 mod 2^30
     assert count_solutions(2, 4, 2**61).count == 8  # d = 2w, w^2 = 1 mod 2^59
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 8, 12, 2**40 + 1])
+def test_maxima_sieve_matches_count_solutions(r, monkeypatch):
+    # windows of 64 moduli: every prime power above 64 spans windows
+    monkeypatch.setattr(residues, "_WINDOW", 64)
+    rows = list(per_modulus_maxima(r, 3000))
+    assert [row.s for row in rows] == list(range(1, 3001))
+    for row in rows:
+        rc = count_solutions(r, 1 % row.s, row.s)
+        assert row == ModulusMaximum(row.s, rc.a, rc.count, rc.count / (rc.bound / 2)), (r, row)
+
+
+def _omega_by_trial(s):
+    """The number of distinct primes of s, by trial division by every p."""
+    omega = 0
+    for p in range(2, s + 1):
+        if s % p == 0:
+            omega += 1
+            while s % p == 0:
+                s //= p
+    return omega
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 6, 8, 2**40 + 1])
+def test_maxima_sieve_matches_bruteforce(r):
+    # exhaustive counts: no closed form is shared with the sieve
+    for row in per_modulus_maxima(r, 400):
+        count = count_solutions_bruteforce(r, 1 % row.s, row.s)
+        omega = _omega_by_trial(row.s)
+        assert (row.a, row.count) == (1 % row.s, count), (r, row)
+        assert row.ratio == count / float(r**omega), (r, row)
+
+
+@pytest.mark.parametrize("argv,digest", [
+    ("--r 2 --s-max 5000", "e508526badae12ac9186e6c65930781d2ce1602b8ed36115ccd0ac780e2fdca8"),
+    ("--r 3 --s-max 5000", "d26b598ef991d1b45d01b78b84f15ef54f9d2e32a532a808f95a44aefd831125"),
+    ("--r 4 --s-max 5000", "4be245fd4a79609222b70b2db7f44050f1eb080bc5e1fd5a003cb7d660e2b58a"),
+    ("--r 3 --s-max 1e5", "355e2b677494088ec23ec5a5b4b941c829ded0b9b186b7f8d93246bcf2563cdc"),
+])
+def test_residues_golden_stdout(argv, digest, capsys):
+    # the bytes of the trial-division implementation the sieve replaced
+    assert main(["residues", *argv.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_maxima_ceiling():
+    with pytest.raises(ResourceLimitError, match="2\\*\\*32"):
+        next(per_modulus_maxima(3, 2**32))
+    # the largest s_max taken: the first row comes at once
+    assert next(per_modulus_maxima(3, 2**32 - 1)) == ModulusMaximum(1, 0, 1, 1.0)

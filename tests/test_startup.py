@@ -1,4 +1,6 @@
-"""Start-up cost: a command imports only the layers it runs."""
+"""Start-up cost: a command imports only the layers it runs, and the
+result and settings types are plain named tuples, so no command loads
+``dataclasses`` (which loads ``inspect``)."""
 
 import importlib
 
@@ -6,6 +8,14 @@ import pytest
 
 import rfree
 from conftest import run_rfree
+from rfree import (
+    ExperimentConfig,
+    Factorization,
+    count_solutions,
+    decompose,
+    error_term,
+    f_value,
+)
 from rfree.cli import main
 
 
@@ -27,6 +37,7 @@ def test_help_refusal_and_residues_load_no_numpy(capsys):
         "rfree.errors"
     }
     assert "numpy" not in _imported(done.stderr)
+    assert "dataclasses" not in _imported(done.stderr)
 
     done = run_rfree("sieve", "--limit", "abc", "--r", "2", python_flags=traced)
     assert (done.returncode, done.stdout) == (2, "")
@@ -35,6 +46,7 @@ def test_help_refusal_and_residues_load_no_numpy(capsys):
     done = run_rfree("residues", "--r", "3", "--s-max", "50", python_flags=traced)
     assert done.returncode == 0
     assert "numpy" not in _imported(done.stderr)
+    assert "dataclasses" not in _imported(done.stderr)
     assert main(["residues", "--r", "3", "--s-max", "50"]) == 0
     assert done.stdout == capsys.readouterr().out
 
@@ -43,6 +55,7 @@ def test_help_refusal_and_residues_load_no_numpy(capsys):
     done = run_rfree(*argv, python_flags=traced)
     assert done.returncode == 0, done.stderr
     assert "numpy" not in _imported(done.stderr)
+    assert "dataclasses" not in _imported(done.stderr)
     assert main(argv) == 0
     assert done.stdout == capsys.readouterr().out
 
@@ -52,6 +65,7 @@ def test_help_refusal_and_residues_load_no_numpy(capsys):
         done = run_rfree(*argv, python_flags=traced)
         assert done.returncode == 0, done.stderr
         assert "numpy" in _imported(done.stderr)
+        assert "dataclasses" not in _imported(done.stderr)
         assert main(argv) == 0
         assert done.stdout == capsys.readouterr().out
 
@@ -61,8 +75,40 @@ def test_tau_sum_loads_no_numpy(capsys):
     done = run_rfree(*argv, python_flags=("-X", "importtime"))
     assert done.returncode == 0, done.stderr
     assert "numpy" not in _imported(done.stderr)
+    assert "dataclasses" not in _imported(done.stderr)
     assert main(argv) == 0
     assert done.stdout == capsys.readouterr().out
+
+
+def _value_of_each_type():
+    """One value of each result and settings type, built twice apart."""
+    yield lambda: Factorization(n=12, factors=((2, 2), (3, 1)))
+    yield lambda: f_value(3, 12)
+    yield lambda: count_solutions(3, 1, 63)
+    yield lambda: error_term(10**4, 2, 12, 5)
+    yield lambda: decompose(10**4, 2, 12, 5, 3.0)
+    yield lambda: ExperimentConfig(r=2, log_power=1.0, xs=[1e4, 10**5])
+
+
+@pytest.mark.parametrize("make", list(_value_of_each_type()))
+def test_value_types_compare_hash_and_refuse_assignment(make):
+    one, two = make(), make()
+    assert one == two and hash(one) == hash(two)
+    field = type(one)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(one, field, 1)
+    with pytest.raises(AttributeError):
+        one.extra = 1  # no instance dict either
+
+
+def test_value_type_constructors_still_normalise():
+    # a wrong product is refused: tests/test_sieve.py
+    assert Factorization(n=12, factors=((2, 2), (3, 1))).omega == 2
+    config = ExperimentConfig(r=2, log_power=1.0, xs=[1e4, 10**5])
+    assert config.xs == (10_000, 100_000) and all(type(x) is int for x in config.xs)
+    assert config.timing == "wall"
+    assert ExperimentConfig(2, 1.0, (10**4,), "none").timing == "none"
+
 
 def test_lazy_exports_resolve_to_their_definitions():
     for name in rfree.__all__:
