@@ -45,7 +45,7 @@ _EXPORTS = {
         "residues",
     ),
     **dict.fromkeys(
-        ("mobius_sieve", "r_free_counts", "save_cache", "small_primes"),
+        ("mobius_sieve", "r_free_counts", "save_cache"),
         "sieve",
     ),
 }

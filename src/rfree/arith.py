@@ -1,4 +1,4 @@
-"""Integer arithmetic of single numbers, independent of every sieve table.
+"""Integer arithmetic of single numbers, and the primes below a bound.
 
 ``trial_factorize`` is the one factoring routine: trial division by 2
 and the odd p up to 2**16, which factors every n < 2**32 completely.  A
@@ -14,6 +14,9 @@ divisor sum of the Mobius function over d with d^r | n.  It is
 deliberately independent of the sieve and serves as the cross-check
 oracle for the flags.
 
+``primes_upto`` is the one prime sieve and ``_int_rth_root`` the one
+exact floor(n^(1/r)); ``_LIMIT_CEILING`` and ``_R_CEILING`` bound x and r.
+
 This module imports no numpy, so the commands that need only these
 numbers (``rfree residues``) start without it.
 """
@@ -26,6 +29,13 @@ from functools import lru_cache
 from typing import NamedTuple
 
 _TRIAL_BOUND = 1 << 16  # trial division runs over every p <= 2**16
+# every x, table limit and s_max lies below this, _TRIAL_BOUND**2, where the
+# int64 Mobius sums of harness._count_classes and progressions._split_terms
+# and the uint64 products of progressions._residues_mod_s are shown exact
+_LIMIT_CEILING = 2**32
+# every r lies below this: an option admits only integers below 2**63, so a
+# larger r changes no flag, and p**r would only cost time
+_R_CEILING = 64
 # Miller-Rabin with these bases is exact for every n < 2**64
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_EXACT_BELOW = 1 << 64
@@ -146,6 +156,35 @@ def _brent_factor(n: int) -> int:
                 g = math.gcd(abs(x - saved), n)
         if g != n:
             return g
+
+
+def primes_upto(n: int) -> list[int]:
+    """The primes p <= n, ascending, by a sieve of Eratosthenes on the odd
+    numbers."""
+    if n < 2:
+        return []
+    flags = bytearray(b"\1") * ((n + 1) // 2)  # flags[i]: is 2i + 1 prime
+    flags[0] = 0
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(flags), p)))
+    return [2, *itertools.compress(range(1, n + 1, 2), flags)]
+
+
+def _int_rth_root(n: int, r: int) -> int:
+    """floor(n^(1/r)) in exact integer arithmetic, for 0 <= n < 2**64 and
+    r >= 1, where the float estimate is off by at most a few units."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n.bit_length() <= r:  # n < 2^r, so the root is 0 or 1
+        return min(n, 1)
+    x = int(round(n ** (1.0 / r)))
+    while x**r > n:
+        x -= 1
+    while (x + 1) ** r <= n:
+        x += 1
+    return x
 
 
 @lru_cache(maxsize=65536)

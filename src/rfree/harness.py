@@ -17,9 +17,11 @@ back), so a modulus costs about x^(1/r) d-terms plus at most half a period
 per d.  The partial-period entries are int32 while k*k < 2^31 and are
 tallied in blocks of at most 2^18, so a modulus holds one block of entries
 at a time, not one entry per m.  The d-terms (mu(d), d^r and x // d^r)
-are built once per x, by the builder ``progressions._d_terms`` that the
-split also uses, and shared by every modulus of that x; the sweep sieves
-mu only up to (max x)^(1/r) and holds no table over [1, x].
+are built once per x, by the builder ``sieve._d_terms`` that the split
+also uses, and shared by every modulus of that x; the sweep sieves mu
+only up to (max x)^(1/r) and holds no table over [1, x].  The main terms
+come from ``multiplicative._main_term``, so the sweep loads no
+``rfree.progressions``.
 
 Only the moduli in (K/2, K] are counted.  Every k <= K/2 divides
 k' = k * floor(K/k), which lies in that range, and
@@ -45,11 +47,10 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import trial_factorize
+from .arith import _LIMIT_CEILING, _R_CEILING, trial_factorize
 from .errors import ConfigError, ResourceLimitError, SelfCheckError
-from .multiplicative import f_value
-from .progressions import _d_terms, _main_term, _root_mu
-from .sieve import _LIMIT_CEILING, _check_count_range, r_free_counts
+from .multiplicative import _main_term, f_value
+from .sieve import _check_count_range, _d_terms, _root_mu, r_free_counts
 
 CSV_HEADER = "x,r,A,K,S,normalized,wall_seconds"
 # the partial-period entries one bincount tallies; a block is cut on d
@@ -230,6 +231,8 @@ class ExperimentConfig(_ExperimentFields):
     def validate(self) -> None:
         if self.r < 2:
             raise ConfigError(f"r must be >= 2, got {self.r}")
+        if self.r >= _R_CEILING:
+            raise ConfigError(f"r must be below 64, got {self.r}: 2**r exceeds every x")
         if not self.log_power > 0:
             raise ConfigError(f"A must be > 0, got {self.log_power}")
         if not self.xs:

@@ -13,6 +13,9 @@ and through single values, which ``tau_value`` takes from
 tau_r(p^e) = C(e + r - 1, r - 1).  Each helper that needs the primes of
 its argument factors it by the memoised ``trial_factorize``.
 
+``_main_term``, from the factorization and f-value of k, is the one main
+term: ``progressions.main_term`` and the bv-sum sweep both call it.
+
 Only ``zeta`` at r >= 3 uses numpy, and imports it when it runs, so
 ``rfree tau-sum`` and ``rfree f --r 2`` start without it.
 """
@@ -25,7 +28,7 @@ from itertools import accumulate, repeat
 from operator import floordiv, mul
 from typing import NamedTuple, Sequence
 
-from .arith import trial_factorize
+from .arith import _LIMIT_CEILING, Factorization, trial_factorize
 from .errors import ResourceLimitError
 
 _ZETA_TARGET = 1e-13
@@ -34,11 +37,6 @@ _ZETA_PIECE = 1 << 17  # float64 terms per np.sum in zeta: 1 MiB
 # _zeta_cached(2, _ZETA_TARGET), the bits every r = 2 main term has used;
 # pinned because the sum takes 3,162,278 terms
 _ZETA_2 = float.fromhex("0x1.a51a6625308b4p+0")
-# every x of tau_partial_sum_check lies below this, as every x and sieve
-# limit of the package does, for its cost: each level j < r of the
-# hyperbola takes O(x^(3/4)) steps, and at x = 2**32 - 1 the sum took
-# 0.1 s at r = 2, 10-12 s at r = 3 and 18 s at r = 4 (2-core VM)
-_TAU_CEILING = 2**32
 # the steps of the levels j < r, (r - 2) * x^(3/4) summed over the xs, that
 # tau_partial_sum_check admits: r = 4 at any x < 2**32.  A step took about
 # 0.4-0.5 us at x = 1e8 (2-core VM), so the budget is about 15 s of work
@@ -116,6 +114,22 @@ def f_value(r: int, k: int) -> FValue:
         val /= 1.0 - float(p) ** (-r)
     rel = _ZETA_TARGET + (len(fact.factors) + 2) * _FLOAT_ULP
     return FValue(r=r, k=k, value=val, rel_error=rel)
+
+
+def _main_term(x: int, r: int, fact: Factorization, fval: FValue, l: int) -> float:
+    """``progressions.main_term`` of (x, r, fact.n, l), given the
+    factorization and the f-value of k."""
+    num = den = 1
+    for p, e in fact.factors:
+        if e >= r and l % p**r == 0:
+            raise ValueError(
+                f"gcd(l, k) = {math.gcd(l, fact.n)} is not {r}-free; "
+                "the main term is undefined"
+            )
+        if l % p**e == 0:
+            num *= p ** (r - e) - 1
+            den *= p ** (r - e)
+    return (x / fact.n) * (num / den) * fval.value
 
 
 def tau_value(r: int, n: int) -> int:
@@ -199,7 +213,10 @@ def tau_partial_sum_check(r: int, xs: Sequence[int]) -> list[TauSumRow]:
             raise ValueError(f"each x must be >= 3, got {x}")
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    if max(xs) >= _TAU_CEILING:
+    # below 2**32 for its cost: each level j < r of the hyperbola takes
+    # O(x^(3/4)) steps, and at x = 2**32 - 1 the sum took 0.1 s at r = 2,
+    # 10-12 s at r = 3 and 18 s at r = 4 (2-core VM)
+    if max(xs) >= _LIMIT_CEILING:
         raise ResourceLimitError(
             f"x={max(xs)} is not below 2**32, the ceiling of every x; at "
             "x = 2**32 - 1 the sum already takes about 10 s at r = 3 and 8 s "

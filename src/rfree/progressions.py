@@ -34,13 +34,15 @@ holds with no tolerance and is enforced by the acceptance suite; R itself
 comes from the independent strided count of the r-free flags.  No function
 here takes a table: a count sieves its flags one window at a time.
 
-``decompose_many`` splits many (k, l, z) at one (x, r), and
-``decompose`` is its one-trial call.  The trials are grouped by g, whose
-columns are the d-terms (d, mu(d), d^r, (x/g) // d^r) of the squarefree
-d <= (x/g)^(1/r), built by ``_d_terms``, which the bv-sum sweep shares.
-Each distinct (k, l) is one row: the d not coprime to k are masked out,
-one modular inverse is taken per distinct (s, d^r mod s), and the
-valuation caps are counted by inclusion-exclusion over a block of
+``main_term`` checks its arguments and evaluates
+``multiplicative._main_term``, which the bv-sum sweep also calls.
+``decompose_many`` splits many (k, l, z) at one (x, r), and ``decompose``
+is its one-trial call.  The trials are grouped by g, whose columns are the
+d-terms (d, mu(d), d^r, (x/g) // d^r) of the squarefree d <= (x/g)^(1/r),
+built by ``sieve._d_terms``, which the bv-sum sweep shares.  Each
+distinct (k, l) is one row: the d not coprime to k are masked out, one
+modular inverse is taken per distinct (s, d^r mod s), and the valuation
+caps are counted by inclusion-exclusion over a block of
 rows x d x 2^(number of primes of g) int64 entries, exact at every size,
 so there is no scan crossover.  Every cut z of a row is read off one
 cumulative sum.  A batch thus costs a few dozen numpy passes per group
@@ -55,9 +57,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import Factorization, is_r_free, trial_factorize
-from .multiplicative import FValue, f_value
-from .sieve import _check_count_range, _r_free_windows, mobius_sieve
+from .arith import _R_CEILING, is_r_free, trial_factorize
+from .multiplicative import _main_term, f_value
+from .sieve import _check_count_range, _d_terms, _r_free_windows, _root_mu
 
 _BLOCK_ELEMENTS = 1 << 15  # int64 entries per (rows x d x caps) block of the split
 
@@ -150,28 +152,16 @@ def main_term(x: int, r: int, k: int, l: int) -> float:
 
     Defined only when g = gcd(l, k) is r-free; otherwise the progression
     carries no r-free numbers at all and the caller should use the
-    all-zero convention.
+    all-zero convention.  Raises ValueError unless x >= 0, r < 64 and
+    0 <= l < k.
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
+    if r >= _R_CEILING:
+        raise ValueError(f"r must be below 64, got {r}")
     if k < 1 or not 0 <= l < k:
         raise ValueError(f"bad progression k={k}, l={l}")
     return _main_term(x, r, trial_factorize(k), f_value(r, k), l)
-
-
-def _main_term(x: int, r: int, fact: Factorization, fval: FValue, l: int) -> float:
-    """``main_term`` of (x, r, fact.n, l), given the factorization of k."""
-    num = den = 1
-    for p, e in fact.factors:
-        if e >= r and l % p**r == 0:
-            raise ValueError(
-                f"gcd(l, k) = {math.gcd(l, fact.n)} is not {r}-free; "
-                "the main term is undefined"
-            )
-        if l % p**e == 0:
-            num *= p ** (r - e) - 1
-            den *= p ** (r - e)
-    return (x / fact.n) * (num / den) * fval.value
 
 
 def error_term(x: int, r: int, k: int, l: int) -> ProgressionReport:
@@ -212,43 +202,6 @@ def _error_report(
         count=count, main_term=main, error_term=count - main,
         main_rel_error=rel,
     ), split
-
-
-def _int_rth_root(n: int, r: int) -> int:
-    """floor(n^(1/r)) in exact integer arithmetic."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return 0
-    if r == 2:
-        return math.isqrt(n)
-    x = int(round(n ** (1.0 / r)))
-    while x > 0 and x**r > n:
-        x -= 1
-    while (x + 1) ** r <= n:
-        x += 1
-    return x
-
-
-def _root_mu(x: int, r: int) -> np.ndarray:
-    """The Mobius function indexed by n, over [0, max(1, x^(1/r))]."""
-    return mobius_sieve(max(1, _int_rth_root(x, r)))
-
-
-def _d_terms(mu: np.ndarray, x: int, r: int) -> tuple[np.ndarray, ...]:
-    """(d, mu(d), d^r, x // d^r) over the squarefree d <= x^(1/r), as int64.
-
-    ``mu`` is the Mobius function indexed by n, up to at least x^(1/r).
-    """
-    # int64 throughout: every d^r <= x, and every caller has x < 2^32
-    # (sieve._check_count_range and ExperimentConfig.validate refuse larger x)
-    d_max = _int_rth_root(x, r)
-    if mu.size <= d_max:
-        raise ValueError(f"mu covers [0, {mu.size - 1}], below x^(1/r) = {d_max}")
-    mu = mu[1 : d_max + 1]
-    ds = np.flatnonzero(mu) + 1
-    dr = ds**r
-    return ds, mu[ds - 1].astype(np.int64), dr, x // dr
 
 
 def decompose(x: int, r: int, k: int, l: int, z: float) -> DecompositionReport:

@@ -16,9 +16,10 @@ maximum.  ``count_solutions`` gives the count for any a and one s by
 ``arith.trial_factorize``.  ``per_modulus_maxima`` gives the a = 1 count of
 every s <= s_max without factoring any s: N(s) = #{d mod s : d^r = 1} is
 multiplicative, N(p^e) = gcd(r, phi(p^e)) for odd p, and one windowed sieve
-applies every prime power p^e <= s_max with p <= sqrt(s_max) by strides,
-counting omega(s) in the same pass.  What is left of s after that is 1 or
-one prime q > sqrt(s_max), which adds gcd(r, q - 1).
+applies every prime power p^e <= s_max with p <= sqrt(s_max), the primes
+of ``arith.primes_upto``, by strides, counting omega(s) in the same pass.
+What is left of s after that is 1 or one prime q > sqrt(s_max), which
+adds gcd(r, q - 1).  ``s_max`` lies below ``arith._LIMIT_CEILING`` = 2**32.
 ``counts_vector`` (exhaustive histograms per prime power) and
 ``count_solutions_bruteforce`` are the oracles.
 
@@ -36,14 +37,10 @@ from itertools import repeat
 from operator import add, floordiv, mul
 from typing import Iterator, NamedTuple
 
-from .arith import _TRIAL_BOUND, trial_factorize
+from .arith import _LIMIT_CEILING, primes_upto, trial_factorize
 from .errors import ResourceLimitError
 
 _WINDOW = 1 << 12  # moduli per window of the per_modulus_maxima sieve
-# s_max lies below _TRIAL_BOUND**2 = 2**32, the ceiling of every limit of the
-# package: the sieve's primes are then those below 2**16 (at most 6542), the
-# ones trial_factorize divides by, and omega(s) <= 9 (2*3*...*29 > 2**32)
-_S_MAX_CEILING = _TRIAL_BOUND**2
 
 
 class ResidueCount(NamedTuple):
@@ -157,16 +154,6 @@ class ModulusMaximum(NamedTuple):
     ratio: float
 
 
-def _primes_upto(n: int) -> list[int]:
-    """The primes p <= n, for n >= 1, by a sieve of Eratosthenes."""
-    flags = bytearray([1]) * (n + 1)
-    flags[:2] = b"\0\0"
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return [p for p, flag in enumerate(flags) if flag]
-
-
 def per_modulus_maxima(r: int, s_max: int) -> Iterator[ModulusMaximum]:
     """For each s <= s_max, the unit residue a maximizing count / r^omega(s).
 
@@ -186,19 +173,20 @@ def per_modulus_maxima(r: int, s_max: int) -> Iterator[ModulusMaximum]:
         raise ValueError(f"r must be >= 2, got {r}")
     if s_max < 2:
         raise ValueError(f"s_max must be >= 2, got {s_max}")
-    if s_max >= _S_MAX_CEILING:
+    if s_max >= _LIMIT_CEILING:
         raise ResourceLimitError(
             f"s_max={s_max} is not below 2**32: the sieve's primes go up to "
             "sqrt(s_max), and below 2**32 they are the primes below 2**16"
         )
     strides = []  # (p, p^e, N(p^e) // N(p^(e-1))) for every p^e <= s_max
-    for p in _primes_upto(math.isqrt(s_max)):
+    for p in primes_upto(math.isqrt(s_max)):
         units, pe, e = 1, p, 1
         while pe <= s_max:
             grown = _count_units(r, 1, 2, e) if p == 2 else math.gcd(r, pe // p * (p - 1))
             strides.append((p, pe, grown // units))
             units, pe, e = grown, pe * p, e + 1
-    # r^omega(s) as a float, as count_solutions' bound / 2 gives it
+    # r^omega(s) as a float, as count_solutions' bound / 2 gives it; below
+    # 2**32, omega(s) <= 9 (2*3*...*29 > 2**32)
     powers = [2.0 * r**w / 2 for w in range(10)]
     for lo in range(1, s_max + 1, _WINDOW):
         hi = min(lo + _WINDOW, s_max + 1)

@@ -1,12 +1,14 @@
-"""Sieves: r-free flags over [0, x] by windows, the Mobius table over [0, N].
+"""Sieves: r-free flags over [0, x] by windows, the Mobius function and
+the d-terms of the Mobius sums.
 
 Every count the package makes reads one of two things: the r-free
 indicator of each n <= x, summed along a progression, or the Mobius
-function up to x^(1/r), in the d-sums of ``decompose``.  No count reads a
-flag table: ``_r_free_windows(x, r)``, the one loop that runs the windowed
-kernel ``_sieve_window``, yields the flags of [0, x] one scratch window at
-a time, which ``r_free_counts`` sums, ``progressions._class_counts``
-counts by strides and ``save_cache`` packs into its file.
+function up to x^(1/r), in the d-sums of ``decompose`` and of the bv-sum
+sweep.  No count reads a flag table: ``_r_free_windows(x, r)``, the one
+loop that runs the windowed kernel ``_sieve_window``, yields the flags of
+[0, x] one scratch window at a time, which ``r_free_counts`` sums,
+``progressions._class_counts`` counts by strides and ``save_cache`` packs
+into its file.
 
 * ``r_free_counts(xs, r)`` gives #{1 <= n <= x : no prime p has p^r | n}
   for each x (r = 2 counts the squarefree numbers).
@@ -16,19 +18,20 @@ counts by strides and ``save_cache`` packs into its file.
   totals, holding one window and its packed bytes.  The file is written
   and never read: no function of the package parses it.
 * ``mobius_sieve(N)`` gives the Mobius function of every n in [0, N] as
-  a read-only int8 array, in one pass over the prime powers of
-  ``_prime_powers``.  The Mobius sums read it up to x^(1/r).
+  a read-only int8 array, in one walk over ``arith.primes_upto(N)``;
+  ``_root_mu(x, r)`` sieves it up to x^(1/r), and ``_d_terms`` reads off
+  it the d-terms (d, mu(d), d^r, x // d^r) both Mobius sums share.
 
 A table over [0, N] keeps one size rule, ``_check_table_size``: N >= 1,
 N < 2**32 and at most 2 GiB.  Every count keeps one range rule,
-``_check_count_range``: r >= 2 and 0 <= x < 2**32.
-
-The per-number oracles of the flags, ``mu_r_direct`` and ``is_r_free``,
-read no table and live in ``rfree.arith``.
+``_check_count_range``: 2 <= r < 64 and 0 <= x < 2**32.  Both ceilings
+are defined in ``rfree.arith``, with the prime sieve, the integer root
+and the per-number oracles of the flags, ``mu_r_direct`` and ``is_r_free``.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import zlib
@@ -36,14 +39,10 @@ from typing import Iterable
 
 import numpy as np
 
+from .arith import _LIMIT_CEILING, _R_CEILING, _int_rth_root, primes_upto
 from .errors import ResourceLimitError
 
 _MEMORY_BUDGET = 2 * 1024**3  # bytes of finished tables
-# every table limit and every x lies below this, where the arithmetic is
-# shown exact: the int64 Mobius sums of harness._count_classes and
-# progressions._split_terms and the uint64 products of
-# progressions._residues_mod_s
-_LIMIT_CEILING = 2**32
 # uint8 flags per window of the r-free kernel: 1 MiB, a multiple of 8, so
 # each window packs into whole bytes of the cache
 _COUNT_WINDOW = 1 << 20
@@ -75,66 +74,62 @@ def _check_table_size(limit: int) -> None:
         )
 
 
-def small_primes(n: int) -> np.ndarray:
-    """All primes <= n, by a plain boolean sieve (self-contained)."""
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    flags = np.ones(n + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.nonzero(flags)[0].astype(np.int64)
-
-
-def _prime_powers(limit: int):
-    """Yield (p, e, at) for every prime power p^e <= limit, p ascending;
-    ``at`` indexes the multiples of p^e (the slice p^e::p^e).
-
-    A prime above isqrt(limit) divides each n <= limit at most once, so
-    those primes come grouped by cofactor m, as (ps, 1, m * ps).
-    """
-    primes = small_primes(limit)
-    root = math.isqrt(limit)
-    n_small = int(np.searchsorted(primes, root, side="right"))
-    for p in primes[:n_small].tolist():
-        q, e = p, 1
-        while q <= limit:
-            yield p, e, slice(q, None, q)
-            q *= p
-            e += 1
-    large = primes[n_small:]
-    for m in range(1, limit // (root + 1) + 1):
-        ps = large[: np.searchsorted(large, limit // m, side="right")]
-        yield ps, 1, m * ps
-
-
 def mobius_sieve(limit: int) -> np.ndarray:
     """mu(n) for every n in [0, limit] as a read-only int8 array (mu(0) = 0).
 
-    One pass over ``_prime_powers(limit)``: each multiple of p flips mu;
-    each multiple of p^e, e >= 2, gets mu = 0.  Raises ValueError if
-    limit < 1 and ResourceLimitError if the table breaks
+    One walk over ``primes_upto(limit)``: each p <= sqrt(limit) flips mu on
+    its multiples and zeroes it on those of p^2 (and so of every higher
+    power).  A larger p divides each n <= limit at most once, so those
+    primes flip mu in groups, by their cofactor m, at m * p.  Raises
+    ValueError if limit < 1 and ResourceLimitError if the table breaks
     ``_check_table_size``.
     """
     _check_table_size(limit)
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    for _, e, at in _prime_powers(limit):
-        if e == 1:
-            mu[at] = -mu[at]
-        else:
-            mu[at] = 0
+    primes = primes_upto(limit)
+    root = math.isqrt(limit)
+    n_small = bisect.bisect_right(primes, root)
+    for p in primes[:n_small]:
+        mu[p::p] = -mu[p::p]
+        mu[p * p :: p * p] = 0
+    large = np.array(primes[n_small:], dtype=np.int64)
+    for m in range(1, limit // (root + 1) + 1):
+        at = m * large[: np.searchsorted(large, limit // m, side="right")]
+        mu[at] = -mu[at]
     mu.setflags(write=False)
     return mu
 
 
+def _root_mu(x: int, r: int) -> np.ndarray:
+    """The Mobius function indexed by n, over [0, max(1, x^(1/r))]."""
+    return mobius_sieve(max(1, _int_rth_root(x, r)))
+
+
+def _d_terms(mu: np.ndarray, x: int, r: int) -> tuple[np.ndarray, ...]:
+    """(d, mu(d), d^r, x // d^r) over the squarefree d <= x^(1/r), as int64.
+
+    ``mu`` is the Mobius function indexed by n, up to at least x^(1/r).
+    """
+    # int64 throughout: every d^r <= x, and every caller has x < 2^32
+    # (_check_count_range and ExperimentConfig.validate refuse larger x)
+    d_max = _int_rth_root(x, r)
+    if mu.size <= d_max:
+        raise ValueError(f"mu covers [0, {mu.size - 1}], below x^(1/r) = {d_max}")
+    mu = mu[1 : d_max + 1]
+    ds = np.flatnonzero(mu) + 1
+    dr = ds**r
+    return ds, mu[ds - 1].astype(np.int64), dr, x // dr
+
+
 def _check_count_range(x: int, r: int) -> None:
-    """The one range rule of every count over [1, x]: r >= 2 and
+    """The one range rule of every count over [1, x]: 2 <= r < 64 and
     0 <= x < 2**32, where the int64 Mobius sums are shown exact.  Raises
     ValueError."""
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
+    if r >= _R_CEILING:
+        raise ValueError(f"r must be below 64, got {r}: 2**r exceeds every x")
     if not 0 <= x < _LIMIT_CEILING:
         raise ValueError(f"x={x} outside [0, 2**32)")
 
@@ -142,7 +137,7 @@ def _check_count_range(x: int, r: int) -> None:
 def _r_powers(top: int, r: int) -> tuple[list[int], np.ndarray]:
     """The p^r <= top: those below ``_COUNT_WINDOW`` (cleared by strides)
     and the rest (fancy-indexed; each hits a window at most once)."""
-    powers = [p**r for p in small_primes(math.isqrt(top)).tolist() if p**r <= top]
+    powers = [p**r for p in primes_upto(_int_rth_root(top, r))]
     dense = [q for q in powers if q < _COUNT_WINDOW]
     return dense, np.array(powers[len(dense) :], dtype=np.int64)
 

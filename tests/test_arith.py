@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
 from conftest import run_rfree
 from rfree import f_value, trial_factorize
+from rfree.arith import _int_rth_root, primes_upto
 
 
 @pytest.mark.parametrize("n,factors", [
@@ -32,3 +34,18 @@ def test_error_with_a_square_of_a_large_prime_exits_0():
     assert done.returncode == 0, done.stderr
     payload = json.loads(done.stdout)
     assert (payload["g"], payload["R"]) == (1, 1)  # n = 5 is the one term up to 1000
+
+
+def test_primes_upto():
+    assert primes_upto(0) == primes_upto(1) == []
+    assert primes_upto(2) == [2]
+    assert len(primes_upto(65536)) == 6542  # pi(2**16)
+    by_trial = [n for n in range(2, 10**4 + 1) if trial_factorize(n).factors == ((n, 1),)]
+    assert primes_upto(10**4) == by_trial
+
+
+def test_int_rth_root_huge_r_returns_at_once():
+    start = time.perf_counter()
+    assert _int_rth_root(2**63 - 1, 10**11) == 1
+    assert _int_rth_root(0, 10**11) == 0
+    assert time.perf_counter() - start < 1.0  # 2**(10**11) is never formed

@@ -673,6 +673,13 @@ def _exit_code(argv):
     "error --x 0 --r 2 --k 3 --l 1",
     "verify-lemmas --x 5e9 --r 2",
     "verify-lemmas --x 0 --r 2",
+    "sieve --limit 100 --r 99999999999",
+    "sieve --limit 1e6 --r 5000000",
+    "sieve --limit 100 --r 64",
+    "error --x 100 --r 99999999999 --k 4 --l 0",
+    "verify-lemmas --x 100 --r 99999999999 --trials 2",
+    "bv-sum --r 99999999999 --A 1 --x 1e4",
+    "bv-sum --r 64 --A 1 --x 1e4",
 ])
 def test_refused_input_exit_2(argv, capsys, tmp_path):
     assert _exit_code(argv.format(tmp=tmp_path).split()) == 2
@@ -683,3 +690,5 @@ def test_refused_input_exit_2(argv, capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
     if "--z" in argv:
         assert "z must be a finite number >= 1" in captured.err
+    if any(f"--r {r}" in argv for r in ("64", "5000000", "99999999999")):
+        assert "r must be below 64" in captured.err

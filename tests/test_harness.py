@@ -20,7 +20,8 @@ from rfree import (
     run_experiment,
     write_plot,
 )
-from rfree.progressions import _class_counts, _d_terms, _root_mu
+from rfree.progressions import _class_counts
+from rfree.sieve import _d_terms, _root_mu
 
 
 def test_threshold_examples():
@@ -259,6 +260,11 @@ def test_config_validation():
     ExperimentConfig(**good).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(r=1, log_power=1.0, xs=(10**4,)).validate()
+    with pytest.raises(ConfigError, match="threshold"):  # past the r rule
+        ExperimentConfig(r=63, log_power=0.01, xs=(2**32 - 1,)).validate()
+    for r in (64, 10**11):
+        with pytest.raises(ConfigError, match="r must be below 64"):
+            ExperimentConfig(r=r, log_power=1.0, xs=(10**4,)).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(r=2, log_power=0.0, xs=(10**4,)).validate()
     with pytest.raises(ConfigError):

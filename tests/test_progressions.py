@@ -16,8 +16,9 @@ from rfree import (
     main_term,
     trial_factorize,
 )
+from rfree.arith import _int_rth_root
 from rfree.harness import class_counts
-from rfree.progressions import _class_counts, _int_rth_root
+from rfree.progressions import _class_counts
 from rfree.sieve import _COUNT_WINDOW
 
 
@@ -119,6 +120,9 @@ def test_main_term_example():
 def test_main_term_domain_error():
     with pytest.raises(ValueError, match="free"):
         main_term(100, 2, 4, 0)
+    for r in (64, 10**11):  # refused before any p**r is formed
+        with pytest.raises(ValueError, match="r must be below 64"):
+            main_term(100, r, 2**40, 2**39)
 
 
 @pytest.mark.parametrize("r", [3, 4])
@@ -454,11 +458,13 @@ def test_int_rth_root_fuzz():
         n = rng.randint(0, 10**12)
         root = _int_rth_root(n, r)
         assert root**r <= n < (root + 1) ** r, (n, r)
-    # exact power boundaries
-    for base in (1, 2, 7, 100):
-        for r in (2, 3, 4):
-            assert _int_rth_root(base**r, r) == base
-            assert _int_rth_root(base**r - 1, r) == base - 1 or base == 1
+    # exact power boundaries, up to the largest base with base^r < 2**64
+    for r in (2, 3, 4, 5, 31, 63):
+        top = 2 ** -(-64 // r)
+        for base in {1, 2, 3, 7, 100, top // 3, top - 1}:
+            if base**r < 2**64:
+                assert _int_rth_root(base**r, r) == base
+                assert _int_rth_root(base**r - 1, r) == base - 1 or base == 1
 
 
 def test_error_term_full_range_at_one_million():

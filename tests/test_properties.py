@@ -23,7 +23,8 @@ from rfree import (  # noqa: E402
     trial_factorize,
 )
 import rfree.harness as harness  # noqa: E402
-from rfree.progressions import _class_counts, _d_terms, _root_mu  # noqa: E402
+from rfree.progressions import _class_counts  # noqa: E402
+from rfree.sieve import _d_terms, _root_mu  # noqa: E402
 from test_harness import reference_count_classes  # noqa: E402
 from test_progressions import decompose_by_loop  # noqa: E402
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -21,7 +22,7 @@ from rfree import (
     trial_factorize,
 )
 from rfree.cli import main
-from rfree.progressions import _root_mu
+from rfree.sieve import _r_powers, _root_mu
 
 
 def test_squarefree_flags_to_ten():
@@ -207,6 +208,28 @@ def test_sieve_factors_are_root_prefix(mu_1e5):
         mu = _root_mu(100_000, r)
         assert mu.dtype == mu_1e5.dtype == np.int8
         assert np.array_equal(mu, mu_1e5[:root]), r
+
+
+def test_mobius_sieve_bytes_pinned():
+    # the largest table any command sieves: x < 2**32 and r >= 2
+    digest = hashlib.sha256(mobius_sieve(65535).tobytes()).hexdigest()
+    assert digest == "b8972994567e5e08762e908500b774b75a84a4b92bfb6caac3a73601e6eb89a7"
+
+
+@pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (101, 2), (2, 3), (1021, 3),
+                                 (251, 4), (2, 20), (3, 20), (2, 31)])
+def test_r_powers_match_bruteforce(p, r):
+    for top in (p**r - 1, p**r):
+        powers = []
+        q = 2
+        while q**r <= top:
+            if all(q % d for d in range(2, math.isqrt(q) + 1)):
+                powers.append(q**r)
+            q += 1
+        dense, sparse = _r_powers(top, r)
+        assert dense + sparse.tolist() == powers, top
+        assert all(q < sieve._COUNT_WINDOW for q in dense)
+        assert all(q >= sieve._COUNT_WINDOW for q in sparse.tolist())
 
 
 def test_mu_prime_values(mu_1e5):

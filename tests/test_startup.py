@@ -70,6 +70,20 @@ def test_help_refusal_and_residues_load_no_numpy(capsys):
         assert done.stdout == capsys.readouterr().out
 
 
+def test_bv_sum_and_sieve_load_only_their_layers(capsys):
+    # the sweep reads mu, the d-terms and the main term from sieve and
+    # multiplicative; the sieve command needs neither the split nor the sweep
+    for argv, absent in (
+        (["bv-sum", "--r", "3", "--A", "1", "--x", "1e4,1e5", "--timing", "none"],
+         {"rfree.progressions"}),
+        (["sieve", "--limit", "1e5", "--r", "2,3"], {"rfree.progressions", "rfree.harness"}),
+    ):
+        done = run_rfree(*argv, python_flags=("-X", "importtime"))
+        assert done.returncode == 0, done.stderr
+        assert "rfree.sieve" in _imported(done.stderr)
+        assert not absent & _imported(done.stderr), argv
+
+
 def test_tau_sum_loads_no_numpy(capsys):
     argv = ["tau-sum", "--r", "3", "--x", "1e4,1e6"]
     done = run_rfree(*argv, python_flags=("-X", "importtime"))
