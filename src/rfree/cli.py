@@ -63,25 +63,6 @@ def _parse_int_list(text: str) -> list[int]:
     return [_parse_int(part) for part in text.split(",") if part.strip()]
 
 
-def _refuse_non_cache(path) -> None:
-    """Raise ConfigError if a file at ``path`` does not begin with ``RFSV``,
-    the magic of every sieve cache version, so that ``sieve --cache`` never
-    overwrites a file it did not write.  Only those four bytes are read."""
-    from .sieve import _CACHE_MAGIC
-
-    prefix = _CACHE_MAGIC[:4]
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(len(prefix))
-    except FileNotFoundError:
-        return
-    if head != prefix:
-        raise ConfigError(
-            f"{path} exists and is not a sieve cache (it does not begin with "
-            "RFSV); refusing to overwrite it"
-        )
-
-
 def _cmd_sieve(args) -> int:
     import time
 
@@ -96,8 +77,7 @@ def _cmd_sieve(args) -> int:
     if args.limit < 1:
         raise ConfigError(f"limit must be >= 1, got {args.limit}")
     start = time.perf_counter()
-    if args.cache:
-        _refuse_non_cache(args.cache)
+    if args.cache:  # save_cache refuses to overwrite a file not beginning with RFSV
         totals, source = save_cache(args.cache, args.limit, rs), "built and saved"
     else:
         totals, source = [r_free_counts([args.limit], r)[0] for r in rs], "built"

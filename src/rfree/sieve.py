@@ -18,12 +18,13 @@ into its file.
   totals, holding one window and its packed bytes.  The file is written
   and never read: no function of the package parses it.
 * ``mobius_sieve(N)`` gives the Mobius function of every n in [0, N] as
-  a read-only int8 array, in one walk over ``arith.primes_upto(N)``;
-  ``_root_mu(x, r)`` sieves it up to x^(1/r), and ``_d_terms`` reads off
-  it the d-terms (d, mu(d), d^r, x // d^r) both Mobius sums share.
+  a read-only int8 array, from the primes p <= sqrt(N) and a cofactor
+  left 1 or one prime; ``_root_mu(x, r)`` sieves it up to x^(1/r) and
+  checks mu * 1 = epsilon, and ``_d_terms`` reads off it the d-terms
+  (d, mu(d), d^r, x // d^r) both Mobius sums share.
 
 A table over [0, N] keeps one size rule, ``_check_table_size``: N >= 1,
-N < 2**32 and at most 2 GiB.  Every count keeps one range rule,
+N < 2**32 and at most 2 GiB of table.  Every count keeps one range rule,
 ``_check_count_range``: 2 <= r < 64 and 0 <= x < 2**32.  Both ceilings
 are defined in ``rfree.arith``, with the prime sieve, the integer root
 and the per-number oracles of the flags, ``mu_r_direct`` and ``is_r_free``.
@@ -31,7 +32,6 @@ and the per-number oracles of the flags, ``mu_r_direct`` and ``is_r_free``.
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 import zlib
@@ -40,7 +40,7 @@ from typing import Iterable
 import numpy as np
 
 from .arith import _LIMIT_CEILING, _R_CEILING, _int_rth_root, primes_upto
-from .errors import ResourceLimitError
+from .errors import ConfigError, ResourceLimitError, SelfCheckError
 
 _MEMORY_BUDGET = 2 * 1024**3  # bytes of finished tables
 # uint8 flags per window of the r-free kernel: 1 MiB, a multiple of 8, so
@@ -58,7 +58,9 @@ def _check_table_size(limit: int) -> None:
 
     Raises ValueError if limit < 1, and ResourceLimitError, before anything
     is allocated, if limit is not below 2**32 or the table would take more
-    than 2 GiB.  The 2**32 ceiling is checked first.
+    than 2 GiB.  The 2**32 ceiling is checked first.  The budget covers the
+    finished table; ``mobius_sieve`` holds only one window's scratch more,
+    5 bytes for each of at most ``_COUNT_WINDOW`` n.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
@@ -77,33 +79,49 @@ def _check_table_size(limit: int) -> None:
 def mobius_sieve(limit: int) -> np.ndarray:
     """mu(n) for every n in [0, limit] as a read-only int8 array (mu(0) = 0).
 
-    One walk over ``primes_upto(limit)``: each p <= sqrt(limit) flips mu on
-    its multiples and zeroes it on those of p^2 (and so of every higher
-    power).  A larger p divides each n <= limit at most once, so those
-    primes flip mu in groups, by their cofactor m, at m * p.  Raises
-    ValueError if limit < 1 and ResourceLimitError if the table breaks
+    One pass over windows of ``_COUNT_WINDOW`` n, each walking the primes
+    p <= sqrt(limit): p flips mu on its multiples, zeroes it on those of
+    p^2, and is divided once out of the uint32 cofactor of each multiple.
+    A squarefree n whose cofactor ends above 1 has one prime factor above
+    sqrt(limit), so mu flips once more there.  Raises ValueError if
+    limit < 1 and ResourceLimitError if the table breaks
     ``_check_table_size``.
     """
     _check_table_size(limit)
     mu = np.ones(limit + 1, dtype=np.int8)
+    primes = primes_upto(math.isqrt(limit))
+    for lo in range(0, limit + 1, _COUNT_WINDOW):
+        window = mu[lo : lo + _COUNT_WINDOW]  # n = lo + index
+        rest = np.arange(lo, lo + window.size, dtype=np.uint32)  # n < 2**32
+        for p in primes:
+            hit = window[-lo % p :: p]
+            np.negative(hit, out=hit)
+            window[-lo % (p * p) :: p * p] = 0
+            rest[-lo % p :: p] //= p
+        np.negative(window, out=window, where=rest > 1)
+        del rest  # before the next window's cofactors are made
     mu[0] = 0
-    primes = primes_upto(limit)
-    root = math.isqrt(limit)
-    n_small = bisect.bisect_right(primes, root)
-    for p in primes[:n_small]:
-        mu[p::p] = -mu[p::p]
-        mu[p * p :: p * p] = 0
-    large = np.array(primes[n_small:], dtype=np.int64)
-    for m in range(1, limit // (root + 1) + 1):
-        at = m * large[: np.searchsorted(large, limit // m, side="right")]
-        mu[at] = -mu[at]
     mu.setflags(write=False)
     return mu
 
 
 def _root_mu(x: int, r: int) -> np.ndarray:
-    """The Mobius function indexed by n, over [0, max(1, x^(1/r))]."""
-    return mobius_sieve(max(1, _int_rth_root(x, r)))
+    """The Mobius function indexed by n, over [0, Y], Y = max(1, x^(1/r)),
+    which every Mobius sum reads.  Raises SelfCheckError unless
+    sum_{d | n} mu(d) = [n = 1] for every n in [1, Y], which fixes mu on
+    [1, Y].  Each pair (d, j d) with j d <= Y is added once, by strides:
+    over j for each d <= sqrt(Y), and over d > sqrt(Y) for each j."""
+    mu = mobius_sieve(max(1, _int_rth_root(x, r)))
+    top, root = mu.size - 1, math.isqrt(mu.size - 1)
+    sums = np.zeros(top + 1, dtype=np.int32)
+    sums[1] = -1  # so that every n sums to 0 when mu is right
+    for d in range(1, root + 1):
+        sums[d::d] += mu[d]
+    for j in range(1, top // (root + 1) + 1):
+        sums[j * (root + 1) :: j] += mu[root + 1 : top // j + 1]
+    if sums.any():
+        raise SelfCheckError(f"mu * 1 = epsilon fails at n={np.flatnonzero(sums)[0]}")
+    return mu
 
 
 def _d_terms(mu: np.ndarray, x: int, r: int) -> tuple[np.ndarray, ...]:
@@ -224,15 +242,25 @@ def save_cache(path, limit: int, rs: Iterable[int]) -> list[int]:
     r, ascending.
 
     Raises ValueError, before any file is opened, unless every r and limit
-    keep ``_check_count_range``.  Each window of ``_r_free_windows`` is
-    counted, packed and written as it comes, and the crc32 is filled in
-    last, so the save holds one window and its packed bytes.  The bytes go
-    to a temporary file in the same directory, which then replaces ``path``
-    in one step, so an interrupted save never leaves a torn cache behind.
+    keep ``_check_count_range``, and ConfigError, before any byte is
+    written, if ``path`` holds a file that does not begin with ``RFSV``,
+    the magic of every cache version; only those four bytes are read.
+    Each window of ``_r_free_windows`` is counted, packed and written as it
+    comes, and the crc32 is filled in last, so the save holds one window
+    and its packed bytes.  The bytes go to a temporary file in the same
+    directory, which then replaces ``path`` in one step, so an interrupted
+    save never leaves a torn cache behind.
     """
     rs = sorted(set(int(r) for r in rs))
     for r in rs:
         _check_count_range(limit, r)
+    try:  # the one file the save may replace is a cache of some version
+        with open(path, "rb") as fh:
+            if fh.read(4) != _CACHE_MAGIC[:4]:
+                raise ConfigError(f"{path} exists and is not a sieve cache (it does "
+                                  "not begin with RFSV); refusing to overwrite it")
+    except FileNotFoundError:
+        pass
     tmp = f"{path}.{os.getpid()}.tmp"
     head = [
         np.array(limit, dtype="<u8"),

@@ -17,6 +17,20 @@ def r_free_flags(x, r):
     return np.concatenate([window.copy() for _, window in sieve._r_free_windows(x, r)])
 
 
+def wrong_mobius(monkeypatch, changes):
+    """Make ``sieve.mobius_sieve`` return its table with mu(n) = value for
+    each n, value of ``changes``."""
+    true = sieve.mobius_sieve
+
+    def wrong(limit):
+        mu = true(limit).copy()
+        for n, value in changes.items():
+            mu[n] = value
+        return mu
+
+    monkeypatch.setattr(sieve, "mobius_sieve", wrong)
+
+
 def run_rfree(*args: str, python_flags=(), timeout=60) -> subprocess.CompletedProcess:
     """``python -m rfree.cli ARGS`` as its own process, importing this checkout."""
     env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SRC
+from conftest import SRC, wrong_mobius
 from rfree import count_r_free_bruteforce, r_free_counts, sieve, tau_value
 from rfree.cli import _parse_int, main
 
@@ -448,6 +448,25 @@ def test_bv_sum_self_check_failure_exit_3(monkeypatch, capsys):
     code = main(["bv-sum", "--r", "2", "--A", "1", "--x", "1e4"])
     assert code == 3
     assert "self-check" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,wrong", [
+    # mu(9998) = 1 and mu(9994) = -1 swapped: both have floor(1e8 / d^2) = 1,
+    # so the partition totals cannot see it; unchecked, bv-sum exits 0 with
+    # S = 21296.39963141529 for 21302.102239391214
+    ("bv-sum --r 2 --A 1 --x 1e8", {9998: -1, 9994: 1}),
+    ("bv-sum --r 2 --A 1 --x 1e6", {997: 1}),  # one flipped sign
+    ("verify-lemmas --x 1e6 --r 2 --trials 100 --seed 3", {997: 1}),
+    ("error --x 1000000 --r 2 --k 7 --l 3 --z 50", {30: 1}),
+])
+def test_wrong_mobius_table_exit_3(monkeypatch, capsys, argv, wrong):
+    true = sieve.mobius_sieve(10**4)
+    assert all(true[n] == -value for n, value in wrong.items())  # sign flips
+    wrong_mobius(monkeypatch, wrong)
+    assert main(argv.split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mu * 1 = epsilon fails at n=" in captured.err
 
 
 @pytest.mark.parametrize("argv,expected", [

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 import rfree.sieve as sieve
-from conftest import r_free_flags
+from conftest import r_free_flags, wrong_mobius
 from rfree import (
+    ConfigError,
     Factorization,
     ResourceLimitError,
+    SelfCheckError,
     count_r_free_bruteforce,
     is_r_free,
     mobius_sieve,
@@ -21,6 +23,7 @@ from rfree import (
     save_cache,
     trial_factorize,
 )
+from rfree.arith import _mobius_trial
 from rfree.cli import main
 from rfree.sieve import _r_powers, _root_mu
 
@@ -214,6 +217,64 @@ def test_mobius_sieve_bytes_pinned():
     # the largest table any command sieves: x < 2**32 and r >= 2
     digest = hashlib.sha256(mobius_sieve(65535).tobytes()).hexdigest()
     assert digest == "b8972994567e5e08762e908500b774b75a84a4b92bfb6caac3a73601e6eb89a7"
+
+
+def test_mobius_sieve_matches_trial_across_windows(monkeypatch):
+    # 64-n windows: limits at, just past and inside window edges, where the
+    # p and p^2 strides start at every offset and most p^2 skip a window,
+    # and the cofactor rule meets primes above sqrt(limit) in every window
+    monkeypatch.setattr(sieve, "_COUNT_WINDOW", 64)
+    for limit in (63, 64, 65, 127, 128, 129, 1000, 4099):
+        expected = [0] + [_mobius_trial(n) for n in range(1, limit + 1)]
+        assert mobius_sieve(limit).tolist() == expected, limit
+
+
+def test_mobius_sieve_holds_its_table_and_one_window():
+    # three full windows and 8 n: the table plus one window's uint32
+    # cofactors and the mask of its last flip, 5 bytes per n; no list of
+    # the primes up to the limit
+    limit = 3 * sieve._COUNT_WINDOW + 7
+    tracemalloc.start()
+    try:
+        mobius_sieve(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit + 1 + 5 * sieve._COUNT_WINDOW + 2**16
+
+
+def test_root_mu_refuses_every_single_wrong_value(monkeypatch):
+    # mu * 1 = epsilon fixes mu on [1, Y]: each wrong value of n <= Y = 300
+    # fails first at n itself, since no m < n has n | m
+    true = mobius_sieve(300)
+    for n in range(1, 301):
+        for value in {-1, 0, 1} - {int(true[n])}:
+            with monkeypatch.context() as patch:
+                wrong_mobius(patch, {n: value})
+                with pytest.raises(SelfCheckError, match=f"n={n}$"):
+                    _root_mu(300**2, 2)
+    assert np.array_equal(_root_mu(300**2, 2), true)
+
+
+def test_save_cache_refuses_a_foreign_file(tmp_path, monkeypatch):
+    # only a file that begins with RFSV, the magic of every cache version,
+    # is replaced; any other is refused before a window is sieved or a
+    # byte written, and left as it was
+    def no_sieve(*args):
+        raise AssertionError("sieved before the file was checked")
+
+    path = tmp_path / "notes.txt"
+    with monkeypatch.context() as patch:
+        patch.setattr(sieve, "_r_free_windows", no_sieve)
+        for content in (b"NOPE!" + bytes(64), b"RFS", b""):
+            path.write_bytes(content)
+            with pytest.raises(ConfigError, match="not a sieve cache"):
+                save_cache(path, 100, {2})
+            assert path.read_bytes() == content
+            assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+    path.write_bytes(b"RFSV1 an older cache")
+    assert save_cache(path, 100, {2}) == [61]
+    assert path.read_bytes()[:5] == b"RFSV2"
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (101, 2), (2, 3), (1021, 3),
