@@ -14,9 +14,9 @@ numpy, and a command pays only for its own modules.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
-from decimal import Decimal, InvalidOperation
 
 from .errors import ConfigError, ResourceLimitError, SelfCheckError
 
@@ -30,6 +30,8 @@ _RESIDUES_BATCH = 1024  # residues rows per write
 
 def _parse_int(text: str) -> int:
     """An exact 64-bit integer, written plainly or in float notation (1e7, 1.5e6)."""
+    from decimal import Decimal, InvalidOperation  # not on the --help path
+
     try:
         value = Decimal(text.strip())
         if value.copy_abs() < 2**63 and value == value.to_integral_value():
@@ -331,7 +333,21 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The process entry of ``python -m rfree.cli`` and the ``rfree`` script.
+
+    No command makes reference cycles (tests/test_startup.py), so the
+    cyclic collector only costs time in a process that ends with the
+    command: it is off while numpy loads and the command runs, and every
+    object left is frozen, so the collection at interpreter shutdown scans
+    none of them.  ``main`` leaves the collector alone for in-process
+    callers.
+    """
+    gc.disable()
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -32,11 +32,12 @@ segmented sieve of the r-th prime powers that reads no Mobius value, so
 it is an independent check; it runs on every counted modulus, and a
 folded modulus sums to its k' total by construction.  Each counted k' is
 folded onto every k that folds from it as soon as it is counted, and its
-counts are then dropped, so one modulus's counts are held at a time.  The
-maximum over l runs over every admissible class in one numpy pass, with
-one main term per divisor g = gcd(l, k), so S(x) is the exact sum.  One
-maximum is kept per k and S(x) is summed in ascending k at the end, so
-the CSV output is byte-identical for a fixed configuration.
+counts are then dropped.  The folded counts of consecutive moduli are
+held until they make a block of 2^14 classes, and the maximum over l
+runs over every admissible class of a block in one numpy pass, with one
+main term per r-free divisor g = gcd(l, k), so S(x) is the exact sum.
+One maximum is kept per k and S(x) is summed in ascending k at the end,
+so the CSV output is byte-identical for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ CSV_HEADER = "x,r,A,K,S,normalized,wall_seconds"
 # boundaries, and one d brings at most k/2 < 2^18 entries for every k the
 # sweep takes, so a block holds at most 2^18 entries there
 _BLOCK = 1 << 18
+# the classes whose maxima one numpy pass takes, over consecutive moduli;
+# about K^2/2 classes make up one x
+_MAXIMA_BLOCK = 1 << 14
 
 
 def modulus_threshold(x: int, r: int, log_power: float) -> int:
@@ -171,23 +175,57 @@ def _check_partition(k: int, counts: np.ndarray, expected_total: int) -> None:
         )
 
 
-def _max_error(x: int, r: int, k: int, counts: np.ndarray) -> tuple[int, float]:
-    fact = trial_factorize(k)
-    fv = f_value(r, k)
-    # the main term depends on l only through g = gcd(l, k), so it is
-    # evaluated once per divisor g; it is undefined (NaN) where g is not
-    # r-free, and those l are masked below every error (l = 1 mod k, with
-    # g = 1, always survives).  g | k, so only the primes of k can put an
-    # r-th power in g.
-    g = np.gcd(np.arange(k), k)  # gcd(0, k) = k
-    mains = np.full(k + 1, np.nan)  # indexed by g
-    for d in np.flatnonzero(np.bincount(g)).tolist():
-        if all(d % p**r for p, _ in fact.factors):
-            mains[d] = _main_term(x, r, fact, fv, d % k)
-    errs = np.abs(counts - mains[g])
+def _block_maxima(
+    x: int, r: int, block: Sequence[tuple[int, np.ndarray]]
+) -> list[tuple[int, float]]:
+    """(l*, max_l |E(x; k, l)|) for each (k, class counts of k) of block,
+    l* the first maximum, in one numpy pass over the classes of every k.
+
+    The main term depends on l only through g = gcd(l, k), so it is taken
+    once per divisor g of k; it is undefined (NaN) where g is not r-free,
+    and those l are masked below every error (l = 1 mod k, with g = 1,
+    always survives).  Each k's table of main terms sits at slots
+    first + 1 .. first + k, first being where its classes start, so the
+    tables of a block do not overlap.
+    """
+    sizes = np.array([k for k, _ in block])
+    first = np.cumsum(sizes) - sizes
+    start = np.repeat(first, sizes)
+    g = np.gcd(np.arange(start.size) - start, np.repeat(sizes, sizes))  # gcd(0, k) = k
+    slots, mains = [], []
+    for (k, _), base in zip(block, first.tolist()):
+        fact = trial_factorize(k)
+        fv = f_value(r, k)
+        divisors = [1]  # the r-free divisors of k
+        for p, e in fact.factors:
+            divisors = [d * p**i for d in divisors for i in range(min(e, r - 1) + 1)]
+        for d in divisors:
+            slots.append(base + d)
+            mains.append(_main_term(x, r, fact, fv, d % k))
+    table = np.full(start.size + 1, np.nan)
+    table[slots] = mains
+    errs = np.abs(np.concatenate([counts for _, counts in block]) - table[start + g])
     errs[np.isnan(errs)] = -1.0
-    best_l = int(np.argmax(errs))  # the first maximum
-    return best_l, float(errs[best_l])
+    best = np.maximum.reduceat(errs, first)
+    hits = np.flatnonzero(errs == np.repeat(best, sizes))
+    l_star = hits[np.searchsorted(hits, first)] - first
+    return list(zip(l_star.tolist(), best.tolist()))
+
+
+def _blocks(
+    pairs: Iterator[tuple[int, np.ndarray]], size: int
+) -> Iterator[list[tuple[int, np.ndarray]]]:
+    """The (k, counts) pairs in lists of at least ``size`` classes each (the
+    last may hold fewer), so at most size + max k classes are held."""
+    block, held = [], 0
+    for k, counts in pairs:
+        block.append((k, counts))
+        held += k
+        if held >= size:
+            yield block
+            block, held = [], 0
+    if block:
+        yield block
 
 
 def _sweep_counts(
@@ -267,7 +305,8 @@ def run_experiment(config: ExperimentConfig) -> list[BvRow]:
 
     Memory is O(sqrt(max x)): mu up to (max x)^(1/r), one window of the
     partition totals' sieve, the class counts of one counted modulus, one
-    block of partial-period entries and one maximum per modulus.
+    block of partial-period entries, one block of folded counts and one
+    maximum per modulus.
     """
     config.validate()
     mu = _root_mu(max(config.xs), config.r)
@@ -277,8 +316,10 @@ def run_experiment(config: ExperimentConfig) -> list[BvRow]:
         start = time.perf_counter()
         bound = modulus_threshold(x, config.r, config.log_power)
         maxima = [0.0] * (bound + 1)  # indexed by k
-        for k, counts in _sweep_counts(mu, x, config.r, bound, total):
-            maxima[k] = _max_error(x, config.r, k, counts)[1]
+        swept = _sweep_counts(mu, x, config.r, bound, total)
+        for block in _blocks(swept, _MAXIMA_BLOCK):
+            for (k, _), (_, error) in zip(block, _block_maxima(x, config.r, block)):
+                maxima[k] = error
         error_sum = 0.0
         for value in maxima[1:]:  # ascending k, so the bytes do not move
             error_sum += value

@@ -176,7 +176,7 @@ def test_counts_at_the_table_limit(limit):
 
 def _max_error_of(x, r, k):
     """(l*, max |E(x; k, l)|) of one modulus, as the sweep takes it."""
-    return harness._max_error(x, r, k, class_counts(x, r, k))
+    return harness._block_maxima(x, r, [(k, class_counts(x, r, k))])[0]
 
 
 def test_max_error_modulus_one():
@@ -196,6 +196,11 @@ def test_max_error_matches_per_residue_reports():
         l_star, max_e = _max_error_of(x, r, k)
         assert max_e == max(errs.values()), (x, r, k)
         assert l_star == min(l for l, e in errs.items() if e == max_e), (x, r, k)
+    # one block of many moduli gives each modulus its own answer
+    for r in (2, 3):
+        block = [(k, class_counts(99_991, r, k)) for k in range(1, 41)]
+        assert harness._block_maxima(99_991, r, block) == [
+            _max_error_of(99_991, r, k) for k in range(1, 41)]
 
 
 def test_max_error_tie_goes_to_smallest_residue():

@@ -1,13 +1,20 @@
 """Start-up cost: a command imports only the layers it runs, and the
 result and settings types are plain named tuples, so no command loads
-``dataclasses`` (which loads ``inspect``)."""
+``dataclasses`` (which loads ``inspect``).  The process entry runs with
+the cyclic collector off, which is free only while no command makes
+reference cycles."""
 
+import gc
+import hashlib
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
 import rfree
-from conftest import run_rfree
+from conftest import SRC, run_rfree
 from rfree import (
     ExperimentConfig,
     Factorization,
@@ -16,6 +23,7 @@ from rfree import (
     error_term,
     f_value,
 )
+from rfree import cli
 from rfree.cli import main
 
 
@@ -38,17 +46,30 @@ def test_help_refusal_and_residues_load_no_numpy(capsys):
     }
     assert "numpy" not in _imported(done.stderr)
     assert "dataclasses" not in _imported(done.stderr)
+    assert "decimal" not in _imported(done.stderr)  # loaded by the first integer option
 
-    done = run_rfree("sieve", "--limit", "abc", "--r", "2", python_flags=traced)
-    assert (done.returncode, done.stdout) == (2, "")
-    assert "numpy" not in _imported(done.stderr)
+    # refused by argparse (SystemExit in main) and by the command (main returns 2)
+    for argv in (["sieve", "--limit", "abc", "--r", "2"],
+                 ["residues", "--r", "3", "--s-max", "4294967296"]):
+        done = run_rfree(*argv, python_flags=traced)
+        assert (done.returncode, done.stdout) == (2, ""), argv
+        assert "numpy" not in _imported(done.stderr)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, capsys.readouterr().out) == (2, ""), argv
 
-    done = run_rfree("residues", "--r", "3", "--s-max", "50", python_flags=traced)
+    # a large stdout comes through the process entry byte for byte
+    argv = ["residues", "--r", "3", "--s-max", "1e5"]
+    done = run_rfree(*argv, python_flags=traced)
     assert done.returncode == 0
     assert "numpy" not in _imported(done.stderr)
     assert "dataclasses" not in _imported(done.stderr)
-    assert main(["residues", "--r", "3", "--s-max", "50"]) == 0
+    assert main(argv) == 0
     assert done.stdout == capsys.readouterr().out
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
+        "355e2b677494088ec23ec5a5b4b941c829ded0b9b186b7f8d93246bcf2563cdc")
 
     # zeta(2) is pinned, so f at r = 2 sums no series and loads no numpy
     argv = ["f", "--r", "2", "--k", "12"]
@@ -92,6 +113,66 @@ def test_tau_sum_loads_no_numpy(capsys):
     assert "dataclasses" not in _imported(done.stderr)
     assert main(argv) == 0
     assert done.stdout == capsys.readouterr().out
+
+
+def test_main_leaves_the_collector_alone_and_entry_turns_it_off(monkeypatch, capsys):
+    frozen = gc.get_freeze_count()
+    for argv in (["f", "--r", "3", "--k", "12"], ["residues", "--r", "3", "--s-max", "0"]):
+        main(argv)
+        assert gc.isenabled() and gc.get_freeze_count() == frozen, argv
+    monkeypatch.setattr(sys, "argv", ["rfree", "f", "--r", "3", "--k", "12"])
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 0
+        assert not gc.isenabled() and gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
+        gc.enable()
+    assert capsys.readouterr().out.splitlines()[-1] == "0.987318639986"
+
+
+# Each command runs a small and then a larger argv with the collector off;
+# the objects gc.collect() finds unreachable after each must be the same
+# number, the parser's that build_parser makes, whatever the size.
+_CYCLE_CHECK = """
+import contextlib, gc, io
+import numpy, rfree.harness, rfree.progressions, rfree.residues
+from rfree.cli import build_parser, main
+
+gc.disable()
+gc.collect()  # what the imports left
+build_parser()
+parser = gc.collect()
+for small, large in CASES:
+    found = []
+    for argv in (small, large):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv.split()) == 0, argv
+        found.append(gc.collect())
+    print(small, found, parser)
+    assert found == [parser, parser], (small, found, parser)
+"""
+
+
+def test_no_command_makes_reference_cycles():
+    cases = [
+        ("sieve --limit 1e4 --r 2,3", "sieve --limit 1e6 --r 2,3"),
+        ("error --x 1e4 --r 2 --k 7 --l 3 --z 10", "error --x 1e6 --r 3 --k 36 --l 5 --z 50"),
+        ("bv-sum --r 2 --A 1 --x 1e4", "bv-sum --r 2 --A 1 --x 1e5,1e6"),
+        ("verify-lemmas --x 1e4 --r 2 --trials 10", "verify-lemmas --x 1e6 --r 3 --trials 1000"),
+        ("tau-sum --r 3 --x 1e3", "tau-sum --r 3 --x 1e4,1e6"),
+        ("residues --r 3 --s-max 100", "residues --r 3 --s-max 1e4"),
+        ("f --r 3 --k 12", "f --r 5 --k 720720"),
+    ]
+    # its own process, so this one keeps its collector
+    done = subprocess.run(
+        [sys.executable, "-c", f"CASES = {cases!r}\n{_CYCLE_CHECK}"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert len(done.stdout.splitlines()) == len(cases)
 
 
 def _value_of_each_type():
