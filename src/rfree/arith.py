@@ -30,8 +30,8 @@ from typing import NamedTuple
 
 _TRIAL_BOUND = 1 << 16  # trial division runs over every p <= 2**16
 # every x, table limit and s_max lies below this, _TRIAL_BOUND**2, where the
-# int64 Mobius sums of harness._count_classes and progressions._split_terms
-# and the uint64 products of progressions._residues_mod_s are shown exact
+# int64 Mobius sums of harness._count_classes and progressions._split_sums,
+# and the uint64 products of two residues mod s <= x in the latter, are exact
 _LIMIT_CEILING = 2**32
 # every r lies below this: an option admits only integers below 2**63, so a
 # larger r changes no flag, and p**r would only cost time

@@ -37,17 +37,15 @@ here takes a table: a count sieves its flags one window at a time.
 ``main_term`` checks its arguments and evaluates
 ``multiplicative._main_term``, which the bv-sum sweep also calls.
 ``decompose_many`` splits many (k, l, z) at one (x, r), and ``decompose``
-is its one-trial call.  The trials are grouped by g, whose columns are the
-d-terms (d, mu(d), d^r, (x/g) // d^r) of the squarefree d <= (x/g)^(1/r),
-built by ``sieve._d_terms``, which the bv-sum sweep shares.  Each
-distinct (k, l) is one row: the d not coprime to k are masked out, one
-modular inverse is taken per distinct (s, d^r mod s), and the valuation
-caps are counted by inclusion-exclusion over a block of
-rows x d x 2^(number of primes of g) int64 entries, exact at every size,
-so there is no scan crossover.  Every cut z of a row is read off one
-cumulative sum.  A batch thus costs a few dozen numpy passes per group
-and per block of about ``_BLOCK_ELEMENTS`` entries, not per trial, plus
-one pass of flag windows that counts every distinct (k, l) by strides.
+is its one-trial call.  The trials are grouped by g, and each group's
+d-terms (d, mu(d), d^r, (x/g) // d^r) of the squarefree d <= (x/g)^(1/r)
+are built once by ``sieve._d_terms``, which the bv-sum sweep shares.  Each
+distinct (k, l) of a group is one row, a few passes over 1-D arrays of its
+d.  The weights mu(d), zeroed off the d not coprime to k, and the valuation
+caps, counted by inclusion-exclusion, are formed once per (g, k), and
+(d^r)^(-1) mod s once per s.  Every cut z of a row is read off one
+cumulative sum.  The counts of every distinct (k, l) come from one pass of
+flag windows by strides.
 """
 
 from __future__ import annotations
@@ -60,8 +58,6 @@ import numpy as np
 from .arith import _R_CEILING, is_r_free, trial_factorize
 from .multiplicative import _main_term, f_value
 from .sieve import _check_count_range, _d_terms, _r_free_windows, _root_mu
-
-_BLOCK_ELEMENTS = 1 << 15  # int64 entries per (rows x d x caps) block of the split
 
 
 class ProgressionReport(NamedTuple):
@@ -258,141 +254,68 @@ def decompose_many(
     return reports
 
 
-class _Modulus(NamedTuple):
-    """What a modulus k gives every row (k, l) of its group g."""
-
-    keep: np.ndarray  # the d coprime to k
-    v: np.ndarray  # cap products, clipped to x + 1, padded with 1
-    signs: np.ndarray  # their inclusion-exclusion signs, padded with 0
-    v_inv: np.ndarray  # v^(-1) mod s, for k <= x
-    dr_inv: np.ndarray  # (d^r)^(-1) mod s for each d, for k <= x
-
-
 def _split_sums(mu, x, r, trials, factored) -> list[tuple[int, int]]:
     """(small_sum, large_sum) of every checked (k, l, z); ``mu`` is the
     Mobius function indexed by n, up to at least x^(1/r)."""
-    groups = {}  # g -> (k, l) -> indices of its trials
+    groups = {}  # g -> k -> l -> indices of its trials
     for i, (k, l, _) in enumerate(trials):
-        groups.setdefault(math.gcd(l, k), {}).setdefault((k, l), []).append(i)
+        groups.setdefault(math.gcd(l, k), {}).setdefault(k, {}).setdefault(l, []).append(i)
     sums = [(0, 0)] * len(trials)
     inverses = {}  # s -> (d^r)^(-1) mod s over the longest range of d so far
     for g in sorted(groups):  # the d of a larger g are a prefix of a smaller g's
-        rows = groups[g]
-        d_terms = _d_terms(mu, x // g, r)
-        ds = d_terms[0]
+        ds, mu_d, dr, u_limit = _d_terms(mu, x // g, r)
+        if not ds.size:
+            continue  # g > x: no u at all
         g_factors = trial_factorize(g).factors
-        width = 1 << len(g_factors)
-        moduli = {
-            k: _modulus(x, r, g, g_factors, d_terms, factored[k][0], inverses)
-            for k in {k for k, _ in rows}
-        }
-        # a block of rows x d x caps int64 entries stays near _BLOCK_ELEMENTS
-        per_block = max(1, _BLOCK_ELEMENTS // max(1, ds.size * width))
-        keys = sorted(rows, key=lambda kl: (kl[0] > x, kl))  # k > x rows last
-        for lo in range(0, len(keys), per_block):
-            block = keys[lo : lo + per_block]
-            terms = _split_terms(x, g, d_terms, block, moduli)
-            cum = np.zeros((len(block), ds.size + 1), dtype=np.int64)
-            np.cumsum(terms, axis=1, out=cum[:, 1:])
-            at = [(row, i) for row, kl in enumerate(block) for i in rows[kl]]
-            row_of = np.array([row for row, _ in at], dtype=np.intp)
-            # d <= z exactly when d <= floor(z), and every d is <= x
-            cuts = [min(math.floor(trials[i][2]), x) for _, i in at]
-            small = cum[row_of, np.searchsorted(ds, cuts, side="right")]
-            whole = cum[row_of, -1]
-            for (_, i), a, b in zip(at, small.tolist(), whole.tolist()):
-                sums[i] = (a, b - a)
+        for k, rows in groups[g].items():
+            s = k // g
+            weights = mu_d.copy()
+            for p, _ in factored[k][0].factors:
+                if p <= ds[-1]:
+                    weights[ds % p == 0] = 0  # d must be coprime to k
+            # valuation caps: for p | g with p not dividing s, u may carry p up
+            # to exponent r - 1 - v_p(g); equivalently p^(r - v_p(g)) must not
+            # divide u.  N(d) is counted by inclusion-exclusion over products w
+            # of caps, w = 1 first; on u <= x a w above x acts as x + 1 does.
+            caps = [(1, 1)]
+            for p, e in g_factors:
+                if s % p:
+                    caps += [(w * p ** (r - e), -sign) for w, sign in caps]
+            if k <= x:
+                if s not in inverses or inverses[s].size < dr.size:
+                    residues, which = np.unique(dr % s, return_inverse=True)
+                    inverses[s] = np.array(
+                        [pow(w, -1, s) if math.gcd(w, s) == 1 else 0 for w in residues.tolist()],
+                        dtype=np.uint64,
+                    )[which]
+                dr_inv = inverses[s][: dr.size]
+                classes = [(sign, pow(w, -1, s), u_limit // min(w, x + 1)) for w, sign in caps]
+            for l, at in rows.items():
+                t = l // g
+                if k <= x:
+                    # #{1 <= u <= L : u w d^r = t (mod s)} = (L + b) // s with
+                    # b = -t (w d^r)^(-1) mod s; s <= x < 2^32, so each product
+                    # of two residues fits in uint64
+                    terms = [
+                        (sign, (limit + ((s - t) * w_inv % s * dr_inv % s).view(np.int64)) // s)
+                        for sign, w_inv, limit in classes
+                    ]
+                elif 0 < t <= x // g:
+                    # here u w d^r <= x // g < s, so the congruence is the
+                    # equality u = t / (w d^r)
+                    quot, rem = np.divmod(t, dr)
+                    terms = [(sign, (rem == 0) & (quot % min(w, x + 1) == 0)) for w, sign in caps]
+                else:
+                    continue  # no u at all
+                n_d = terms[0][1]
+                for sign, term in terms[1:]:
+                    n_d = n_d + sign * term
+                cum = (weights * n_d).cumsum()
+                for i in at:
+                    # d <= z exactly when d <= floor(z); d = 1 <= z, and every d <= x
+                    small = int(cum[ds.searchsorted(min(math.floor(trials[i][2]), x), "right") - 1])
+                    sums[i] = (small, int(cum[-1]) - small)
     return sums
-
-
-def _modulus(x, r, g, g_factors, d_terms, fact_k, inverses) -> _Modulus:
-    ds, _, dr, _ = d_terms
-    k = fact_k.n
-    s = k // g
-    keep = np.ones(ds.size, dtype=bool)
-    for p, _ in fact_k.factors:
-        if ds.size and p <= ds[-1]:
-            keep &= ds % p != 0  # d must be coprime to k
-    # valuation caps: for p | g with p not dividing s, u may carry p up to
-    # exponent r - 1 - v_p(g); equivalently p^(r - v_p(g)) must not divide u.
-    # N(d) is counted by inclusion-exclusion over products v of caps.
-    subsets = [(1, 1)]
-    for p, e in g_factors:
-        if s % p != 0:
-            subsets += [(w * p ** (r - e), -sign) for w, sign in subsets]
-    pad = (1 << len(g_factors)) - len(subsets)
-    # on u <= x a cap product above x acts as x + 1 does
-    v = np.array([min(w, x + 1) for w, _ in subsets] + [1] * pad, dtype=np.int64)
-    signs = np.array([sign for _, sign in subsets] + [0] * pad, dtype=np.int64)
-    if k > x:
-        return _Modulus(keep, v, signs, None, None)
-    if s not in inverses or inverses[s].size < dr.size:
-        residues, which = np.unique(dr % s, return_inverse=True)
-        inverses[s] = np.array(
-            [pow(w, -1, s) if math.gcd(w, s) == 1 else 0 for w in residues.tolist()],
-            dtype=np.uint64,
-        )[which]
-    v_inv = [pow(w, -1, s) for w, _ in subsets] + [0] * pad
-    return _Modulus(keep, v, signs, np.array(v_inv, dtype=np.uint64), inverses[s][: dr.size])
-
-
-def _split_terms(x, g, d_terms, block, moduli) -> np.ndarray:
-    """mu(d) N(d) for each (k, l) of ``block`` (rows) and each d (columns).
-
-    All rows share g; rows with k > x come last.  Each term of N(d) counts
-    u' <= u_limit // v in one class mod s.  A row with fewer caps than g
-    has primes is padded with v = 1 and sign 0, so the sign alone cancels a
-    padded term.
-    """
-    ds, mu, dr, u_limit = d_terms
-    parts = [moduli[k] for k, _ in block]
-    keep = np.array([part.keep for part in parts]).reshape(len(block), ds.size)
-    v = np.array([part.v for part in parts])
-    signs = np.array([part.signs for part in parts])
-    s_clip = np.array([min(k // g, x + 1) for k, _ in block], dtype=np.int64)
-    huge = next((row for row, (k, _) in enumerate(block) if k > x), len(block))
-    a = np.concatenate(
-        [
-            _residues_mod_s(g, dr, block[:huge], parts[:huge], v.shape[1]),
-            _residues_exact(x, g, dr, block[huge:], v[huge:], s_clip[huge:]),
-        ]
-    )
-    # #{1 <= u' <= L : u' = a (mod s)} = (L - a) // s + 1 for a in [1, s]; on
-    # u' <= x a modulus or residue above x acts as x + 1 does
-    n_d = (u_limit[None, :, None] // v[:, None, :] - a) // s_clip[:, None, None] + 1
-    n_d = (n_d * signs[:, None, :]).sum(axis=2)
-    return np.where(keep, n_d * mu, 0)
-
-
-def _residues_mod_s(g, dr, block, parts, width) -> np.ndarray:
-    """a = least positive t (v d^r)^(-1) mod s, for rows with k <= x.
-
-    There t, s and every inverse are below x // g + 1 <= 2^32, so each
-    product of two of them fits in uint64.
-    """
-    n = len(block)
-    s = np.array([k // g for k, _ in block], dtype=np.uint64)[:, None]
-    t = np.array([l // g for _, l in block], dtype=np.uint64)[:, None]
-    v_inv = np.array([part.v_inv for part in parts], dtype=np.uint64).reshape(n, width)
-    dr_inv = np.array([part.dr_inv for part in parts], dtype=np.uint64).reshape(n, dr.size)
-    coeffs = t * v_inv % s  # t v^(-1) mod s
-    s = s[:, :, None]
-    product = dr_inv[:, :, None] * coeffs[:, None, :]
-    return ((product + (s - np.uint64(1))) % s + np.uint64(1)).view(np.int64)
-
-
-def _residues_exact(x, g, dr, block, v, s_clip) -> np.ndarray:
-    """a for rows with k > x, where s > x // g.
-
-    Each u' v d^r <= x // g < s, so u' v d^r = t (mod s) is the equality
-    u' = t / (v d^r): a is that quotient where it is an integer, and
-    s_clip, past every u_limit, where it is not.
-    """
-    top = x // g
-    t = np.array([l // g if l // g <= top else 0 for _, l in block], dtype=np.int64)
-    quot, rem = np.divmod(t[:, None], dr)
-    hit = ((rem == 0) & (t[:, None] > 0))[:, :, None] & (quot[:, :, None] % v[:, None, :] == 0)
-    return np.where(hit, quot[:, :, None] // v[:, None, :], s_clip[:, None, None])
 
 
 def lemma_bound_probe(rep: DecompositionReport) -> LemmaBoundRatios:

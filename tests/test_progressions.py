@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,8 +19,8 @@ from rfree import (
 )
 from rfree.arith import _int_rth_root
 from rfree.harness import class_counts
-from rfree.progressions import _class_counts
-from rfree.sieve import _COUNT_WINDOW
+from rfree.progressions import _class_counts, _split_sums
+from rfree.sieve import _COUNT_WINDOW, _d_terms, _root_mu
 
 
 def test_count_examples():
@@ -342,6 +343,10 @@ def test_decompose_many_mixed_batch(mu_1e5, r):
         (12, 4, 2.0), (8, 4, 3.0),  # g = 4, r-free for r >= 3
         (20_000, 7, 1.5), (120_066, 30, 1.0),  # k > x
         (3 * 2**70, 3 * 5, 2.0), (400 * 2**70, 25, 1.0),  # past int64; 3 and 5 capped
+        # g with four or five primes, most or all of them capped, beside the
+        # narrower rows above
+        (210, 0, 2.0), (2310, 210, 3.0), (420, 210, 2.0), (2310, 0, 1.5),
+        (210 * 97, 210 * 5, 1.0), (2310 * 13 * 17, 4620, 1.0),  # k > x
     ]
     trials = [(k, l, z) for k, l, z in trials if is_r_free(math.gcd(l, k), r)]
     reports = decompose_many(x, r, trials)
@@ -352,9 +357,9 @@ def test_decompose_many_mixed_batch(mu_1e5, r):
         assert rep == decompose(x, r, k, l, z)
 
 
-def test_decompose_many_spans_blocks(mu_1e5):
-    # every admissible class of every k <= 60: the g = 1 rows alone fill more
-    # than one block of the split
+def test_decompose_many_every_class_to_60(mu_1e5):
+    # every admissible class of every k <= 60 in one call: many rows per g
+    # and per k share the d-terms, the weights and the inverses of the split
     x, r = 99_991, 2
     trials = [
         (k, l, 1.0 + (7 * k + l) % 320)
@@ -366,6 +371,24 @@ def test_decompose_many_spans_blocks(mu_1e5):
     for (k, l, z), rep in zip(trials, reports, strict=True):
         assert (rep.small_sum, rep.large_sum) == decompose_by_loop(mu_1e5, x, r, k, l, z)
         assert rep.small_sum + rep.large_sum == rep.count
+
+
+def test_split_sums_peak_memory_is_a_few_arrays_over_d():
+    # the 198 rows of k = 199 with g = 1 at x = 1e8 share one group's d-terms
+    # and one k's weights, and each holds a few arrays over d at a time
+    x, r, k = 10**8, 2, 199
+    trials = [(k, l, 1.0 + l) for l in range(k)]
+    mu = _root_mu(x, r)
+    n_d = _d_terms(mu, x, r)[0].size
+    assert n_d == 6083
+    factored = {k: (trial_factorize(k), f_value(r, k))}
+    tracemalloc.start()
+    try:
+        _split_sums(mu, x, r, trials, factored)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * n_d
 
 
 def test_decompose_many_golden_r3():
