@@ -16,78 +16,95 @@ its argument factors it by the memoised ``trial_factorize``.
 ``_main_term``, from the factorization and f-value of k, is the one main
 term: ``progressions.main_term`` and the bv-sum sweep both call it.
 
-Only ``zeta`` at r >= 3 uses numpy, and imports it when it runs, so
-``rfree tau-sum`` and ``rfree f --r 2`` start without it.
+``zeta`` reads pinned bits from one table, so this module needs only the
+standard library, and ``rfree f`` and ``rfree tau-sum`` start light at any r.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import floordiv, mul
+from operator import floordiv, index, mul
 from typing import NamedTuple, Sequence
 
 from .arith import _LIMIT_CEILING, Factorization, trial_factorize
 from .errors import ResourceLimitError
 
+# the relative error budget of each zeta value, which FValue.rel_error carries
 _ZETA_TARGET = 1e-13
 _FLOAT_ULP = 2.3e-16
-_ZETA_PIECE = 1 << 17  # float64 terms per np.sum in zeta: 1 MiB
-# _zeta_cached(2, _ZETA_TARGET), the bits every r = 2 main term has used;
-# pinned because the sum takes 3,162,278 terms
-_ZETA_2 = float.fromhex("0x1.a51a6625308b4p+0")
 # the steps of the levels j < r, (r - 2) * x^(3/4) summed over the xs, that
 # tau_partial_sum_check admits: r = 4 at any x < 2**32.  A step took about
 # 0.4-0.5 us at x = 1e8 (2-core VM), so the budget is about 15 s of work
 _TAU_STEP_BUDGET = 2 * 2**24
+# zeta(r) for r = 2 ... 53: the bits every main term has used, those of the
+# sum over n <= M of n^(-r) plus the tail M^(1-r) / (r - 1), M^(-r) <=
+# _ZETA_TARGET.  They are not correctly rounded (4.9e-14 relative off at
+# r = 7), so a fresh sum would move printed main terms.  From r = 54 on,
+# zeta(r) - 1 < 2^-53 and zeta(r) rounds to 1.0
+_ZETA = tuple(map(float.fromhex, (
+    "0x1.a51a6625308b4p+0",  # r = 2
+    "0x1.33ba004f00703p+0",  # 3
+    "0x1.151322ac7d929p+0",  # 4
+    "0x1.097418eca7dabp+0",  # 5
+    "0x1.0470984c09322p+0",  # 6
+    "0x1.02232da14d015p+0",  # 7
+    "0x1.010b36af86452p+0",  # 8
+    "0x1.00839f3d8177fp+0",  # 9
+    "0x1.00412e33a5c83p+0",  # 10
+    "0x1.0020631be4925p+0",  # 11
+    "0x1.001020a5b2d25p+0",  # 12
+    "0x1.00080ac9d08f1p+0",  # 13
+    "0x1.00040392bcae5p+0",  # 14
+    "0x1.0002012f797e4p+0",  # 15
+    "0x1.00010064cdeb2p+0",  # 16
+    "0x1.00008021839b4p+0",  # 17
+    "0x1.0000400b2654ep+0",  # 18
+    "0x1.00002003b611fp+0",  # 19
+    "0x1.000010013c594p+0",  # 20
+    "0x1.00000800695d6p+0",  # 21
+    "0x1.000004002319bp+0",  # 22
+    "0x1.000002000bb1ep+0",  # 23
+    "0x1.0000010003e5ap+0",  # 24
+    "0x1.00000080014c7p+0",  # 25
+    "0x1.00000040006edp+0",  # 26
+    "0x1.000000200024fp+0",  # 27
+    "0x1.00000010000c5p+0",  # 28
+    "0x1.0000000800042p+0",  # 29
+    "0x1.0000000400016p+0",  # 30
+    "0x1.0000000200007p+0",  # 31
+    "0x1.0000000100002p+0",  # 32
+    "0x1.0000000080001p+0",  # 33
+    "0x1.0000000040000p+0",  # 34
+    "0x1.0000000020000p+0",  # 35
+    "0x1.0000000010000p+0",  # 36
+    "0x1.0000000008000p+0",  # 37
+    "0x1.0000000004000p+0",  # 38
+    "0x1.0000000002000p+0",  # 39
+    "0x1.0000000001000p+0",  # 40
+    "0x1.0000000000800p+0",  # 41
+    "0x1.0000000000400p+0",  # 42
+    "0x1.0000000000200p+0",  # 43
+    "0x1.0000000000100p+0",  # 44
+    "0x1.0000000000080p+0",  # 45
+    "0x1.0000000000040p+0",  # 46
+    "0x1.0000000000020p+0",  # 47
+    "0x1.0000000000010p+0",  # 48
+    "0x1.0000000000008p+0",  # 49
+    "0x1.0000000000004p+0",  # 50
+    "0x1.0000000000002p+0",  # 51
+    "0x1.0000000000001p+0",  # 52
+    "0x1.0000000000001p+0",  # 53
+)))
 
 
 def zeta(r: int) -> float:
-    """Riemann zeta at an integer r >= 2, to relative error 1e-13.
-
-    Computed as the finite sum over n <= M plus the integral tail
-    correction M^(1-r) / (r-1), with M chosen so the residual bound M^(-r)
-    meets the target.  zeta(2) returns the pinned bits of that sum.
-    """
+    """Riemann zeta at an integer r >= 2, to relative error ``_ZETA_TARGET``,
+    read from the pinned ``_ZETA``.  A non-integer r raises TypeError."""
+    r = index(r)
     if r < 2:
         raise ValueError(f"r must be >= 2 (series diverges at r=1), got {r}")
-    if r == 2:
-        return _ZETA_2
-    return _zeta_cached(int(r), _ZETA_TARGET)
-
-
-@lru_cache(maxsize=128)
-def _zeta_cached(r: int, target: float) -> float:
-    m = max(10, math.ceil(target ** (-1.0 / r)))
-    while float(m) ** (-r) > target:
-        m *= 2
-    total = 0.0
-    # sum ascending chunks, each reduced small-to-large for accuracy
-    chunk = 1 << 20
-    for lo in range(1, m + 1, chunk):
-        hi = min(lo + chunk - 1, m)
-        total += _descending_power_sum(hi, hi - lo + 1, r)
-    return total + float(m) ** (1 - r) / (r - 1)
-
-
-def _descending_power_sum(hi: int, n: int, r: int) -> float:
-    """Sum of j^(-r) over j = hi, hi - 1, ..., hi - n + 1, bit for bit as
-    ``np.sum`` adds the array of those terms.
-
-    ``np.sum`` (numpy's pairwise summation) adds an array of more than 128
-    terms as the sum of its first n2 = n // 2, rounded down to a multiple
-    of 8, terms plus the sum of the rest.  Taking the same split here until a piece has at most
-    ``_ZETA_PIECE`` terms gives the same bits while only one piece is held.
-    """
-    import numpy as np
-
-    if n <= _ZETA_PIECE:
-        terms = np.arange(hi, hi - n, -1, dtype=np.float64)
-        return float(np.sum(np.power(terms, -r, out=terms)))
-    n2 = n // 2
-    n2 -= n2 % 8
-    return _descending_power_sum(hi, n2, r) + _descending_power_sum(hi - n2, n - n2, r)
+    return _ZETA[r - 2] if r < 2 + len(_ZETA) else 1.0
 
 
 class FValue(NamedTuple):
@@ -102,8 +119,10 @@ class FValue(NamedTuple):
 def f_value(r: int, k: int) -> FValue:
     """Evaluate f_r(k) from the primes of k.
 
-    Only the distinct primes of k matter, so f_r(k) = f_r(rad(k)).
+    Only the distinct primes of k matter, so f_r(k) = f_r(rad(k)).  A
+    non-integer r raises TypeError.
     """
+    r = index(r)
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
     if k < 1:

@@ -262,6 +262,7 @@ def _split_sums(mu, x, r, trials, factored) -> list[tuple[int, int]]:
         groups.setdefault(math.gcd(l, k), {}).setdefault(k, {}).setdefault(l, []).append(i)
     sums = [(0, 0)] * len(trials)
     inverses = {}  # s -> (d^r)^(-1) mod s over the longest range of d so far
+    last = {k // g: g for g in sorted(groups) for k in groups[g]}  # s -> its last g
     for g in sorted(groups):  # the d of a larger g are a prefix of a smaller g's
         ds, mu_d, dr, u_limit = _d_terms(mu, x // g, r)
         if not ds.size:
@@ -315,6 +316,8 @@ def _split_sums(mu, x, r, trials, factored) -> list[tuple[int, int]]:
                     # d <= z exactly when d <= floor(z); d = 1 <= z, and every d <= x
                     small = int(cum[ds.searchsorted(min(math.floor(trials[i][2]), x), "right") - 1])
                     sums[i] = (small, int(cum[-1]) - small)
+            if last[s] == g:
+                inverses.pop(s, None)
     return sums
 
 

@@ -2,6 +2,8 @@ import itertools
 import math
 import random
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,12 +17,7 @@ from rfree import (
     trial_factorize,
     zeta,
 )
-from rfree.multiplicative import (
-    _ZETA_TARGET,
-    _descending_power_sum,
-    _tau_sum,
-    _zeta_cached,
-)
+from rfree.multiplicative import _ZETA_TARGET, _tau_sum
 
 
 def test_zeta_two():
@@ -44,48 +41,8 @@ def test_zeta_large_r():
     (7, "0x1.02232da14d015p+0"),
 ])
 def test_zeta_bits_pinned(r, bits):
-    # the chunked sum's order and rounding fix every bit of f_r and so of
-    # every main term
+    # the pinned bits fix every bit of f_r and so of every main term
     assert zeta(r).hex() == bits
-
-
-@pytest.mark.parametrize("r,bits", [
-    (2, "0x1.a51a66253109ep+0"),
-    (3, "0x1.33ba004f00eecp+0"),
-    (4, "0x1.151322ac7e114p+0"),
-    (5, "0x1.097418eca856fp+0"),
-    (6, "0x1.0470984c09afap+0"),
-    (7, "0x1.02232da14d795p+0"),
-])
-def test_zeta_bits_pinned_coarse_target(r, bits):
-    # the bits a whole-chunk np.sum gave; the split sum must keep them
-    assert _zeta_cached(r, 1e-12).hex() == bits
-
-
-@pytest.mark.parametrize("n", [1, 129, 2**17, 2**17 + 8, 777_777, 2**20 - 1, 2**20])
-def test_zeta_split_sum_matches_np_sum(n):
-    terms = np.arange(n + 5, 5, -1, dtype=np.float64) ** -2
-    assert _descending_power_sum(n + 5, n, 2) == float(np.sum(terms))
-
-
-def test_zeta_two_pin_is_the_sum():
-    # zeta(2) returns pinned bits; the sum it stands for must still give them
-    _zeta_cached.cache_clear()
-    summed = _zeta_cached(2, _ZETA_TARGET)
-    assert summed.hex() == "0x1.a51a6625308b4p+0" == zeta(2).hex()
-    assert abs(summed - math.pi**2 / 6) < 1e-13 * (math.pi**2 / 6)
-
-
-def test_zeta_peak_memory():
-    # one 2^17-term float64 piece (1 MiB) alive at a time
-    _zeta_cached.cache_clear()
-    tracemalloc.start()
-    try:
-        _zeta_cached(2, _ZETA_TARGET)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20 + 2**16
 
 
 def test_zeta_rejects_divergent_r():
@@ -93,13 +50,78 @@ def test_zeta_rejects_divergent_r():
         zeta(1)
 
 
-@pytest.mark.parametrize("r", [2, 3, 5])
-def test_zeta_converged(r):
-    # a 4x tighter target (doubled M twice) moves the value by less than
-    # the coarser target's error budget
-    coarse = _zeta_cached(r, 1e-10)
-    fine = _zeta_cached(r, 2.5e-11)
-    assert abs(coarse - fine) < 1e-10 * fine
+def test_zeta_and_f_refuse_non_integer_r():
+    # a float r would read the table entry of another r
+    for call in (lambda: zeta(2.5), lambda: zeta(3.0), lambda: f_value(2.5, 6)):
+        with pytest.raises(TypeError):
+            call()
+
+
+def _bernoulli(n):
+    """B_0 ... B_n as fractions, from sum over j <= m of C(m + 1, j) B_j = 0."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+_B = _bernoulli(50)
+
+
+def _zeta_decimal(r, n=30, terms=20):
+    """zeta(r) to about 50 digits by Euler-Maclaurin summation from n:
+    the sum over m < n of m^(-r), the integral n^(1-r) / (r - 1), half the
+    n-th term, and ``terms`` Bernoulli corrections
+    B_2j / (2j)! * r (r + 1) ... (r + 2j - 2) * n^(1 - r - 2j)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        big = Decimal(n)
+        total = sum(Decimal(m) ** -r for m in range(1, n)) + big ** (1 - r) / (r - 1)
+        total += big ** -r / 2
+        rising = Decimal(r)
+        for j in range(1, terms + 1):
+            b = _B[2 * j]
+            total += (Decimal(b.numerator) / b.denominator / math.factorial(2 * j)
+                      * rising * big ** (1 - r - 2 * j))
+            rising *= (r + 2 * j - 1) * (r + 2 * j)
+        return total
+
+
+def test_zeta_decimal_oracle_converged():
+    # two cut points agree far below the float budget, so the oracle is exact
+    # to the precision the checks below need
+    for r in (2, 3, 7, 20, 63):
+        one, two = _zeta_decimal(r), _zeta_decimal(r, n=45, terms=25)
+        assert abs(one - two) < Decimal("1e-40") * one, r
+    assert abs(float(_zeta_decimal(2)) - math.pi**2 / 6) <= 2.3e-16
+    assert abs(float(_zeta_decimal(4)) - math.pi**4 / 90) <= 2.3e-16
+
+
+def test_zeta_table_meets_its_budget():
+    target = Decimal(_ZETA_TARGET)
+    assert len(mult._ZETA) == 52
+    for r in range(2, 64):
+        true = _zeta_decimal(r)
+        value = zeta(r)
+        assert abs(Decimal(value) - true) <= target * true, r
+        if r < 54:
+            assert value == mult._ZETA[r - 2], r
+        else:
+            assert value == 1.0, r
+    for r in (64, 100, 1000, 2**62, 2**63 - 1):
+        assert zeta(r) == 1.0, r
+
+
+@pytest.mark.parametrize("r", [2, 3, 7, 20])
+def test_f_value_meets_its_error_budget(r):
+    for k in (1, 12, 720720):
+        fv = f_value(r, k)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            true = 1 / _zeta_decimal(r)
+            for p, _ in trial_factorize(k).factors:
+                true /= 1 - Decimal(p) ** -r
+        assert abs(Decimal(fv.value) - true) <= Decimal(fv.rel_error) * true, (r, k)
 
 
 def test_f_at_one():

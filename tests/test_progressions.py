@@ -375,20 +375,23 @@ def test_decompose_many_every_class_to_60(mu_1e5):
 
 def test_split_sums_peak_memory_is_a_few_arrays_over_d():
     # the 198 rows of k = 199 with g = 1 at x = 1e8 share one group's d-terms
-    # and one k's weights, and each holds a few arrays over d at a time
-    x, r, k = 10**8, 2, 199
-    trials = [(k, l, 1.0 + l) for l in range(k)]
+    # and one k's weights, and each holds a few arrays over d at a time; the
+    # rows l = 1 of k = 2 ... 200 each drop their (d^r)^(-1) mod s once done,
+    # so 199 distinct s do not hold 199 arrays over d
+    x, r = 10**8, 2
     mu = _root_mu(x, r)
     n_d = _d_terms(mu, x, r)[0].size
     assert n_d == 6083
-    factored = {k: (trial_factorize(k), f_value(r, k))}
-    tracemalloc.start()
-    try:
-        _split_sums(mu, x, r, trials, factored)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 8 * n_d
+    for trials, bound in (([(199, l, 1.0 + l) for l in range(199)], 16),
+                          ([(k, 1, 1.0 + k) for k in range(2, 201)], 24)):
+        factored = {k: (trial_factorize(k), f_value(r, k)) for k, _, _ in trials}
+        tracemalloc.start()
+        try:
+            _split_sums(mu, x, r, trials, factored)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 8 * n_d, (len(trials), peak / (8 * n_d))
 
 
 def test_decompose_many_golden_r3():
