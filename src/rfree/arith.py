@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import index
 from typing import NamedTuple
 
 _TRIAL_BOUND = 1 << 16  # trial division runs over every p <= 2**16
@@ -65,14 +66,17 @@ class Factorization(_FactorizationFields):
         return len(self.factors)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def trial_factorize(n: int) -> Factorization:
     """Factor n: trial division up to 2**16, then Miller-Rabin and
     Pollard-Brent rho on a cofactor below 2**64.
 
     Memoised: a split factors the same small moduli and gcds many times,
     and a :class:`Factorization` is immutable, so it is safe to share.
+    n goes through ``operator.index``, so a float raises TypeError, and
+    the cache is typed, so 12.0 never finds the entry of 12.
     """
+    n = index(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     out = []

@@ -68,7 +68,7 @@ def _parse_int_list(text: str) -> list[int]:
 def _cmd_sieve(args) -> int:
     import time
 
-    from .sieve import _packed_size, r_free_counts, save_cache
+    from .sieve import _d_terms, _packed_size, _root_mu, r_free_counts, save_cache
 
     rs = sorted(set(_parse_int_list(args.r)))
     # refused before the cache path is opened
@@ -84,6 +84,10 @@ def _cmd_sieve(args) -> int:
     else:
         totals, source = [r_free_counts([args.limit], r)[0] for r in rs], "built"
     elapsed = time.perf_counter() - start
+    for r, total in zip(rs, totals):  # against sum_{d^r <= limit} mu(d) (limit // d^r)
+        _, mu_d, _, per_d = _d_terms(_root_mu(args.limit, r), args.limit, r)
+        if total != int(mu_d @ per_d):
+            raise SelfCheckError(f"r={r}: the flags count {total}, the Mobius sum {mu_d @ per_d}")
     for r, total in zip(rs, totals):
         print(f"r={r}: {total} r-free integers <= {args.limit}")
     print(
@@ -118,7 +122,8 @@ def _cmd_error(args) -> int:
 
     if args.x < 1:
         raise ConfigError(f"x must be >= 1, got {args.x}")
-    rep, dec = _error_report(args.x, args.r, args.k, args.l, args.z)
+    # without --z the split at z = 1 still checks R, and prints nothing
+    rep, dec = _error_report(args.x, args.r, args.k, args.l, args.z or 1.0)
     payload = {
         "x": rep.x, "r": rep.r, "k": rep.k, "l": rep.l,
         "g": rep.g, "s": rep.s, "t": rep.t,
@@ -126,18 +131,13 @@ def _cmd_error(args) -> int:
         "R": rep.count, "main_term": rep.main_term,
         "error_term": rep.error_term,
     }
-    if dec is not None:
-        payload.update(
-            z=dec.z, small_sum=dec.small_sum, large_sum=dec.large_sum,
-            split_exact=(dec.small_sum + dec.large_sum == dec.count),
-        )
+    if args.z is not None and dec is not None:  # _error_report raises unless it is exact
+        payload.update(z=dec.z, small_sum=dec.small_sum, large_sum=dec.large_sum, split_exact=True)
     if args.format == "json":
         print(json.dumps(payload))
     else:
         print(",".join(payload.keys()))
         print(",".join(_csv_cell(v) for v in payload.values()))
-    if "split_exact" in payload and not payload["split_exact"]:
-        return EXIT_IDENTITY
     return EXIT_OK
 
 

@@ -31,8 +31,8 @@ familiar squarefree form.  The split identity
     small_sum + large_sum = R,   for every z >= 1,
 
 holds with no tolerance and is enforced by the acceptance suite; R itself
-comes from the independent strided count of the r-free flags.  No function
-here takes a table: a count sieves its flags one window at a time.
+comes from ``sieve._class_counts``, the independent strided count of the
+flags, one window at a time.  ``error_term`` splits at z = 1 to check it.
 
 ``main_term`` checks its arguments and evaluates
 ``multiplicative._main_term``, which the bv-sum sweep also calls.
@@ -44,20 +44,21 @@ distinct (k, l) of a group is one row, a few passes over 1-D arrays of its
 d.  The weights mu(d), zeroed off the d not coprime to k, and the valuation
 caps, counted by inclusion-exclusion, are formed once per (g, k), and
 (d^r)^(-1) mod s once per s.  Every cut z of a row is read off one
-cumulative sum.  The counts of every distinct (k, l) come from one pass of
-flag windows by strides.
+cumulative sum.  The counts of every distinct (k, l) come from one
+``_class_counts`` pass.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .arith import _R_CEILING, is_r_free, trial_factorize
-from .multiplicative import _main_term, f_value
-from .sieve import _check_count_range, _d_terms, _r_free_windows, _root_mu
+from .errors import SelfCheckError
+from .multiplicative import _FLOAT_ULP, _main_term, f_value
+from .sieve import _check_count_range, _class_counts, _d_terms, _root_mu
 
 
 class ProgressionReport(NamedTuple):
@@ -106,29 +107,17 @@ def _split_progression(k: int, l: int) -> tuple[int, int, int]:
     return g, k // g, l // g
 
 
+def _check_class(k: int, l: int) -> None:
+    """The one rule of a class: k >= 1 and 0 <= l < k.  Raises ValueError."""
+    if k < 1 or not 0 <= l < k:
+        raise ValueError(f"bad progression k={k}, l={l}: need k >= 1 and 0 <= l < k")
+
+
 def count_r_free_in_progression(x: int, r: int, k: int, l: int) -> int:
     """Exact R(x; k, l) by strided counts of the sieved r-free flags."""
     _check_count_range(x, r)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not 0 <= l < k:
-        raise ValueError(f"need 0 <= l < k, got l={l}, k={k}")
-    return _class_counts(x, r, [(k, l)])[0]
-
-
-def _class_counts(x: int, r: int, classes: Iterable[tuple[int, int]]) -> list[int]:
-    """R(x; k, l) for each (k, l) of ``classes``, in order, by strided
-    counts of the flags: each window of ``_r_free_windows`` is sieved once
-    and serves every class.
-    """
-    starts = [(l if l >= 1 else k, k) for k, l in classes]
-    counts = [0] * len(starts)
-    for lo, window in _r_free_windows(x, r):
-        for i, (start, k) in enumerate(starts):
-            first = start - lo if start >= lo else (start - lo) % k  # n = lo + index
-            if first < window.size:
-                counts[i] += int(np.count_nonzero(window[first::k]))
-    return counts
+    _check_class(k, l)
+    return _class_counts(r, [(x, k, l)])[0]
 
 
 def count_r_free_bruteforce(x: int, r: int, k: int, l: int) -> int:
@@ -155,8 +144,7 @@ def main_term(x: int, r: int, k: int, l: int) -> float:
         raise ValueError(f"x must be >= 0, got {x}")
     if r >= _R_CEILING:
         raise ValueError(f"r must be below 64, got {r}")
-    if k < 1 or not 0 <= l < k:
-        raise ValueError(f"bad progression k={k}, l={l}")
+    _check_class(k, l)
     return _main_term(x, r, trial_factorize(k), f_value(r, k), l)
 
 
@@ -164,35 +152,34 @@ def error_term(x: int, r: int, k: int, l: int) -> ProgressionReport:
     """Assemble the full report; error_term = count - main_term.
 
     A progression whose gcd is not r-free gets the all-zero convention
-    with g_is_r_free = False (its exact count is genuinely zero).
+    with g_is_r_free = False (its exact count is genuinely zero).  Raises
+    SelfCheckError as ``_error_report`` does.
     """
     return _error_report(x, r, k, l)[0]
 
 
 def _error_report(
-    x: int, r: int, k: int, l: int, z: float | None = None
+    x: int, r: int, k: int, l: int, z: float = 1.0
 ) -> tuple[ProgressionReport, DecompositionReport | None]:
-    """``error_term`` and, given a cut z and gcd(l, k) r-free, the
-    ``decompose`` split at z, whose count the report then takes: one
-    sieve pass over [0, x] serves both.  The split is None otherwise.
+    """``error_term`` and, when gcd(l, k) is r-free, the ``decompose``
+    split at z, whose count and main term the report takes: one sieve
+    pass over [0, x] serves both.  Raises SelfCheckError unless the two
+    split sums recombine to the count.  The split is None otherwise.
     """
     _check_count_range(x, r)
-    if k < 1 or not 0 <= l < k:
-        raise ValueError(f"bad progression k={k}, l={l}")
+    _check_class(k, l)
     g, s, t = _split_progression(k, l)
     if not is_r_free(g, r):
         return ProgressionReport(
             x=x, r=r, k=k, l=l, g=g, s=s, t=t, g_is_r_free=False,
             count=0, main_term=0.0, error_term=0.0, main_rel_error=0.0,
         ), None
-    if z is None:
-        split, count = None, count_r_free_in_progression(x, r, k, l)
-    else:
-        split = decompose(x, r, k, l, z)
-        count = split.count
-    fv = f_value(r, k)
-    main = _main_term(x, r, trial_factorize(k), fv, l)
-    rel = fv.rel_error + 5 * 2.3e-16
+    split = decompose(x, r, k, l, z)
+    count, main = split.count, split.small_main
+    if split.small_sum + split.large_sum != count:
+        raise SelfCheckError(f"the split of R({x}; {k}, {l}) at z={z!r} gives "
+                             f"{split.small_sum} + {split.large_sum}, not the count {count}")
+    rel = f_value(r, k).rel_error + 5 * _FLOAT_ULP
     return ProgressionReport(
         x=x, r=r, k=k, l=l, g=g, s=s, t=t, g_is_r_free=True,
         count=count, main_term=main, error_term=count - main,
@@ -227,8 +214,7 @@ def decompose_many(
     for k, l, z in trials:
         if not (math.isfinite(z) and z >= 1):
             raise ValueError(f"z must be a finite number >= 1, got {z}")
-        if k < 1 or not 0 <= l < k:
-            raise ValueError(f"bad progression k={k}, l={l}")
+        _check_class(k, l)
         if (k, l) in main_terms:
             continue
         g = math.gcd(l, k)
@@ -239,7 +225,7 @@ def decompose_many(
         main_terms[k, l] = _main_term(x, r, *factored[k], l)
     if not trials:
         return []
-    counts = dict(zip(main_terms, _class_counts(x, r, main_terms)))
+    counts = dict(zip(main_terms, _class_counts(r, [(x, k, l) for k, l in main_terms])))
     mu = _root_mu(x, r)
     reports = []
     for (k, l, z), (small, large) in zip(trials, _split_sums(mu, x, r, trials, factored)):

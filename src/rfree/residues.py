@@ -15,7 +15,7 @@ For units the count never exceeds 2 * r^omega(s), and a = 1 attains the
 maximum.  ``count_solutions`` gives the count for any a and one s by
 ``arith.trial_factorize``.  ``per_modulus_maxima`` gives the a = 1 count of
 every s <= s_max without factoring any s: N(s) = #{d mod s : d^r = 1} is
-multiplicative, N(p^e) = gcd(r, phi(p^e)) for odd p, and one windowed sieve
+multiplicative, N(p^e) is ``_count_units(r, 1, p, e)``, and one windowed sieve
 applies every prime power p^e <= s_max with p <= sqrt(s_max), the primes
 of ``arith.primes_upto``, by strides, counting omega(s) in the same pass.
 What is left of s after that is 1 or one prime q > sqrt(s_max), which
@@ -182,7 +182,7 @@ def per_modulus_maxima(r: int, s_max: int) -> Iterator[ModulusMaximum]:
     for p in primes_upto(math.isqrt(s_max)):
         units, pe, e = 1, p, 1
         while pe <= s_max:
-            grown = _count_units(r, 1, 2, e) if p == 2 else math.gcd(r, pe // p * (p - 1))
+            grown = _count_units(r, 1, p, e)
             strides.append((p, pe, grown // units))
             units, pe, e = grown, pe * p, e + 1
     # r^omega(s) as a float, as count_solutions' bound / 2 gives it; below

@@ -6,12 +6,13 @@ indicator of each n <= x, summed along a progression, or the Mobius
 function up to x^(1/r), in the d-sums of ``decompose`` and of the bv-sum
 sweep.  No count reads a flag table: ``_r_free_windows(x, r)``, the one
 loop that runs the windowed kernel ``_sieve_window``, yields the flags of
-[0, x] one scratch window at a time, which ``r_free_counts`` sums,
-``progressions._class_counts`` counts by strides and ``save_cache`` packs
-into its file.
+[0, x] one scratch window at a time, which ``sieve._class_counts`` counts
+by strides and ``save_cache`` packs into its file.
 
+* ``_class_counts(r, classes)`` gives R(x; k, l), the r-free n <= x with
+  n = l (mod k), for each (x, k, l), from one pass over [0, max x].
 * ``r_free_counts(xs, r)`` gives #{1 <= n <= x : no prime p has p^r | n}
-  for each x (r = 2 counts the squarefree numbers).
+  for each x (r = 2 counts the squarefree numbers): the class (x, 1, 0).
 * ``save_cache(path, limit, rs)`` writes the flags of [0, limit] for each
   r, packed eight to a byte as ``np.packbits`` packs them (n = 0 in the
   high bit of byte 0, zero pad bits after n = limit), and returns the
@@ -188,10 +189,23 @@ def _r_free_windows(x: int, r: int):
         yield lo, window
 
 
+def _class_counts(r: int, classes: Iterable[tuple[int, int, int]]) -> list[int]:
+    """R(x; k, l) = #{1 <= n <= x : n = l (mod k), n r-free} for each (x, k, l),
+    by strides over one pass of ``_r_free_windows``; the caller checks r and each class."""
+    classes = [(x, l if l >= 1 else k, k) for x, k, l in classes]
+    counts = [0] * len(classes)
+    for lo, window in _r_free_windows(max((x for x, _, _ in classes), default=0), r):
+        for i, (x, start, k) in enumerate(classes):
+            first = start - lo if start >= lo else (start - lo) % k  # n = lo + index
+            if first <= x - lo:  # else the stop below would count from the end
+                counts[i] += int(np.count_nonzero(window[first : x - lo + 1 : k]))
+    return counts
+
+
 def r_free_counts(xs: Iterable[int], r: int) -> list[int]:
     """#{1 <= n <= x : n r-free} for each x of ``xs``, in the order given.
 
-    One pass of ``_r_free_windows`` over [0, max(xs)] serves every x.  No
+    One ``_class_counts`` pass over [0, max(xs)] serves every x.  No
     Mobius value is read, so the count is independent of the Mobius sums
     it checks.  Raises ValueError, before any window, unless r and every
     x keep ``_check_count_range``.
@@ -199,15 +213,7 @@ def r_free_counts(xs: Iterable[int], r: int) -> list[int]:
     xs = [int(x) for x in xs]
     for x in [0, *xs]:  # r is checked even when xs is empty
         _check_count_range(x, r)
-    pending = sorted(range(len(xs)), key=xs.__getitem__, reverse=True)
-    counts = [0] * len(xs)
-    below = 0  # r-free n in [1, lo)
-    for lo, window in _r_free_windows(max(xs, default=0), r):
-        while pending and xs[pending[-1]] < lo + window.size:
-            i = pending.pop()
-            counts[i] = below + int(np.count_nonzero(window[: xs[i] - lo + 1]))
-        below += int(np.count_nonzero(window))
-    return counts
+    return _class_counts(r, [(x, 1, 0) for x in xs])
 
 
 # ---------------------------------------------------------------------------

@@ -436,6 +436,32 @@ def test_bv_sum_threads_zero_exit_2(capsys):
     assert "threads" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    "sieve --limit 1e6 --r 2",
+    "sieve --limit 1e6 --r 2 --cache {cache}",
+    "error --x 1e6 --r 2 --k 7 --l 2",
+    "error --x 1e6 --r 2 --k 7 --l 2 --format json",
+    "error --x 1e6 --r 2 --k 7 --l 2 --z 100",
+])
+def test_flags_missing_a_prime_square_exit_3(monkeypatch, capsys, tmp_path, argv):
+    # the sieve loses 997^2, the last p^2 <= 1e6, and 997^2 = 2 (mod 7):
+    # unchecked, sieve printed 607927 and error R = 88661 with exit 0
+    true = sieve._r_powers
+
+    def short(top, r):
+        dense, sparse = true(top, r)
+        return (dense, sparse[:-1]) if sparse.size else (dense[:-1], sparse)
+
+    assert r_free_counts([10**6], 2) == [607926]
+    assert count_r_free_bruteforce(10**6, 2, 7, 2) == 88660
+    monkeypatch.setattr(sieve, "_r_powers", short)
+    assert r_free_counts([10**6], 2) == [607927]
+    assert main(argv.format(cache=tmp_path / "s.rfsv").split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exact-identity self-check failed" in captured.err
+
+
 def test_bv_sum_self_check_failure_exit_3(monkeypatch, capsys):
     from rfree.errors import SelfCheckError
     import rfree.harness as harness
@@ -458,6 +484,8 @@ def test_bv_sum_self_check_failure_exit_3(monkeypatch, capsys):
     ("bv-sum --r 2 --A 1 --x 1e6", {997: 1}),  # one flipped sign
     ("verify-lemmas --x 1e6 --r 2 --trials 100 --seed 3", {997: 1}),
     ("error --x 1000000 --r 2 --k 7 --l 3 --z 50", {30: 1}),
+    ("sieve --limit 1e6 --r 2,3", {997: 1}),
+    ("error --x 1000000 --r 2 --k 7 --l 3", {30: 1}),
 ])
 def test_wrong_mobius_table_exit_3(monkeypatch, capsys, argv, wrong):
     true = sieve.mobius_sieve(10**4)

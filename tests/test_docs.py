@@ -33,3 +33,11 @@ def test_quoted_module_names_are_live():
                 stale.append(f"{path.relative_to(ROOT)}: {module}.{name}")
     assert quoted > 10  # the scan sees the names it is meant to check
     assert stale == []
+
+
+def test_flag_count_modules_name_the_one_strided_count():
+    # the one strided flag count lives in sieve, and both of its modules say so
+    for module in ("sieve", "progressions"):
+        doc = importlib.import_module(f"rfree.{module}").__doc__
+        assert "sieve._class_counts" in doc, module
+    assert importlib.import_module("rfree.progressions")._class_counts.__module__ == "rfree.sieve"

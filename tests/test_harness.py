@@ -20,8 +20,7 @@ from rfree import (
     run_experiment,
     write_plot,
 )
-from rfree.progressions import _class_counts
-from rfree.sieve import _d_terms, _root_mu
+from rfree.sieve import _class_counts, _d_terms, _root_mu
 
 
 def test_threshold_examples():
@@ -50,7 +49,7 @@ def test_threshold_vacuous_config_rejected():
 
 def _strided(x, r, k):
     """R(x; k, l) for every l, by strided counts of the sieved flags."""
-    return _class_counts(x, r, [(k, l) for l in range(k)])
+    return _class_counts(r, [(x, k, l) for l in range(k)])
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -70,7 +69,7 @@ def test_class_counts_every_class_up_to_200(r):
     # the oracle for any rewrite of the kernel: every class of every k <= 200
     x = 99_991
     got = [c for k in range(1, 201) for c in class_counts(x, r, k).tolist()]
-    assert got == _class_counts(x, r, [(k, l) for k in range(1, 201) for l in range(k)])
+    assert got == _class_counts(r, [(x, k, l) for k in range(1, 201) for l in range(k)])
 
 
 def reference_count_classes(terms, k):

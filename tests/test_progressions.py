@@ -4,8 +4,10 @@ import tracemalloc
 
 import pytest
 
+import rfree.progressions as progressions
 from conftest import r_free_flags
 from rfree import (
+    SelfCheckError,
     count_r_free_bruteforce,
     count_r_free_in_progression,
     decompose,
@@ -19,8 +21,8 @@ from rfree import (
 )
 from rfree.arith import _int_rth_root
 from rfree.harness import class_counts
-from rfree.progressions import _class_counts, _split_sums
-from rfree.sieve import _COUNT_WINDOW, _d_terms, _root_mu
+from rfree.progressions import _split_sums
+from rfree.sieve import _COUNT_WINDOW, _class_counts, _d_terms, _root_mu
 
 
 def test_count_examples():
@@ -73,7 +75,7 @@ def test_class_counts_at_window_edges(r):
     for x in (w - 1, w, w + 1, 2 * w + 7, _EDGES_LIMIT):
         classes = _every_class(12, x)
         expected = [int(flags[l or k : x + 1 : k].sum()) for k, l in classes]
-        assert _class_counts(x, r, classes) == expected, x
+        assert _class_counts(r, [(x, k, l) for k, l in classes]) == expected, x
         assert [
             count_r_free_in_progression(x, r, k, l) for k, l in classes[:3] + classes[-3:]
         ] == expected[:3] + expected[-3:], x
@@ -86,7 +88,7 @@ def test_class_counts_match_bruteforce_to_200(r):
     for x in range(201):
         classes = _every_class(7, x)
         expected = [count_r_free_bruteforce(x, r, k, l) for k, l in classes]
-        assert _class_counts(x, r, classes) == expected, x
+        assert _class_counts(r, [(x, k, l) for k, l in classes]) == expected, x
         assert [
             count_r_free_in_progression(x, r, k, l) for k, l in classes
         ] == expected, x
@@ -437,6 +439,31 @@ def test_decompose_many_checks_every_trial_first():
         with pytest.raises(ValueError, match=message):
             decompose_many(1000, 2, [good, bad])
     assert decompose_many(1000, 2, []) == []
+
+
+def test_error_term_checks_its_split(monkeypatch):
+    # the count error_term reports must be the sum of the split at z = 1
+    true = progressions._split_sums
+    assert error_term(10**4, 2, 12, 5).count == count_r_free_bruteforce(10**4, 2, 12, 5)
+    monkeypatch.setattr(
+        progressions, "_split_sums", lambda *args: [(s + 1, l) for s, l in true(*args)]
+    )
+    with pytest.raises(SelfCheckError, match=r"R\(10000; 12, 5\) at z=1.0 .* not the count"):
+        error_term(10**4, 2, 12, 5)
+    # a class whose gcd is not r-free has no split and keeps the zero convention
+    assert error_term(10**4, 2, 12, 4).count == 0
+
+
+def test_class_rule_is_one_message():
+    # every entry point refuses a bad (k, l) with the one rule of _check_class
+    for call in (
+        lambda: count_r_free_in_progression(100, 2, 7, 7),
+        lambda: main_term(100, 2, 0, 0),
+        lambda: error_term(100, 2, 7, -1),
+        lambda: decompose_many(100, 2, [(7, 7, 2.0)]),
+    ):
+        with pytest.raises(ValueError, match=r"bad progression .*: need k >= 1 and 0 <= l < k"):
+            call()
 
 
 def test_lemma_probe_zero_large_part():

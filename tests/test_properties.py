@@ -23,8 +23,7 @@ from rfree import (  # noqa: E402
     trial_factorize,
 )
 import rfree.harness as harness  # noqa: E402
-from rfree.progressions import _class_counts  # noqa: E402
-from rfree.sieve import _d_terms, _root_mu  # noqa: E402
+from rfree.sieve import _class_counts, _d_terms, _root_mu  # noqa: E402
 from test_harness import reference_count_classes  # noqa: E402
 from test_progressions import decompose_by_loop  # noqa: E402
 
@@ -45,7 +44,7 @@ _moduli = st.builds(
 )
 def test_class_counts_match_strided_scan(x, r, k):
     counts = class_counts(x, r, k)
-    assert counts.tolist() == _class_counts(x, r, [(k, l) for l in range(k)])
+    assert counts.tolist() == _class_counts(r, [(x, k, l) for l in range(k)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -64,7 +63,7 @@ def test_count_classes_match_reference_and_strided_scan(x, r, k, block):
         patch.setattr(harness, "_BLOCK", block)
         counts = harness._count_classes(terms, k).tolist()
     assert counts == reference_count_classes(terms, k).tolist()
-    assert counts == _class_counts(x, r, [(k, l) for l in range(k)])
+    assert counts == _class_counts(r, [(x, k, l) for l in range(k)])
 
 
 @settings(max_examples=100, deadline=None)

@@ -110,6 +110,27 @@ def test_r_free_counts_match_bruteforce(r):
     assert r_free_counts(xs, r) == [count_r_free_bruteforce(x, r, 1, 0) for x in xs]
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_class_counts_mixed_x_across_window_edges(monkeypatch, r):
+    # classes of different x in one pass of 64-flag windows: an x at a
+    # window's last flag, its first, and two below a window's start, where
+    # an unguarded stop of -1 would count that window all but its last flag
+    monkeypatch.setattr(sieve, "_COUNT_WINDOW", 64)
+    xs = [0, 1, 62, 63, 64, 65, 126, 127, 128, 190, 500, 1000]
+    classes = [
+        (x, k, l) for x in xs for k in (1, 2, 7, 63, 64, 65, 130, 1001)
+        for l in sorted({0, 1 % k, k // 2, k - 1})
+    ]
+    random.Random(r).shuffle(classes)
+    windows = []
+    true = sieve._sieve_window
+    monkeypatch.setattr(sieve, "_sieve_window", lambda w, lo, *p: (windows.append(lo), true(w, lo, *p)))
+    expected = [count_r_free_bruteforce(x, r, k, l) for x, k, l in classes]
+    assert sieve._class_counts(r, classes) == expected
+    assert windows == list(range(0, 1001, 64))  # one pass over [0, max x]
+    assert sieve._class_counts(r, []) == []
+
+
 def test_r_free_counts_validation():
     assert r_free_counts([], 2) == []
     with pytest.raises(ValueError):

@@ -97,7 +97,11 @@ def test_bv_sum_and_sieve_load_only_their_layers(capsys):
     for argv, absent in (
         (["bv-sum", "--r", "3", "--A", "1", "--x", "1e4,1e5", "--timing", "none"],
          {"rfree.progressions"}),
-        (["sieve", "--limit", "1e5", "--r", "2,3"], {"rfree.progressions", "rfree.harness"}),
+        (["sieve", "--limit", "1e5", "--r", "2,3"],
+         {"rfree.progressions", "rfree.harness", "rfree.residues"}),
+        # the always-split error path loads the split but not the sweep
+        (["error", "--x", "1e5", "--r", "2", "--k", "7", "--l", "3"],
+         {"rfree.harness", "rfree.residues"}),
     ):
         done = run_rfree(*argv, python_flags=("-X", "importtime"))
         assert done.returncode == 0, done.stderr
