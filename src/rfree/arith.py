@@ -201,6 +201,7 @@ def _mobius_trial(n: int) -> int:
 
 def is_r_free(n: int, r: int) -> bool:
     """True iff no prime r-th power divides n (trial division, no table)."""
+    r = index(r)  # and n in trial_factorize: a float raises TypeError
     if n < 1 or r < 2:
         raise ValueError("need n >= 1 and r >= 2")
     return all(e < r for _, e in trial_factorize(n).factors)

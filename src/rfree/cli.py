@@ -68,26 +68,22 @@ def _parse_int_list(text: str) -> list[int]:
 def _cmd_sieve(args) -> int:
     import time
 
-    from .sieve import _d_terms, _packed_size, _root_mu, r_free_counts, save_cache
+    from .sieve import _check_flag_total, _packed_size, r_free_counts, save_cache
 
     rs = sorted(set(_parse_int_list(args.r)))
     # refused before the cache path is opened
     if not rs:
         raise ConfigError("--r must name at least one r value")
-    if rs[0] < 2:
-        raise ConfigError(f"every r must be >= 2, got {rs[0]}")
     if args.limit < 1:
         raise ConfigError(f"limit must be >= 1, got {args.limit}")
     start = time.perf_counter()
-    if args.cache:  # save_cache refuses to overwrite a file not beginning with RFSV
+    if args.cache:  # save_cache checks each total and refuses to overwrite a non-RFSV file
         totals, source = save_cache(args.cache, args.limit, rs), "built and saved"
     else:
         totals, source = [r_free_counts([args.limit], r)[0] for r in rs], "built"
+        for r, total in zip(rs, totals):
+            _check_flag_total(args.limit, r, total)
     elapsed = time.perf_counter() - start
-    for r, total in zip(rs, totals):  # against sum_{d^r <= limit} mu(d) (limit // d^r)
-        _, mu_d, _, per_d = _d_terms(_root_mu(args.limit, r), args.limit, r)
-        if total != int(mu_d @ per_d):
-            raise SelfCheckError(f"r={r}: the flags count {total}, the Mobius sum {mu_d @ per_d}")
     for r, total in zip(rs, totals):
         print(f"r={r}: {total} r-free integers <= {args.limit}")
     print(
@@ -176,27 +172,18 @@ def _cmd_verify_lemmas(args) -> int:
     if args.x < 1:
         raise ConfigError(f"x must be >= 1, got {args.x}")
     trials = _lemma_trials(args.seed, args.x, args.r, args.trials)
-    failures = 0
     worst_small = worst_large = 0.0
     # a few thousand trials per call keep the reports' memory flat in --trials
     while batch := list(itertools.islice(trials, _LEMMA_BATCH)):
         for rep in decompose_many(args.x, args.r, batch):
-            if rep.small_sum + rep.large_sum != rep.count:
-                failures += 1
-                print(
-                    f"IDENTITY FAILURE at k={rep.k} l={rep.l} z={rep.z!r}: "
-                    f"{rep.small_sum}+{rep.large_sum} != {rep.count}",
-                    file=sys.stderr,
-                )
-                continue
             probe = lemma_bound_probe(rep)
             worst_small = max(worst_small, probe.small_residual)
             worst_large = max(worst_large, probe.large_ratio)
-    print(
-        f"trials={args.trials} failures={failures} "
+    print(  # failures=0 keeps the format: decompose_many raises on a failed split
+        f"trials={args.trials} failures=0 "
         f"max_small_residual={worst_small!r} max_large_ratio={worst_large!r}"
     )
-    return EXIT_IDENTITY if failures else EXIT_OK
+    return EXIT_OK
 
 
 class _Reprs(dict):

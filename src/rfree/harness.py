@@ -161,7 +161,7 @@ def class_counts(x: int, r: int, k: int) -> np.ndarray:
     down from a multiple; this per-modulus call is the oracle the fold is
     tested against.
     """
-    _check_count_range(x, r)
+    x, r = _check_count_range(x, r)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return _count_classes(_d_terms(_root_mu(x, r), x, r), k)

@@ -30,9 +30,9 @@ familiar squarefree form.  The split identity
 
     small_sum + large_sum = R,   for every z >= 1,
 
-holds with no tolerance and is enforced by the acceptance suite; R itself
-comes from ``sieve._class_counts``, the independent strided count of the
-flags, one window at a time.  ``error_term`` splits at z = 1 to check it.
+holds with no tolerance, and ``decompose_many``, which forms both sides,
+checks it for every split; R itself comes from ``sieve._class_counts``,
+the independent strided count of the flags, one window at a time.
 
 ``main_term`` checks its arguments and evaluates
 ``multiplicative._main_term``, which the bv-sum sweep also calls.
@@ -115,7 +115,7 @@ def _check_class(k: int, l: int) -> None:
 
 def count_r_free_in_progression(x: int, r: int, k: int, l: int) -> int:
     """Exact R(x; k, l) by strided counts of the sieved r-free flags."""
-    _check_count_range(x, r)
+    x, r = _check_count_range(x, r)
     _check_class(k, l)
     return _class_counts(r, [(x, k, l)])[0]
 
@@ -153,7 +153,7 @@ def error_term(x: int, r: int, k: int, l: int) -> ProgressionReport:
 
     A progression whose gcd is not r-free gets the all-zero convention
     with g_is_r_free = False (its exact count is genuinely zero).  Raises
-    SelfCheckError as ``_error_report`` does.
+    SelfCheckError as ``decompose_many`` does.
     """
     return _error_report(x, r, k, l)[0]
 
@@ -162,11 +162,11 @@ def _error_report(
     x: int, r: int, k: int, l: int, z: float = 1.0
 ) -> tuple[ProgressionReport, DecompositionReport | None]:
     """``error_term`` and, when gcd(l, k) is r-free, the ``decompose``
-    split at z, whose count and main term the report takes: one sieve
-    pass over [0, x] serves both.  Raises SelfCheckError unless the two
-    split sums recombine to the count.  The split is None otherwise.
+    split at z (None otherwise), whose count and main term the report
+    takes: one sieve pass over [0, x] serves both.  Raises SelfCheckError
+    as ``decompose_many`` does.
     """
-    _check_count_range(x, r)
+    x, r = _check_count_range(x, r)
     _check_class(k, l)
     g, s, t = _split_progression(k, l)
     if not is_r_free(g, r):
@@ -176,9 +176,6 @@ def _error_report(
         ), None
     split = decompose(x, r, k, l, z)
     count, main = split.count, split.small_main
-    if split.small_sum + split.large_sum != count:
-        raise SelfCheckError(f"the split of R({x}; {k}, {l}) at z={z!r} gives "
-                             f"{split.small_sum} + {split.large_sum}, not the count {count}")
     rel = f_value(r, k).rel_error + 5 * _FLOAT_ULP
     return ProgressionReport(
         x=x, r=r, k=k, l=l, g=g, s=s, t=t, g_is_r_free=True,
@@ -190,8 +187,8 @@ def _error_report(
 def decompose(x: int, r: int, k: int, l: int, z: float) -> DecompositionReport:
     """Split R(x; k, l) into the d <= z and d > z double sums, exactly.
 
-    Requires a finite z >= 1 and gcd(l, k) r-free.  The two partial sums always
-    recombine to the strided count with zero tolerance.
+    Requires a finite z >= 1 and gcd(l, k) r-free.  Raises SelfCheckError
+    unless the two partial sums recombine to the strided count exactly.
     """
     return decompose_many(x, r, [(k, l, z)])[0]
 
@@ -205,9 +202,9 @@ def decompose_many(
     formed.  A repeated (k, l) is split once, all its cuts read off one
     cumulative sum, and the counts of every distinct (k, l) come from one
     ``_class_counts`` call, which sieves each window of flags once.  mu is
-    sieved up to x^(1/r) for the call.
+    sieved up to x^(1/r).  Raises SelfCheckError unless each small + large = R.
     """
-    _check_count_range(x, r)
+    x, r = _check_count_range(x, r)
     trials = list(trials)
     main_terms = {}  # (k, l) -> small main term
     factored = {}  # k -> (factorization, f-value)
@@ -230,6 +227,9 @@ def decompose_many(
     reports = []
     for (k, l, z), (small, large) in zip(trials, _split_sums(mu, x, r, trials, factored)):
         count, small_main = counts[k, l], main_terms[k, l]
+        if small + large != count:
+            raise SelfCheckError(f"the split of R({x}; {k}, {l}) at z={z!r} gives "
+                                 f"{small} + {large}, not the count {count}")
         reports.append(
             DecompositionReport(
                 x=x, r=r, k=k, l=l, z=float(z),

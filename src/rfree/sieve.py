@@ -23,6 +23,8 @@ by strides and ``save_cache`` packs into its file.
   left 1 or one prime; ``_root_mu(x, r)`` sieves it up to x^(1/r) and
   checks mu * 1 = epsilon, and ``_d_terms`` reads off it the d-terms
   (d, mu(d), d^r, x // d^r) both Mobius sums share.
+* ``_check_flag_total(x, r, total)`` checks a total against the Mobius sum,
+  in ``save_cache`` before its file replaces the path and in ``rfree sieve``.
 
 A table over [0, N] keeps one size rule, ``_check_table_size``: N >= 1,
 N < 2**32 and at most 2 GiB of table.  Every count keeps one range rule,
@@ -36,6 +38,7 @@ from __future__ import annotations
 import math
 import os
 import zlib
+from operator import index
 from typing import Iterable
 
 import numpy as np
@@ -141,16 +144,26 @@ def _d_terms(mu: np.ndarray, x: int, r: int) -> tuple[np.ndarray, ...]:
     return ds, mu[ds - 1].astype(np.int64), dr, x // dr
 
 
-def _check_count_range(x: int, r: int) -> None:
+def _check_count_range(x: int, r: int) -> tuple[int, int]:
     """The one range rule of every count over [1, x]: 2 <= r < 64 and
     0 <= x < 2**32, where the int64 Mobius sums are shown exact.  Raises
-    ValueError."""
+    ValueError, and TypeError unless x and r are integers, which it returns
+    as ints (x, r)."""
+    x, r = index(x), index(r)
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
     if r >= _R_CEILING:
         raise ValueError(f"r must be below 64, got {r}: 2**r exceeds every x")
     if not 0 <= x < _LIMIT_CEILING:
         raise ValueError(f"x={x} outside [0, 2**32)")
+    return x, r
+
+
+def _check_flag_total(x: int, r: int, total: int) -> None:
+    """Raise SelfCheckError unless total = sum_{d^r <= x} mu(d) (x // d^r)."""
+    _, mu_d, _, per_d = _d_terms(_root_mu(x, r), x, r)
+    if total != int(mu_d @ per_d):
+        raise SelfCheckError(f"r={r}: the flags count {total}, the Mobius sum {mu_d @ per_d}")
 
 
 def _r_powers(top: int, r: int) -> tuple[list[int], np.ndarray]:
@@ -210,10 +223,8 @@ def r_free_counts(xs: Iterable[int], r: int) -> list[int]:
     it checks.  Raises ValueError, before any window, unless r and every
     x keep ``_check_count_range``.
     """
-    xs = [int(x) for x in xs]
-    for x in [0, *xs]:  # r is checked even when xs is empty
-        _check_count_range(x, r)
-    return _class_counts(r, [(x, 1, 0) for x in xs])
+    _, r = _check_count_range(0, r)  # r is checked even when xs is empty
+    return _class_counts(r, [(_check_count_range(x, r)[0], 1, 0) for x in xs])
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +265,11 @@ def save_cache(path, limit: int, rs: Iterable[int]) -> list[int]:
     Each window of ``_r_free_windows`` is counted, packed and written as it
     comes, and the crc32 is filled in last, so the save holds one window
     and its packed bytes.  The bytes go to a temporary file in the same
-    directory, which then replaces ``path`` in one step, so an interrupted
-    save never leaves a torn cache behind.
+    directory, which replaces ``path`` only once every total has passed
+    ``_check_flag_total``, so no torn or wrong cache is left behind.
     """
-    rs = sorted(set(int(r) for r in rs))
-    for r in rs:
-        _check_count_range(limit, r)
+    limit = index(limit)
+    rs = sorted({_check_count_range(limit, r)[1] for r in rs})
     try:  # the one file the save may replace is a cache of some version
         with open(path, "rb") as fh:
             if fh.read(4) != _CACHE_MAGIC[:4]:
@@ -287,8 +297,9 @@ def save_cache(path, limit: int, rs: Iterable[int]) -> list[int]:
                     # every window but the last is a multiple of 8 flags, and
                     # packbits zeroes the pad bits of the last
                     crc = _write_crc(fh, np.packbits(window), crc)
-                counts.append(count)
                 del window  # the scratch of this r; the next r sieves into its own
+                _check_flag_total(limit, r, count)
+                counts.append(count)
             assert fh.tell() == _cache_size(limit, len(rs)), "cache layout"
             fh.seek(len(_CACHE_MAGIC))
             fh.write(np.array(crc, dtype="<u4").tobytes())

@@ -1,3 +1,4 @@
+import ast
 import builtins
 import contextlib
 import hashlib
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from conftest import SRC, wrong_mobius
-from rfree import count_r_free_bruteforce, r_free_counts, sieve, tau_value
+import rfree.progressions as progressions
+from rfree import SelfCheckError, count_r_free_bruteforce, r_free_counts, sieve, tau_value
 from rfree.cli import _parse_int, main
 
 
@@ -104,7 +106,7 @@ def test_sieve_refuses_r_below_2_before_reading_cache(tmp_path, capsys):
     assert main(["sieve", "--limit", "1000", "--r", "1", "--cache", str(cache)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "every r must be >= 2, got 1" in captured.err
+    assert "r must be >= 2, got 1" in captured.err
     assert "cache" not in captured.err
 
 
@@ -176,7 +178,7 @@ def test_sieve_rewrites_damaged_cache(tmp_path, capsys, damage):
 
 
 @pytest.mark.parametrize("argv,message", [
-    ("--limit 1e4 --r 1", "every r must be >= 2"),
+    ("--limit 1e4 --r 1", "r must be >= 2, got 1"),
     ("--limit 1e4 --r ,", "--r must name at least one r value"),
     ("--limit -5 --r 2", "limit must be >= 1"),
     ("--limit 5e9 --r 2", "outside [0, 2**32)"),
@@ -436,6 +438,17 @@ def test_bv_sum_threads_zero_exit_2(capsys):
     assert "threads" in captured.err
 
 
+def _drop_last_prime_power(monkeypatch):
+    """Make the flag sieve lose its largest p^r <= top."""
+    true = sieve._r_powers
+
+    def short(top, r):
+        dense, sparse = true(top, r)
+        return (dense, sparse[:-1]) if sparse.size else (dense[:-1], sparse)
+
+    monkeypatch.setattr(sieve, "_r_powers", short)
+
+
 @pytest.mark.parametrize("argv", [
     "sieve --limit 1e6 --r 2",
     "sieve --limit 1e6 --r 2 --cache {cache}",
@@ -446,20 +459,77 @@ def test_bv_sum_threads_zero_exit_2(capsys):
 def test_flags_missing_a_prime_square_exit_3(monkeypatch, capsys, tmp_path, argv):
     # the sieve loses 997^2, the last p^2 <= 1e6, and 997^2 = 2 (mod 7):
     # unchecked, sieve printed 607927 and error R = 88661 with exit 0
-    true = sieve._r_powers
-
-    def short(top, r):
-        dense, sparse = true(top, r)
-        return (dense, sparse[:-1]) if sparse.size else (dense[:-1], sparse)
-
     assert r_free_counts([10**6], 2) == [607926]
     assert count_r_free_bruteforce(10**6, 2, 7, 2) == 88660
-    monkeypatch.setattr(sieve, "_r_powers", short)
+    _drop_last_prime_power(monkeypatch)
     assert r_free_counts([10**6], 2) == [607927]
     assert main(argv.format(cache=tmp_path / "s.rfsv").split()) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exact-identity self-check failed" in captured.err
+
+
+@pytest.mark.parametrize("rs", ["2", "3", "2,3"])
+@pytest.mark.parametrize("before", ["missing", "cache"])
+def test_sieve_cache_of_wrong_flags_never_lands(monkeypatch, capsys, tmp_path, rs, before):
+    # save_cache checks each total before its file replaces the path:
+    # unchecked, a failed total exited 3 but left a 125026-byte file of the
+    # wrong flags at the path (97^3 is the last p^3 <= 1e6)
+    cache = tmp_path / "s.rfsv"
+    if before == "cache":
+        sieve.save_cache(cache, 10_000, [2, 3])
+    old = cache.read_bytes() if cache.exists() else None
+    _drop_last_prime_power(monkeypatch)
+    assert main(["sieve", "--limit", "1e6", "--r", rs, "--cache", str(cache)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the flags count" in captured.err
+    if old is None:
+        assert not cache.exists()
+    else:
+        assert cache.read_bytes() == old
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("argv", [
+    "verify-lemmas --x 1e4 --r 2 --trials 50 --seed 1",
+    "verify-lemmas --x 1e4 --r 3 --trials 50 --seed 1",
+    "error --x 1e4 --r 2 --k 12 --l 5",
+    "error --x 1e4 --r 2 --k 12 --l 5 --z 30",
+    "error --x 1e4 --r 2 --k 12 --l 5 --format json",
+])
+def test_split_off_by_one_exit_3(monkeypatch, capsys, argv):
+    # decompose_many checks small + large = R for every trial before it
+    # returns a report: unchecked, verify-lemmas printed failures=1 on stdout
+    true = progressions._split_sums
+
+    def off(*args):
+        sums = true(*args)
+        small, large = sums[len(sums) // 2]
+        sums[len(sums) // 2] = (small + 1, large)
+        return sums
+
+    monkeypatch.setattr(progressions, "_split_sums", off)
+    with pytest.raises(SelfCheckError, match=r"the split of R\(10000; 12, 5\) at z=3"):
+        progressions.decompose_many(10**4, 2, [(7, 1, 2.0), (12, 5, 3.0), (12, 5, 9.0)])
+    assert main(argv.split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"the split of R\(10000; \d+, \d+\) at z=\d", captured.err)
+    assert "not the count" in captured.err
+
+
+def test_cli_compares_no_identity():
+    # each exact identity is checked in the layer that forms both sides,
+    # so cli raises no SelfCheckError and imports no Mobius table
+    tree = ast.parse((SRC / "rfree" / "cli.py").read_text())
+    raised = [ast.unparse(node) for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and "SelfCheckError" in ast.unparse(node)]
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert raised == []
+    assert imported.isdisjoint({"_root_mu", "_d_terms"})
+    assert "_check_flag_total" in imported  # the scan sees cli's imports
 
 
 def test_bv_sum_self_check_failure_exit_3(monkeypatch, capsys):

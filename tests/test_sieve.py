@@ -16,6 +16,9 @@ from rfree import (
     ResourceLimitError,
     SelfCheckError,
     count_r_free_bruteforce,
+    count_r_free_in_progression,
+    decompose,
+    error_term,
     is_r_free,
     mobius_sieve,
     mu_r_direct,
@@ -25,6 +28,7 @@ from rfree import (
 )
 from rfree.arith import _mobius_trial
 from rfree.cli import main
+from rfree.harness import class_counts
 from rfree.sieve import _r_powers, _root_mu
 
 
@@ -151,6 +155,41 @@ def test_r_free_counts_refuse_x_past_2_32_at_once(monkeypatch):
             r_free_counts(xs, 2)
     with pytest.raises(ValueError, match="r must"):
         r_free_counts([], 1)
+
+
+def test_counts_take_integers_only(tmp_path):
+    # x and r go through operator.index in _check_count_range: unchecked,
+    # r_free_counts([100.7], 2) gave [61], the count at 100, is_r_free(4, 2.5)
+    # gave True, and a float or numpy x failed in _int_rth_root
+    path = tmp_path / "c.rfsv"
+    for call in (
+        lambda: r_free_counts([100.7], 2),
+        lambda: r_free_counts([100.0], 2),
+        lambda: r_free_counts([], 2.0),
+        lambda: count_r_free_in_progression(100.0, 2, 3, 1),
+        lambda: count_r_free_in_progression(100, 2.0, 3, 1),
+        lambda: decompose(100.0, 2, 3, 1, 2.0),
+        lambda: error_term(100.0, 2, 3, 1),
+        lambda: class_counts(100.0, 2, 3),
+        lambda: save_cache(path, 100.0, [2]),
+        lambda: save_cache(path, 100, [2.0]),
+        lambda: is_r_free(4, 2.5),
+        lambda: is_r_free(4, 2.0),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    assert not path.exists()
+    save_cache(tmp_path / "int.rfsv", 100, [2])
+    for x, r in ((np.int64(100), np.int64(2)), (np.uint32(100), np.int8(2))):
+        assert r_free_counts([x], r) == r_free_counts([100], 2) == [61]
+        assert count_r_free_in_progression(x, r, 3, 1) == count_r_free_in_progression(100, 2, 3, 1)
+        split = decompose(x, r, 3, 1, 2.0)
+        assert split == decompose(100, 2, 3, 1, 2.0) and type(split.x) is type(split.r) is int
+        assert error_term(x, r, 3, 1) == error_term(100, 2, 3, 1)
+        assert class_counts(x, r, 3).tolist() == class_counts(100, 2, 3).tolist()
+        assert save_cache(path, x, [r]) == [61]
+        assert path.read_bytes() == (tmp_path / "int.rfsv").read_bytes()
+    assert is_r_free(4, np.int64(3)) and not is_r_free(4, np.int64(2))
 
 
 def _mobius(n):
