@@ -201,7 +201,7 @@ def _mobius_trial(n: int) -> int:
 
 def is_r_free(n: int, r: int) -> bool:
     """True iff no prime r-th power divides n (trial division, no table)."""
-    r = index(r)  # and n in trial_factorize: a float raises TypeError
+    n, r = index(n), index(r)  # a float raises TypeError
     if n < 1 or r < 2:
         raise ValueError("need n >= 1 and r >= 2")
     return all(e < r for _, e in trial_factorize(n).factors)
@@ -212,8 +212,9 @@ def mu_r_direct(n: int, r: int) -> int:
 
     Enumerates every d with d^r <= n, adding mu(d) whenever d^r divides n.
     Always lands in {0, 1}; agrees with the sieve's flags and serves as
-    their independent oracle.
+    their independent oracle.  A non-integer n or r raises TypeError.
     """
+    n, r = index(n), index(r)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if r < 2:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import time
+from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -69,11 +70,15 @@ def modulus_threshold(x: int, r: int, log_power: float) -> int:
     Natural logarithm throughout.  A threshold below 1 means the requested
     combination is vacuous and is rejected as a configuration error.
     """
+    x, r = index(x), index(r)
     if x < 3:
         raise ValueError(f"x must be >= 3, got {x}")
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
-    value = x ** (r / (r + 1)) / math.log(x) ** (log_power + r - 1)
+    try:
+        value = x ** (r / (r + 1)) / math.log(x) ** (log_power + r - 1)
+    except OverflowError:  # the divisor passes every float: the quotient is 0
+        value = 0.0
     k = math.floor(value)
     if k < 1:
         raise ConfigError(
@@ -162,6 +167,7 @@ def class_counts(x: int, r: int, k: int) -> np.ndarray:
     tested against.
     """
     x, r = _check_count_range(x, r)
+    k = index(k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return _count_classes(_d_terms(_root_mu(x, r), x, r), k)
@@ -259,12 +265,17 @@ class _ExperimentFields(NamedTuple):
 
 
 class ExperimentConfig(_ExperimentFields):
-    """Sweep settings: r, the log-power A, the sample sizes and the timing."""
+    """Sweep settings: r, the log-power A, the sample sizes and the timing.
+
+    r and each x go through ``operator.index``, except that an x may be a
+    whole float (1e4); any other value raises TypeError, so no x is truncated.
+    """
 
     __slots__ = ()
 
     def __new__(cls, r: int, log_power: float, xs, timing: str = "wall"):
-        return super().__new__(cls, r, log_power, tuple(int(x) for x in xs), timing)
+        xs = tuple(int(x) if isinstance(x, float) and x.is_integer() else index(x) for x in xs)
+        return super().__new__(cls, index(r), log_power, xs, timing)
 
     def validate(self) -> None:
         if self.r < 2:

@@ -120,9 +120,9 @@ def f_value(r: int, k: int) -> FValue:
     """Evaluate f_r(k) from the primes of k.
 
     Only the distinct primes of k matter, so f_r(k) = f_r(rad(k)).  A
-    non-integer r raises TypeError.
+    non-integer r or k raises TypeError.
     """
-    r = index(r)
+    r, k = index(r), index(k)
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
     if k < 1:
@@ -152,7 +152,9 @@ def _main_term(x: int, r: int, fact: Factorization, fval: FValue, l: int) -> flo
 
 
 def tau_value(r: int, n: int) -> int:
-    """tau_r(n) from the multiplicative formula, in exact integer arithmetic."""
+    """tau_r(n) from the multiplicative formula, in exact integer arithmetic.
+    A non-integer r or n raises TypeError."""
+    r = index(r)  # and n in trial_factorize
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     out = 1
@@ -218,13 +220,14 @@ def tau_partial_sum_check(r: int, xs: Sequence[int]) -> list[TauSumRow]:
 
     The returned ratio stays bounded and slowly varying in x; acceptance
     checks pin that down numerically.  Each total is ``_tau_sum(r, x)``,
-    an exact integer.  Raises, before any sum is formed, ValueError unless
+    an exact integer.  Raises, before any sum is formed, TypeError unless
+    r and every x are integers (``operator.index``), ValueError unless
     xs is nonempty, every x >= 3 and r >= 1, ResourceLimitError unless
     every x < 2**32, OverflowError if a normalization is not a finite
     float, and ResourceLimitError if the levels below r would take more
     than ``_TAU_STEP_BUDGET`` steps.
     """
-    xs = [int(x) for x in xs]
+    r, xs = index(r), [index(x) for x in xs]
     if not xs:
         raise ValueError("xs must be nonempty")
     for x in xs:

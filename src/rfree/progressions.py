@@ -34,6 +34,11 @@ holds with no tolerance, and ``decompose_many``, which forms both sides,
 checks it for every split; R itself comes from ``sieve._class_counts``,
 the independent strided count of the flags, one window at a time.
 
+Each public function uses only the ints its rules return: x and r from
+``sieve._check_count_range`` (or ``operator.index``), and k and l from
+``_check_class``, which also returns g, s and t.  So a float raises
+TypeError before any work, and a numpy integer counts as the int it equals.
+
 ``main_term`` checks its arguments and evaluates
 ``multiplicative._main_term``, which the bv-sum sweep also calls.
 ``decompose_many`` splits many (k, l, z) at one (x, r), and ``decompose``
@@ -51,6 +56,7 @@ cumulative sum.  The counts of every distinct (k, l) come from one
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -102,26 +108,32 @@ class LemmaBoundRatios(NamedTuple):
     large_ratio: float
 
 
-def _split_progression(k: int, l: int) -> tuple[int, int, int]:
-    g = math.gcd(l, k)  # gcd(0, k) = k, so the zero class has g = k
-    return g, k // g, l // g
+def _check_class(k: int, l: int) -> tuple[int, int, int, int, int]:
+    """The one rule of a class: integers k >= 1 and 0 <= l < k.
 
-
-def _check_class(k: int, l: int) -> None:
-    """The one rule of a class: k >= 1 and 0 <= l < k.  Raises ValueError."""
+    Returns (k, l, g, s, t) as ints, with g = gcd(l, k), k = g s and
+    l = g t; gcd(0, k) = k, so the zero class has g = k.  Raises TypeError
+    unless k and l are integers (``operator.index``), and ValueError
+    unless they keep the rule.
+    """
+    k, l = index(k), index(l)
     if k < 1 or not 0 <= l < k:
         raise ValueError(f"bad progression k={k}, l={l}: need k >= 1 and 0 <= l < k")
+    g = math.gcd(l, k)
+    return k, l, g, k // g, l // g
 
 
 def count_r_free_in_progression(x: int, r: int, k: int, l: int) -> int:
     """Exact R(x; k, l) by strided counts of the sieved r-free flags."""
     x, r = _check_count_range(x, r)
-    _check_class(k, l)
+    k, l, *_ = _check_class(k, l)
     return _class_counts(r, [(x, k, l)])[0]
 
 
 def count_r_free_bruteforce(x: int, r: int, k: int, l: int) -> int:
     """Same count by per-n trial division; the sieve-free oracle."""
+    x = index(x)  # and r in is_r_free
+    k, l, *_ = _check_class(k, l)
     start = l if l >= 1 else k
     return sum(1 for n in range(start, x + 1, k) if is_r_free(n, r))
 
@@ -137,14 +149,15 @@ def main_term(x: int, r: int, k: int, l: int) -> float:
 
     Defined only when g = gcd(l, k) is r-free; otherwise the progression
     carries no r-free numbers at all and the caller should use the
-    all-zero convention.  Raises ValueError unless x >= 0, r < 64 and
-    0 <= l < k.
+    all-zero convention.  Raises TypeError unless x, r, k and l are
+    integers, and ValueError unless x >= 0, r < 64 and 0 <= l < k.
     """
+    x, r = index(x), index(r)
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     if r >= _R_CEILING:
         raise ValueError(f"r must be below 64, got {r}")
-    _check_class(k, l)
+    k, l, *_ = _check_class(k, l)
     return _main_term(x, r, trial_factorize(k), f_value(r, k), l)
 
 
@@ -167,8 +180,7 @@ def _error_report(
     as ``decompose_many`` does.
     """
     x, r = _check_count_range(x, r)
-    _check_class(k, l)
-    g, s, t = _split_progression(k, l)
+    k, l, g, s, t = _check_class(k, l)
     if not is_r_free(g, r):
         return ProgressionReport(
             x=x, r=r, k=k, l=l, g=g, s=s, t=t, g_is_r_free=False,
@@ -205,27 +217,27 @@ def decompose_many(
     sieved up to x^(1/r).  Raises SelfCheckError unless each small + large = R.
     """
     x, r = _check_count_range(x, r)
-    trials = list(trials)
+    checked = []  # (k, l, z) with k and l as ints
     main_terms = {}  # (k, l) -> small main term
     factored = {}  # k -> (factorization, f-value)
     for k, l, z in trials:
         if not (math.isfinite(z) and z >= 1):
             raise ValueError(f"z must be a finite number >= 1, got {z}")
-        _check_class(k, l)
+        k, l, g, _, _ = _check_class(k, l)
+        checked.append((k, l, z))
         if (k, l) in main_terms:
             continue
-        g = math.gcd(l, k)
         if not is_r_free(g, r):
             raise ValueError(f"gcd(l, k) = {g} is not {r}-free")
         if k not in factored:
             factored[k] = (trial_factorize(k), f_value(r, k))
         main_terms[k, l] = _main_term(x, r, *factored[k], l)
-    if not trials:
+    if not checked:
         return []
     counts = dict(zip(main_terms, _class_counts(r, [(x, k, l) for k, l in main_terms])))
     mu = _root_mu(x, r)
     reports = []
-    for (k, l, z), (small, large) in zip(trials, _split_sums(mu, x, r, trials, factored)):
+    for (k, l, z), (small, large) in zip(checked, _split_sums(mu, x, r, checked, factored)):
         count, small_main = counts[k, l], main_terms[k, l]
         if small + large != count:
             raise SelfCheckError(f"the split of R({x}; {k}, {l}) at z={z!r} gives "
@@ -316,8 +328,8 @@ def lemma_bound_probe(rep: DecompositionReport) -> LemmaBoundRatios:
     Bounded ratios across sweeps are the empirical stand-in for the
     unspecified constants in the underlying estimates.
     """
-    x, r, k, z = rep.x, rep.r, rep.k, rep.z
-    g, s, _ = _split_progression(k, rep.l)
+    x, r, z = rep.x, rep.r, rep.z
+    k, _, g, s, _ = _check_class(rep.k, rep.l)
     omega_g = trial_factorize(g).omega
     omega_s = trial_factorize(s).omega
     small_denom = x * z ** (1 - r) / k + 2**omega_g * z

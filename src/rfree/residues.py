@@ -20,8 +20,12 @@ applies every prime power p^e <= s_max with p <= sqrt(s_max), the primes
 of ``arith.primes_upto``, by strides, counting omega(s) in the same pass.
 What is left of s after that is 1 or one prime q > sqrt(s_max), which
 adds gcd(r, q - 1).  ``s_max`` lies below ``arith._LIMIT_CEILING`` = 2**32.
+The sieve is checked a second way as it runs: each s where the running
+maximum ratio rises, and every s divisible by ``_RECOUNT_EVERY``, is
+recounted by ``count_solutions``, and a mismatch raises SelfCheckError.
 ``counts_vector`` (exhaustive histograms per prime power) and
-``count_solutions_bruteforce`` are the oracles.
+``count_solutions_bruteforce`` are the oracles.  Every public function
+takes its integers through ``operator.index``, so a float raises TypeError.
 
 Import rule: this module imports no numpy at the top.  The counts are
 integer arithmetic on Python lists and ints, so ``rfree residues`` starts
@@ -34,13 +38,16 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import repeat
-from operator import add, floordiv, mul
+from operator import add, floordiv, index, mul
 from typing import Iterator, NamedTuple
 
 from .arith import _LIMIT_CEILING, primes_upto, trial_factorize
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, SelfCheckError
 
 _WINDOW = 1 << 12  # moduli per window of the per_modulus_maxima sieve
+# per_modulus_maxima recounts every s divisible by this prime, besides each s
+# where the maximum ratio rises: 1004 recounts at s_max = 1e6 and r = 3
+_RECOUNT_EVERY = 997
 
 
 class ResidueCount(NamedTuple):
@@ -55,6 +62,7 @@ class ResidueCount(NamedTuple):
 
 def count_solutions_bruteforce(r: int, a: int, s: int) -> int:
     """Exhaustive count over d in [0, s); the oracle path."""
+    r, a, s = index(r), index(a), index(s)
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     if not 0 <= a < s:
@@ -119,6 +127,7 @@ def _count_units(r: int, a: int, p: int, e: int) -> int:
 
 def count_solutions(r: int, a: int, s: int) -> ResidueCount:
     """CRT-multiplicative count of d^r = a (mod s); equals the oracles."""
+    r, a, s = index(r), index(a), index(s)
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     if not 0 <= a < s:
@@ -139,6 +148,7 @@ def counts_vector(r: int, s: int):
     as an int64 numpy array."""
     import numpy as np
 
+    r, s = index(r), index(s)
     out = np.ones(s, dtype=np.int64)
     idx = np.arange(s, dtype=np.int64)
     for p, e in trial_factorize(s).factors:
@@ -168,7 +178,14 @@ def per_modulus_maxima(r: int, s_max: int) -> Iterator[ModulusMaximum]:
     each p adds 1 to omega of its multiples.  The cofactor left, if above
     1, is one prime q > sqrt(s_max), with N(q) = gcd(r, q - 1).  A window
     holds three lists of ``_WINDOW`` ints, so memory is flat in s_max.
+
+    Each s where the running maximum ratio rises (so the first maximum is
+    among them) and each s divisible by ``_RECOUNT_EVERY`` is recounted by
+    ``count_solutions``, which factors s and reads no sieve.  A row whose
+    count or bound differs raises SelfCheckError before it is yielded; the
+    rows before it have been yielded already.
     """
+    r, s_max = index(r), index(s_max)
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
     if s_max < 2:
@@ -188,6 +205,7 @@ def per_modulus_maxima(r: int, s_max: int) -> Iterator[ModulusMaximum]:
     # r^omega(s) as a float, as count_solutions' bound / 2 gives it; below
     # 2**32, omega(s) <= 9 (2*3*...*29 > 2**32)
     powers = [2.0 * r**w / 2 for w in range(10)]
+    best = -math.inf  # the running maximum ratio
     for lo in range(1, s_max + 1, _WINDOW):
         hi = min(lo + _WINDOW, s_max + 1)
         count = [1] * (hi - lo)
@@ -204,4 +222,13 @@ def per_modulus_maxima(r: int, s_max: int) -> Iterator[ModulusMaximum]:
             if q > 1:  # the one prime factor above sqrt(s_max)
                 c *= math.gcd(r, q - 1)
                 w += 1
-            yield ModulusMaximum(s, 1 % s, c, c / powers[w])
+            ratio = c / powers[w]
+            if ratio > best or not s % _RECOUNT_EVERY:
+                best = max(best, ratio)
+                check = count_solutions(r, 1 % s, s)
+                if (check.count, check.bound / 2) != (c, powers[w]):
+                    raise SelfCheckError(
+                        f"N({s}) at r={r}: the sieve gives count {c} and r^omega "
+                        f"{powers[w]!r}, count_solutions {check.count} and {check.bound / 2!r}"
+                    )
+            yield ModulusMaximum(s, 1 % s, c, ratio)

@@ -57,15 +57,18 @@ def _packed_size(limit: int) -> int:
     return (limit + 8) // 8
 
 
-def _check_table_size(limit: int) -> None:
-    """The one size rule for a table of one byte per n in [0, limit].
+def _check_table_size(limit: int) -> int:
+    """The one size rule for a table of one byte per n in [0, limit], which
+    it returns as an int.
 
-    Raises ValueError if limit < 1, and ResourceLimitError, before anything
+    Raises TypeError unless limit is an integer (``operator.index``),
+    ValueError if limit < 1, and ResourceLimitError, before anything
     is allocated, if limit is not below 2**32 or the table would take more
     than 2 GiB.  The 2**32 ceiling is checked first.  The budget covers the
     finished table; ``mobius_sieve`` holds only one window's scratch more,
     5 bytes for each of at most ``_COUNT_WINDOW`` n.
     """
+    limit = index(limit)
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if limit >= _LIMIT_CEILING:
@@ -78,6 +81,7 @@ def _check_table_size(limit: int) -> None:
             f"a table for limit={limit} needs {limit + 1} bytes, exceeding the "
             f"memory budget of {_MEMORY_BUDGET} bytes"
         )
+    return limit
 
 
 def mobius_sieve(limit: int) -> np.ndarray:
@@ -91,7 +95,7 @@ def mobius_sieve(limit: int) -> np.ndarray:
     limit < 1 and ResourceLimitError if the table breaks
     ``_check_table_size``.
     """
-    _check_table_size(limit)
+    limit = _check_table_size(limit)
     mu = np.ones(limit + 1, dtype=np.int8)
     primes = primes_upto(math.isqrt(limit))
     for lo in range(0, limit + 1, _COUNT_WINDOW):

@@ -449,6 +449,12 @@ def _drop_last_prime_power(monkeypatch):
     monkeypatch.setattr(sieve, "_r_powers", short)
 
 
+@pytest.fixture(scope="module")
+def r_1e6_7_2():
+    """R(10^6; 7, 2) at r = 2 by trial division, once for the module (1.4 s)."""
+    return count_r_free_bruteforce(10**6, 2, 7, 2)
+
+
 @pytest.mark.parametrize("argv", [
     "sieve --limit 1e6 --r 2",
     "sieve --limit 1e6 --r 2 --cache {cache}",
@@ -456,11 +462,11 @@ def _drop_last_prime_power(monkeypatch):
     "error --x 1e6 --r 2 --k 7 --l 2 --format json",
     "error --x 1e6 --r 2 --k 7 --l 2 --z 100",
 ])
-def test_flags_missing_a_prime_square_exit_3(monkeypatch, capsys, tmp_path, argv):
+def test_flags_missing_a_prime_square_exit_3(monkeypatch, capsys, tmp_path, argv, r_1e6_7_2):
     # the sieve loses 997^2, the last p^2 <= 1e6, and 997^2 = 2 (mod 7):
     # unchecked, sieve printed 607927 and error R = 88661 with exit 0
     assert r_free_counts([10**6], 2) == [607926]
-    assert count_r_free_bruteforce(10**6, 2, 7, 2) == 88660
+    assert r_1e6_7_2 == 88660
     _drop_last_prime_power(monkeypatch)
     assert r_free_counts([10**6], 2) == [607927]
     assert main(argv.format(cache=tmp_path / "s.rfsv").split()) == 3
@@ -797,6 +803,7 @@ def _exit_code(argv):
     "verify-lemmas --x 100 --r 99999999999 --trials 2",
     "bv-sum --r 99999999999 --A 1 --x 1e4",
     "bv-sum --r 64 --A 1 --x 1e4",
+    "bv-sum --r 2 --A 1e308 --x 1e4",
 ])
 def test_refused_input_exit_2(argv, capsys, tmp_path):
     assert _exit_code(argv.format(tmp=tmp_path).split()) == 2
@@ -809,3 +816,5 @@ def test_refused_input_exit_2(argv, capsys, tmp_path):
         assert "z must be a finite number >= 1" in captured.err
     if any(f"--r {r}" in argv for r in ("64", "5000000", "99999999999")):
         assert "r must be below 64" in captured.err
+    if "--A 1e308" in argv:  # (log x)^(A + r - 1) overflows: the threshold is 0
+        assert "use a larger x or a smaller A" in captured.err

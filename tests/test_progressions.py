@@ -455,9 +455,13 @@ def test_error_term_checks_its_split(monkeypatch):
 
 
 def test_class_rule_is_one_message():
-    # every entry point refuses a bad (k, l) with the one rule of _check_class
+    # every entry point refuses a bad (k, l) with the one rule of _check_class;
+    # unchecked, the oracle gave 22 for (3, 5), a class it does not name, and
+    # for (3, -1) the count 15 of the zero class
     for call in (
         lambda: count_r_free_in_progression(100, 2, 7, 7),
+        lambda: count_r_free_bruteforce(100, 2, 3, 5),
+        lambda: count_r_free_bruteforce(100, 2, 3, -1),
         lambda: main_term(100, 2, 0, 0),
         lambda: error_term(100, 2, 7, -1),
         lambda: decompose_many(100, 2, [(7, 7, 2.0)]),

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from rfree import (
     ModulusMaximum,
     ResourceLimitError,
+    SelfCheckError,
     count_solutions,
     count_solutions_bruteforce,
     counts_vector,
@@ -232,3 +234,47 @@ def test_maxima_ceiling():
         next(per_modulus_maxima(3, 2**32))
     # the largest s_max taken: the first row comes at once
     assert next(per_modulus_maxima(3, 2**32 - 1)) == ModulusMaximum(1, 0, 1, 1.0)
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_maxima_recount_every_rise_and_every_997th(r, monkeypatch):
+    # the rows where the running maximum ratio rises, and every s = 0 mod 997
+    calls = []
+
+    def recount(r, a, s):
+        calls.append(s)
+        return count_solutions(r, a, s)
+
+    monkeypatch.setattr(residues, "count_solutions", recount)
+    rows = list(per_modulus_maxima(r, 5000))
+    rises, best = [], -math.inf
+    for row in rows:
+        if row.ratio > best:
+            rises.append(row.s)
+            best = row.ratio
+    assert calls == sorted(set(rises) | set(range(997, 5001, 997)))
+
+
+def _maxima_without_large_prime(monkeypatch):
+    """per_modulus_maxima with the gcd(r, q - 1) of the prime q left above
+    sqrt(s_max) dropped, so N(q) reads 1."""
+    source = inspect.getsource(residues.per_modulus_maxima)
+    mutated = source.replace("c *= math.gcd(r, q - 1)", "pass")
+    assert mutated != source
+    namespace = dict(vars(residues))
+    exec(mutated, namespace)
+    monkeypatch.setattr(residues, "per_modulus_maxima", namespace["per_modulus_maxima"])
+
+
+def test_maxima_missing_a_large_prime_exit_3(monkeypatch, capsys):
+    # no ratio rises past s = 1 at r = 3, so the recount of s = 997, a prime
+    # above sqrt(2000) with N(997) = gcd(3, 996) = 3, is what sees the mutant;
+    # unchecked, the command printed N(997) = 1 with exit 0
+    assert count_solutions(3, 1, 997).count == 3
+    _maxima_without_large_prime(monkeypatch)
+    with pytest.raises(SelfCheckError, match=r"N\(997\) at r=3: the sieve gives count 1 "):
+        list(residues.per_modulus_maxima(3, 2000))
+    assert main(["residues", "--r", "3", "--s-max", "2000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "s,a,count,ratio\n"  # no row of the failing batch
+    assert "exact-identity self-check failed: N(997)" in captured.err

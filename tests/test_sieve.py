@@ -28,7 +28,15 @@ from rfree import (
 )
 from rfree.arith import _mobius_trial
 from rfree.cli import main
-from rfree.harness import class_counts
+from rfree.harness import ExperimentConfig, class_counts, modulus_threshold
+from rfree.multiplicative import f_value, tau_partial_sum_check, tau_value
+from rfree.progressions import decompose_many, lemma_bound_probe, main_term
+from rfree.residues import (
+    count_solutions,
+    count_solutions_bruteforce,
+    counts_vector,
+    per_modulus_maxima,
+)
 from rfree.sieve import _r_powers, _root_mu
 
 
@@ -190,6 +198,64 @@ def test_counts_take_integers_only(tmp_path):
         assert save_cache(path, x, [r]) == [61]
         assert path.read_bytes() == (tmp_path / "int.rfsv").read_bytes()
     assert is_r_free(4, np.int64(3)) and not is_r_free(4, np.int64(2))
+
+
+def _typed(value):
+    """value with the type of every scalar in it, so 12 and 12.0 differ."""
+    if isinstance(value, (tuple, list)):
+        return [_typed(v) for v in value]
+    return type(value), value
+
+
+# (call, its integer arguments, the positions that also take a whole float)
+_ENTRIES = {
+    "count_r_free_in_progression": (count_r_free_in_progression, (1000, 2, 12, 5), ()),
+    "count_r_free_bruteforce": (count_r_free_bruteforce, (1000, 2, 12, 5), ()),
+    "main_term": (main_term, (1000, 2, 12, 5), ()),
+    "error_term": (error_term, (1000, 2, 12, 5), ()),
+    "decompose": (lambda x, r, k, l: decompose(x, r, k, l, 3.0), (1000, 2, 12, 5), ()),
+    "decompose_many": (
+        lambda x, r, k, l: decompose_many(x, r, [(k, l, 3.0), (k, 1, 2.0)]), (1000, 2, 12, 5), ()
+    ),
+    "lemma_bound_probe": (
+        lambda k, l: lemma_bound_probe(decompose(1000, 2, 12, 5, 3.0)._replace(k=k, l=l)),
+        (12, 5), (),
+    ),
+    "class_counts": (lambda x, r, k: class_counts(x, r, k).tolist(), (1000, 2, 12), ()),
+    "count_solutions": (count_solutions, (3, 1, 91), ()),
+    "count_solutions_bruteforce": (count_solutions_bruteforce, (3, 1, 91), ()),
+    "counts_vector": (lambda r, s: counts_vector(r, s).tolist(), (3, 91), ()),
+    "per_modulus_maxima": (lambda r, s_max: list(per_modulus_maxima(r, s_max)), (3, 2000), ()),
+    "tau_value": (tau_value, (3, 12), ()),
+    "tau_partial_sum_check": (lambda r, x: tau_partial_sum_check(r, [x]), (3, 1000), ()),
+    "mu_r_direct": (mu_r_direct, (72, 3), ()),
+    "ExperimentConfig": (lambda r, x: ExperimentConfig(r, 1.0, [x]), (2, 10**4), (1,)),
+    "modulus_threshold": (lambda x, r: modulus_threshold(x, r, 1.0), (10**4, 2), ()),
+    "mobius_sieve": (lambda n: mobius_sieve(n).tolist(), (100,), ()),
+    "f_value": (f_value, (2, 12), ()),
+    "is_r_free": (is_r_free, (12, 2), ()),
+}
+
+
+@pytest.mark.parametrize("name", _ENTRIES)
+def test_every_entry_takes_integers_only(name, tmp_path, monkeypatch):
+    # each rule takes its integers through operator.index and the code uses
+    # only what it returns: unchecked, main_term(1000, 2, 12, 5.5) gave the
+    # value at l = 5, count_solutions(2.5, 0, 8) a count of 2.0, and
+    # decompose with numpy k and l failed inside the split on pow
+    call, args, whole = _ENTRIES[name]
+    monkeypatch.chdir(tmp_path)
+    expected = _typed(call(*args))
+    for i, v in enumerate(args):
+        for bad in (v + 0.5, float(v)):
+            if bad == v and i in whole:
+                assert _typed(call(*args[:i], bad, *args[i + 1 :])) == expected
+                continue
+            with pytest.raises(TypeError):
+                call(*args[:i], bad, *args[i + 1 :])
+    for kind in (np.int64, np.uint32):
+        assert _typed(call(*map(kind, args))) == expected, kind
+    assert list(tmp_path.iterdir()) == []  # no entry writes a file
 
 
 def _mobius(n):
