@@ -5,9 +5,10 @@ and the odd p up to 2**16, which factors every n < 2**32 completely.  A
 cofactor left above 2**32 has no prime factor up to 2**16; below 2**64 it
 is tested by deterministic Miller-Rabin and a composite one is split by
 Pollard-Brent rho, so a modulus with a large prime factor factors at
-once.  Above 2**64, where those bases are not shown exact, trial division
-goes on.  ``is_r_free`` and the Mobius values of ``mu_r_direct`` read
-their answers off its factorization.
+once.  A cofactor at or above 2**64, where those bases are not shown
+exact, is refused with ResourceLimitError, so no call runs trial
+division past 2**16.  ``is_r_free`` and the Mobius values of
+``mu_r_direct`` read their answers off its factorization.
 
 ``mu_r_direct`` recomputes the r-free indicator for a single n as the
 divisor sum of the Mobius function over d with d^r | n.  It is
@@ -28,6 +29,8 @@ import math
 from functools import lru_cache
 from operator import index
 from typing import NamedTuple
+
+from .errors import ResourceLimitError
 
 _TRIAL_BOUND = 1 << 16  # trial division runs over every p <= 2**16
 # every x, table limit and s_max lies below this, _TRIAL_BOUND**2, where the
@@ -69,7 +72,8 @@ class Factorization(_FactorizationFields):
 @lru_cache(maxsize=1024, typed=True)
 def trial_factorize(n: int) -> Factorization:
     """Factor n: trial division up to 2**16, then Miller-Rabin and
-    Pollard-Brent rho on a cofactor below 2**64.
+    Pollard-Brent rho on a cofactor below 2**64; a cofactor at or above
+    2**64 raises ResourceLimitError.
 
     Memoised: a split factors the same small moduli and gcds many times,
     and a :class:`Factorization` is immutable, so it is safe to share.
@@ -83,8 +87,12 @@ def trial_factorize(n: int) -> Factorization:
     m = n
     p = 2
     while p * p <= m:
-        if p > _TRIAL_BOUND and m < _MR_EXACT_BELOW:
+        if p > _TRIAL_BOUND:
             # m > 2**32 and has no prime factor up to 2**16
+            if m >= _MR_EXACT_BELOW:
+                raise ResourceLimitError(
+                    f"{n} has a cofactor of 2**64 or more with no prime factor up to 2**16"
+                )
             out.extend(_large_factors(m))
             m = 1
             break

@@ -223,15 +223,13 @@ def decompose_many(
     for k, l, z in trials:
         if not (math.isfinite(z) and z >= 1):
             raise ValueError(f"z must be a finite number >= 1, got {z}")
-        k, l, g, _, _ = _check_class(k, l)
+        k, l, *_ = _check_class(k, l)
         checked.append((k, l, z))
         if (k, l) in main_terms:
             continue
-        if not is_r_free(g, r):
-            raise ValueError(f"gcd(l, k) = {g} is not {r}-free")
         if k not in factored:
             factored[k] = (trial_factorize(k), f_value(r, k))
-        main_terms[k, l] = _main_term(x, r, *factored[k], l)
+        main_terms[k, l] = _main_term(x, r, *factored[k], l)  # raises unless g is r-free
     if not checked:
         return []
     counts = dict(zip(main_terms, _class_counts(r, [(x, k, l) for k, l in main_terms])))
@@ -259,7 +257,7 @@ def _split_sums(mu, x, r, trials, factored) -> list[tuple[int, int]]:
     for i, (k, l, _) in enumerate(trials):
         groups.setdefault(math.gcd(l, k), {}).setdefault(k, {}).setdefault(l, []).append(i)
     sums = [(0, 0)] * len(trials)
-    inverses = {}  # s -> (d^r)^(-1) mod s over the longest range of d so far
+    inverses = {}  # s -> (d^r)^(-1) mod s over the d of its first g, the longest range
     last = {k // g: g for g in sorted(groups) for k in groups[g]}  # s -> its last g
     for g in sorted(groups):  # the d of a larger g are a prefix of a smaller g's
         ds, mu_d, dr, u_limit = _d_terms(mu, x // g, r)
@@ -281,7 +279,7 @@ def _split_sums(mu, x, r, trials, factored) -> list[tuple[int, int]]:
                 if s % p:
                     caps += [(w * p ** (r - e), -sign) for w, sign in caps]
             if k <= x:
-                if s not in inverses or inverses[s].size < dr.size:
+                if s not in inverses:
                     residues, which = np.unique(dr % s, return_inverse=True)
                     inverses[s] = np.array(
                         [pow(w, -1, s) if math.gcd(w, s) == 1 else 0 for w in residues.tolist()],

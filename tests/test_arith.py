@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import run_rfree
+from conftest import run_python, run_rfree
 from rfree import f_value, is_r_free, tau_value, trial_factorize
 from rfree.arith import _int_rth_root, primes_upto
 
@@ -20,6 +20,23 @@ from rfree.arith import _int_rth_root, primes_upto
 ])
 def test_trial_factorize_large_factors(n, factors):
     assert trial_factorize(n).factors == factors
+
+
+def test_trial_factorize_refuses_a_large_cofactor_at_once():
+    # no trial division past 2**16: it once went on above 2**64, and the main
+    # term of k = (2**61 - 1)**2 never returned, so a regression fails on the
+    # child's timeout instead of hanging the suite
+    done = run_python("-c", """
+import time
+from rfree import ResourceLimitError, main_term, trial_factorize
+assert trial_factorize(3 << 70).factors == ((2, 70), (3, 1))
+start = time.perf_counter()
+try:
+    main_term(1000, 2, (2**61 - 1) ** 2, 5)
+except ResourceLimitError as exc:
+    print(time.perf_counter() - start, exc)""")
+    seconds, message = done.stdout.split(" ", 1)
+    assert float(seconds) < 1 and message.startswith(f"{(2**61 - 1) ** 2} has a cofactor of 2**64"), done
 
 
 def test_non_integers_are_refused_and_numpy_integers_factored():

@@ -3,19 +3,16 @@ import builtins
 import contextlib
 import hashlib
 import json
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
 import zlib
 from pathlib import Path
 
 import pytest
 
-from conftest import SRC, wrong_mobius
-import rfree.progressions as progressions
-from rfree import SelfCheckError, count_r_free_bruteforce, r_free_counts, sieve, tau_value
+from conftest import SRC, run_python
+from test_faults import FAULTS
+from rfree import count_r_free_bruteforce, r_free_counts, sieve, tau_value
 from rfree.cli import _parse_int, main
 
 
@@ -259,10 +256,7 @@ def test_no_command_reads_a_cache(tmp_path, argv):
     # writes the flags to a temporary file beside it
     cache = tmp_path / "s.rfsv"
     _damaged_cache(cache, "cut 700")
-    done = subprocess.run(
-        [sys.executable, "-c", _AUDITED_MAIN, str(cache), *argv.format(cache=cache).split()],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
-    )
+    done = run_python("-c", _AUDITED_MAIN, str(cache), *argv.format(cache=cache).split())
     assert done.returncode == 0, done.stderr
     opens = json.loads(done.stderr.splitlines()[-1])
     command = argv.split()[0]
@@ -438,43 +432,6 @@ def test_bv_sum_threads_zero_exit_2(capsys):
     assert "threads" in captured.err
 
 
-def _drop_last_prime_power(monkeypatch):
-    """Make the flag sieve lose its largest p^r <= top."""
-    true = sieve._r_powers
-
-    def short(top, r):
-        dense, sparse = true(top, r)
-        return (dense, sparse[:-1]) if sparse.size else (dense[:-1], sparse)
-
-    monkeypatch.setattr(sieve, "_r_powers", short)
-
-
-@pytest.fixture(scope="module")
-def r_1e6_7_2():
-    """R(10^6; 7, 2) at r = 2 by trial division, once for the module (1.4 s)."""
-    return count_r_free_bruteforce(10**6, 2, 7, 2)
-
-
-@pytest.mark.parametrize("argv", [
-    "sieve --limit 1e6 --r 2",
-    "sieve --limit 1e6 --r 2 --cache {cache}",
-    "error --x 1e6 --r 2 --k 7 --l 2",
-    "error --x 1e6 --r 2 --k 7 --l 2 --format json",
-    "error --x 1e6 --r 2 --k 7 --l 2 --z 100",
-])
-def test_flags_missing_a_prime_square_exit_3(monkeypatch, capsys, tmp_path, argv, r_1e6_7_2):
-    # the sieve loses 997^2, the last p^2 <= 1e6, and 997^2 = 2 (mod 7):
-    # unchecked, sieve printed 607927 and error R = 88661 with exit 0
-    assert r_free_counts([10**6], 2) == [607926]
-    assert r_1e6_7_2 == 88660
-    _drop_last_prime_power(monkeypatch)
-    assert r_free_counts([10**6], 2) == [607927]
-    assert main(argv.format(cache=tmp_path / "s.rfsv").split()) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "exact-identity self-check failed" in captured.err
-
-
 @pytest.mark.parametrize("rs", ["2", "3", "2,3"])
 @pytest.mark.parametrize("before", ["missing", "cache"])
 def test_sieve_cache_of_wrong_flags_never_lands(monkeypatch, capsys, tmp_path, rs, before):
@@ -485,7 +442,7 @@ def test_sieve_cache_of_wrong_flags_never_lands(monkeypatch, capsys, tmp_path, r
     if before == "cache":
         sieve.save_cache(cache, 10_000, [2, 3])
     old = cache.read_bytes() if cache.exists() else None
-    _drop_last_prime_power(monkeypatch)
+    FAULTS["drop_last_prime_power"](monkeypatch)
     assert main(["sieve", "--limit", "1e6", "--r", rs, "--cache", str(cache)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -495,34 +452,6 @@ def test_sieve_cache_of_wrong_flags_never_lands(monkeypatch, capsys, tmp_path, r
     else:
         assert cache.read_bytes() == old
     assert list(tmp_path.glob("*.tmp")) == []
-
-
-@pytest.mark.parametrize("argv", [
-    "verify-lemmas --x 1e4 --r 2 --trials 50 --seed 1",
-    "verify-lemmas --x 1e4 --r 3 --trials 50 --seed 1",
-    "error --x 1e4 --r 2 --k 12 --l 5",
-    "error --x 1e4 --r 2 --k 12 --l 5 --z 30",
-    "error --x 1e4 --r 2 --k 12 --l 5 --format json",
-])
-def test_split_off_by_one_exit_3(monkeypatch, capsys, argv):
-    # decompose_many checks small + large = R for every trial before it
-    # returns a report: unchecked, verify-lemmas printed failures=1 on stdout
-    true = progressions._split_sums
-
-    def off(*args):
-        sums = true(*args)
-        small, large = sums[len(sums) // 2]
-        sums[len(sums) // 2] = (small + 1, large)
-        return sums
-
-    monkeypatch.setattr(progressions, "_split_sums", off)
-    with pytest.raises(SelfCheckError, match=r"the split of R\(10000; 12, 5\) at z=3"):
-        progressions.decompose_many(10**4, 2, [(7, 1, 2.0), (12, 5, 3.0), (12, 5, 9.0)])
-    assert main(argv.split()) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert re.search(r"the split of R\(10000; \d+, \d+\) at z=\d", captured.err)
-    assert "not the count" in captured.err
 
 
 def test_cli_compares_no_identity():
@@ -536,41 +465,6 @@ def test_cli_compares_no_identity():
     assert raised == []
     assert imported.isdisjoint({"_root_mu", "_d_terms"})
     assert "_check_flag_total" in imported  # the scan sees cli's imports
-
-
-def test_bv_sum_self_check_failure_exit_3(monkeypatch, capsys):
-    from rfree.errors import SelfCheckError
-    import rfree.harness as harness
-
-    def boom(config):
-        raise SelfCheckError("forced for the exit-code contract")
-
-    # the bv-sum handler looks run_experiment up in its module when it runs
-    monkeypatch.setattr(harness, "run_experiment", boom)
-    code = main(["bv-sum", "--r", "2", "--A", "1", "--x", "1e4"])
-    assert code == 3
-    assert "self-check" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv,wrong", [
-    # mu(9998) = 1 and mu(9994) = -1 swapped: both have floor(1e8 / d^2) = 1,
-    # so the partition totals cannot see it; unchecked, bv-sum exits 0 with
-    # S = 21296.39963141529 for 21302.102239391214
-    ("bv-sum --r 2 --A 1 --x 1e8", {9998: -1, 9994: 1}),
-    ("bv-sum --r 2 --A 1 --x 1e6", {997: 1}),  # one flipped sign
-    ("verify-lemmas --x 1e6 --r 2 --trials 100 --seed 3", {997: 1}),
-    ("error --x 1000000 --r 2 --k 7 --l 3 --z 50", {30: 1}),
-    ("sieve --limit 1e6 --r 2,3", {997: 1}),
-    ("error --x 1000000 --r 2 --k 7 --l 3", {30: 1}),
-])
-def test_wrong_mobius_table_exit_3(monkeypatch, capsys, argv, wrong):
-    true = sieve.mobius_sieve(10**4)
-    assert all(true[n] == -value for n, value in wrong.items())  # sign flips
-    wrong_mobius(monkeypatch, wrong)
-    assert main(argv.split()) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "mu * 1 = epsilon fails at n=" in captured.err
 
 
 @pytest.mark.parametrize("argv,expected", [

@@ -1,12 +1,8 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from conftest import SRC, run_python
+
+DEMOS = sorted((SRC.parent / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -17,9 +13,5 @@ def test_demos_found():
 def test_demo_exits_0(demo, tmp_path):
     # run in tmp_path so that files a demo writes (demo 05's SVG) stay out
     # of the checkout
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=120,
-    )
+    done = run_python(str(demo), cwd=tmp_path, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import rfree.sieve as sieve
-from conftest import r_free_flags, wrong_mobius
+from conftest import r_free_flags
+from test_faults import wrong_mobius
 from rfree import (
     ConfigError,
     Factorization,

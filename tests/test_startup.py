@@ -7,14 +7,12 @@ reference cycles."""
 import gc
 import hashlib
 import importlib
-import os
-import subprocess
 import sys
 
 import pytest
 
 import rfree
-from conftest import SRC, run_rfree
+from conftest import run_python, run_rfree
 from rfree import (
     ExperimentConfig,
     Factorization,
@@ -170,11 +168,7 @@ def test_no_command_makes_reference_cycles():
         ("f --r 3 --k 12", "f --r 5 --k 720720"),
     ]
     # its own process, so this one keeps its collector
-    done = subprocess.run(
-        [sys.executable, "-c", f"CASES = {cases!r}\n{_CYCLE_CHECK}"],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
-        timeout=120,
-    )
+    done = run_python("-c", f"CASES = {cases!r}\n{_CYCLE_CHECK}", timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
     assert len(done.stdout.splitlines()) == len(cases)
 
