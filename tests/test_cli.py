@@ -454,6 +454,18 @@ def test_sieve_cache_of_wrong_flags_never_lands(monkeypatch, capsys, tmp_path, r
     assert list(tmp_path.glob("*.tmp")) == []
 
 
+@pytest.mark.parametrize("argv", ["error --x 1e4 --r 2 --k 12 --l 5"])
+def test_split_off_by_one_exit_3(monkeypatch, capsys, argv):
+    # error_term checks small + large = R before it reports the count:
+    # the other commands that split are rows of the fault table
+    FAULTS["split_small_plus_one"](monkeypatch)
+    assert main(argv.split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"the split of R\(10000; 12, 5\) at z=1", captured.err)
+    assert "not the count" in captured.err
+
+
 def test_cli_compares_no_identity():
     # each exact identity is checked in the layer that forms both sides,
     # so cli raises no SelfCheckError and imports no Mobius table

@@ -7,6 +7,7 @@ import pytest
 import rfree.progressions as progressions
 from conftest import r_free_flags
 from rfree import (
+    SelfCheckError,
     count_r_free_bruteforce,
     count_r_free_in_progression,
     decompose,
@@ -438,6 +439,19 @@ def test_decompose_many_checks_every_trial_first():
         with pytest.raises(ValueError, match=message):
             decompose_many(1000, 2, [good, bad])
     assert decompose_many(1000, 2, []) == []
+
+
+def test_error_term_checks_its_split(monkeypatch):
+    # the count error_term reports must be the sum of the split at z = 1
+    true = progressions._split_sums
+    assert error_term(10**4, 2, 12, 5).count == count_r_free_bruteforce(10**4, 2, 12, 5)
+    monkeypatch.setattr(
+        progressions, "_split_sums", lambda *args: [(s + 1, l) for s, l in true(*args)]
+    )
+    with pytest.raises(SelfCheckError, match=r"R\(10000; 12, 5\) at z=1.0 .* not the count"):
+        error_term(10**4, 2, 12, 5)
+    # a class whose gcd is not r-free has no split and keeps the zero convention
+    assert error_term(10**4, 2, 12, 4).count == 0
 
 
 def test_class_rule_is_one_message():
