@@ -68,7 +68,7 @@ def _parse_int_list(text: str) -> list[int]:
 def _cmd_sieve(args) -> int:
     import time
 
-    from .sieve import _check_flag_total, _packed_size, r_free_counts, save_cache
+    from .sieve import _packed_size, r_free_counts, save_cache
 
     rs = sorted(set(_parse_int_list(args.r)))
     # refused before the cache path is opened
@@ -77,12 +77,10 @@ def _cmd_sieve(args) -> int:
     if args.limit < 1:
         raise ConfigError(f"limit must be >= 1, got {args.limit}")
     start = time.perf_counter()
-    if args.cache:  # save_cache checks each total and refuses to overwrite a non-RFSV file
+    if args.cache:  # both calls check their totals; save_cache refuses to overwrite a non-RFSV file
         totals, source = save_cache(args.cache, args.limit, rs), "built and saved"
     else:
         totals, source = [r_free_counts([args.limit], r)[0] for r in rs], "built"
-        for r, total in zip(rs, totals):
-            _check_flag_total(args.limit, r, total)
     elapsed = time.perf_counter() - start
     for r, total in zip(rs, totals):
         print(f"r={r}: {total} r-free integers <= {args.limit}")

@@ -28,8 +28,9 @@ k' = k * floor(K/k), which lies in that range, and
 R(x; k, l) = sum_j R(x; k', l + j*k) is an exact integer sum, so the
 counts of k are those of k' folded onto k classes.  The total that the
 classes of a modulus must sum to comes from ``sieve.r_free_counts``, a
-segmented sieve of the r-th prime powers that reads no Mobius value, so
-it is an independent check; it runs on every counted modulus, and a
+segmented sieve of the r-th prime powers that reads no Mobius value and
+checks each total against the Mobius sum before it returns it, so it is
+an independent check; it runs on every counted modulus, and a
 folded modulus sums to its k' total by construction.  Each counted k' is
 folded onto every k that folds from it as soon as it is counted, and its
 counts are then dropped.  The folded counts of consecutive moduli are

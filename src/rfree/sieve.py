@@ -23,8 +23,9 @@ by strides and ``save_cache`` packs into its file.
   left 1 or one prime; ``_root_mu(x, r)`` sieves it up to x^(1/r) and
   checks mu * 1 = epsilon, and ``_d_terms`` reads off it the d-terms
   (d, mu(d), d^r, x // d^r) both Mobius sums share.
-* ``_check_flag_total(x, r, total)`` checks a total against the Mobius sum,
-  in ``save_cache`` before its file replaces the path and in ``rfree sieve``.
+* ``_check_flag_totals(xs, r, totals)`` checks each total against the
+  Mobius sum where it is counted: in ``r_free_counts`` before it returns
+  and in ``save_cache`` before its file replaces the path.
 
 A table over [0, N] keeps one size rule, ``_check_table_size``: N >= 1,
 N < 2**32 and at most 2 GiB of table.  Every count keeps one range rule,
@@ -163,11 +164,14 @@ def _check_count_range(x: int, r: int) -> tuple[int, int]:
     return x, r
 
 
-def _check_flag_total(x: int, r: int, total: int) -> None:
-    """Raise SelfCheckError unless total = sum_{d^r <= x} mu(d) (x // d^r)."""
-    _, mu_d, _, per_d = _d_terms(_root_mu(x, r), x, r)
-    if total != int(mu_d @ per_d):
-        raise SelfCheckError(f"r={r}: the flags count {total}, the Mobius sum {mu_d @ per_d}")
+def _check_flag_totals(xs: list[int], r: int, totals: list[int]) -> None:
+    """Raise SelfCheckError unless each total = sum_{d^r <= x} mu(d) (x // d^r)
+    for its x of ``xs``; mu is sieved once, up to max(xs)^(1/r)."""
+    mu = _root_mu(max(xs, default=0), r)
+    for x, total in zip(xs, totals):
+        _, mu_d, _, per_d = _d_terms(mu, x, r)
+        if total != int(mu_d @ per_d):
+            raise SelfCheckError(f"r={r}: the flags count {total}, the Mobius sum {mu_d @ per_d}")
 
 
 def _r_powers(top: int, r: int) -> tuple[list[int], np.ndarray]:
@@ -222,13 +226,17 @@ def _class_counts(r: int, classes: Iterable[tuple[int, int, int]]) -> list[int]:
 def r_free_counts(xs: Iterable[int], r: int) -> list[int]:
     """#{1 <= n <= x : n r-free} for each x of ``xs``, in the order given.
 
-    One ``_class_counts`` pass over [0, max(xs)] serves every x.  No
-    Mobius value is read, so the count is independent of the Mobius sums
-    it checks.  Raises ValueError, before any window, unless r and every
-    x keep ``_check_count_range``.
+    One ``_class_counts`` pass over [0, max(xs)] serves every x.  The
+    flags read no Mobius value, so each total is checked against the
+    Mobius sum by ``_check_flag_totals`` before any is returned
+    (SelfCheckError otherwise).  Raises ValueError, before any window,
+    unless r and every x keep ``_check_count_range``.
     """
     _, r = _check_count_range(0, r)  # r is checked even when xs is empty
-    return _class_counts(r, [(_check_count_range(x, r)[0], 1, 0) for x in xs])
+    xs = [_check_count_range(x, r)[0] for x in xs]
+    totals = _class_counts(r, [(x, 1, 0) for x in xs])
+    _check_flag_totals(xs, r, totals)
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +278,7 @@ def save_cache(path, limit: int, rs: Iterable[int]) -> list[int]:
     comes, and the crc32 is filled in last, so the save holds one window
     and its packed bytes.  The bytes go to a temporary file in the same
     directory, which replaces ``path`` only once every total has passed
-    ``_check_flag_total``, so no torn or wrong cache is left behind.
+    ``_check_flag_totals``, so no torn or wrong cache is left behind.
     """
     limit = index(limit)
     rs = sorted({_check_count_range(limit, r)[1] for r in rs})
@@ -302,7 +310,7 @@ def save_cache(path, limit: int, rs: Iterable[int]) -> list[int]:
                     # packbits zeroes the pad bits of the last
                     crc = _write_crc(fh, np.packbits(window), crc)
                 del window  # the scratch of this r; the next r sieves into its own
-                _check_flag_total(limit, r, count)
+                _check_flag_totals([limit], r, [count])
                 counts.append(count)
             assert fh.tell() == _cache_size(limit, len(rs)), "cache layout"
             fh.seek(len(_CACHE_MAGIC))

@@ -1,11 +1,10 @@
 import json
 import time
 
-import numpy as np
 import pytest
 
 from conftest import run_python, run_rfree
-from rfree import f_value, is_r_free, tau_value, trial_factorize
+from rfree import f_value, trial_factorize
 from rfree.arith import _int_rth_root, primes_upto
 
 
@@ -37,27 +36,6 @@ except ResourceLimitError as exc:
     print(time.perf_counter() - start, exc)""")
     seconds, message = done.stdout.split(" ", 1)
     assert float(seconds) < 1 and message.startswith(f"{(2**61 - 1) ** 2} has a cofactor of 2**64"), done
-
-
-def test_non_integers_are_refused_and_numpy_integers_factored():
-    # 12 is factored (and cached) first, so a float equal to it must not
-    # find its cache entry; unchecked, f_value(2, 12.5) gave a value with a
-    # 1e-13 budget and tau_value(2, 12.0) gave 6
-    assert trial_factorize(12).factors == ((2, 2), (3, 1))
-    for call in (
-        lambda: trial_factorize(12.0),
-        lambda: trial_factorize(12.5),
-        lambda: f_value(2, 12.5),
-        lambda: f_value(2, 12.0),
-        lambda: tau_value(2, 12.0),
-        lambda: is_r_free(12.0, 2),
-    ):
-        with pytest.raises(TypeError):
-            call()
-    for n in (np.int64(12), np.uint32(12), np.int8(12)):
-        fact = trial_factorize(n)
-        assert fact == trial_factorize(12) and type(fact.n) is int
-    assert tau_value(2, np.int64(12)) == 6 and is_r_free(np.int64(12), 3)
 
 
 def test_f_with_a_large_prime_modulus_exits_0():

@@ -476,7 +476,7 @@ def test_cli_compares_no_identity():
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert raised == []
     assert imported.isdisjoint({"_root_mu", "_d_terms"})
-    assert "_check_flag_total" in imported  # the scan sees cli's imports
+    assert "_packed_size" in imported  # the scan sees cli's imports
 
 
 @pytest.mark.parametrize("argv,expected", [

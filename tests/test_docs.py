@@ -1,10 +1,13 @@
-"""Every ``module.name`` that the prose quotes names a live attribute."""
+"""Every ``module.name`` that the prose quotes names a live attribute, and
+README's fault table is the one the fault rows give."""
 
 import importlib
 import io
 import re
 import tokenize
 from pathlib import Path
+
+from test_faults import fault_table
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "rfree"
@@ -41,3 +44,7 @@ def test_flag_count_modules_name_the_one_strided_count():
         doc = importlib.import_module(f"rfree.{module}").__doc__
         assert "sieve._class_counts" in doc, module
     assert importlib.import_module("rfree.progressions")._class_counts.__module__ == "rfree.sieve"
+
+
+def test_readme_fault_table_is_the_rows():
+    assert fault_table() in (ROOT / "README.md").read_text()  # python tests/test_faults.py prints it

@@ -10,7 +10,6 @@ import pytest
 
 import rfree.multiplicative as mult
 from rfree import (
-    ResourceLimitError,
     f_value,
     tau_partial_sum_check,
     tau_value,
@@ -43,18 +42,6 @@ def test_zeta_large_r():
 def test_zeta_bits_pinned(r, bits):
     # the pinned bits fix every bit of f_r and so of every main term
     assert zeta(r).hex() == bits
-
-
-def test_zeta_rejects_divergent_r():
-    with pytest.raises(ValueError):
-        zeta(1)
-
-
-def test_zeta_and_f_refuse_non_integer_r():
-    # a float r would read the table entry of another r
-    for call in (lambda: zeta(2.5), lambda: zeta(3.0), lambda: f_value(2.5, 6)):
-        with pytest.raises(TypeError):
-            call()
 
 
 def _bernoulli(n):
@@ -155,13 +142,6 @@ def test_f_in_unit_interval():
         for k in (1, 2, 6, 30, 210, 9699690):
             v = f_value(r, k).value
             assert 0.0 < v < 1.0
-
-
-def test_f_validates_factorization():
-    with pytest.raises(ValueError):
-        f_value(2, 0)
-    with pytest.raises(ValueError):
-        f_value(1, 10)
 
 
 def test_tau_examples():
@@ -269,17 +249,6 @@ def test_tau_sum_exact_past_int64():
     assert total == 92_675_189_684
 
 
-def test_tau_validation():
-    with pytest.raises(ValueError, match="r must be >= 1"):
-        tau_partial_sum_check(0, [10])
-    with pytest.raises(ValueError, match="r must be >= 1"):
-        tau_partial_sum_check(-3, [10])
-    # an r so large that x * (log x)^(r-1) overflows is refused at once,
-    # before any of its r - 1 levels runs
-    with pytest.raises(OverflowError, match="overflows a float"):
-        tau_partial_sum_check(2**62, [3])
-
-
 def test_tau_sum_matches_prefix_sums_of_tau_value():
     # the sums at every x >= 3 up to 2000, so each tau_r(n), n >= 4, is a
     # difference of two of them; the floor values x // m cross between the
@@ -296,33 +265,6 @@ def test_tau_sum_r2_matches_closed_form(x):
     # and at n^2 - 1, n^2, n^2 + 1 for n = 1000 and 65535
     root = math.isqrt(x)
     assert _tau_sum(2, x) == 2 * sum(x // i for i in range(1, root + 1)) - root * root
-
-
-def test_partial_sum_refuses_x_past_2_32_before_allocating():
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceLimitError, match="2\\*\\*32"):
-            tau_partial_sum_check(2, [10, 2**32])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-
-
-def test_partial_sum_refuses_by_cost_before_any_level(monkeypatch):
-    # (r - 2) * x^(3/4) summed over the xs is refused past 2**25 steps,
-    # which admits r = 4 at any x below 2**32
-    def no_sum(r, x):
-        raise AssertionError("summed before the cost was checked")
-
-    monkeypatch.setattr(mult, "_tau_sum", no_sum)
-    for r, xs in ((200, [4 * 10**9, 3]), (5, [2**32 - 1]), (4, [2**32 - 1, 2**32 - 1])):
-        with pytest.raises(ResourceLimitError, match="budget"):
-            tau_partial_sum_check(r, xs)
-    monkeypatch.setattr(mult, "_tau_sum", lambda r, x: x)
-    for r, xs in ((4, [2**32 - 1]), (3, [2**32 - 1]), (1000, [3]), (20, [10**4]),
-                  (150, [8192])):
-        assert [row.total for row in tau_partial_sum_check(r, xs)] == xs
 
 
 def test_partial_sum_r1_is_identity():
@@ -344,13 +286,6 @@ def test_partial_sum_ratio_slowly_varying():
     rows = tau_partial_sum_check(2, [10_000, 100_000])
     assert all(0.5 < row.ratio < 2.0 for row in rows)
     assert abs(rows[1].ratio / rows[0].ratio - 1) < 0.25
-
-
-def test_partial_sum_validation():
-    with pytest.raises(ValueError):
-        tau_partial_sum_check(2, [2])
-    with pytest.raises(ValueError, match="xs must be nonempty"):
-        tau_partial_sum_check(2, [])
 
 
 def test_r_to_omega_equals_tau_r_on_squarefree():

@@ -14,12 +14,8 @@ from test_faults import wrong_mobius
 from rfree import (
     ConfigError,
     Factorization,
-    ResourceLimitError,
     SelfCheckError,
     count_r_free_bruteforce,
-    count_r_free_in_progression,
-    decompose,
-    error_term,
     is_r_free,
     mobius_sieve,
     mu_r_direct,
@@ -29,15 +25,6 @@ from rfree import (
 )
 from rfree.arith import _mobius_trial
 from rfree.cli import main
-from rfree.harness import ExperimentConfig, class_counts, modulus_threshold
-from rfree.multiplicative import f_value, tau_partial_sum_check, tau_value
-from rfree.progressions import decompose_many, lemma_bound_probe, main_term
-from rfree.residues import (
-    count_solutions,
-    count_solutions_bruteforce,
-    counts_vector,
-    per_modulus_maxima,
-)
 from rfree.sieve import _r_powers, _root_mu
 
 
@@ -144,121 +131,6 @@ def test_class_counts_mixed_x_across_window_edges(monkeypatch, r):
     assert sieve._class_counts(r, []) == []
 
 
-def test_r_free_counts_validation():
-    assert r_free_counts([], 2) == []
-    with pytest.raises(ValueError):
-        r_free_counts([10], 1)
-    with pytest.raises(ValueError):
-        r_free_counts([10, -1], 2)
-
-
-def test_r_free_counts_refuse_x_past_2_32_at_once(monkeypatch):
-    # refused before any window or power is made: 2**40 would take about
-    # 10^6 passes of the window
-    def no_sieve(*args):
-        raise AssertionError("sieved before the range was checked")
-
-    monkeypatch.setattr(sieve, "_r_powers", no_sieve)
-    for xs in ([2**32], [10, 2**40]):
-        with pytest.raises(ValueError, match="outside"):
-            r_free_counts(xs, 2)
-    with pytest.raises(ValueError, match="r must"):
-        r_free_counts([], 1)
-
-
-def test_counts_take_integers_only(tmp_path):
-    # x and r go through operator.index in _check_count_range: unchecked,
-    # r_free_counts([100.7], 2) gave [61], the count at 100, is_r_free(4, 2.5)
-    # gave True, and a float or numpy x failed in _int_rth_root
-    path = tmp_path / "c.rfsv"
-    for call in (
-        lambda: r_free_counts([100.7], 2),
-        lambda: r_free_counts([100.0], 2),
-        lambda: r_free_counts([], 2.0),
-        lambda: count_r_free_in_progression(100.0, 2, 3, 1),
-        lambda: count_r_free_in_progression(100, 2.0, 3, 1),
-        lambda: decompose(100.0, 2, 3, 1, 2.0),
-        lambda: error_term(100.0, 2, 3, 1),
-        lambda: class_counts(100.0, 2, 3),
-        lambda: save_cache(path, 100.0, [2]),
-        lambda: save_cache(path, 100, [2.0]),
-        lambda: is_r_free(4, 2.5),
-        lambda: is_r_free(4, 2.0),
-    ):
-        with pytest.raises(TypeError):
-            call()
-    assert not path.exists()
-    save_cache(tmp_path / "int.rfsv", 100, [2])
-    for x, r in ((np.int64(100), np.int64(2)), (np.uint32(100), np.int8(2))):
-        assert r_free_counts([x], r) == r_free_counts([100], 2) == [61]
-        assert count_r_free_in_progression(x, r, 3, 1) == count_r_free_in_progression(100, 2, 3, 1)
-        split = decompose(x, r, 3, 1, 2.0)
-        assert split == decompose(100, 2, 3, 1, 2.0) and type(split.x) is type(split.r) is int
-        assert error_term(x, r, 3, 1) == error_term(100, 2, 3, 1)
-        assert class_counts(x, r, 3).tolist() == class_counts(100, 2, 3).tolist()
-        assert save_cache(path, x, [r]) == [61]
-        assert path.read_bytes() == (tmp_path / "int.rfsv").read_bytes()
-    assert is_r_free(4, np.int64(3)) and not is_r_free(4, np.int64(2))
-
-
-def _typed(value):
-    """value with the type of every scalar in it, so 12 and 12.0 differ."""
-    if isinstance(value, (tuple, list)):
-        return [_typed(v) for v in value]
-    return type(value), value
-
-
-# (call, its integer arguments, the positions that also take a whole float)
-_ENTRIES = {
-    "count_r_free_in_progression": (count_r_free_in_progression, (1000, 2, 12, 5), ()),
-    "count_r_free_bruteforce": (count_r_free_bruteforce, (1000, 2, 12, 5), ()),
-    "main_term": (main_term, (1000, 2, 12, 5), ()),
-    "error_term": (error_term, (1000, 2, 12, 5), ()),
-    "decompose": (lambda x, r, k, l: decompose(x, r, k, l, 3.0), (1000, 2, 12, 5), ()),
-    "decompose_many": (
-        lambda x, r, k, l: decompose_many(x, r, [(k, l, 3.0), (k, 1, 2.0)]), (1000, 2, 12, 5), ()
-    ),
-    "lemma_bound_probe": (
-        lambda k, l: lemma_bound_probe(decompose(1000, 2, 12, 5, 3.0)._replace(k=k, l=l)),
-        (12, 5), (),
-    ),
-    "class_counts": (lambda x, r, k: class_counts(x, r, k).tolist(), (1000, 2, 12), ()),
-    "count_solutions": (count_solutions, (3, 1, 91), ()),
-    "count_solutions_bruteforce": (count_solutions_bruteforce, (3, 1, 91), ()),
-    "counts_vector": (lambda r, s: counts_vector(r, s).tolist(), (3, 91), ()),
-    "per_modulus_maxima": (lambda r, s_max: list(per_modulus_maxima(r, s_max)), (3, 2000), ()),
-    "tau_value": (tau_value, (3, 12), ()),
-    "tau_partial_sum_check": (lambda r, x: tau_partial_sum_check(r, [x]), (3, 1000), ()),
-    "mu_r_direct": (mu_r_direct, (72, 3), ()),
-    "ExperimentConfig": (lambda r, x: ExperimentConfig(r, 1.0, [x]), (2, 10**4), (1,)),
-    "modulus_threshold": (lambda x, r: modulus_threshold(x, r, 1.0), (10**4, 2), ()),
-    "mobius_sieve": (lambda n: mobius_sieve(n).tolist(), (100,), ()),
-    "f_value": (f_value, (2, 12), ()),
-    "is_r_free": (is_r_free, (12, 2), ()),
-}
-
-
-@pytest.mark.parametrize("name", _ENTRIES)
-def test_every_entry_takes_integers_only(name, tmp_path, monkeypatch):
-    # each rule takes its integers through operator.index and the code uses
-    # only what it returns: unchecked, main_term(1000, 2, 12, 5.5) gave the
-    # value at l = 5, count_solutions(2.5, 0, 8) a count of 2.0, and
-    # decompose with numpy k and l failed inside the split on pow
-    call, args, whole = _ENTRIES[name]
-    monkeypatch.chdir(tmp_path)
-    expected = _typed(call(*args))
-    for i, v in enumerate(args):
-        for bad in (v + 0.5, float(v)):
-            if bad == v and i in whole:
-                assert _typed(call(*args[:i], bad, *args[i + 1 :])) == expected
-                continue
-            with pytest.raises(TypeError):
-                call(*args[:i], bad, *args[i + 1 :])
-    for kind in (np.int64, np.uint32):
-        assert _typed(call(*map(kind, args))) == expected, kind
-    assert list(tmp_path.iterdir()) == []  # no entry writes a file
-
-
 def _mobius(n):
     if n == 1:
         return 1
@@ -297,13 +169,6 @@ def test_mu_r_direct_examples():
     assert mu_r_direct(8, 3) == 0
     assert mu_r_direct(8, 4) == 1
     assert mu_r_direct(1, 5) == 1
-
-
-def test_mu_r_direct_validation():
-    with pytest.raises(ValueError):
-        mu_r_direct(0, 2)
-    with pytest.raises(ValueError):
-        mu_r_direct(5, 1)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -440,36 +305,6 @@ def test_factor_tables_match_trial_division():
         factors = trial_factorize(n).factors
         squarefree = all(e == 1 for _, e in factors)
         assert mu[n] == ((-1) ** len(factors) if squarefree else 0), n
-
-
-def test_build_validation(tmp_path):
-    with pytest.raises(ValueError):
-        save_cache(tmp_path / "c.rfsv", 10, {1})
-    with pytest.raises(ValueError):
-        save_cache(tmp_path / "c.rfsv", -1, {2})
-    assert list(tmp_path.iterdir()) == []  # refused before any file is opened
-    with pytest.raises(ValueError):
-        mobius_sieve(0)
-
-
-def test_memory_budget_named_in_error():
-    # one byte per n of 2.2e9: below 2**32 but over the 2 GiB budget,
-    # refused before allocating
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceLimitError, match="budget"):
-            mobius_sieve(2_200_000_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-
-
-def test_limit_beyond_32bit_rejected(tmp_path):
-    with pytest.raises(ResourceLimitError, match="int64 Mobius sums"):
-        mobius_sieve(2**32)
-    with pytest.raises(ValueError, match="outside"):
-        save_cache(tmp_path / "c.rfsv", 2**32, {2})
 
 
 def test_tables_are_read_only(mu_1e5):
@@ -611,5 +446,3 @@ def test_build_holds_packed_flags_and_one_window(tmp_path):
         tracemalloc.stop()
     assert peak < 2**20 + 2**17 + 2**16
     assert (tmp_path / "sieve.rfsv").stat().st_size == sieve._cache_size(2**22, 2)
-
-
